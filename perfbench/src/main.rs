@@ -13,12 +13,14 @@
 //! `{"correct", "attempted", "failed", "metrics"}`: the end-to-end
 //! metrics of an untraced run, or the per-layer metrics of a traced one.
 
+mod calib;
 mod report;
 mod repro;
 mod serve;
 mod trace;
 
-use report::{json_num, json_str, metrics_json, Figures, END_TO_END, PER_LAYER};
+use report::{metrics_json, object, Figures, END_TO_END, PER_LAYER};
+use serde_json::Value;
 use trace::{Breakdown, Tracer, LAYERS};
 
 /// What one invocation was asked to do.
@@ -40,7 +42,8 @@ pub struct RunResult {
     pub attempted: u64,
     pub failed: u64,
     pub notes: Vec<String>,
-    pub spans: Option<Tracer>,
+    /// A traced run's span trees: the replay and the probes.
+    pub spans: Option<(Tracer, Tracer)>,
 }
 
 fn parse_args() -> Result<Ctx, String> {
@@ -151,6 +154,7 @@ pub fn fill_layers(figs: &mut Figures, b: &Breakdown, untraced_s: f64) {
     let overhead =
         if untraced_s > 0.0 { (b.wall_s - untraced_s) / untraced_s * 100.0 } else { 0.0 };
     figs.set("trace.overhead_pct", overhead, "%", 1);
+    figs.set("trace.scaled_spans", b.scaled_spans as f64, "count", 1);
 }
 
 fn cpu_model() -> String {
@@ -165,16 +169,17 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-fn host_json(ctx: &Ctx) -> String {
+fn host_json(ctx: &Ctx) -> Value {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!(
-        "{{\"cpu_model\":{},\"nproc\":{nproc},\"pool_width\":{},\"build_profile\":{},\"rustc\":{},\"commit\":{}}}",
-        json_str(&cpu_model()),
-        rayon::current_num_threads(),
-        json_str(if cfg!(debug_assertions) { "debug" } else { "release" }),
-        json_str(&ctx.rustc),
-        json_str(&ctx.commit),
-    )
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    object([
+        ("cpu_model", Value::Str(cpu_model())),
+        ("nproc", Value::UInt(nproc as u64)),
+        ("pool_width", Value::UInt(rayon::current_num_threads() as u64)),
+        ("build_profile", Value::Str(profile.into())),
+        ("rustc", Value::Str(ctx.rustc.clone())),
+        ("commit", Value::Str(ctx.commit.clone())),
+    ])
 }
 
 fn run() -> Result<(), String> {
@@ -206,12 +211,14 @@ fn run() -> Result<(), String> {
     if ctx.trace {
         res.figs.set("pool.width", rayon::current_num_threads() as f64, "count", 1);
     }
-    if let (Some(tr), false) = (&res.spans, ctx.out_dir.is_empty()) {
+    if let (Some((main, probes)), false) = (&res.spans, ctx.out_dir.is_empty()) {
         let path = format!("{}/trace_{}_{}.jsonl", ctx.out_dir, ctx.workload, ctx.seed);
+        let text = main.to_jsonl("main") + &probes.to_jsonl("probe");
         std::fs::create_dir_all(&ctx.out_dir)
-            .and_then(|()| std::fs::write(&path, tr.to_jsonl()))
+            .and_then(|()| std::fs::write(&path, text))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        res.notes.push(format!("{} spans written to {path}", tr.spans().len()));
+        let n = main.spans().len() + probes.spans().len();
+        res.notes.push(format!("{n} spans written to {path}"));
     }
 
     for f in &res.figs.0 {
@@ -224,26 +231,28 @@ fn run() -> Result<(), String> {
         res.figs.0.iter().map(|f| (f.name.as_str(), f.unit.as_str())).collect();
     let error_rate =
         if res.attempted == 0 { 0.0 } else { res.failed as f64 / res.attempted as f64 };
-    println!(
-        "{{\"schema\":\"perfbench-v1\",\"host\":{},\"workload\":{},\"seed\":{},\"seconds\":{},\"trace\":{},\"attempted\":{},\"failed\":{},\"error_rate\":{},\"figures\":{}}}",
-        host_json(&ctx),
-        json_str(&ctx.workload),
-        ctx.seed,
-        json_num(ctx.seconds),
-        u8::from(ctx.trace),
-        res.attempted,
-        res.failed,
-        json_num(error_rate),
-        metrics_json(&res.figs, &all, true),
-    );
+    let record = object([
+        ("schema", Value::Str("perfbench-v1".into())),
+        ("host", host_json(&ctx)),
+        ("workload", Value::Str(ctx.workload.clone())),
+        ("seed", Value::UInt(ctx.seed)),
+        ("seconds", Value::Float(ctx.seconds)),
+        ("trace", Value::Bool(ctx.trace)),
+        ("attempted", Value::UInt(res.attempted)),
+        ("failed", Value::UInt(res.failed)),
+        ("error_rate", Value::Float(error_rate)),
+        ("figures", metrics_json(&res.figs, &all, true)),
+    ]);
     let names: &[(&str, &str)] = if ctx.trace { &PER_LAYER } else { &END_TO_END };
-    println!(
-        "{{\"correct\":{},\"attempted\":{},\"failed\":{},\"metrics\":{}}}",
-        res.failed == 0 && res.attempted > 0,
-        res.attempted.max(1),
-        res.failed,
-        metrics_json(&res.figs, names, false),
-    );
+    let result = object([
+        ("correct", Value::Bool(res.failed == 0 && res.attempted > 0)),
+        ("attempted", Value::UInt(res.attempted.max(1))),
+        ("failed", Value::UInt(res.failed)),
+        ("metrics", metrics_json(&res.figs, names, false)),
+    ]);
+    for line in [record, result] {
+        println!("{}", serde_json::to_string(&line).map_err(|e| e.to_string())?);
+    }
     Ok(())
 }
 

@@ -5,6 +5,8 @@
 //! every metric of the list its run prints; a per-layer metric that a
 //! workload does not exercise reads 0.
 
+use serde_json::Value;
+
 /// End-to-end metrics of untraced runs: (name, unit).
 pub const END_TO_END: [(&str, &str); 4] =
     [("setup_s", "s"), ("wall_s", "s"), ("lat_p50_ms", "ms"), ("peak_rss_mb", "MiB")];
@@ -146,6 +148,14 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     v[rank.clamp(1, v.len()) - 1]
 }
 
+/// The estimate a timing metric reports from its samples in one run: the
+/// lower quartile (nearest rank; the fastest of up to four samples).
+/// The host's slow spells only lengthen samples, so the run's faster
+/// samples move with the code and much less with the neighbours.
+pub fn lower_quartile(values: &[f64]) -> f64 {
+    percentile(values, 25.0)
+}
+
 /// The highest of the usual percentiles with at least ten samples above
 /// it, as a label (`p99`, `p95`, `p90`, `p50`); `max` when even the
 /// median has fewer than ten samples above it.
@@ -169,77 +179,23 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// SplitMix64: the benchmark's seeded generator.
-#[derive(Debug, Clone)]
-pub struct Rng(u64);
-
-impl Rng {
-    pub fn new(seed: u64, stream: u64) -> Self {
-        Rng(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [0, 1).
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in 0..n (n > 0).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.unit() * n as f64) as usize % n.max(1)
-    }
-}
-
-/// A JSON string literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A JSON number; non-finite values (a failed request's latency) are
-/// written as a large finite sentinel so the line stays valid JSON.
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "1e12".to_string()
-    }
+/// A JSON object with the given members, in order.
+pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
+    Value::Map(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// `{"name": {"value": v, "unit": u}, ...}` over the named figures, in
-/// the given order; missing names read 0.
-pub fn metrics_json(figs: &Figures, names: &[(&str, &str)], with_n: bool) -> String {
-    let items: Vec<String> = names
-        .iter()
-        .map(|(name, unit)| {
-            let (value, n) = figs.get(name).map_or((0.0, 0), |f| (f.value, f.n));
-            let n_part = if with_n { format!(",\"n\":{n}") } else { String::new() };
-            format!(
-                "{}:{{\"value\":{},\"unit\":{}{n_part}}}",
-                json_str(name),
-                json_num(value),
-                json_str(unit)
-            )
-        })
-        .collect();
-    format!("{{{}}}", items.join(","))
+/// the given order (with each figure's sample count if `with_n`);
+/// missing names read 0.
+pub fn metrics_json(figs: &Figures, names: &[(&str, &str)], with_n: bool) -> Value {
+    object(names.iter().map(|&(name, unit)| {
+        let (value, n) = figs.get(name).map_or((0.0, 0), |f| (f.value, f.n));
+        let mut m = vec![("value", Value::Float(value)), ("unit", Value::Str(unit.into()))];
+        if with_n {
+            m.push(("n", Value::UInt(n)));
+        }
+        (name, object(m))
+    }))
 }
 
 #[cfg(test)]
@@ -257,46 +213,26 @@ mod tests {
         assert_eq!(supported_percentile(1000), "p99");
         assert_eq!(supported_percentile(999), "p95");
         assert_eq!(supported_percentile(8), "max");
-    }
-
-    #[test]
-    fn rng_is_seeded() {
-        let a: Vec<u64> = (0..4)
-            .map({
-                let mut r = Rng::new(7, 1);
-                move |_| r.next_u64()
-            })
-            .collect();
-        let b: Vec<u64> = (0..4)
-            .map({
-                let mut r = Rng::new(7, 1);
-                move |_| r.next_u64()
-            })
-            .collect();
-        assert_eq!(a, b);
-        assert_ne!(Rng::new(7, 1).next_u64(), Rng::new(8, 1).next_u64());
+        assert_eq!(lower_quartile(&[4.0, 1.0, 3.0, 2.0]), 1.0);
+        assert_eq!(lower_quartile(&v), 250.0);
     }
 
     #[test]
     fn metric_lists_match_benchmark_json() {
-        let bench = include_str!("../../BENCHMARK.json");
+        let bench: Value =
+            serde_json::from_str(include_str!("../../BENCHMARK.json")).expect("valid JSON");
+        let Value::Map(top) = &bench else { panic!("BENCHMARK.json is an object") };
         let section = |key: &str| -> Vec<(String, String)> {
-            let start = bench.find(&format!("\"{key}\"")).expect("section present");
-            let end = bench[start..].find(']').expect("section closes") + start;
-            bench[start..end]
-                .split("\"name\"")
-                .skip(1)
+            let Some(Value::Seq(items)) = serde::field(top, key) else { panic!("no {key}") };
+            items
+                .iter()
                 .map(|item| {
-                    let field = |f: &str| {
-                        let s = if f == "name" {
-                            item
-                        } else {
-                            &item[item.find(&format!("\"{f}\"")).expect("field") + f.len() + 2..]
-                        };
-                        let s = &s[s.find('"').expect("open quote") + 1..];
-                        s[..s.find('"').expect("close quote")].to_string()
+                    let Value::Map(m) = item else { panic!("{key}: not an object") };
+                    let text = |f: &str| match serde::field(m, f) {
+                        Some(Value::Str(s)) => s.clone(),
+                        other => panic!("{key}.{f}: {other:?}"),
                     };
-                    (field("name"), field("unit"))
+                    (text("name"), text("unit"))
                 })
                 .collect()
         };
@@ -313,10 +249,8 @@ mod tests {
         f.set("wall_s", 1.5, "s", 3);
         let j = metrics_json(&f, &[("wall_s", "s"), ("setup_s", "s")], false);
         assert_eq!(
-            j,
-            "{\"wall_s\":{\"value\":1.5,\"unit\":\"s\"},\"setup_s\":{\"value\":0,\"unit\":\"s\"}}"
+            serde_json::to_string(&j).expect("serialises"),
+            "{\"wall_s\":{\"value\":1.5,\"unit\":\"s\"},\"setup_s\":{\"value\":0.0,\"unit\":\"s\"}}"
         );
-        assert_eq!(json_num(f64::INFINITY), "1e12");
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
     }
 }

@@ -11,6 +11,7 @@
 
 use std::time::Instant;
 
+use rayon::prelude::*;
 use taor_bench::repro::{
     table1_with, table2_with, table3_ex_with, table4_with, table5_with, table6_with,
     table7or8_with, table9_with,
@@ -25,9 +26,11 @@ use taor_features::{
     BinaryDescriptors, FloatDescriptors, MihIndex, MihParams, OrbParams, SiftParams, SurfParams,
 };
 use taor_imgproc::color::rgb_to_gray;
+use taor_imgproc::image::GrayImage;
 
-use crate::report::{fnv64, median, Figures};
-use crate::trace::{bracketed, Breakdown, Tracer};
+use crate::calib::Calibration;
+use crate::report::{fnv64, lower_quartile, median, Figures};
+use crate::trace::{bracketed, breakdown, Breakdown, Tracer};
 use crate::{fill_layers, Ctx, RunResult};
 
 /// Dataset seed of every pass: `repro`'s default. The workload seed
@@ -39,6 +42,14 @@ pub const REPRO_SEED: u64 = 2019;
 /// Set-up samples a run takes at least (extra renders if it has fewer
 /// passes than this).
 const MIN_SETUP_SAMPLES: usize = 3;
+
+/// Passes a run makes at least, even if they overrun its seconds
+/// (`repro-train` passes take 11-16 s on the reference host).
+const MIN_PASSES: usize = 2;
+
+/// The Lowe ratios of Table 3's descriptor matching calls per kind (0.5
+/// and 0.75), then Table 9's (0.5).
+const MATCH_RATIOS: [f32; 3] = [0.5, 0.75, 0.5];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
@@ -156,22 +167,26 @@ fn check(
     failed
 }
 
-/// The untraced run: passes until the run's seconds are used up.
+/// The untraced run: passes until the run's seconds are used up, at
+/// least [`MIN_PASSES`].
 pub fn run(ctx: &Ctx, kind: Kind) -> Result<RunResult, String> {
     let seed = REPRO_SEED;
     let table = expected();
     let mut notes = vec![format!("{}: dataset seed {seed}", kind.label())];
     let (mut attempted, mut failed) = (0u64, 0u64);
     let (mut setups, mut walls, mut waits) = (Vec::new(), Vec::new(), Vec::new());
+    let mut cal = Calibration::default();
     let start = Instant::now();
+    cal.sample(3);
     loop {
         let p = pass(kind, seed)?;
+        cal.sample(3);
         attempted += p.texts.len() as u64;
         failed += check(seed, &p.texts, &table, &mut notes);
         setups.push(p.setup_s);
         walls.push(p.wall_s);
         waits.push(p.wall_s - p.setup_s);
-        if start.elapsed().as_secs_f64() + p.wall_s > ctx.seconds {
+        if walls.len() >= MIN_PASSES && start.elapsed().as_secs_f64() + p.wall_s > ctx.seconds {
             break;
         }
     }
@@ -179,10 +194,17 @@ pub fn run(ctx: &Ctx, kind: Kind) -> Result<RunResult, String> {
         setups.push(set_up(kind, &PreparedRepro::new(config(kind, seed))));
     }
     let mut figs = Figures::default();
-    figs.set("setup_s", median(&setups), "s", setups.len() as u64);
-    figs.set("wall_s", median(&walls), "s", walls.len() as u64);
-    figs.set("lat_p50_ms", median(&waits) * 1e3, "ms", waits.len() as u64);
+    let waits_ms: Vec<f64> = waits.iter().map(|w| w * 1e3).collect();
+    for (name, unit, samples) in
+        [("setup_s", "s", &setups), ("wall_s", "s", &walls), ("lat_p50_ms", "ms", &waits_ms)]
+    {
+        let (raw, n) = (lower_quartile(samples), samples.len() as u64);
+        figs.set(name, cal.scale(raw), unit, n);
+        figs.set(&format!("{name}.raw"), raw, unit, n);
+        figs.set(&format!("{name}.raw_median"), median(samples), unit, n);
+    }
     figs.set("peak_rss_mb", crate::serve::vm_hwm_mb("/proc/self/status"), "MiB", 1);
+    figs.set("calib.kernel_ms", cal.kernel_s() * 1e3, "ms", cal.samples());
     figs.set(
         "error_rate",
         if attempted == 0 { 0.0 } else { failed as f64 / attempted as f64 },
@@ -190,7 +212,10 @@ pub fn run(ctx: &Ctx, kind: Kind) -> Result<RunResult, String> {
         attempted,
     );
     notes.push(
-        "lat_p50_ms: median over passes of the wait from rendered data to the last table".into(),
+        "setup_s, wall_s (one pass) and lat_p50_ms (a pass's wait from rendered data to its \
+         last table): lower quartile of the samples (.raw; .raw_median the median), scaled \
+         by the calibration kernel to the reference host's speed"
+            .into(),
     );
     notes.push(format!("tables: {attempted} generated, {failed} differ from the recorded digests"));
     Ok(RunResult { figs, attempted, failed, notes, spans: None })
@@ -198,7 +223,9 @@ pub fn run(ctx: &Ctx, kind: Kind) -> Result<RunResult, String> {
 
 /// The traced run: one pass through the generators (checked against the
 /// digests), then a replay that calls the same layer functions the
-/// generators call, traced (one span per call) between two untraced runs.
+/// generators call, traced (one span per call) between two untraced runs,
+/// then for `repro-match` the probes of the work inside Table 3's calls
+/// ([`probe_features`]).
 pub fn run_traced(kind: Kind) -> Result<RunResult, String> {
     let seed = REPRO_SEED;
     let mut notes = Vec::new();
@@ -206,13 +233,22 @@ pub fn run_traced(kind: Kind) -> Result<RunResult, String> {
     let failed = check(seed, &p.texts, &expected(), &mut notes);
     let cfg = config(kind, seed);
     let mut figs = Figures::default();
-    let (tr, untraced_s) = bracketed(|tr| match kind {
+    let (mut tr, untraced_s) = bracketed(|tr| match kind {
         Kind::Match => replay_match(tr, &cfg, &mut figs),
         Kind::Train => replay_train(tr, &cfg, &mut figs),
     })?;
-    fill_layers(&mut figs, &Breakdown::of(tr.spans()), untraced_s);
+    let mut probes = Tracer::new(true);
+    if kind == Kind::Match {
+        let (sns1, sns2) = (shapenet_set1(cfg.seed), shapenet_set2(cfg.seed));
+        for (name, req, layer, ns) in probe_features(&mut probes, [&sns1, &sns2]) {
+            if !tr.credit(&name, req, layer, ns) {
+                return Err(format!("no span {name} #{req} in the traced replay"));
+            }
+        }
+    }
+    fill_layers(&mut figs, &breakdown(&tr, &probes), untraced_s);
     let attempted = p.texts.len() as u64;
-    Ok(RunResult { figs, attempted, failed, notes, spans: Some(tr) })
+    Ok(RunResult { figs, attempted, failed, notes, spans: Some((tr, probes)) })
 }
 
 /// Render the three datasets, one span each.
@@ -230,7 +266,7 @@ fn replay_match(tr: &mut Tracer, cfg: &ReproConfig, figs: &mut Figures) -> Resul
     let diag = Diagnostics::new();
     let hybrid = HybridConfig { alpha: cfg.alpha, beta: cfg.beta, ..Default::default() };
     let mut pairs = 0usize;
-    let (sns1, sns2, nyu) = tr.span("bench.pass", 0, |tr| -> Result<_, String> {
+    tr.span("bench.pass", 0, |tr| -> Result<_, String> {
         let (sns1, sns2, nyu) = render(tr, cfg, figs);
         let refs1 =
             tr.span("core.prepare_views.sns1", 0, |_| prepare_views(&sns1, Background::White));
@@ -262,18 +298,18 @@ fn replay_match(tr: &mut Tracer, cfg: &ReproConfig, figs: &mut Figures) -> Resul
             }
             hybrid_all(tr, q, r)?;
         }
-        // Tables 3 and 9: extraction once per set and kind, then
-        // matching at ratio 0.5 and 0.75 (Table 3) and 0.5 (Table 9).
+        // Tables 3 and 9: extraction once per set and kind (request id
+        // 0 for SNS1, 1 for SNS2), then matching at each of
+        // [`MATCH_RATIOS`] (request id = position).
         for kind in DescriptorKind::ALL {
             let label = kind.label().to_ascii_lowercase();
-            let q =
-                tr.span(&format!("core.extract_index.{label}"), 0, |_| extract_index(&sns1, kind));
-            let r =
-                tr.span(&format!("core.extract_index.{label}"), 0, |_| extract_index(&sns2, kind));
+            let name = format!("core.extract_index.{label}");
+            let q = tr.span(&name, 0, |_| extract_index(&sns1, kind));
+            let r = tr.span(&name, 1, |_| extract_index(&sns2, kind));
             let rows = (q.total_descriptors() + r.total_descriptors()) as f64;
             figs.set(&format!("core.extract_index.rows.{label}"), rows, "count", 2);
-            for ratio in [0.5, 0.75, 0.5] {
-                tr.span(&format!("core.classify_descriptors.{label}"), 0, |_| {
+            for (call, &ratio) in MATCH_RATIOS.iter().enumerate() {
+                tr.span(&format!("core.classify_descriptors.{label}"), call as u64, |_| {
                     try_classify_descriptors_with(&q, &r, ratio, &diag, cfg.index)
                 })
                 .map_err(|e| e.to_string())?;
@@ -289,85 +325,134 @@ fn replay_match(tr: &mut Tracer, cfg: &ReproConfig, figs: &mut Figures) -> Resul
         // Tables 7 and 8: hybrid, NYU v SNS1 and SNS2 v SNS1.
         hybrid_all(tr, &qnyu, &refs1)?;
         hybrid_all(tr, &refs2, &refs1)?;
-        Ok((sns1, sns2, nyu))
+        Ok(())
     })?;
-    drop(nyu);
-    replay_features(tr, &sns1, &sns2);
-    let busy = Breakdown::of(tr.spans()).get("core.classify_per_view").total_s;
+    let busy = Breakdown::of(tr.spans(), &[]).get("core.classify_per_view").total_s;
     if tr.is_enabled() && busy > 0.0 {
         figs.set("core.pairs_per_s", pairs as f64 / busy, "1/s", pairs as u64);
     }
     Ok(())
 }
 
-/// The `taor-features` calls behind Table 3's matching: per-image
-/// extraction, the MIH build over the pooled SNS2 ORB rows and one MIH
-/// search per SNS1 image, and the brute-force float kNN that SIFT and
-/// SURF take under `index = Mih`.
-fn replay_features(tr: &mut Tracer, sns1: &Dataset, sns2: &Dataset) {
-    tr.span("bench.features", 0, |tr| {
-        let float_rows = |tr: &mut Tracer, ds: &Dataset, sift: bool| -> Vec<FloatDescriptors> {
-            ds.images
-                .iter()
-                .map(|li| {
-                    let gray = rgb_to_gray(&li.image);
-                    let name = if sift { "features.extract.sift" } else { "features.extract.surf" };
-                    tr.span(name, 0, |_| {
-                        let r = if sift {
-                            sift_detect_and_compute(&gray, &SiftParams::default())
-                        } else {
-                            surf_detect_and_compute(&gray, &SurfParams::default())
-                        };
-                        r.map(|(_, d)| d)
-                            .unwrap_or_else(|_| FloatDescriptors::new(if sift { 128 } else { 64 }))
-                    })
-                })
-                .collect()
-        };
-        for sift in [true, false] {
-            let queries = float_rows(tr, sns1, sift);
-            let refs = float_rows(tr, sns2, sift);
-            let mut pool = FloatDescriptors::new(refs.first().map_or(128, |d| d.width()));
-            for d in &refs {
-                for i in 0..d.len() {
-                    pool.push(d.row(i));
-                }
+/// One image's descriptors, as `extract_index` keeps them.
+enum Extracted {
+    Float(FloatDescriptors),
+    Binary(BinaryDescriptors),
+}
+
+/// What `extract_index` runs per image after the grey conversion.
+fn extract(kind: DescriptorKind, gray: &GrayImage) -> Extracted {
+    match kind {
+        DescriptorKind::Sift => Extracted::Float(
+            sift_detect_and_compute(gray, &SiftParams::default())
+                .map_or_else(|_| FloatDescriptors::new(128), |(_, d)| d),
+        ),
+        DescriptorKind::Surf => Extracted::Float(
+            surf_detect_and_compute(gray, &SurfParams::default())
+                .map_or_else(|_| FloatDescriptors::new(64), |(_, d)| d),
+        ),
+        DescriptorKind::Orb => Extracted::Binary(
+            orb_detect_and_compute(gray, &OrbParams::default())
+                .map_or_else(|_| BinaryDescriptors::new(32), |(_, d)| d),
+        ),
+    }
+}
+
+/// A credit for a span of the traced replay: (span name, request id,
+/// layer, ns).
+type FeatureCredit = (String, u64, &'static str, u64);
+
+/// Time, outside the traced replay and with the same pool parallelism,
+/// the `taor-imgproc` and `taor-features` work inside Table 3's core
+/// calls: per set and kind, the grey conversion and the extraction
+/// (inside `extract_index`); per kind, the index over the pooled SNS2
+/// rows and the 2-NN search of every SNS1 image (inside
+/// `try_classify_descriptors_with` under `index = Mih`: MIH for ORB,
+/// brute-force kNN for SIFT and SURF). Returns the credits for the
+/// replay's `extract_index` and `classify_descriptors` spans.
+fn probe_features(probes: &mut Tracer, sets: [&Dataset; 2]) -> Vec<FeatureCredit> {
+    let mut credits = Vec::new();
+    for kind in DescriptorKind::ALL {
+        let label = kind.label().to_ascii_lowercase();
+        let extract_span = format!("core.extract_index.{label}");
+        let mut per_set = Vec::new();
+        for (set, ds) in sets.iter().enumerate() {
+            let req = set as u64;
+            let (grays, gray_ns) = probes.timed("imgproc.rgb_to_gray", req, |_| {
+                ds.images.par_iter().map(|li| rgb_to_gray(&li.image)).collect::<Vec<_>>()
+            });
+            let (descs, ns) = probes.timed(&format!("features.extract.{label}"), req, |_| {
+                grays.par_iter().map(|g| extract(kind, g)).collect::<Vec<_>>()
+            });
+            credits.push((extract_span.clone(), req, "imgproc", gray_ns));
+            credits.push((extract_span.clone(), req, "features", ns));
+            per_set.push(descs);
+        }
+        let (queries, refs) = (&per_set[0], &per_set[1]);
+        let ns = probe_matching(probes, &label, queries, refs);
+        for call in 0..MATCH_RATIOS.len() as u64 {
+            credits.push((format!("core.classify_descriptors.{label}"), call, "features", ns));
+        }
+    }
+    credits
+}
+
+/// The index build and per-query search of one kind; returns the span's
+/// duration. Per-query spans are timed on the pool threads and recorded
+/// afterwards under the `features.match.<kind>` span.
+fn probe_matching(probes: &mut Tracer, label: &str, queries: &[Extracted], refs: &[Extracted]) -> u64 {
+    let mut float_pool: Option<FloatDescriptors> = None;
+    let mut binary_pool: Option<BinaryDescriptors> = None;
+    for d in refs {
+        match d {
+            Extracted::Float(d) => {
+                let p = float_pool.get_or_insert_with(|| FloatDescriptors::new(d.width()));
+                (0..d.len()).for_each(|i| p.push(d.row(i)));
             }
-            for (i, q) in queries.iter().enumerate() {
-                let m = tr.span("features.knn_float", i as u64, |_| knn_match_float(q, &pool));
-                std::hint::black_box(m.map(|v| v.len()).unwrap_or(0));
+            Extracted::Binary(d) => {
+                let p = binary_pool.get_or_insert_with(|| BinaryDescriptors::new(d.width_bytes()));
+                (0..d.len()).for_each(|i| p.push(d.row(i)));
             }
         }
-        let orb_rows = |tr: &mut Tracer, ds: &Dataset| -> Vec<BinaryDescriptors> {
-            ds.images
-                .iter()
-                .map(|li| {
-                    let gray = rgb_to_gray(&li.image);
-                    tr.span("features.extract.orb", 0, |_| {
-                        orb_detect_and_compute(&gray, &OrbParams::default())
-                            .map(|(_, d)| d)
-                            .unwrap_or_else(|_| BinaryDescriptors::new(32))
-                    })
-                })
-                .collect()
-        };
-        let queries = orb_rows(tr, sns1);
-        let refs = orb_rows(tr, sns2);
-        let mut pool = BinaryDescriptors::new(refs.first().map_or(32, |d| d.width_bytes()));
-        for d in &refs {
-            for i in 0..d.len() {
-                pool.push(d.row(i));
+    }
+    let timed_queries = |f: &(dyn Fn(&Extracted) -> usize + Sync)| -> Vec<(Instant, Instant)> {
+        queries
+            .par_iter()
+            .map(|q| {
+                let t0 = Instant::now();
+                std::hint::black_box(f(q));
+                (t0, Instant::now())
+            })
+            .collect()
+    };
+    probes
+        .timed(&format!("features.match.{label}"), 0, |probes| {
+            let (name, times) = if let Some(pool) = binary_pool {
+                let Ok(ix) = probes.span("features.mih.build", 0, |_| {
+                    MihIndex::build(pool, MihParams::default())
+                }) else {
+                    return;
+                };
+                let search = |q: &Extracted| match q {
+                    Extracted::Binary(q) => ix.knn_match(q).map_or(0, |m| m.len()),
+                    Extracted::Float(_) => 0,
+                };
+                ("features.mih.search", timed_queries(&search))
+            } else if let Some(pool) = float_pool {
+                let search = |q: &Extracted| match q {
+                    Extracted::Float(q) => knn_match_float(q, &pool).map_or(0, |m| m.len()),
+                    Extracted::Binary(_) => 0,
+                };
+                ("features.knn_float", timed_queries(&search))
+            } else {
+                return;
+            };
+            for (i, (t0, t1)) in times.into_iter().enumerate() {
+                let (start, end) = (probes.ns_at(t0), probes.ns_at(t1));
+                probes.record(name, i as u64, start, end);
             }
-        }
-        if let Ok(ix) =
-            tr.span("features.mih.build", 0, |_| MihIndex::build(pool, MihParams::default()))
-        {
-            for (i, q) in queries.iter().enumerate() {
-                let m = tr.span("features.mih.search", i as u64, |_| ix.knn_match(q));
-                std::hint::black_box(m.map(|v| v.len()).unwrap_or(0));
-            }
-        }
-    });
+        })
+        .1
 }
 
 /// The calls of Table 4: renders, pair sets, training (one child span
@@ -397,7 +482,7 @@ fn replay_train(tr: &mut Tracer, cfg: &ReproConfig, figs: &mut Figures) -> Resul
             });
             std::hint::black_box(e.accuracy);
         }
-        let epoch_s = Breakdown::of(tr.spans()).get("nn.epoch").total_s;
+        let epoch_s = Breakdown::of(tr.spans(), &[]).get("nn.epoch").total_s;
         if tr.is_enabled() && epoch_s > 0.0 {
             let trained = (train_n * epochs) as f64;
             figs.set("nn.train_pairs_per_s", trained / epoch_s, "1/s", epochs as u64);

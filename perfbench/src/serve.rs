@@ -15,8 +15,13 @@ use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use serde::Deserialize;
+use serde_json::Value;
 use taor_core::prelude::{image_to_tensor, Background, Recognizer};
 use taor_core::wire::{decode_crop, encode_rgb8, DecodeStats};
+use taor_core::DiagnosticsReport;
 use taor_data::{nyu_set_subsampled, shapenet_set1};
 use taor_imgproc::image::RgbImage;
 use taor_imgproc::resize::resize_bilinear_rgb;
@@ -24,8 +29,9 @@ use taor_nn::{NetConfig, NormXCorrNet, Tensor};
 use taor_serve::http::{write_response, ConnectionReader, HttpLimits, Response};
 use taor_serve::{Deadline, RecognizerService, ServiceConfig};
 
-use crate::report::{fnv64, median, percentile, supported_percentile, Figures, Rng};
-use crate::trace::{bracketed, Breakdown, Tracer};
+use crate::calib::Calibration;
+use crate::report::{fnv64, lower_quartile, median, percentile, supported_percentile, Figures};
+use crate::trace::{bracketed, breakdown, Tracer};
 use crate::{fill_layers, Ctx, RunResult};
 
 /// The request pool: NYUSet crops of varied sizes, rendered from a fixed
@@ -55,11 +61,16 @@ const SERVERS: usize = 3;
 /// (0.34 to 0.62 s within one run on the reference host).
 const ROUNDS: usize = 12;
 const PASSES_PER_ROUND: usize = 2;
-/// An open-loop phase whose generator ran later than this at p99 is
-/// invalid: it is re-run once, and reported invalid if it fails again.
+/// An open-loop segment whose generator ran later than this at p99 is
+/// invalid: it is re-run once, and left out of the latency figures if it
+/// fails again.
 const LATE_BOUND_MS: f64 = 10.0;
 /// Requests replayed in process by the traced run.
 const REPLAY_REQUESTS: usize = 300;
+/// The replay takes requests in windows of this many: even windows are
+/// recognised one crop per call, odd ones in one call, as the server's
+/// workers batch up to four.
+const WINDOW: usize = 4;
 
 /// Generator streams: one per phase, so phases never share a sequence.
 const STREAM_WARMUP: u64 = 1;
@@ -171,14 +182,19 @@ impl Pool {
     }
 }
 
+/// The generator of stream `stream` under workload seed `seed`.
+fn stream_rng(seed: u64, stream: u64) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
 /// Seeded request mix: `n` requests from generator stream `stream`.
 pub fn sequence(seed: u64, stream: u64, n: usize, pool_len: usize) -> Vec<Req> {
-    let mut rng = Rng::new(seed, stream);
+    let mut rng = stream_rng(seed, stream);
     (0..n)
         .map(|_| {
-            let crop = rng.below(pool_len);
-            if rng.unit() < MALFORMED_SHARE {
-                Req::Malformed { kind: rng.below(MALFORMED_KINDS), crop }
+            let crop = rng.gen_range(0..pool_len);
+            if rng.gen_bool(MALFORMED_SHARE) {
+                Req::Malformed { kind: rng.gen_range(0..MALFORMED_KINDS), crop }
             } else {
                 Req::Crop(crop)
             }
@@ -480,11 +496,11 @@ fn closed_loop(addr: SocketAddr, pool: &Pool, reqs: &[Req]) -> Phase {
 /// scheduled send time; lateness is how long after its due time (or
 /// after its connection came free, if later) the generator sent it.
 fn open_loop(addr: SocketAddr, pool: &Pool, seed: u64, stream: u64, rate: f64, secs: f64) -> Phase {
-    let mut rng = Rng::new(seed, stream ^ 0xA771);
+    let mut rng = stream_rng(seed, stream ^ 0xA771);
     let mut due = Vec::new();
     let mut t = 0.0;
     loop {
-        t += -(1.0 - rng.unit()).ln() / rate;
+        t += -(1.0 - rng.gen::<f64>()).ln() / rate;
         if t >= secs {
             break;
         }
@@ -558,23 +574,70 @@ fn open_phase(
 /// `/healthz` diagnostics counters: (shed, timeouts, degraded).
 fn healthz(addr: SocketAddr) -> Result<[u64; 3], String> {
     let (status, body) = Client::new(addr).get("/healthz")?;
-    let text = String::from_utf8_lossy(&body);
-    let diag = text.find("\"diagnostics\"").map(|i| &text[i..]).ok_or("no diagnostics")?;
-    let num = |key: &str| -> Result<u64, String> {
-        let at = diag.find(&format!("\"{key}\":")).ok_or(format!("no {key}"))? + key.len() + 3;
-        let digits: String = diag[at..].chars().take_while(char::is_ascii_digit).collect();
-        digits.parse().map_err(|_| format!("bad {key}"))
-    };
     if status != 200 {
         return Err(format!("/healthz answered {status}"));
     }
-    Ok([num("shed")?, num("timeouts")?, num("degraded")?])
+    let text = String::from_utf8(body).map_err(|e| format!("/healthz: {e}"))?;
+    let health: Value = serde_json::from_str(&text).map_err(|e| format!("/healthz: {e}"))?;
+    let Value::Map(members) = &health else { return Err("/healthz: not an object".into()) };
+    let diag = serde::field(members, "diagnostics").ok_or("/healthz: no diagnostics")?;
+    let d = DiagnosticsReport::from_value(diag).map_err(|e| format!("/healthz: {e}"))?;
+    Ok([d.shed, d.timeouts, d.degraded])
 }
 
-fn lat_figures(figs: &mut Figures, suffix: &str, lat: &[f64]) {
-    let n = lat.len() as u64;
-    figs.set(&format!("lat_p50_ms{suffix}"), percentile(lat, 50.0), "ms", n);
-    figs.set(&format!("lat_p99_ms{suffix}"), percentile(lat, 99.0), "ms", n);
+/// The open-loop segments at one rate. Every request counts as attempted;
+/// only valid segments (generator lateness p99 within [`LATE_BOUND_MS`])
+/// feed the latency figures.
+#[derive(Debug, Default)]
+struct OpenRate {
+    /// Outcomes, lateness and reconnects of every segment.
+    all: Phase,
+    /// Latencies of the valid segments, ms.
+    lat_ms: Vec<f64>,
+    /// The median latency of each valid segment, ms.
+    segment_p50_ms: Vec<f64>,
+    invalid: u64,
+}
+
+impl OpenRate {
+    fn add(&mut self, mut segment: Phase, valid: bool) {
+        let lat = std::mem::take(&mut segment.lat_ms);
+        if valid {
+            self.segment_p50_ms.push(percentile(&lat, 50.0));
+            self.lat_ms.extend(lat);
+        } else {
+            self.invalid += 1;
+        }
+        self.all.merge(segment);
+    }
+
+    /// Pooled p50 and p99 of the valid segments as `lat_{p50,p99}_ms.<rate>`,
+    /// the lateness p99 over every segment, and the excluded-segment count.
+    fn figures(&self, figs: &mut Figures, notes: &mut Vec<String>, rate: &str) {
+        let n = self.lat_ms.len() as u64;
+        if n > 0 {
+            figs.set(&format!("lat_p50_ms.{rate}"), percentile(&self.lat_ms, 50.0), "ms", n);
+            figs.set(&format!("lat_p99_ms.{rate}"), percentile(&self.lat_ms, 99.0), "ms", n);
+            notes.push(format!(
+                "rate {rate}: {n} latencies from valid segments support {}",
+                supported_percentile(self.lat_ms.len())
+            ));
+        } else {
+            notes.push(format!("rate {rate}: no valid segment; its latency is not reported"));
+        }
+        let late_n = self.all.late_ms.len() as u64;
+        let late = percentile(&self.all.late_ms, 99.0);
+        figs.set(&format!("loadgen.late_ms.p99.{rate}"), late, "ms", late_n);
+        let segments = self.segment_p50_ms.len() as u64 + self.invalid;
+        figs.set(&format!("loadgen.invalid_segments.{rate}"), self.invalid as f64, "count", 1);
+        if self.invalid > 0 {
+            notes.push(format!(
+                "rate {rate}: {} of {segments} segments INVALID (generator lateness p99 above \
+                 {LATE_BOUND_MS} ms twice), left out of the latency figures",
+                self.invalid
+            ));
+        }
+    }
 }
 
 /// The untraced run: end-to-end metrics.
@@ -582,17 +645,21 @@ fn lat_figures(figs: &mut Figures, suffix: &str, lat: &[f64]) {
 /// The scored load runs in [`ROUNDS`] rounds, each two closed-loop passes
 /// and a short segment at each open-loop rate, rotating over the last
 /// [`SERVERS`] spawned servers. Every metric thus samples the whole run
-/// and more than one server process, so a slow spell on the host or an
-/// unlucky process lands in a few samples instead of a whole phase.
+/// and more than one server process, and reports the lower quartile of
+/// its samples ([`lower_quartile`]), so a slow spell on the host or an
+/// unlucky process lands in a few samples and moves the figure little.
 pub fn run(ctx: &Ctx) -> Result<RunResult, String> {
     let pool = Pool::with_expected(include_str!("../expected/serve.txt"))?;
     let mut tally = Tally::default();
     let mut notes = Vec::new();
 
+    let mut cal = Calibration::default();
+    cal.sample(2);
     let mut setup = Vec::new();
     let mut servers = std::collections::VecDeque::new();
     for _ in 0..SETUP_SPAWNS {
         let (s, secs) = spawn_ready(ctx, &pool, &mut tally)?;
+        cal.sample(1);
         setup.push(secs);
         servers.push_back(s);
         if servers.len() > SERVERS {
@@ -617,78 +684,67 @@ pub fn run(ctx: &Ctx) -> Result<RunResult, String> {
         pool.crops.len(),
     );
     let mut pass_walls = Vec::new();
-    let mut ok_answers = 0u64;
-    let (mut scored, mut low, mut high) = (Phase::default(), Phase::default(), Phase::default());
-    let (mut low_valid, mut high_valid) = (true, true);
+    let mut closed = Tally::default();
+    let (mut low, mut high) = (OpenRate::default(), OpenRate::default());
     let segment = ctx.seconds / ROUNDS as f64;
     for (r, round) in closed_reqs.chunks(CLOSED_PASS_REQUESTS * PASSES_PER_ROUND).enumerate() {
         let addr = servers[r % servers.len()].addr;
         for chunk in round.chunks(CLOSED_PASS_REQUESTS) {
             let pass = closed_loop(addr, &pool, chunk);
             pass_walls.push(pass.wall_s);
-            ok_answers += pass.tally.ok;
             reconnects += pass.reconnects;
-            scored.tally.merge(&pass.tally);
+            closed.merge(&pass.tally);
         }
         let stream = 1000 * (r as u64 + 1);
         let (l, ok) = open_phase(addr, &pool, ctx, STREAM_LOW + stream, RATE_LOW, segment * 0.35);
-        low.merge(l);
-        low_valid &= ok;
+        low.add(l, ok);
         let (h, ok) = open_phase(addr, &pool, ctx, STREAM_HIGH + stream, RATE_HIGH, segment * 0.2);
-        high.merge(h);
-        high_valid &= ok;
+        high.add(h, ok);
+        cal.sample(2);
     }
     let closed_s: f64 = pass_walls.iter().sum();
     let peaks: Vec<f64> = servers.iter().map(ServerProc::peak_rss_mb).collect();
     let peak = median(&peaks);
     drop(servers);
+    if low.segment_p50_ms.is_empty() {
+        return Err(format!(
+            "every low-rate open-loop segment ran late (lateness p99 above {LATE_BOUND_MS} ms): \
+             no valid latency to report"
+        ));
+    }
 
-    for (name, valid) in [("low", low_valid), ("high", high_valid)] {
-        if !valid {
-            notes.push(format!(
-                "open-loop rate {name} INVALID: generator lateness p99 above {LATE_BOUND_MS} ms"
-            ));
-        }
+    let mut scored = closed.clone();
+    for rate in [&low, &high] {
+        scored.merge(&rate.all.tally);
+        reconnects += rate.all.reconnects;
     }
-    for p in [&low, &high] {
-        scored.tally.merge(&p.tally);
-        reconnects += p.reconnects;
-    }
-    tally.merge(&scored.tally);
+    tally.merge(&scored);
 
     let mut figs = Figures::default();
-    figs.set("setup_s", median(&setup), "s", setup.len() as u64);
-    figs.set("wall_s", median(&pass_walls), "s", pass_walls.len() as u64);
-    lat_figures(&mut figs, "", &low.lat_ms);
+    for (name, unit, samples) in [
+        ("setup_s", "s", &setup),
+        ("wall_s", "s", &pass_walls),
+        ("lat_p50_ms", "ms", &low.segment_p50_ms),
+    ] {
+        let (raw, n) = (lower_quartile(samples), samples.len() as u64);
+        figs.set(name, cal.scale(raw), unit, n);
+        figs.set(&format!("{name}.raw"), raw, unit, n);
+        figs.set(&format!("{name}.raw_median"), median(samples), unit, n);
+    }
     figs.set("peak_rss_mb", peak, "MiB", peaks.len() as u64);
-    figs.set("throughput_rps", ok_answers as f64 / closed_s, "req/s", ok_answers);
-    lat_figures(&mut figs, ".low", &low.lat_ms);
-    lat_figures(&mut figs, ".high", &high.lat_ms);
-    figs.set(
-        "loadgen.late_ms.p99.low",
-        percentile(&low.late_ms, 99.0),
-        "ms",
-        low.late_ms.len() as u64,
-    );
-    figs.set(
-        "loadgen.late_ms.p99.high",
-        percentile(&high.late_ms, 99.0),
-        "ms",
-        high.late_ms.len() as u64,
-    );
-    figs.set(
-        "degraded_share",
-        ratio(scored.tally.degraded, scored.tally.ok),
-        "ratio",
-        scored.tally.ok,
-    );
+    figs.set("calib.kernel_ms", cal.kernel_s() * 1e3, "ms", cal.samples());
+    figs.set("throughput_rps", closed.ok as f64 / closed_s, "req/s", closed.ok);
+    low.figures(&mut figs, &mut notes, "low");
+    high.figures(&mut figs, &mut notes, "high");
+    figs.set("degraded_share", ratio(scored.degraded, scored.ok), "ratio", scored.ok);
     figs.set("error_rate", ratio(tally.failed, tally.attempted), "ratio", tally.attempted);
     figs.set("serve.reconnects", reconnects as f64, "count", 1);
-    notes.push(format!(
-        "lat_p50_ms and lat_p99_ms are the low-rate figures; percentile supported by {} samples: {}",
-        low.lat_ms.len(),
-        supported_percentile(low.lat_ms.len())
-    ));
+    notes.push(
+        "setup_s, wall_s (one closed-loop pass) and lat_p50_ms (a valid low-rate segment's \
+         median latency): lower quartile of the samples (.raw; .raw_median the median), \
+         scaled by the calibration kernel to the reference host's speed"
+            .into(),
+    );
     notes.push(format!(
         "requests: {} attempted, {} correct 200 ({} degraded), {} expected 400, {} failed {:?}",
         tally.attempted, tally.ok, tally.degraded, tally.rejected, tally.failed, tally.reasons
@@ -714,6 +770,45 @@ struct Replay {
     gallery_len: usize,
 }
 
+/// A replayed request after parsing and decoding.
+enum Decoded {
+    Crop(RgbImage, DecodeStats),
+    /// A malformed crop, with its 400 body.
+    Rejected(Vec<u8>),
+    Failed(String),
+}
+
+/// Probe times of the work inside one crop's recognition, ns.
+#[derive(Debug, Clone, Copy, Default)]
+struct CropProbe {
+    /// `resize_bilinear_rgb` to the network's input size.
+    resize: u64,
+    /// `image_to_tensor`, which resizes internally.
+    tensor: u64,
+    /// The head sweep over the gallery rows.
+    head: u64,
+}
+
+/// The recognition calls of one replay window: `(span name, span
+/// request id, request indices of its crops)`.
+fn recognition_calls(reqs: &[Req]) -> Vec<(String, u64, Vec<usize>)> {
+    let mut calls = Vec::new();
+    for (w, window) in reqs.chunks(WINDOW).enumerate() {
+        let crops: Vec<usize> = (0..window.len())
+            .filter(|&k| matches!(window[k], Req::Crop(_)))
+            .map(|k| w * WINDOW + k)
+            .collect();
+        if w % 2 == 0 {
+            for i in crops {
+                calls.push(("serve.recognize_batch.b1".to_string(), i as u64, vec![i]));
+            }
+        } else if !crops.is_empty() {
+            calls.push((format!("serve.recognize_batch.b{}", crops.len()), w as u64, crops));
+        }
+    }
+    calls
+}
+
 impl Replay {
     /// Built the way `RecognizerService::new` builds the service
     /// defaults: ShapeNetSet1 gallery, seeded network, tower embeddings.
@@ -735,113 +830,146 @@ impl Replay {
         Ok(Replay { service, fallback, net, net_cfg, gallery, gallery_len: views.len() })
     }
 
-    /// Replay `reqs` through the public functions behind each server
-    /// stage, one span per call, then the same crops in batches of four.
+    /// Replay `reqs` through the server's stages, each request once:
+    /// parse the recorded request bytes, decode the body, recognise the
+    /// crops ([`recognition_calls`]: one per call in even windows, the
+    /// window's crops in one call in odd ones), write the response.
     fn run(&self, tr: &mut Tracer, pool: &Pool, reqs: &[Req], tally: &mut Tally) {
         let limits = HttpLimits::default();
+        let calls = recognition_calls(reqs);
         tr.span("bench.replay", 0, |tr| {
+            let mut decoded = Vec::with_capacity(reqs.len());
             for (i, &req) in reqs.iter().enumerate() {
                 let id = i as u64;
                 let body = pool.body(req);
                 let mut raw = request_head(body.len()).into_bytes();
                 raw.extend_from_slice(&body);
-                let verdict = tr.span("bench.request", id, |tr| {
-                    let parsed = tr.span("serve.http.parse", id, |_| {
-                        ConnectionReader::new(Cursor::new(&raw[..])).next_request(
-                            &limits,
-                            &Deadline::after(Duration::from_secs(5)),
-                            Duration::from_secs(5),
-                            &|| false,
-                        )
-                    });
-                    let Ok(Some(request)) = parsed else {
-                        return Verdict::Failed("replay: request did not parse".into());
-                    };
-                    let (status, resp_body) =
+                let parsed = tr.span("serve.http.parse", id, |_| {
+                    ConnectionReader::new(Cursor::new(&raw[..])).next_request(
+                        &limits,
+                        &Deadline::after(Duration::from_secs(5)),
+                        Duration::from_secs(5),
+                        &|| false,
+                    )
+                });
+                decoded.push(match parsed {
+                    Ok(Some(request)) => {
                         match tr.span("core.wire.decode", id, |_| decode_crop(&request.body)) {
-                            Err(e) => (400, Response::error(400, &format!("bad crop: {e}")).body),
-                            Ok((img, stats)) => {
-                                self.layer_calls(tr, id, &img);
-                                let items = [(img, stats, true)];
-                                let resp = tr.span("serve.recognize_batch.b1", id, |_| {
-                                    self.service.recognize_batch(&items)
-                                });
-                                (
-                                    200,
-                                    resp.first()
-                                        .and_then(|r| serde_json::to_string(r).ok())
-                                        .unwrap_or_default()
-                                        .into_bytes(),
-                                )
-                            }
-                        };
-                    let mut out = Vec::new();
-                    let resp = Response::json(status, resp_body.clone());
-                    let written =
-                        tr.span("serve.http.write", id, |_| write_response(&mut out, &resp, true));
-                    if written.is_err() {
-                        return Verdict::Failed("replay: write failed".into());
+                            Ok((img, stats)) => Decoded::Crop(img, stats),
+                            Err(e) => Decoded::Rejected(
+                                Response::error(400, &format!("bad crop: {e}")).body,
+                            ),
+                        }
                     }
-                    pool.judge(req, &Ok((status, resp_body)))
+                    _ => Decoded::Failed("replay: request did not parse".into()),
                 });
-                tally.add(&verdict);
             }
-            let crops: Vec<usize> = reqs
-                .iter()
-                .filter_map(|r| if let Req::Crop(i) = r { Some(*i) } else { None })
-                .collect();
-            for (b, chunk) in crops.chunks_exact(4).enumerate() {
-                let id = b as u64;
-                let verdicts = tr.span("bench.batch4", id, |tr| {
-                    let tensors: Vec<Tensor> = chunk
-                        .iter()
-                        .map(|&c| image_to_tensor(&pool.crops[c], &self.net_cfg))
-                        .collect();
-                    let refs: Vec<&Tensor> = tensors.iter().collect();
-                    let _ = tr.span("nn.tower_embed.b4", id, |_| {
-                        Tensor::stack_batch(&refs).and_then(|x| self.net.tower_embed(&x))
-                    });
-                    let items: Vec<(RgbImage, DecodeStats, bool)> = chunk
-                        .iter()
-                        .map(|&c| (pool.crops[c].clone(), DecodeStats::default(), true))
-                        .collect();
-                    let resps = tr.span("serve.recognize_batch.b4", id, |_| {
-                        self.service.recognize_batch(&items)
-                    });
-                    chunk
-                        .iter()
-                        .zip(&resps)
-                        .map(|(&c, r)| {
-                            let body = serde_json::to_string(r).unwrap_or_default().into_bytes();
-                            pool.judge(Req::Crop(c), &Ok((200, body)))
-                        })
-                        .collect::<Vec<_>>()
-                });
-                for v in &verdicts {
-                    tally.add(v);
+            let mut answers: Vec<Option<Vec<u8>>> = vec![None; reqs.len()];
+            for (name, id, crops) in &calls {
+                let (sent, items): (Vec<usize>, Vec<(RgbImage, DecodeStats, bool)>) = crops
+                    .iter()
+                    .filter_map(|&i| match decoded.get(i) {
+                        Some(Decoded::Crop(img, stats)) => Some((i, (img.clone(), *stats, true))),
+                        _ => None,
+                    })
+                    .unzip();
+                let resps = tr.span(name, *id, |_| self.service.recognize_batch(&items));
+                for (&i, r) in sent.iter().zip(&resps) {
+                    answers[i] = Some(serde_json::to_string(r).unwrap_or_default().into_bytes());
                 }
+            }
+            for (i, (&req, dec)) in reqs.iter().zip(decoded).enumerate() {
+                let (status, body) = match (dec, answers[i].take()) {
+                    (Decoded::Crop(..), Some(body)) => (200, body),
+                    (Decoded::Crop(..), None) => (500, Vec::new()),
+                    (Decoded::Rejected(body), _) => (400, body),
+                    (Decoded::Failed(why), _) => {
+                        tally.add(&Verdict::Failed(why));
+                        continue;
+                    }
+                };
+                let resp = Response::json(status, body.clone());
+                let mut out = Vec::new();
+                let written =
+                    tr.span("serve.http.write", i as u64, |_| write_response(&mut out, &resp, true));
+                tally.add(&match written {
+                    Ok(()) => pool.judge(req, &Ok((status, body))),
+                    Err(_) => Verdict::Failed("replay: write failed".into()),
+                });
             }
         });
     }
 
-    /// The calls `recognize_batch` makes for one crop, each on its own:
-    /// resize, tensor conversion, tower forward, head sweep over the
-    /// gallery, and the fallback pipeline.
-    fn layer_calls(&self, tr: &mut Tracer, id: u64, img: &RgbImage) {
+    /// Time, outside the traced replay and on the same crops, the work
+    /// `recognize_batch` does inside each recognition call: resize,
+    /// tensor conversion, tower forward (alone or batched as in the
+    /// call), head sweep. Returns the per-request probes and the tower
+    /// time per recognition call. The fallback pipeline, which the
+    /// default server only runs when the primary fails, is timed last on
+    /// its own. Call once with a disabled tracer first to warm up.
+    fn probe(&self, probes: &mut Tracer, pool: &Pool, reqs: &[Req]) -> (Vec<CropProbe>, Vec<u64>) {
         let (w, h) = (self.net_cfg.width as u32, self.net_cfg.height as u32);
-        let _ = tr.span("imgproc.resize", id, |_| resize_bilinear_rgb(img, w, h));
-        let t = tr.span("core.image_to_tensor", id, |_| image_to_tensor(img, &self.net_cfg));
-        let embed = tr.span("nn.tower_embed.b1", id, |_| {
-            Tensor::stack_batch(&[&t]).and_then(|x| self.net.tower_embed(&x))
-        });
-        if let Ok(e) = embed {
-            let _ = tr.span("nn.head", id, |_| {
-                let rows: Vec<&Tensor> = std::iter::repeat_n(&e, self.gallery_len).collect();
-                Tensor::stack_batch(&rows)
-                    .and_then(|q| self.net.predict_similar_features(&q, &self.gallery))
+        let mut per_req = vec![CropProbe::default(); reqs.len()];
+        let mut towers = Vec::new();
+        for (name, call_id, crops) in recognition_calls(reqs) {
+            let mut tensors = Vec::with_capacity(crops.len());
+            for &i in &crops {
+                let Some(Req::Crop(c)) = reqs.get(i) else { continue };
+                let img = &pool.crops[*c];
+                let id = i as u64;
+                let p = &mut per_req[i];
+                p.resize = probes.timed("imgproc.resize", id, |_| resize_bilinear_rgb(img, w, h)).1;
+                let (t, ns) =
+                    probes.timed("core.image_to_tensor", id, |_| image_to_tensor(img, &self.net_cfg));
+                p.tensor = ns;
+                tensors.push(t);
+            }
+            let refs: Vec<&Tensor> = tensors.iter().collect();
+            let tower = format!("nn.tower_embed.{}", name.rsplit('.').next().unwrap_or("b1"));
+            let (embeds, ns) = probes.timed(&tower, call_id, |_| {
+                Tensor::stack_batch(&refs)
+                    .and_then(|x| self.net.tower_embed(&x))
+                    .and_then(|e| e.split_batch())
             });
+            towers.push(ns);
+            for (&i, e) in crops.iter().zip(embeds.unwrap_or_default()) {
+                let rows: Vec<&Tensor> = std::iter::repeat_n(&e, self.gallery_len).collect();
+                per_req[i].head = probes
+                    .timed("nn.head", i as u64, |_| {
+                        Tensor::stack_batch(&rows)
+                            .and_then(|q| self.net.predict_similar_features(&q, &self.gallery))
+                    })
+                    .1;
+            }
         }
-        let _ = tr.span("core.fallback.recognize", id, |_| self.fallback.recognize(img));
+        for (i, req) in reqs.iter().enumerate() {
+            if let Req::Crop(c) = req {
+                let img = &pool.crops[*c];
+                probes.span("core.fallback.recognize", i as u64, |_| self.fallback.recognize(img));
+            }
+        }
+        (per_req, towers)
+    }
+
+    /// Move the probed work out of each recognition span's self time:
+    /// resize to `imgproc`, the rest of `image_to_tensor` to `core`, the
+    /// tower and head to `nn`; `serve` keeps the remainder (stacking,
+    /// ranking, the response). Returns the spans that could not be found.
+    fn credit(tr: &mut Tracer, reqs: &[Req], per_req: &[CropProbe], towers: &[u64]) -> usize {
+        let mut missing = 0;
+        for ((name, id, crops), &tower) in recognition_calls(reqs).iter().zip(towers) {
+            let sum = |f: fn(&CropProbe) -> u64| crops.iter().map(|&i| f(&per_req[i])).sum::<u64>();
+            let resize = sum(|p| p.resize);
+            let found = [
+                ("imgproc", resize),
+                ("core", sum(|p| p.tensor).saturating_sub(resize)),
+                ("nn", tower + sum(|p| p.head)),
+            ]
+            .into_iter()
+            .all(|(layer, ns)| tr.credit(name, *id, layer, ns));
+            missing += usize::from(!found);
+        }
+        missing
     }
 }
 
@@ -901,11 +1029,18 @@ pub fn run_traced(ctx: &Ctx) -> Result<RunResult, String> {
     figs.set("core.wire.rejects", rejects as f64, "count", 1);
     // A first, untimed replay warms the freshly built in-process service.
     replay.run(&mut Tracer::new(false), &pool, &reqs, &mut tally);
-    let (tr, untraced_s) = bracketed(|tr| {
+    let (mut tr, untraced_s) = bracketed(|tr| {
         replay.run(tr, &pool, &reqs, &mut tally);
         Ok::<(), String>(())
     })?;
-    let b = Breakdown::of(tr.spans());
+    replay.probe(&mut Tracer::new(false), &pool, &reqs);
+    let mut probes = Tracer::new(true);
+    let (per_req, towers) = replay.probe(&mut probes, &pool, &reqs);
+    let missing = Replay::credit(&mut tr, &reqs, &per_req, &towers);
+    if missing > 0 {
+        return Err(format!("{missing} recognition spans missing from the traced replay"));
+    }
+    let b = breakdown(&tr, &probes);
     fill_layers(&mut figs, &b, untraced_s);
     let stage_ms =
         ["serve.http.parse", "core.wire.decode", "serve.recognize_batch.b1", "serve.http.write"]
@@ -917,7 +1052,8 @@ pub fn run_traced(ctx: &Ctx) -> Result<RunResult, String> {
         "requests: {} attempted, {} correct 200, {} expected 400, {} failed {:?}",
         tally.attempted, tally.ok, tally.rejected, tally.failed, tally.reasons
     ));
-    Ok(RunResult { figs, attempted: tally.attempted, failed: tally.failed, notes, spans: Some(tr) })
+    let spans = Some((tr, probes));
+    Ok(RunResult { figs, attempted: tally.attempted, failed: tally.failed, notes, spans })
 }
 
 /// Record the expected answers for the pool: primary bodies from a
