@@ -12,17 +12,23 @@ fn bench_pipelines(c: &mut Criterion) {
     let crops = nyu_set_subsampled(2019, 2);
     let queries = prepare_views(&crops, Background::Black);
     let query = std::slice::from_ref(&queries[0]);
+    let diag = Diagnostics::new();
 
     let mut g = c.benchmark_group("classify_one_query_vs_82_views");
     let shape = ShapeScorer::ALL[2];
-    g.bench_function("shape_L3", |b| b.iter(|| classify_per_view(black_box(query), &refs, &shape)));
+    g.bench_function("shape_L3", |b| {
+        b.iter(|| try_classify_per_view(black_box(query), &refs, &shape, &diag).unwrap())
+    });
     let color = ColorScorer::ALL[3];
     g.bench_function("color_hellinger", |b| {
-        b.iter(|| classify_per_view(black_box(query), &refs, &color))
+        b.iter(|| try_classify_per_view(black_box(query), &refs, &color, &diag).unwrap())
     });
     let hybrid = HybridConfig::default();
     g.bench_function("hybrid_weighted_sum", |b| {
-        b.iter(|| classify_hybrid(black_box(query), &refs, &hybrid, Aggregation::WeightedSum))
+        b.iter(|| {
+            try_classify_hybrid(black_box(query), &refs, &hybrid, Aggregation::WeightedSum, &diag)
+                .unwrap()
+        })
     });
     g.finish();
 
@@ -30,7 +36,10 @@ fn bench_pipelines(c: &mut Criterion) {
     let q_idx = extract_index(&crops, DescriptorKind::Orb);
     let r_idx = extract_index(&shapenet_set1(2019), DescriptorKind::Orb);
     c.bench_function("orb_classify_20_queries", |b| {
-        b.iter(|| classify_descriptors(black_box(&q_idx), &r_idx, 0.5))
+        b.iter(|| {
+            try_classify_descriptors_with(black_box(&q_idx), &r_idx, 0.5, &diag, AnnIndexMode::Flat)
+                .unwrap()
+        })
     });
 }
 

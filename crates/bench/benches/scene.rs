@@ -11,6 +11,7 @@ fn bench_scene(c: &mut Criterion) {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(2019);
     let scene = render_room(&[ObjectClass::Chair, ObjectClass::Table, ObjectClass::Lamp], &mut rng);
     let seg_cfg = SegmentConfig::default();
+    let diag = Diagnostics::new();
 
     c.bench_function("render_room_3_objects", |b| {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
@@ -22,10 +23,10 @@ fn bench_scene(c: &mut Criterion) {
         })
     });
     c.bench_function("foreground_mask_320x200", |b| {
-        b.iter(|| foreground_mask(black_box(&scene.image), &seg_cfg))
+        b.iter(|| try_foreground_mask(black_box(&scene.image), &seg_cfg).unwrap())
     });
     c.bench_function("segment_frame_320x200", |b| {
-        b.iter(|| segment_frame(black_box(&scene.image), &seg_cfg))
+        b.iter(|| try_segment_frame(black_box(&scene.image), &seg_cfg).unwrap())
     });
 
     // Whole-frame recognition (segmentation + hybrid classification).
@@ -33,15 +34,16 @@ fn bench_scene(c: &mut Criterion) {
     let hybrid = HybridConfig::default();
     c.bench_function("recognise_frame_vs_82_views", |b| {
         b.iter(|| {
-            recognise_frame(black_box(&scene.image), &seg_cfg, |crop| {
+            try_recognise_frame(black_box(&scene.image), &seg_cfg, |crop| {
                 let q = RefView {
                     class: ObjectClass::Chair,
                     model_id: 0,
                     feat: preprocess(crop, Background::Black, HIST_BINS),
                 };
-                classify_hybrid(std::slice::from_ref(&q), &refs, &hybrid, Aggregation::WeightedSum)
-                    [0]
+                let q = std::slice::from_ref(&q);
+                try_classify_hybrid(q, &refs, &hybrid, Aggregation::WeightedSum, &diag).unwrap()[0]
             })
+            .unwrap()
         })
     });
 }

@@ -1,7 +1,7 @@
 //! Bench: pruned, tiled match-matrix classification vs the seed's
 //! unpruned scan.
 //!
-//! `classify_per_view` walks the full query × reference distance matrix.
+//! `try_classify_per_view` walks the full query × reference distance matrix.
 //! The overhauled kernel tiles the reference set and passes each query's
 //! running best as an early-abandon bound to `score_bounded`, which lets
 //! the monotone metrics (Hu L1/L2/L3, chi-square) stop mid-accumulation.
@@ -9,9 +9,9 @@
 //! pruning win stays visible in the perf trajectory.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use taor_core::pipeline::{classify_per_view, prepare_views, MatchScorer, RefView};
+use taor_core::pipeline::{prepare_views, try_classify_per_view, MatchScorer, RefView};
 use taor_core::preprocess::Background;
-use taor_core::{ColorScorer, ShapeScorer};
+use taor_core::{ColorScorer, Diagnostics, ShapeScorer};
 use taor_data::{shapenet_set1, shapenet_set2, ObjectClass};
 use taor_imgproc::histogram::HistCompare;
 use taor_imgproc::moments::MatchShapesMode;
@@ -42,6 +42,7 @@ fn classify_unpruned(
 fn bench_scoring(c: &mut Criterion) {
     let q = prepare_views(&shapenet_set1(2019), Background::White);
     let r = prepare_views(&shapenet_set2(2019), Background::White);
+    let diag = Diagnostics::new();
 
     let scorers: Vec<(&str, Box<dyn MatchScorer>)> = vec![
         ("hu_l3", Box::new(ShapeScorer { mode: MatchShapesMode::I3 })),
@@ -53,7 +54,9 @@ fn bench_scoring(c: &mut Criterion) {
     for (name, scorer) in &scorers {
         let mut g = c.benchmark_group(format!("classify_sns1_v_sns2/{name}"));
         g.bench_function("pruned", |b| {
-            b.iter(|| classify_per_view(black_box(&q), black_box(&r), scorer.as_ref()))
+            b.iter(|| {
+                try_classify_per_view(black_box(&q), black_box(&r), scorer.as_ref(), &diag).unwrap()
+            })
         });
         g.bench_function("unpruned", |b| {
             b.iter(|| classify_unpruned(black_box(&q), black_box(&r), scorer.as_ref()))

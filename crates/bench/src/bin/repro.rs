@@ -3,8 +3,8 @@
 //! ```text
 //! repro [--table N] [--quick|--medium|--full] [--seed S] [--sweep]
 //!       [--ablate] [--extensions] [--nyu-per-class N] [--json PATH]
-//!       [--bench-json PATH] [--train-pairs N] [--train-epochs N]
-//!       [--eval-pairs N] [--index flat|hnsw|mih] [--verbose]
+//!       [--train-pairs N] [--train-epochs N] [--eval-pairs N]
+//!       [--index flat|hnsw|mih] [--verbose]
 //! ```
 //!
 //! Default is `--quick`: NYU subsampled to 50 crops/class and a reduced
@@ -14,9 +14,6 @@
 //! the paper's full training recipe (hours without a GPU).
 //! `--extensions` appends the E1–E3 future-work experiments; `--ablate`
 //! adds the RANSAC column to Table 3 and the cosine head to Table 4.
-//! `--bench-json PATH` writes a machine-readable perf-trajectory record
-//! (wall time, thread count and scored-pairs/sec per table, schema
-//! `taor-bench-perf-v1`) so successive commits can be compared.
 //! `--index` selects the descriptor-gallery index for tables 3 and 9:
 //! `flat` (brute force, the default), `hnsw` (approximate, float kinds)
 //! or `mih` (exact multi-index hashing, binary kinds); every mode is
@@ -28,7 +25,7 @@ use taor_bench::repro::{
     table1_with, table2_sweep_with, table2_with, table3_ex_with, table4_with, table5_with,
     table6_with, table7or8_with, table9_with,
 };
-use taor_bench::{PerfRecord, PreparedRepro, ReproConfig, TablePerf};
+use taor_bench::{PreparedRepro, ReproConfig};
 use taor_core::prelude::AnnIndexMode;
 
 #[derive(PartialEq, Clone, Copy)]
@@ -47,7 +44,6 @@ struct Args {
     extensions: bool,
     nyu_per_class: Option<usize>,
     json: Option<String>,
-    bench_json: Option<String>,
     train_pairs: Option<usize>,
     train_epochs: Option<usize>,
     eval_pairs: Option<usize>,
@@ -65,7 +61,6 @@ fn parse_args() -> Result<Args, String> {
         extensions: false,
         nyu_per_class: None,
         json: None,
-        bench_json: None,
         train_pairs: None,
         train_epochs: None,
         eval_pairs: None,
@@ -110,14 +105,12 @@ fn parse_args() -> Result<Args, String> {
                 args.index = v.parse()?;
             }
             "--json" => args.json = Some(it.next().ok_or("--json needs a path")?),
-            "--bench-json" => args.bench_json = Some(it.next().ok_or("--bench-json needs a path")?),
             "--verbose" | "-v" => args.verbose = true,
             "--help" | "-h" => {
                 println!(
                     "repro [--table N] [--quick|--medium|--full] [--seed S] [--sweep] [--ablate] \
-                     [--extensions] [--nyu-per-class N] [--json PATH] [--bench-json PATH] \
-                     [--train-pairs N] [--train-epochs N] [--eval-pairs N] \
-                     [--index flat|hnsw|mih] [--verbose]"
+                     [--extensions] [--nyu-per-class N] [--json PATH] [--train-pairs N] \
+                     [--train-epochs N] [--eval-pairs N] [--index flat|hnsw|mih] [--verbose]"
                 );
                 std::process::exit(0);
             }
@@ -169,7 +162,6 @@ fn main() {
     // once and reused by every table generated in this run.
     let prep = PreparedRepro::new(cfg.clone());
     let mut records = Vec::new();
-    let mut timings = Vec::new();
     for t in wanted {
         let started = std::time::Instant::now();
         let out = match t {
@@ -180,7 +172,6 @@ fn main() {
                     let sweep = table2_sweep_with(&prep);
                     out.text.push('\n');
                     out.text.push_str(&sweep.text);
-                    out.pairs += sweep.pairs;
                 }
                 out
             }
@@ -204,7 +195,6 @@ fn main() {
         if args.verbose {
             eprintln!("[table {t} took {elapsed:.1?}]");
         }
-        timings.push(TablePerf::new(t, elapsed.as_secs_f64(), out.pairs));
         records.extend(out.records);
     }
 
@@ -223,25 +213,6 @@ fn main() {
             println!("{}", out.text);
             records.extend(out.records);
         }
-    }
-
-    if let Some(path) = &args.bench_json {
-        let mode = match args.mode {
-            Mode::Quick => "quick",
-            Mode::Medium => "medium",
-            Mode::Full => "full",
-        };
-        let perf = PerfRecord::new(mode, args.seed, timings);
-        let json = serde_json::to_string_pretty(&perf).expect("perf record serialises");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote perf record ({} tables, {:.2}s total) to {path}",
-            perf.tables.len(),
-            perf.total_seconds
-        );
     }
 
     if let Some(path) = args.json {

@@ -10,12 +10,12 @@
 //!   dropout + weight decay as the overfitting countermeasures the
 //!   discussion motivates.
 
-use crate::repro::{ReproConfig, TableOutput};
+use crate::repro::{hybrid_preds, ReproConfig, TableOutput};
 use taor_core::prelude::*;
 use taor_data::{
     mixed_training_pairs, nyu_sns1_test_pairs, patrol_frames, shapenet_set1, shapenet_set2,
 };
-use taor_nn::{train, NormXCorrNet};
+use taor_nn::{try_train, NormXCorrNet};
 
 /// E1: end-to-end scene recognition.
 ///
@@ -26,13 +26,14 @@ pub fn table_e1(cfg: &ReproConfig, n_frames: usize) -> TableOutput {
     let sns1 = shapenet_set1(cfg.seed);
     let refs = prepare_views(&sns1, Background::White);
     let hybrid = HybridConfig { alpha: cfg.alpha, beta: cfg.beta, ..Default::default() };
+    let diag = Diagnostics::new();
     let classify = |crop: &taor_imgproc::RgbImage| {
         let q = RefView {
             class: taor_data::ObjectClass::Chair, // placeholder truth, unused
             model_id: 0,
             feat: preprocess(crop, Background::Black, HIST_BINS),
         };
-        classify_hybrid(std::slice::from_ref(&q), &refs, &hybrid, Aggregation::WeightedSum)[0]
+        hybrid_preds(std::slice::from_ref(&q), &refs, &hybrid, Aggregation::WeightedSum, &diag)[0]
     };
 
     let frames = patrol_frames(cfg.seed, n_frames);
@@ -104,7 +105,7 @@ pub fn table_e1(cfg: &ReproConfig, n_frames: usize) -> TableOutput {
         "false positives / frame".into(),
         fmt_f(agg.false_positives as f64 / n_frames.max(1) as f64, 2),
     ]);
-    TableOutput { table: 101, text: t.render(), records: Vec::new(), pairs: 0 }
+    TableOutput { table: 101, text: t.render(), records: Vec::new() }
 }
 
 /// E2: dataset heterogeneity for the Siamese pipeline.
@@ -144,11 +145,14 @@ pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
         Ok(net) => net,
         Err(e) => return degraded_e2(&taor_core::Error::from(e)),
     };
-    train(&mut net_b, &samples, &train_cfg, |s| {
+    let trained = try_train(&mut net_b, &samples, &train_cfg, |s| {
         if verbose {
             eprintln!("  [mixed]   epoch {} loss {:.5}", s.epoch, s.mean_loss);
         }
     });
+    if let Err(e) = trained {
+        return degraded_e2(&taor_core::Error::from(e));
+    }
     let eval_b = evaluate_siamese(&net_b, &test_pairs, &net_cfg);
 
     let mut t = TextTable::new(
@@ -185,7 +189,7 @@ pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
             binary: Some(eval_b),
         },
     ];
-    TableOutput { table: 102, text: t.render(), records, pairs: 0 }
+    TableOutput { table: 102, text: t.render(), records }
 }
 
 /// A degraded E2 table: the typed error in place of results, so a bad
@@ -196,7 +200,7 @@ fn degraded_e2(e: &taor_core::Error) -> TableOutput {
         &["Training", "Error"],
     );
     t.row(vec!["(degraded)".into(), e.to_string()]);
-    TableOutput { table: 102, text: t.render(), records: Vec::new(), pairs: 0 }
+    TableOutput { table: 102, text: t.render(), records: Vec::new() }
 }
 
 /// E3: reference-set cardinality scaling ("augmenting the cardinality of
@@ -207,6 +211,7 @@ pub fn table_e3(cfg: &ReproConfig) -> TableOutput {
     let queries = prepare_views(&nyu, Background::Black);
     let truth = truth_of(&queries);
     let hybrid = HybridConfig { alpha: cfg.alpha, beta: cfg.beta, ..Default::default() };
+    let diag = Diagnostics::new();
 
     let mut t = TextTable::new(
         "Extension E3: hybrid accuracy vs catalog size (NYU queries).",
@@ -216,7 +221,7 @@ pub fn table_e3(cfg: &ReproConfig) -> TableOutput {
     for &(models, views) in &[(2usize, 4usize), (2, 8), (4, 8), (8, 8)] {
         let catalog = taor_data::catalog_custom(cfg.seed, models, views);
         let refs = prepare_views(&catalog, Background::White);
-        let preds = classify_hybrid(&queries, &refs, &hybrid, Aggregation::WeightedSum);
+        let preds = hybrid_preds(&queries, &refs, &hybrid, Aggregation::WeightedSum, &diag);
         let e = evaluate(&truth, &preds);
         t.row(vec![
             models.to_string(),
@@ -233,7 +238,7 @@ pub fn table_e3(cfg: &ReproConfig) -> TableOutput {
             binary: None,
         });
     }
-    TableOutput { table: 103, text: t.render(), records, pairs: 0 }
+    TableOutput { table: 103, text: t.render(), records }
 }
 
 fn cfg_nyu(cfg: &ReproConfig) -> taor_data::Dataset {

@@ -22,22 +22,7 @@
 
 pub mod ann;
 pub mod extensions;
-pub mod perf;
 pub mod repro;
-pub mod serve_perf;
 
 pub use ann::{run_ann_bench, AnnBenchConfig, AnnModePerf, AnnPerfRecord};
-pub use perf::{PerfRecord, TablePerf};
 pub use repro::{PreparedRepro, ReproConfig, TableOutput};
-pub use serve_perf::{run_serve_bench, ConnMode, ServeBenchConfig, ServePerfRecord, WidthPerf};
-
-use taor_core::prelude::*;
-
-/// RANSAC-verified descriptor classification with the default geometry
-/// parameters (shared by the Table 3 ablation).
-pub(crate) fn repro_verified(
-    queries: &DescriptorIndex,
-    reference: &DescriptorIndex,
-) -> Vec<taor_data::ObjectClass> {
-    classify_descriptors_verified(queries, reference, 0.75, &taor_features::RansacParams::default())
-}

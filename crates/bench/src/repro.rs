@@ -1,10 +1,9 @@
 //! Table generators for the reproduction harness.
 //!
-//! Every generator comes in two forms: `tableN(&ReproConfig)` builds its
-//! inputs from scratch (stable public API, used by the integration
-//! tests), and `tableN_with(&PreparedRepro)` consumes the shared
+//! Every generator, `tableN_with(&PreparedRepro)`, consumes the shared
 //! [`PreparedRepro`] cache so a multi-table run renders and preprocesses
-//! each dataset exactly once.
+//! each dataset exactly once; a single table builds its own cache with
+//! `PreparedRepro::new(cfg)`.
 
 use std::cell::OnceCell;
 
@@ -195,11 +194,6 @@ pub struct TableOutput {
     pub table: usize,
     pub text: String,
     pub records: Vec<ExperimentRecord>,
-    /// Number of (query, reference) scoring operations the table
-    /// performed — the throughput denominator for `--bench-json`. Hybrid
-    /// rows count twice (they evaluate both underlying scorers); 0 for
-    /// tables that are not pair-based.
-    pub pairs: usize,
 }
 
 /// Score through the fallible per-view entry point so NaN quarantine and
@@ -219,7 +213,7 @@ fn per_view(
 }
 
 /// Hybrid counterpart of [`per_view`].
-fn hybrid_preds(
+pub(crate) fn hybrid_preds(
     queries: &[RefView],
     views: &[RefView],
     cfg: &HybridConfig,
@@ -241,6 +235,18 @@ fn descriptor_preds(
     index: AnnIndexMode,
 ) -> Vec<ObjectClass> {
     match try_classify_descriptors_with(queries, reference, ratio, diag, index) {
+        Ok(preds) => preds,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// RANSAC-verified descriptor classification with the default geometry
+/// parameters (the Table 3 ablation column). Its degradation counts stay
+/// out of the run-wide ledger.
+fn verified_preds(queries: &DescriptorIndex, reference: &DescriptorIndex) -> Vec<ObjectClass> {
+    let ransac = taor_features::RansacParams::default();
+    let diag = Diagnostics::new();
+    match try_classify_descriptors_verified(queries, reference, 0.75, &ransac, &diag) {
         Ok(preds) => preds,
         Err(e) => panic!("{e}"),
     }
@@ -269,17 +275,7 @@ fn exploratory_rows(
     rows
 }
 
-/// Scorer invocations per (query, reference) pair across the exploratory
-/// rows of Table 2: three shape scorers, four colour scorers, and three
-/// hybrid aggregations that each evaluate both underlying scorers.
-const EXPLORATORY_SCORINGS: usize = 3 + 4 + 2 * 3;
-
 /// Table 1: dataset statistics.
-pub fn table1(cfg: &ReproConfig) -> TableOutput {
-    table1_with(&PreparedRepro::new(cfg.clone()))
-}
-
-/// Table 1 over a shared [`PreparedRepro`] cache.
 pub fn table1_with(prep: &PreparedRepro) -> TableOutput {
     let sns1 = prep.sns1();
     let sns2 = prep.sns2();
@@ -306,15 +302,10 @@ pub fn table1_with(prep: &PreparedRepro) -> TableOutput {
         sns2.len().to_string(),
         nyu.len().to_string(),
     ]);
-    TableOutput { table: 1, text: t.render(), records: Vec::new(), pairs: 0 }
+    TableOutput { table: 1, text: t.render(), records: Vec::new() }
 }
 
 /// Table 2: cumulative accuracies for every exploratory configuration.
-pub fn table2(cfg: &ReproConfig) -> TableOutput {
-    table2_with(&PreparedRepro::new(cfg.clone()))
-}
-
-/// Table 2 over a shared [`PreparedRepro`] cache.
 pub fn table2_with(prep: &PreparedRepro) -> TableOutput {
     let cfg = prep.cfg();
     let refs_sns1 = prep.refs_sns1();
@@ -359,18 +350,11 @@ pub fn table2_with(prep: &PreparedRepro) -> TableOutput {
             binary: None,
         });
     }
-    let pairs =
-        EXPLORATORY_SCORINGS * (q_nyu.len() * refs_sns1.len() + q_sns1.len() * refs_sns2.len());
-    TableOutput { table: 2, text: t.render(), records, pairs }
+    TableOutput { table: 2, text: t.render(), records }
 }
 
 /// Hybrid α/β sweep (the ablation the paper motivates by trying (1,1) and
 /// then (0.3, 0.7)).
-pub fn table2_sweep(cfg: &ReproConfig) -> TableOutput {
-    table2_sweep_with(&PreparedRepro::new(cfg.clone()))
-}
-
-/// Hybrid α/β sweep over a shared [`PreparedRepro`] cache.
 pub fn table2_sweep_with(prep: &PreparedRepro) -> TableOutput {
     let refs = prep.refs_sns2();
     let queries = prep.refs_sns1();
@@ -388,19 +372,13 @@ pub fn table2_sweep_with(prep: &PreparedRepro) -> TableOutput {
         let e = evaluate(&truth, &preds);
         t.row(vec![format!("{a:.1}"), format!("{b:.1}"), fmt_f(e.cumulative_accuracy, 3)]);
     }
-    let pairs = weights.len() * 2 * queries.len() * refs.len();
-    TableOutput { table: 2, text: t.render(), records: Vec::new(), pairs }
+    TableOutput { table: 2, text: t.render(), records: Vec::new() }
 }
 
 /// Table 3: descriptor-matching cumulative accuracies (SNS1 v SNS2), at
 /// both ratio thresholds the paper tried. With `ablate`, adds a column
 /// for RANSAC-verified matching (Lowe's full pipeline, which the paper
 /// stopped short of).
-pub fn table3_ex(cfg: &ReproConfig, ablate: bool) -> TableOutput {
-    table3_ex_with(&PreparedRepro::new(cfg.clone()), ablate)
-}
-
-/// Table 3 over a shared [`PreparedRepro`] cache.
 pub fn table3_ex_with(prep: &PreparedRepro, ablate: bool) -> TableOutput {
     let cfg = prep.cfg();
     let sns1 = prep.sns1();
@@ -438,7 +416,7 @@ pub fn table3_ex_with(prep: &PreparedRepro, ablate: bool) -> TableOutput {
             fmt_f(e075.cumulative_accuracy, 2),
         ];
         if ablate {
-            let preds = crate::repro_verified(q, r);
+            let preds = verified_preds(q, r);
             row.push(fmt_f(evaluate(&truth, &preds).cumulative_accuracy, 2));
         }
         t.row(row);
@@ -451,30 +429,14 @@ pub fn table3_ex_with(prep: &PreparedRepro, ablate: bool) -> TableOutput {
             binary: None,
         });
     }
-    let runs_per_kind = 2 + usize::from(ablate);
-    let pairs = DescriptorKind::ALL.len() * runs_per_kind * truth.len() * prep.sns2().len();
-    TableOutput { table: 3, text: t.render(), records, pairs }
-}
-
-/// Backwards-compatible Table 3 without the ablation column.
-pub fn table3(cfg: &ReproConfig) -> TableOutput {
-    table3_ex(cfg, false)
+    TableOutput { table: 3, text: t.render(), records }
 }
 
 /// Table 4: Normalized-X-Corr binary evaluation on both pair test sets.
 /// With `ablate`, also reports the cosine "exact matching" baseline.
 ///
-/// Fallible: an input resolution too small for the architecture is a
-/// typed [`taor_core::Error`] instead of a panic.
-pub fn table4(
-    cfg: &ReproConfig,
-    ablate: bool,
-    verbose: bool,
-) -> Result<TableOutput, taor_core::Error> {
-    table4_with(&PreparedRepro::new(cfg.clone()), ablate, verbose)
-}
-
-/// Table 4 over a shared [`PreparedRepro`] cache.
+/// Fallible: an input resolution too small for the architecture or an
+/// empty training set is a typed [`taor_core::Error`] instead of a panic.
 pub fn table4_with(
     prep: &PreparedRepro,
     ablate: bool,
@@ -564,7 +526,7 @@ pub fn table4_with(
     if ablate {
         // Cosine exact-matching baseline trained on the same pairs.
         let train_pairs = taor_data::training_pairs(sns2, cfg.siamese.n_train_pairs, cfg.seed);
-        let cosine = CosineSiamese::fit(&train_pairs, 6);
+        let cosine = CosineSiamese::try_fit(&train_pairs, 6)?;
         let mut t2 = TextTable::new(
             format!(
                 "Table 4 ablation: cosine exact-matching head (threshold {:.2}).",
@@ -591,15 +553,7 @@ pub fn table4_with(
         text.push('\n');
         text.push_str(&t2.render());
     }
-    // Throughput denominator: every training epoch scores every training
-    // pair through the full network (a forward/backward pass is at least
-    // one scoring of that pair), so training passes count alongside the
-    // evaluation pairs — Table 4 is the only table that trains, and
-    // counting eval pairs alone would bill the entire training wall time
-    // to them.
-    let train_passes = trained_epochs * cfg.siamese.n_train_pairs;
-    let pairs = train_passes + (pairs_sns1.len() + pairs_nyu.len()) * (1 + usize::from(ablate));
-    Ok(TableOutput { table: 4, text, records, pairs })
+    Ok(TableOutput { table: 4, text, records })
 }
 
 /// Shared builder for the class-wise tables 5–8.
@@ -610,7 +564,6 @@ fn classwise_table(
     truth: &[ObjectClass],
     decimals: usize,
     dataset: &str,
-    pairs: usize,
 ) -> TableOutput {
     let mut t = TextTable::new(title, &classwise_headers());
     let mut records = Vec::new();
@@ -626,15 +579,10 @@ fn classwise_table(
             binary: None,
         });
     }
-    TableOutput { table, text: t.render(), records, pairs }
+    TableOutput { table, text: t.render(), records }
 }
 
 /// Table 5: class-wise shape-only results (NYU v SNS1).
-pub fn table5(cfg: &ReproConfig) -> TableOutput {
-    table5_with(&PreparedRepro::new(cfg.clone()))
-}
-
-/// Table 5 over a shared [`PreparedRepro`] cache.
 pub fn table5_with(prep: &PreparedRepro) -> TableOutput {
     let refs = prep.refs_sns1();
     let queries = prep.q_nyu();
@@ -651,16 +599,10 @@ pub fn table5_with(prep: &PreparedRepro) -> TableOutput {
         &truth,
         5,
         "NYU v. SNS1",
-        ShapeScorer::ALL.len() * queries.len() * refs.len(),
     )
 }
 
 /// Table 6: class-wise colour-only results (NYU v SNS1).
-pub fn table6(cfg: &ReproConfig) -> TableOutput {
-    table6_with(&PreparedRepro::new(cfg.clone()))
-}
-
-/// Table 6 over a shared [`PreparedRepro`] cache.
 pub fn table6_with(prep: &PreparedRepro) -> TableOutput {
     let refs = prep.refs_sns1();
     let queries = prep.q_nyu();
@@ -676,17 +618,11 @@ pub fn table6_with(prep: &PreparedRepro) -> TableOutput {
         &truth,
         5,
         "NYU v. SNS1",
-        ColorScorer::ALL.len() * queries.len() * refs.len(),
     )
 }
 
 /// Tables 7 and 8: class-wise hybrid results. Table 7 = NYU v SNS1;
 /// Table 8 = SNS2 v SNS1.
-pub fn table7or8(cfg: &ReproConfig, table: usize) -> TableOutput {
-    table7or8_with(&PreparedRepro::new(cfg.clone()), table)
-}
-
-/// Tables 7/8 over a shared [`PreparedRepro`] cache.
 pub fn table7or8_with(prep: &PreparedRepro, table: usize) -> TableOutput {
     assert!(table == 7 || table == 8, "only tables 7 and 8 share this layout");
     let cfg = prep.cfg();
@@ -707,23 +643,10 @@ pub fn table7or8_with(prep: &PreparedRepro, table: usize) -> TableOutput {
     let title = format!(
         "Table {table}: Class-wise results, hybrid Hu-L3 + Hellinger (alpha=0.3, beta=0.7), {dataset}.",
     );
-    classwise_table(
-        table,
-        &title,
-        rows,
-        &truth,
-        decimals,
-        dataset,
-        2 * Aggregation::ALL.len() * queries.len() * refs.len(),
-    )
+    classwise_table(table, &title, rows, &truth, decimals, dataset)
 }
 
 /// Table 9: class-wise descriptor-matching results (SNS1 v SNS2, ratio 0.5).
-pub fn table9(cfg: &ReproConfig) -> TableOutput {
-    table9_with(&PreparedRepro::new(cfg.clone()))
-}
-
-/// Table 9 over a shared [`PreparedRepro`] cache.
 pub fn table9_with(prep: &PreparedRepro) -> TableOutput {
     let truth: Vec<ObjectClass> = prep.sns1().images.iter().map(|i| i.class).collect();
     let rows: Vec<_> = DescriptorKind::ALL
@@ -740,7 +663,6 @@ pub fn table9_with(prep: &PreparedRepro) -> TableOutput {
         &truth,
         2,
         "SNS1 v. SNS2",
-        DescriptorKind::ALL.len() * truth.len() * prep.sns2().len(),
     )
 }
 
@@ -759,7 +681,7 @@ mod tests {
 
     #[test]
     fn table1_reproduces_catalog_counts() {
-        let out = table1(&ReproConfig::quick(2019));
+        let out = table1_with(&PreparedRepro::new(ReproConfig::quick(2019)));
         assert!(out.text.contains("Chair"));
         assert!(out.text.contains("82"));
         assert!(out.text.contains("100"));
@@ -767,7 +689,7 @@ mod tests {
 
     #[test]
     fn table2_has_eleven_rows_and_all_records() {
-        let out = table2(&tiny());
+        let out = table2_with(&PreparedRepro::new(tiny()));
         assert_eq!(out.records.len(), 22); // 11 approaches x 2 datasets
         assert!(out.text.contains("Baseline"));
         assert!(out.text.contains("Shape+Color (macro-avg)"));
@@ -775,7 +697,7 @@ mod tests {
 
     #[test]
     fn table5_layout() {
-        let out = table5(&tiny());
+        let out = table5_with(&PreparedRepro::new(tiny()));
         // 4 approaches x 4 measures.
         assert_eq!(out.records.len(), 4);
         assert!(out.text.contains("Chair"));
@@ -785,7 +707,7 @@ mod tests {
 
     #[test]
     fn table8_is_sns2_v_sns1() {
-        let out = table7or8(&tiny(), 8);
+        let out = table7or8_with(&PreparedRepro::new(tiny()), 8);
         assert!(out.text.contains("SNS2 v. SNS1"));
         assert_eq!(out.records.len(), 3);
     }
@@ -793,18 +715,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "only tables 7 and 8")]
     fn table7or8_rejects_other_ids() {
-        let _ = table7or8(&tiny(), 9);
+        let _ = table7or8_with(&PreparedRepro::new(tiny()), 9);
     }
 
     #[test]
     fn shared_cache_matches_fresh_builds() {
-        // The `_with` variants over one shared cache must render exactly
-        // what the per-table builders produce from scratch.
+        // Generators over one shared cache must render exactly what each
+        // renders over a fresh cache of its own.
         let cfg = tiny();
         let prep = PreparedRepro::new(cfg.clone());
-        assert_eq!(table2_with(&prep).text, table2(&cfg).text);
-        assert_eq!(table5_with(&prep).text, table5(&cfg).text);
-        assert_eq!(table7or8_with(&prep, 8).text, table7or8(&cfg, 8).text);
+        let fresh = || PreparedRepro::new(cfg.clone());
+        assert_eq!(table2_with(&prep).text, table2_with(&fresh()).text);
+        assert_eq!(table5_with(&prep).text, table5_with(&fresh()).text);
+        assert_eq!(table7or8_with(&prep, 8).text, table7or8_with(&fresh(), 8).text);
     }
 
     #[test]
@@ -812,10 +735,21 @@ mod tests {
         let mut cfg = tiny();
         cfg.siamese.net.height = 6;
         cfg.siamese.net.width = 6;
-        match table4(&cfg, false, false) {
+        match table4_with(&PreparedRepro::new(cfg), false, false) {
             Err(taor_core::Error::Nn(taor_nn::TensorError::InputTooSmall { .. })) => {}
             Err(e) => panic!("expected InputTooSmall, got {e}"),
             Ok(_) => panic!("expected InputTooSmall, got a table"),
+        }
+    }
+
+    #[test]
+    fn table4_without_training_pairs_is_a_typed_error() {
+        let mut cfg = tiny();
+        cfg.siamese.n_train_pairs = 0;
+        match table4_with(&PreparedRepro::new(cfg), false, false) {
+            Err(taor_core::Error::Nn(taor_nn::TensorError::EmptyTrainingSet)) => {}
+            Err(e) => panic!("expected EmptyTrainingSet, got {e}"),
+            Ok(_) => panic!("expected EmptyTrainingSet, got a table"),
         }
     }
 
@@ -825,15 +759,5 @@ mod tests {
         let _ = table5_with(&prep);
         let _ = table7or8_with(&prep, 8);
         assert!(prep.diagnostics().is_clean());
-    }
-
-    #[test]
-    fn pair_counts_are_consistent_with_set_sizes() {
-        let cfg = tiny();
-        let prep = PreparedRepro::new(cfg);
-        let out = table5_with(&prep);
-        let expected = 3 * prep.q_nyu().len() * prep.refs_sns1().len();
-        assert_eq!(out.pairs, expected);
-        assert_eq!(table1_with(&prep).pairs, 0);
     }
 }

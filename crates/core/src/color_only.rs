@@ -72,7 +72,8 @@ impl MatchScorer for ColorScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{classify_per_view, prepare_views, truth_of};
+    use crate::diag::Diagnostics;
+    use crate::pipeline::{prepare_views, truth_of, try_classify_per_view};
     use crate::preprocess::Background;
     use taor_data::shapenet_set1;
 
@@ -109,7 +110,8 @@ mod tests {
         let views = prepare_views(&shapenet_set1(2), Background::White);
         let truth = truth_of(&views);
         for scorer in ColorScorer::ALL {
-            let preds = classify_per_view(&views, &views, &scorer);
+            let preds =
+                try_classify_per_view(&views, &views, &scorer, &Diagnostics::new()).unwrap();
             let correct = preds.iter().zip(&truth).filter(|(p, t)| p == t).count();
             assert!(correct as f64 / truth.len() as f64 > 0.9, "{}: {correct}/82", scorer.name());
         }

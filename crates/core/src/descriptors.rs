@@ -201,24 +201,12 @@ pub fn extract_index(dataset: &Dataset, kind: DescriptorKind) -> DescriptorIndex
 /// Classify with per-view matching plus RANSAC geometric verification:
 /// the predicted class is the reference view with the most geometrically
 /// consistent inliers (Lowe's full pipeline; ablation for Table 3).
-pub fn classify_descriptors_verified(
-    queries: &DescriptorIndex,
-    reference: &DescriptorIndex,
-    ratio: f32,
-    ransac: &RansacParams,
-) -> Vec<ObjectClass> {
-    let diag = Diagnostics::new();
-    match try_classify_descriptors_verified(queries, reference, ratio, ransac, &diag) {
-        Ok(preds) => preds,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`classify_descriptors_verified`]: kind mismatches and empty
-/// reference indices are typed errors; per-query failures (no
-/// descriptors, no geometrically consistent view, a matcher error on a
-/// single view) degrade to the deterministic fallback label and are
-/// counted in `diag` instead of aborting the batch.
+///
+/// Kind mismatches and empty reference indices are typed errors;
+/// per-query failures (no descriptors, no geometrically consistent view,
+/// a matcher error on a single view) degrade to the deterministic
+/// fallback label and are counted in `diag` instead of aborting the
+/// batch.
 pub fn try_classify_descriptors_verified(
     queries: &DescriptorIndex,
     reference: &DescriptorIndex,
@@ -283,7 +271,7 @@ pub fn try_classify_descriptors_verified(
             }
             if best_inliers == 0 {
                 // Nothing geometrically consistent anywhere: deterministic
-                // pseudo-random fallback (as in `classify_descriptors`).
+                // pseudo-random fallback (as in `try_classify_descriptors_with`).
                 diag.record_degraded(1);
                 ObjectClass::from_index((qi * 7 + 3) % ObjectClass::COUNT)
                     .unwrap_or(reference.classes[0])
@@ -306,37 +294,18 @@ pub fn try_classify_descriptors_verified(
 /// best unfiltered match; a query with no descriptors at all gets a
 /// deterministic pseudo-random label (the paper's effective behaviour on
 /// textureless crops).
-pub fn classify_descriptors(
-    queries: &DescriptorIndex,
-    reference: &DescriptorIndex,
-    ratio: f32,
-) -> Vec<ObjectClass> {
-    let diag = Diagnostics::new();
-    match try_classify_descriptors(queries, reference, ratio, &diag) {
-        Ok(preds) => preds,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`classify_descriptors`]: kind mismatches and empty
-/// reference indices are typed errors; featureless queries and queries
-/// whose keypoints all fail the ratio test degrade per-item (counted in
-/// `diag`) instead of aborting the batch.
-pub fn try_classify_descriptors(
-    queries: &DescriptorIndex,
-    reference: &DescriptorIndex,
-    ratio: f32,
-    diag: &Diagnostics,
-) -> Result<Vec<ObjectClass>> {
-    try_classify_descriptors_with(queries, reference, ratio, diag, AnnIndexMode::Flat)
-}
-
-/// [`try_classify_descriptors`] with an explicit gallery index mode: the
-/// pooled reference descriptors are searched brute-force (`Flat`),
-/// through an HNSW graph (`Hnsw`, float kinds) or through multi-index
-/// hashing (`Mih`, binary kinds — exact, so predictions are bit-identical
-/// to `Flat`). The index is built once per call and amortised over every
-/// query image.
+///
+/// Kind mismatches and empty reference indices are typed errors;
+/// featureless queries and queries whose keypoints all fail the ratio
+/// test degrade per-item (counted in `diag`) instead of aborting the
+/// batch.
+///
+/// `mode` picks the gallery index: the pooled reference descriptors are
+/// searched brute-force (`Flat`, the paper's matcher), through an HNSW
+/// graph (`Hnsw`, float kinds) or through multi-index hashing (`Mih`,
+/// binary kinds — exact, so predictions are bit-identical to `Flat`).
+/// The index is built once per call and amortised over every query
+/// image.
 pub fn try_classify_descriptors_with(
     queries: &DescriptorIndex,
     reference: &DescriptorIndex,
@@ -448,6 +417,10 @@ mod tests {
     use super::*;
     use taor_data::{shapenet_set1, shapenet_set2};
 
+    fn flat(q: &DescriptorIndex, r: &DescriptorIndex, ratio: f32) -> Vec<ObjectClass> {
+        try_classify_descriptors_with(q, r, ratio, &Diagnostics::new(), AnnIndexMode::Flat).unwrap()
+    }
+
     #[test]
     fn extraction_produces_descriptors_for_most_views() {
         let sns1 = shapenet_set1(1);
@@ -469,7 +442,7 @@ mod tests {
         // class (all descriptor distances are 0).
         let sns1 = shapenet_set1(2);
         let idx = extract_index(&sns1, DescriptorKind::Orb);
-        let preds = classify_descriptors(&idx, &idx, 0.75);
+        let preds = flat(&idx, &idx, 0.75);
         let truth = index_truth(&idx);
         let correct = preds.iter().zip(&truth).filter(|(p, t)| p == t).count();
         assert!(correct as f64 / truth.len() as f64 > 0.8, "{correct}/82");
@@ -479,16 +452,18 @@ mod tests {
     fn cross_set_classification_runs() {
         let q = extract_index(&shapenet_set1(3), DescriptorKind::Sift);
         let r = extract_index(&shapenet_set2(3), DescriptorKind::Sift);
-        let preds = classify_descriptors(&q, &r, 0.5);
+        let preds = flat(&q, &r, 0.5);
         assert_eq!(preds.len(), 82);
     }
 
     #[test]
-    #[should_panic(expected = "descriptor kinds must match")]
-    fn kind_mismatch_panics() {
+    fn kind_mismatch_is_a_typed_error() {
         let q = extract_index(&shapenet_set1(4), DescriptorKind::Sift);
         let r = extract_index(&shapenet_set2(4), DescriptorKind::Orb);
-        classify_descriptors(&q, &r, 0.5);
+        assert!(matches!(
+            try_classify_descriptors_with(&q, &r, 0.5, &Diagnostics::new(), AnnIndexMode::Flat),
+            Err(Error::KindMismatch { query: "SIFT", reference: "ORB" })
+        ));
     }
 
     #[test]
@@ -536,7 +511,10 @@ mod tests {
     fn verified_classification_runs_and_is_plausible() {
         let sns1 = shapenet_set1(5);
         let idx = extract_index(&sns1, DescriptorKind::Orb);
-        let preds = classify_descriptors_verified(&idx, &idx, 0.75, &RansacParams::default());
+        let diag = Diagnostics::new();
+        let preds =
+            try_classify_descriptors_verified(&idx, &idx, 0.75, &RansacParams::default(), &diag)
+                .unwrap();
         assert_eq!(preds.len(), 82);
         // Self-matching with geometric verification should be strong: the
         // identical view is a perfect inlier set.

@@ -2,11 +2,9 @@
 //!
 //! Every recoverable failure a pipeline can hit on a robot — an empty
 //! reference catalog, a degenerate crop, an undersized network input —
-//! is a value of [`Error`], not a panic. The legacy `classify_*` entry
-//! points keep their historical panic behaviour as thin wrappers over
-//! the `try_*` variants, so existing callers and tests are unaffected;
-//! new code should prefer the `try_*` functions and decide its own
-//! degradation policy.
+//! is a value of [`Error`], not a panic. Each operation has one entry
+//! point, a `try_*` function returning [`Result`], and the caller
+//! decides its own degradation policy.
 
 use std::fmt;
 
@@ -18,8 +16,8 @@ use taor_nn::TensorError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// A reference set (views, catalog, or descriptor index) was empty.
-    /// The payload names the missing collection, matching the legacy
-    /// panic message so callers can pattern-match on it.
+    /// The payload names the missing collection, so callers can
+    /// pattern-match on it.
     EmptyReference(&'static str),
     /// A required input collection was empty (e.g. a background model
     /// with zero frames).
@@ -42,8 +40,8 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            // The payload is the legacy panic message ("reference set is
-            // empty", "reference catalog is empty", ...) verbatim.
+            // The payload is the message ("reference set is empty",
+            // "reference catalog is empty", ...) verbatim.
             Error::EmptyReference(what) => write!(f, "{what}"),
             Error::EmptyInput(what) => write!(f, "empty input: {what}"),
             Error::KindMismatch { query, reference } => {
@@ -104,10 +102,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_preserves_legacy_panic_messages() {
-        // The legacy `classify_*` wrappers panic with `Error`'s Display
-        // output, so these strings are load-bearing for `should_panic`
-        // tests downstream.
+    fn display_messages_are_stable() {
+        // Binaries print `Error`'s Display output (`repro` reports
+        // "error: table 4 failed: …"), so these strings are part of
+        // their output.
         assert_eq!(
             Error::EmptyReference("reference set is empty").to_string(),
             "reference set is empty"

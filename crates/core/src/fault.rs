@@ -14,7 +14,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::color_only::ColorScorer;
-use crate::descriptors::{extract_index, try_classify_descriptors, DescriptorKind};
+use crate::descriptors::{
+    extract_index, try_classify_descriptors_with, AnnIndexMode, DescriptorKind,
+};
 use crate::diag::{Diagnostics, DiagnosticsReport};
 use crate::error::Error;
 use crate::hybrid::{try_classify_hybrid, Aggregation, HybridConfig};
@@ -242,7 +244,10 @@ fn drive_pipelines(crops: &Dataset, catalog: &Dataset, diag: &Diagnostics) -> Ve
     outcomes.push(drive("descriptors-orb", || {
         let q_idx = extract_index(crops, DescriptorKind::Orb);
         let r_idx = extract_index(catalog, DescriptorKind::Orb);
-        check_batch(try_classify_descriptors(&q_idx, &r_idx, 0.75, diag), n)
+        check_batch(
+            try_classify_descriptors_with(&q_idx, &r_idx, 0.75, diag, AnnIndexMode::Flat),
+            n,
+        )
     }));
 
     // (v) siamese: an untrained Normalized-X-Corr forward pass over every

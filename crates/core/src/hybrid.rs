@@ -85,26 +85,11 @@ impl HybridConfig {
 
 /// Classify queries with the hybrid pipeline under one aggregation rule.
 ///
-/// Legacy wrapper over [`try_classify_hybrid`]: panics on an empty
-/// reference set and discards diagnostics.
-pub fn classify_hybrid(
-    queries: &[RefView],
-    views: &[RefView],
-    cfg: &HybridConfig,
-    agg: Aggregation,
-) -> Vec<ObjectClass> {
-    let diag = Diagnostics::new();
-    match try_classify_hybrid(queries, views, cfg, agg, &diag) {
-        Ok(preds) => preds,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`classify_hybrid`]: an empty reference set is an
-/// [`Error::EmptyReference`]; NaN θ scores are quarantined (counted in
-/// `diag`, never winning the argmin under any aggregation); a query for
-/// which no group produced a finite mean falls back to the first
-/// reference view's class and is counted as degraded.
+/// An empty reference set is an [`Error::EmptyReference`]; NaN θ scores
+/// are quarantined (counted in `diag`, never winning the argmin under
+/// any aggregation); a query for which no group produced a finite mean
+/// falls back to the first reference view's class and is counted as
+/// degraded.
 pub fn try_classify_hybrid(
     queries: &[RefView],
     views: &[RefView],
@@ -179,6 +164,15 @@ mod tests {
     use crate::preprocess::Background;
     use taor_data::{shapenet_set1, shapenet_set2};
 
+    fn classify(
+        q: &[RefView],
+        r: &[RefView],
+        cfg: &HybridConfig,
+        agg: Aggregation,
+    ) -> Vec<ObjectClass> {
+        try_classify_hybrid(q, r, cfg, agg, &Diagnostics::new()).unwrap()
+    }
+
     #[test]
     fn labels_match_table2() {
         let labels: Vec<_> = Aggregation::ALL.iter().map(|a| a.label()).collect();
@@ -191,8 +185,7 @@ mod tests {
     #[test]
     fn self_classification_weighted_sum_perfect() {
         let views = prepare_views(&shapenet_set1(1), Background::White);
-        let preds =
-            classify_hybrid(&views, &views, &HybridConfig::default(), Aggregation::WeightedSum);
+        let preds = classify(&views, &views, &HybridConfig::default(), Aggregation::WeightedSum);
         assert_eq!(preds, truth_of(&views));
     }
 
@@ -201,7 +194,7 @@ mod tests {
         let q = prepare_views(&shapenet_set2(2), Background::White);
         let r = prepare_views(&shapenet_set1(2), Background::White);
         for agg in Aggregation::ALL {
-            let preds = classify_hybrid(&q, &r, &HybridConfig::default(), agg);
+            let preds = classify(&q, &r, &HybridConfig::default(), agg);
             assert_eq!(preds.len(), q.len());
         }
     }
@@ -211,8 +204,8 @@ mod tests {
         let q = prepare_views(&shapenet_set2(3), Background::White);
         let r = prepare_views(&shapenet_set1(3), Background::White);
         let cfg = HybridConfig::default();
-        let a = classify_hybrid(&q, &r, &cfg, Aggregation::WeightedSum);
-        let b = classify_hybrid(&q, &r, &cfg, Aggregation::MacroAverage);
+        let a = classify(&q, &r, &cfg, Aggregation::WeightedSum);
+        let b = classify(&q, &r, &cfg, Aggregation::MacroAverage);
         assert!(a.iter().zip(&b).any(|(x, y)| x != y), "ΘT and ΘC should disagree on some queries");
     }
 
@@ -221,8 +214,9 @@ mod tests {
         let q = prepare_views(&shapenet_set2(4), Background::White);
         let r = prepare_views(&shapenet_set1(4), Background::White);
         let cfg = HybridConfig { alpha: 0.0, beta: 1.0, ..Default::default() };
-        let hybrid = classify_hybrid(&q, &r, &cfg, Aggregation::WeightedSum);
-        let color = crate::pipeline::classify_per_view(&q, &r, &cfg.color);
+        let hybrid = classify(&q, &r, &cfg, Aggregation::WeightedSum);
+        let color = crate::pipeline::try_classify_per_view(&q, &r, &cfg.color, &Diagnostics::new())
+            .unwrap();
         assert_eq!(hybrid, color);
     }
 }

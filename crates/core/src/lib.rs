@@ -19,20 +19,30 @@
 //! per-class precision, `TP/N_total`, reverse-engineered from its
 //! baseline rows).
 //!
+//! Every operation has one entry point, and it returns a [`Result`]: an
+//! empty reference set, a descriptor-kind mismatch or an undersized
+//! network input is an [`Error`], never a panic. Per-item faults (NaN
+//! scores, featureless queries) degrade to a deterministic fallback and
+//! are counted in a [`Diagnostics`] ledger the caller passes in.
+//!
 //! ## Quickstart
 //!
 //! ```
 //! use taor_core::prelude::*;
 //! use taor_data::{shapenet_set1, shapenet_set2};
 //!
+//! # fn main() -> taor_core::Result<()> {
 //! // Match SNS2 views against SNS1 with the paper's best hybrid config.
 //! let refs = prepare_views(&shapenet_set1(2019), Background::White);
 //! let queries = prepare_views(&shapenet_set2(2019), Background::White);
-//! let preds = classify_hybrid(
-//!     &queries, &refs, &HybridConfig::default(), Aggregation::WeightedSum,
-//! );
+//! let diag = Diagnostics::new();
+//! let preds = try_classify_hybrid(
+//!     &queries, &refs, &HybridConfig::default(), Aggregation::WeightedSum, &diag,
+//! )?;
 //! let eval = evaluate(&truth_of(&queries), &preds);
 //! assert!(eval.cumulative_accuracy > 0.1); // beats the random baseline
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,9 +67,8 @@ pub mod wire;
 pub mod prelude {
     pub use crate::color_only::ColorScorer;
     pub use crate::descriptors::{
-        classify_descriptors, classify_descriptors_verified, extract_index, index_truth,
-        try_classify_descriptors, try_classify_descriptors_verified, try_classify_descriptors_with,
-        AnnIndexMode, DescriptorIndex, DescriptorKind,
+        extract_index, index_truth, try_classify_descriptors_verified,
+        try_classify_descriptors_with, AnnIndexMode, DescriptorIndex, DescriptorKind,
     };
     pub use crate::diag::{Diagnostics, DiagnosticsReport};
     pub use crate::eval::{
@@ -69,10 +78,10 @@ pub mod prelude {
         adversarial_corpus, run_fault_injection, run_service_fault_injection, service_corpus,
         AdversarialCase, FaultReport, NanScorer, PipelineOutcome, ServiceCase, ServiceExpect,
     };
-    pub use crate::hybrid::{classify_hybrid, try_classify_hybrid, Aggregation, HybridConfig};
+    pub use crate::hybrid::{try_classify_hybrid, Aggregation, HybridConfig};
     pub use crate::pipeline::{
-        classify_per_view, classify_per_view_ranked, prepare_views, truth_of,
-        try_classify_per_view, try_classify_per_view_ranked, MatchScorer, RefView,
+        prepare_views, truth_of, try_classify_per_view, try_classify_per_view_ranked, MatchScorer,
+        RefView,
     };
     pub use crate::preprocess::{binarise, preprocess, Background, Preprocessed, HIST_BINS};
     pub use crate::recognizer::{Method, Recognition, Recognizer};
@@ -80,14 +89,13 @@ pub mod prelude {
         classwise_headers, classwise_rows, fmt_f, ExperimentRecord, TextTable,
     };
     pub use crate::segment::{
-        border_colors, evaluate_scene, foreground_mask, iou, mask_against, recognise_frame,
-        segment_frame, try_foreground_mask, try_recognise_frame, try_segment_frame, Detection,
-        SceneEvaluation, SegmentConfig, SegmentedObject,
+        border_colors, evaluate_scene, iou, mask_against, try_foreground_mask, try_recognise_frame,
+        try_segment_frame, Detection, SceneEvaluation, SegmentConfig, SegmentedObject,
     };
     pub use crate::shape_only::ShapeScorer;
     pub use crate::siamese::{
-        evaluate_siamese, image_to_tensor, pairs_to_samples, train_siamese, try_train_siamese,
-        CosineSiamese, SiameseConfig,
+        evaluate_siamese, image_to_tensor, pairs_to_samples, try_train_siamese, CosineSiamese,
+        SiameseConfig,
     };
     pub use crate::wire::{
         decode_crop, encode_f32, encode_rgb8, DecodeStats, PixelFormat, WireError, MAX_WIRE_DIM,

@@ -10,7 +10,7 @@
 //!
 //! [`prepare_views`] preprocesses a dataset once; a [`MatchScorer`] turns
 //! a (query, view) pair into a *distance* (lower = more similar);
-//! [`classify_per_view`] predicts by argmin over every reference view.
+//! [`try_classify_per_view`] predicts by argmin over every reference view.
 
 use crate::diag::Diagnostics;
 use crate::error::{Error, Result};
@@ -73,27 +73,11 @@ const QUERY_BLOCK: usize = 8;
 /// Classify every query by the class of its argmin view (the paper's
 /// ΘT rule; also how the shape-only and colour-only pipelines decide).
 ///
-/// Legacy wrapper over [`try_classify_per_view`]: panics on an empty
-/// reference set and discards diagnostics. New code should call the
-/// `try_` variant and choose its own degradation policy.
-pub fn classify_per_view(
-    queries: &[RefView],
-    views: &[RefView],
-    scorer: &dyn MatchScorer,
-) -> Vec<ObjectClass> {
-    let diag = Diagnostics::new();
-    match try_classify_per_view(queries, views, scorer, &diag) {
-        Ok(preds) => preds,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`classify_per_view`]: an empty reference set is an
-/// [`Error::EmptyReference`]; NaN match scores are quarantined (they
-/// never beat the running argmin) and counted in `diag`; a query for
-/// which *no* view produced a finite distance receives the first
-/// reference view's class as a deterministic fallback and is counted as
-/// degraded.
+/// An empty reference set is an [`Error::EmptyReference`]; NaN match
+/// scores are quarantined (they never beat the running argmin) and
+/// counted in `diag`; a query for which *no* view produced a finite
+/// distance receives the first reference view's class as a
+/// deterministic fallback and is counted as degraded.
 pub fn try_classify_per_view(
     queries: &[RefView],
     views: &[RefView],
@@ -142,23 +126,11 @@ pub fn truth_of(queries: &[RefView]) -> Vec<ObjectClass> {
 /// first, by each class's minimum view distance) — feeds
 /// [`crate::eval::top_k_accuracy`], a robot-relevant measure: a planner
 /// can often act on a small hypothesis set rather than a single label.
-pub fn classify_per_view_ranked(
-    queries: &[RefView],
-    views: &[RefView],
-    scorer: &dyn MatchScorer,
-) -> Vec<Vec<ObjectClass>> {
-    let diag = Diagnostics::new();
-    match try_classify_per_view_ranked(queries, views, scorer, &diag) {
-        Ok(ranked) => ranked,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`classify_per_view_ranked`] with the same NaN-quarantine
-/// and degradation accounting as [`try_classify_per_view`]. A query
-/// whose every class distance stayed infinite still yields a full,
-/// deterministic class permutation (index order) and counts as
-/// degraded.
+///
+/// Same NaN-quarantine and degradation accounting as
+/// [`try_classify_per_view`]. A query whose every class distance stayed
+/// infinite still yields a full, deterministic class permutation (index
+/// order) and counts as degraded.
 pub fn try_classify_per_view_ranked(
     queries: &[RefView],
     views: &[RefView],
@@ -208,6 +180,14 @@ mod tests {
     use super::*;
     use taor_data::{shapenet_set1, shapenet_set2};
 
+    fn per_view(q: &[RefView], r: &[RefView]) -> Vec<ObjectClass> {
+        try_classify_per_view(q, r, &ClassOracle, &Diagnostics::new()).unwrap()
+    }
+
+    fn ranked(q: &[RefView], r: &[RefView]) -> Vec<Vec<ObjectClass>> {
+        try_classify_per_view_ranked(q, r, &ClassOracle, &Diagnostics::new()).unwrap()
+    }
+
     struct ClassOracle;
     impl MatchScorer for ClassOracle {
         fn score(&self, q: &Preprocessed, v: &Preprocessed) -> f64 {
@@ -240,7 +220,7 @@ mod tests {
         // 100%: the argmin view is the query itself at distance 0.
         let ds = shapenet_set1(2);
         let views = prepare_views(&ds, Background::White);
-        let preds = classify_per_view(&views, &views, &ClassOracle);
+        let preds = per_view(&views, &views);
         let truth = truth_of(&views);
         assert_eq!(preds, truth);
     }
@@ -249,23 +229,16 @@ mod tests {
     fn cross_set_matching_runs() {
         let q = prepare_views(&shapenet_set1(3), Background::White);
         let r = prepare_views(&shapenet_set2(3), Background::White);
-        let preds = classify_per_view(&q, &r, &ClassOracle);
+        let preds = per_view(&q, &r);
         assert_eq!(preds.len(), q.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "reference set is empty")]
-    fn empty_reference_panics() {
-        let q = prepare_views(&shapenet_set1(4), Background::White);
-        classify_per_view(&q, &[], &ClassOracle);
     }
 
     #[test]
     fn ranked_classification_is_consistent_with_top1() {
         let q = prepare_views(&shapenet_set2(5), Background::White);
         let r = prepare_views(&shapenet_set1(5), Background::White);
-        let top1 = classify_per_view(&q, &r, &ClassOracle);
-        let ranked = classify_per_view_ranked(&q, &r, &ClassOracle);
+        let top1 = per_view(&q, &r);
+        let ranked = ranked(&q, &r);
         for (p, rank) in top1.iter().zip(&ranked) {
             assert_eq!(rank.len(), 10);
             assert_eq!(rank[0], *p, "rank-1 must equal the argmin prediction");
@@ -282,7 +255,7 @@ mod tests {
         let q = prepare_views(&shapenet_set2(6), Background::White);
         let r = prepare_views(&shapenet_set1(6), Background::White);
         let truth = truth_of(&q);
-        let ranked = classify_per_view_ranked(&q, &r, &ClassOracle);
+        let ranked = ranked(&q, &r);
         let t1 = top_k_accuracy(&truth, &ranked, 1);
         let t3 = top_k_accuracy(&truth, &ranked, 3);
         assert!(t3 >= t1);

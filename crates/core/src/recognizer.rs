@@ -75,18 +75,7 @@ impl Recognizer {
     /// Build from a catalog dataset (preprocessed once, white-background
     /// convention) and a matching method. `query_background` states which
     /// convention incoming crops use (black masks for robot/NYU crops).
-    ///
-    /// Legacy wrapper over [`Recognizer::try_new`]: panics when the
-    /// catalog is empty.
-    pub fn new(catalog: &Dataset, method: Method, query_background: Background) -> Self {
-        match Recognizer::try_new(catalog, method, query_background) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-        }
-    }
-
-    /// Fallible constructor: an empty catalog is an
-    /// [`Error::EmptyReference`] instead of a panic.
+    /// An empty catalog is an [`Error::EmptyReference`].
     pub fn try_new(
         catalog: &Dataset,
         method: Method,
@@ -211,7 +200,7 @@ mod tests {
     use taor_data::{nyu_set_subsampled, shapenet_set1};
 
     fn recognizer() -> Recognizer {
-        Recognizer::new(&shapenet_set1(2019), Method::default(), Background::Black)
+        Recognizer::try_new(&shapenet_set1(2019), Method::default(), Background::Black).unwrap()
     }
 
     #[test]
@@ -251,18 +240,10 @@ mod tests {
             Method::Color(ColorScorer::ALL[3]),
             Method::default(),
         ] {
-            let r = Recognizer::new(&catalog, method, Background::Black);
+            let r = Recognizer::try_new(&catalog, method, Background::Black).unwrap();
             let rec = r.recognize(&crops.images[0].image);
             assert!(rec.confidence.is_finite());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "reference catalog is empty")]
-    fn empty_catalog_panics() {
-        let empty =
-            taor_data::Dataset { kind: taor_data::DatasetKind::ShapeNetSet1, images: Vec::new() };
-        let _ = Recognizer::new(&empty, Method::default(), Background::Black);
     }
 
     #[test]

@@ -88,17 +88,7 @@ fn l1(a: [u8; 3], b: [u8; 3]) -> u32 {
 }
 
 /// Foreground mask: pixels far from every modelled background colour.
-///
-/// Legacy wrapper over [`try_foreground_mask`]: panics when the
-/// background colour model comes out empty (`background_colors == 0`).
-pub fn foreground_mask(img: &RgbImage, cfg: &SegmentConfig) -> GrayImage {
-    match try_foreground_mask(img, cfg) {
-        Ok(mask) => mask,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`foreground_mask`]: an empty background colour model is an
+/// An empty background colour model (`background_colors == 0`) is an
 /// [`Error::EmptyInput`] instead of an all-foreground mask.
 pub fn try_foreground_mask(img: &RgbImage, cfg: &SegmentConfig) -> Result<GrayImage> {
     let bg = border_colors(img, cfg.background_colors);
@@ -127,26 +117,22 @@ pub fn mask_against(img: &RgbImage, background: &[[u8; 3]], threshold: u32) -> R
     Ok(mask)
 }
 
-/// Segment a frame into black-masked object crops.
+/// Segment a frame into black-masked object crops. An empty background
+/// colour model is an [`Error::EmptyInput`] instead of one giant
+/// full-frame component.
 ///
 /// ```
 /// use taor_core::prelude::*;
 /// use rand::SeedableRng;
 ///
+/// # fn main() -> taor_core::Result<()> {
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
 /// let scene = taor_data::render_room(&[taor_data::ObjectClass::Sofa], &mut rng);
-/// let segments = segment_frame(&scene.image, &SegmentConfig::default());
+/// let segments = try_segment_frame(&scene.image, &SegmentConfig::default())?;
 /// assert!(!segments.is_empty());
+/// # Ok(())
+/// # }
 /// ```
-pub fn segment_frame(img: &RgbImage, cfg: &SegmentConfig) -> Vec<SegmentedObject> {
-    match try_segment_frame(img, cfg) {
-        Ok(segs) => segs,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`segment_frame`]: an empty background colour model is an
-/// [`Error::EmptyInput`] instead of one giant full-frame component.
 pub fn try_segment_frame(img: &RgbImage, cfg: &SegmentConfig) -> Result<Vec<SegmentedObject>> {
     let mask = open(&try_foreground_mask(img, cfg)?, cfg.open_radius);
     let labels = label_components(&mask);
@@ -176,21 +162,10 @@ pub struct Detection {
     pub class: ObjectClass,
 }
 
-/// Run segmentation + classification over a frame. `classify` maps a
-/// black-masked crop to a class (typically a closure over the hybrid
-/// pipeline and a prepared reference set).
-pub fn recognise_frame(
-    img: &RgbImage,
-    cfg: &SegmentConfig,
-    classify: impl Fn(&RgbImage) -> ObjectClass + Sync,
-) -> Vec<Detection> {
-    match try_recognise_frame(img, cfg, classify) {
-        Ok(dets) => dets,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`recognise_frame`], propagating segmentation errors.
+/// Run segmentation + classification over a frame, propagating
+/// segmentation errors. `classify` maps a black-masked crop to a class
+/// (typically a closure over the hybrid pipeline and a prepared
+/// reference set).
 pub fn try_recognise_frame(
     img: &RgbImage,
     cfg: &SegmentConfig,
@@ -298,7 +273,7 @@ mod tests {
     #[test]
     fn segmentation_finds_objects() {
         let s = scene(1, &[ObjectClass::Sofa, ObjectClass::Lamp, ObjectClass::Box]);
-        let segs = segment_frame(&s.image, &SegmentConfig::default());
+        let segs = try_segment_frame(&s.image, &SegmentConfig::default()).unwrap();
         assert!((2..=6).contains(&segs.len()), "expected ~3 segments, got {}", segs.len());
         // Each segment overlaps some ground-truth object.
         for seg in &segs {
@@ -310,7 +285,7 @@ mod tests {
     #[test]
     fn crops_are_black_masked() {
         let s = scene(2, &[ObjectClass::Chair, ObjectClass::Bottle]);
-        let segs = segment_frame(&s.image, &SegmentConfig::default());
+        let segs = try_segment_frame(&s.image, &SegmentConfig::default()).unwrap();
         for seg in &segs {
             // Crops contain both object pixels and the black mask.
             let black = seg.crop.as_raw().chunks_exact(3).filter(|px| *px == [0, 0, 0]).count();
@@ -388,7 +363,8 @@ mod tests {
     #[test]
     fn recognise_frame_plumbs_the_classifier() {
         let s = scene(6, &[ObjectClass::Sofa]);
-        let dets = recognise_frame(&s.image, &SegmentConfig::default(), |_| ObjectClass::Sofa);
+        let dets = try_recognise_frame(&s.image, &SegmentConfig::default(), |_| ObjectClass::Sofa)
+            .unwrap();
         assert!(!dets.is_empty());
         assert!(dets.iter().all(|d| d.class == ObjectClass::Sofa));
     }

@@ -11,7 +11,7 @@ use crate::eval::{evaluate_binary, BinaryEvaluation};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use taor_data::{Dataset, ImagePair};
-use taor_nn::{train, NetConfig, NormXCorrNet, PairSample, Tensor, TrainConfig, TrainReport};
+use taor_nn::{try_train, NetConfig, NormXCorrNet, PairSample, Tensor, TrainConfig, TrainReport};
 
 /// Pairs scored per batched head pass (and images per batched tower
 /// pass) during evaluation.
@@ -121,22 +121,9 @@ pub fn pairs_to_samples(pairs: &[ImagePair<'_>], cfg: &NetConfig) -> Vec<PairSam
 
 /// Train the Normalized-X-Corr net on SNS2 pairs per the paper's recipe.
 ///
-/// Legacy wrapper over [`try_train_siamese`]: panics when the configured
-/// input resolution is too small for the architecture.
-pub fn train_siamese(
-    sns2: &Dataset,
-    cfg: &SiameseConfig,
-    on_epoch: impl FnMut(&taor_nn::EpochStats),
-) -> (NormXCorrNet, TrainReport) {
-    match try_train_siamese(sns2, cfg, on_epoch) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"), // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    }
-}
-
-/// Fallible [`train_siamese`]: an undersized network input resolution is
-/// a typed [`crate::Error::Nn`] ([`taor_nn::TensorError::InputTooSmall`])
-/// instead of a panic.
+/// An undersized network input resolution, an empty training set and a
+/// zero batch size are typed [`crate::Error::Nn`] values
+/// ([`taor_nn::TensorError`]).
 pub fn try_train_siamese(
     sns2: &Dataset,
     cfg: &SiameseConfig,
@@ -145,7 +132,7 @@ pub fn try_train_siamese(
     let mut net = NormXCorrNet::new(cfg.net.clone())?;
     let pairs = taor_data::training_pairs(sns2, cfg.n_train_pairs, cfg.seed);
     let samples = pairs_to_samples(&pairs, &cfg.net);
-    let report = train(&mut net, &samples, &cfg.train, on_epoch);
+    let report = try_train(&mut net, &samples, &cfg.train, on_epoch)?;
     Ok((net, report))
 }
 
@@ -154,7 +141,8 @@ pub fn try_train_siamese(
 ///
 /// # Panics
 /// Panics on malformed inputs; fallible callers should use
-/// [`try_evaluate_siamese`].
+/// [`try_evaluate_siamese`]. This is the crate's one remaining panicking
+/// twin, kept because the benchmark (`perfbench/`) calls it by name.
 pub fn evaluate_siamese(
     net: &NormXCorrNet,
     pairs: &[ImagePair<'_>],
@@ -262,17 +250,8 @@ pub struct CosineSiamese {
 
 impl CosineSiamese {
     /// Fit the decision threshold on labelled pairs by sweeping the score
-    /// range for maximum training accuracy.
-    ///
-    /// # Panics
-    /// Panics when `grid` is zero; fallible callers should use
-    /// [`Self::try_fit`].
-    pub fn fit(pairs: &[ImagePair<'_>], grid: usize) -> Self {
-        // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-        Self::try_fit(pairs, grid).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Self::fit`] using a sort-based single scan.
+    /// range for maximum training accuracy; a zero `grid` is a typed
+    /// error.
     ///
     /// Scores are sorted once and walked in lockstep with the ascending
     /// threshold grid, maintaining `accuracy(t) = (label-1 pairs with
@@ -390,7 +369,7 @@ mod tests {
         let mut cfg = SiameseConfig::quick();
         cfg.n_train_pairs = 60;
         cfg.train.max_epochs = 1;
-        let (net, report) = train_siamese(&sns2, &cfg, |_| {});
+        let (net, report) = try_train_siamese(&sns2, &cfg, |_| {}).unwrap();
         assert_eq!(report.epochs.len(), 1);
         assert!(report.epochs[0].mean_loss.is_finite());
         // Evaluate on a small pair subset.
@@ -401,10 +380,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_training_pairs_is_a_typed_error() {
+        let sns2 = shapenet_set2(1);
+        let mut cfg = SiameseConfig::quick();
+        cfg.n_train_pairs = 0;
+        assert!(matches!(
+            try_train_siamese(&sns2, &cfg, |_| {}),
+            Err(crate::error::Error::Nn(taor_nn::TensorError::EmptyTrainingSet))
+        ));
+    }
+
+    #[test]
     fn cosine_baseline_fits_and_predicts() {
         let sns2 = shapenet_set2(2);
         let pairs = training_pairs(&sns2, 200, 3);
-        let model = CosineSiamese::fit(&pairs, 4);
+        let model = CosineSiamese::try_fit(&pairs, 4).unwrap();
         let preds = model.predict(&pairs[..50]);
         assert_eq!(preds.len(), 50);
         assert!(model.threshold >= -1.0 && model.threshold <= 1.0);
@@ -416,14 +406,6 @@ mod tests {
         let model = CosineSiamese { threshold: 0.5, grid: 4 };
         let img = &sns1.images[0].image;
         assert!((model.score(img, img) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid must be >= 1")]
-    fn zero_grid_panics() {
-        let sns2 = shapenet_set2(4);
-        let pairs = training_pairs(&sns2, 10, 1);
-        let _ = CosineSiamese::fit(&pairs, 0);
     }
 
     #[test]
@@ -442,7 +424,7 @@ mod tests {
     fn sorted_fit_matches_naive_sweep_bitwise() {
         let sns2 = shapenet_set2(5);
         let pairs = training_pairs(&sns2, 300, 7);
-        let fitted = CosineSiamese::fit(&pairs, 4);
+        let fitted = CosineSiamese::try_fit(&pairs, 4).unwrap();
 
         let probe = CosineSiamese { threshold: 0.0, grid: 4 };
         let scores: Vec<(f32, usize)> =
@@ -468,7 +450,7 @@ mod tests {
         let mut cfg = SiameseConfig::quick();
         cfg.n_train_pairs = 40;
         cfg.train.max_epochs = 1;
-        let (net, _) = train_siamese(&sns2, &cfg, |_| {});
+        let (net, _) = try_train_siamese(&sns2, &cfg, |_| {}).unwrap();
         let sns1 = shapenet_set1(1);
         let pairs = sns1_test_pairs(&sns1);
         let subset = &pairs[..120];
@@ -476,7 +458,7 @@ mod tests {
         let deduped = try_evaluate_siamese(&net, subset, &cfg.net).unwrap();
 
         let samples = pairs_to_samples(subset, &cfg.net);
-        let preds = taor_nn::predict_labels(&net, &samples);
+        let preds = taor_nn::try_predict_labels(&net, &samples).unwrap();
         let truth: Vec<usize> = subset.iter().map(|p| p.label).collect();
         let naive = evaluate_binary(&truth, &preds);
 

@@ -140,7 +140,9 @@ fn service_corpus_decodables_run_every_pipeline_individually() {
             }],
         };
         let q_idx = extract_index(&ds, DescriptorKind::Orb);
-        let preds = try_classify_descriptors(&q_idx, ref_orb(), 0.75, &diag).unwrap();
+        let preds =
+            try_classify_descriptors_with(&q_idx, ref_orb(), 0.75, &diag, AnnIndexMode::Flat)
+                .unwrap();
         assert_eq!(preds.len(), 1, "{}: descriptors", case.name);
         let t = image_to_tensor(&img, cfg);
         assert!(net.predict_similar(&t, &reference).is_ok(), "{}: siamese", case.name);
@@ -225,7 +227,7 @@ fn empty_catalogs_are_typed_errors() {
     let empty_idx = extract_index(&empty, DescriptorKind::Orb);
     let q_idx = extract_index(ref_catalog(), DescriptorKind::Orb);
     assert!(matches!(
-        try_classify_descriptors(&q_idx, &empty_idx, 0.75, &diag),
+        try_classify_descriptors_with(&q_idx, &empty_idx, 0.75, &diag, AnnIndexMode::Flat),
         Err(Error::EmptyReference(_))
     ));
 }
@@ -275,7 +277,9 @@ proptest! {
         };
         let q_idx = extract_index(&ds, DescriptorKind::Orb);
         let diag = Diagnostics::new();
-        let preds = try_classify_descriptors(&q_idx, ref_orb(), 0.75, &diag).unwrap();
+        let preds =
+            try_classify_descriptors_with(&q_idx, ref_orb(), 0.75, &diag, AnnIndexMode::Flat)
+                .unwrap();
         prop_assert_eq!(preds.len(), 1);
         // A featureless constant crop is a per-item fallback, not an abort.
         prop_assert!(diag.degraded() <= 1);

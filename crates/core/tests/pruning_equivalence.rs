@@ -8,10 +8,10 @@
 //! first-seen argmin over views in order, no bound, no tiling.
 
 use taor_core::pipeline::{
-    classify_per_view, classify_per_view_ranked, prepare_views, MatchScorer, RefView,
+    prepare_views, try_classify_per_view, try_classify_per_view_ranked, MatchScorer, RefView,
 };
 use taor_core::preprocess::Background;
-use taor_core::{ColorScorer, ShapeScorer};
+use taor_core::{ColorScorer, Diagnostics, ShapeScorer};
 use taor_data::{shapenet_set1, shapenet_set2, ObjectClass};
 
 const SEED: u64 = 2019;
@@ -82,7 +82,7 @@ fn pruned_classification_is_byte_identical_on_sns1_vs_sns2() {
     let q = prepare_views(&shapenet_set1(SEED), Background::White);
     let r = prepare_views(&shapenet_set2(SEED), Background::White);
     for scorer in all_scorers() {
-        let pruned = classify_per_view(&q, &r, scorer.as_ref());
+        let pruned = try_classify_per_view(&q, &r, scorer.as_ref(), &Diagnostics::new()).unwrap();
         let reference = classify_reference(&q, &r, scorer.as_ref());
         assert_eq!(pruned, reference, "{} diverged under pruning", scorer.name());
     }
@@ -93,7 +93,8 @@ fn pruned_ranking_is_byte_identical_on_sns1_vs_sns2() {
     let q = prepare_views(&shapenet_set1(SEED), Background::White);
     let r = prepare_views(&shapenet_set2(SEED), Background::White);
     for scorer in all_scorers() {
-        let pruned = classify_per_view_ranked(&q, &r, scorer.as_ref());
+        let pruned =
+            try_classify_per_view_ranked(&q, &r, scorer.as_ref(), &Diagnostics::new()).unwrap();
         let reference = classify_ranked_reference(&q, &r, scorer.as_ref());
         assert_eq!(pruned, reference, "{} ranking diverged under pruning", scorer.name());
     }

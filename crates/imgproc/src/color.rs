@@ -71,12 +71,6 @@ pub fn hsv_to_pixel(hsv: Hsv) -> [u8; 3] {
     ]
 }
 
-/// Per-pixel HSV view of an RGB image (used by the dataset renderer for
-/// lighting jitter).
-pub fn rgb_to_hsv(img: &RgbImage) -> Vec<Hsv> {
-    img.as_raw().chunks_exact(3).map(|px| pixel_to_hsv(px[0], px[1], px[2])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

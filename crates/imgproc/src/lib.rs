@@ -42,7 +42,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod canny;
 pub mod cmp;
 pub mod color;
 pub mod contour;
@@ -62,12 +61,11 @@ pub mod warp;
 
 /// Convenient glob-import of the most common types and functions.
 pub mod prelude {
-    pub use crate::canny::canny;
     pub use crate::cmp::{
         nan_first_f32, nan_first_f64, nan_last_desc_f32, nan_last_desc_f64, nan_last_f32,
         nan_last_f64,
     };
-    pub use crate::color::{rgb_to_gray, rgb_to_hsv, Hsv};
+    pub use crate::color::{rgb_to_gray, Hsv};
     pub use crate::contour::{crop_to_largest_contour, find_contours, largest_contour, Contour};
     pub use crate::draw::Canvas;
     pub use crate::error::{ImgError, Result};
@@ -85,10 +83,7 @@ pub mod prelude {
     };
     pub use crate::morphology::{close, dilate, erode, open};
     pub use crate::resize::{resize_bilinear, resize_bilinear_rgb, resize_nearest};
-    pub use crate::threshold::{
-        adaptive_threshold_mean, equalize_hist, otsu_threshold, threshold_binary,
-        threshold_binary_inv,
-    };
+    pub use crate::threshold::{otsu_threshold, threshold_binary, threshold_binary_inv};
     pub use crate::warp::{warp_affine, warp_affine_rgb, Affine};
 }
 

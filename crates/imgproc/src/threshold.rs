@@ -57,56 +57,6 @@ pub fn otsu_threshold(img: &GrayImage) -> u8 {
     best_t
 }
 
-/// Adaptive mean thresholding: a pixel is foreground when it exceeds the
-/// mean of its `(2r+1)²` neighbourhood by more than `c` (equivalent to
-/// OpenCV `ADAPTIVE_THRESH_MEAN_C` with `C = -c`). Robust to the
-/// illumination gradients that defeat a global threshold.
-pub fn adaptive_threshold_mean(img: &GrayImage, radius: u32, c: i16) -> GrayImage {
-    let (w, h) = img.dimensions();
-    let ii = crate::integral::IntegralImage::from_gray(img);
-    let r = radius as i64;
-    let mut out = GrayImage::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let x0 = x as i64 - r;
-            let y0 = y as i64 - r;
-            let side = 2 * r + 1;
-            // Clipped box: recompute the true pixel count at borders.
-            let x1 = (x0 + side).min(w as i64);
-            let y1 = (y0 + side).min(h as i64);
-            let cx0 = x0.max(0);
-            let cy0 = y0.max(0);
-            let count = ((x1 - cx0) * (y1 - cy0)) as f64;
-            let mean = ii.box_sum(x0, y0, side, side) / count;
-            if (img.get(x, y) as f64) > mean + (c as f64) {
-                out.put(x, y, 255);
-            }
-        }
-    }
-    out
-}
-
-/// Histogram equalisation: maps intensities through the normalised CDF,
-/// spreading contrast (useful ahead of descriptor extraction on dim
-/// scene crops).
-pub fn equalize_hist(img: &GrayImage) -> GrayImage {
-    let mut hist = [0u64; 256];
-    for &v in img.as_raw() {
-        hist[v as usize] += 1;
-    }
-    let total = img.as_raw().len() as f64;
-    let mut cdf = [0.0f64; 256];
-    let mut acc = 0u64;
-    // Ignore the lowest occupied bin's mass for the classic normalisation.
-    let cdf_min = hist.iter().copied().find(|&c| c > 0).unwrap_or(0) as f64;
-    for (i, &c) in hist.iter().enumerate() {
-        acc += c;
-        cdf[i] = acc as f64;
-    }
-    let denom = (total - cdf_min).max(1.0);
-    img.map(|v| (((cdf[v as usize] - cdf_min) / denom) * 255.0).round().clamp(0.0, 255.0) as u8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,54 +112,6 @@ mod tests {
     fn otsu_on_constant_image_does_not_panic() {
         let img = GrayImage::filled(4, 4, [128]);
         let _ = otsu_threshold(&img);
-    }
-
-    #[test]
-    fn adaptive_threshold_survives_gradient() {
-        // A bright blob on a strong illumination ramp: a global threshold
-        // fails on one side, the adaptive one keeps the blob everywhere.
-        let mut img = GrayImage::new(64, 16);
-        for y in 0..16 {
-            for x in 0..64 {
-                img.put(x, y, (x * 3) as u8); // ramp 0..189
-            }
-        }
-        // Two small bright-on-local-background blobs, one at each end.
-        for y in 6..10 {
-            for x in 4..8 {
-                img.put(x, y, 80);
-            }
-            for x in 54..58 {
-                img.put(x, y, 250);
-            }
-        }
-        let bin = adaptive_threshold_mean(&img, 4, 10);
-        assert_eq!(bin.get(5, 8), 255, "left blob found");
-        assert_eq!(bin.get(55, 8), 255, "right blob found");
-        assert_eq!(bin.get(30, 2), 0, "ramp background rejected");
-    }
-
-    #[test]
-    fn equalize_expands_contrast() {
-        let mut img = GrayImage::new(16, 16);
-        for (i, v) in img.as_raw_mut().iter_mut().enumerate() {
-            *v = 100 + (i % 20) as u8; // narrow band 100..119
-        }
-        let eq = equalize_hist(&img);
-        let lo = *eq.as_raw().iter().min().unwrap();
-        let hi = *eq.as_raw().iter().max().unwrap();
-        assert_eq!(lo, 0);
-        assert_eq!(hi, 255);
-    }
-
-    #[test]
-    fn equalize_constant_image_is_stable() {
-        let img = GrayImage::filled(8, 8, [77]);
-        let eq = equalize_hist(&img);
-        // All pixels identical: mapping is degenerate but must not panic,
-        // and output stays constant.
-        let first = eq.get(0, 0);
-        assert!(eq.as_raw().iter().all(|&v| v == first));
     }
 
     #[test]

@@ -87,16 +87,6 @@ impl Conv2D {
         Ok((ph + 1 - self.kernel, pw + 1 - self.kernel))
     }
 
-    /// Output spatial size for an input of `h × w`.
-    ///
-    /// # Panics
-    /// Panics when the kernel exceeds the padded input; fallible callers
-    /// should use [`Conv2D::try_out_size`].
-    pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
-        // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-        self.try_out_size(h, w).unwrap_or_else(|e| panic!("Conv2D::out_size: {e}"))
-    }
-
     /// Batched im2col: fills `col` as `[C·K·K, N·OH·OW]`, columns grouped
     /// per batch item (`col[row, n·OH·OW + oy·OW + ox]`). `col` must be
     /// zeroed — padding taps are skipped, not written.
@@ -384,7 +374,7 @@ mod tests {
 
     #[test]
     fn oversized_kernel_is_a_typed_error_not_an_underflow() {
-        // Regression: `out_size` computed `h + 2p + 1 - k` with usize
+        // Regression: the output size was `h + 2p + 1 - k` in usize
         // arithmetic, which underflowed (debug panic / release wrap) for
         // kernels larger than the padded input.
         let conv = Conv2D::new(1, 1, 5, 0, 3);

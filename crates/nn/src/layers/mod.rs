@@ -10,7 +10,6 @@
 //! two passes.
 
 pub mod activation;
-pub mod batchnorm;
 pub mod conv;
 pub mod dense;
 pub mod dropout;
@@ -19,7 +18,6 @@ pub mod pool;
 pub mod softmax;
 
 pub use activation::Relu;
-pub use batchnorm::BatchNorm2D;
 pub use conv::Conv2D;
 pub use dense::Dense;
 pub use dropout::Dropout;

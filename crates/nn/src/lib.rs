@@ -27,7 +27,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod gemm;
-pub mod gradcheck;
 pub mod init;
 pub mod layers;
 pub mod model;
@@ -37,14 +36,13 @@ pub mod tensor;
 pub mod train;
 pub mod xcorr;
 
-pub use gradcheck::{check_gradient, probe_indices, GradCheckReport};
 pub use layers::{softmax_cross_entropy, softmax_probs, Conv2D, Dense, MaxPool2D, Relu};
 pub use model::{NetConfig, NetGrads, NormXCorrNet};
 pub use optim::Adam;
 pub use scratch::{Scratch, ScratchBuf};
 pub use tensor::{Tensor, TensorError};
 pub use train::{
-    predict_labels, sample_pass, train, try_predict_labels, try_train, EpochStats, PairSample,
-    TrainConfig, TrainReport, MICRO_BATCH,
+    sample_pass, try_predict_labels, try_train, EpochStats, PairSample, TrainConfig, TrainReport,
+    MICRO_BATCH,
 };
 pub use xcorr::NormXCorr;

@@ -42,8 +42,8 @@ impl fmt::Display for TensorError {
             TensorError::InputTooSmall { width, height } => {
                 write!(f, "input {width}x{height} too small for the architecture")
             }
-            // The next two messages are load-bearing: the legacy panicking
-            // wrappers print them verbatim and callers pin them.
+            // The next two messages are load-bearing: `repro` prints them
+            // verbatim (`error: table 4 failed: …`, E2's degraded row).
             TensorError::EmptyTrainingSet => write!(f, "training set is empty"),
             TensorError::InvalidBatchSize { batch_size } => {
                 write!(f, "batch size must be >= 1 (got {batch_size})")

@@ -142,22 +142,7 @@ fn micro_pass(
 
 /// Train `net` on `samples`. `on_epoch` is called after every epoch with
 /// the stats so far (the repro harness uses it for progress logging).
-///
-/// # Panics
-/// Panics on an empty training set or a zero batch size — the historical
-/// contract; fallible callers should use [`try_train`].
-pub fn train(
-    net: &mut NormXCorrNet,
-    samples: &[PairSample],
-    cfg: &TrainConfig,
-    on_epoch: impl FnMut(&EpochStats),
-) -> TrainReport {
-    // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    try_train(net, samples, cfg, on_epoch).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`train`]: typed errors instead of panics for the empty
-/// training set and invalid batch size conditions.
+/// An empty training set and a zero batch size are typed errors.
 pub fn try_train(
     net: &mut NormXCorrNet,
     samples: &[PairSample],
@@ -261,18 +246,8 @@ fn stack_pair_refs(chunk: &[&PairSample]) -> (Tensor, Tensor) {
     )
 }
 
-/// Evaluate: predicted label (argmax) per sample.
-///
-/// # Panics
-/// Panics on malformed pair shapes; fallible callers should use
-/// [`try_predict_labels`].
-pub fn predict_labels(net: &NormXCorrNet, samples: &[PairSample]) -> Vec<usize> {
-    // taor-lint: allow(panic::panic) — documented legacy wrapper: panicking on Err is this shim's contract; callers wanting Results use the try_* API
-    try_predict_labels(net, samples).unwrap_or_else(|e| panic!("predict_labels: {e}"))
-}
-
-/// Fallible [`predict_labels`]: pool-parallel batched scoring with typed
-/// errors.
+/// Evaluate: predicted label (argmax) per sample, scored in
+/// pool-parallel batches; malformed pair shapes are typed errors.
 pub fn try_predict_labels(
     net: &NormXCorrNet,
     samples: &[PairSample],
@@ -340,7 +315,7 @@ mod tests {
         let samples = separable_samples(24, 24, 20, 7);
         let cfg =
             TrainConfig { learning_rate: 1e-3, max_epochs: 6, batch_size: 8, ..Default::default() };
-        let report = train(&mut net, &samples, &cfg, |_| {});
+        let report = try_train(&mut net, &samples, &cfg, |_| {}).unwrap();
         let first = report.epochs.first().unwrap().mean_loss;
         let last = report.epochs.last().unwrap().mean_loss;
         assert!(last < first, "loss {first} -> {last} should decrease");
@@ -359,7 +334,7 @@ mod tests {
             early_stop_patience: 3,
             ..Default::default()
         };
-        let report = train(&mut net, &samples, &cfg, |_| {});
+        let report = try_train(&mut net, &samples, &cfg, |_| {}).unwrap();
         assert!(report.early_stopped);
         assert!(report.epochs.len() <= 6, "stopped after {} epochs", report.epochs.len());
     }
@@ -370,7 +345,7 @@ mod tests {
         let samples = separable_samples(8, 24, 20, 11);
         let cfg = TrainConfig { max_epochs: 3, batch_size: 4, ..Default::default() };
         let mut seen = Vec::new();
-        let report = train(&mut net, &samples, &cfg, |s| seen.push(s.epoch));
+        let report = try_train(&mut net, &samples, &cfg, |s| seen.push(s.epoch)).unwrap();
         assert_eq!(seen.len(), report.epochs.len());
     }
 
@@ -378,48 +353,29 @@ mod tests {
     fn predict_labels_shape() {
         let net = tiny_net();
         let samples = separable_samples(6, 24, 20, 13);
-        let labels = predict_labels(&net, &samples);
+        let labels = try_predict_labels(&net, &samples).unwrap();
         assert_eq!(labels.len(), 6);
         assert!(labels.iter().all(|&l| l == 0 || l == 1));
     }
 
     #[test]
-    #[should_panic(expected = "training set is empty")]
-    fn empty_training_set_panics() {
-        let mut net = tiny_net();
-        let cfg = TrainConfig::default();
-        train(&mut net, &[], &cfg, |_| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be >= 1")]
-    fn zero_batch_size_panics() {
-        let mut net = tiny_net();
-        let samples = separable_samples(4, 24, 20, 15);
-        let cfg = TrainConfig { batch_size: 0, ..Default::default() };
-        train(&mut net, &samples, &cfg, |_| {});
-    }
-
-    #[test]
-    fn try_train_reports_typed_errors() {
+    fn empty_training_set_is_a_typed_error() {
         let mut net = tiny_net();
         let cfg = TrainConfig::default();
         assert!(matches!(
             try_train(&mut net, &[], &cfg, |_| {}),
             Err(TensorError::EmptyTrainingSet)
         ));
-        let samples = separable_samples(4, 24, 20, 15);
-        let bad = TrainConfig { batch_size: 0, ..Default::default() };
-        assert!(matches!(
-            try_train(&mut net, &samples, &bad, |_| {}),
-            Err(TensorError::InvalidBatchSize { batch_size: 0 })
-        ));
     }
 
     #[test]
-    fn try_predict_labels_matches_panicking_wrapper() {
-        let net = tiny_net();
-        let samples = separable_samples(6, 24, 20, 13);
-        assert_eq!(try_predict_labels(&net, &samples).unwrap(), predict_labels(&net, &samples));
+    fn zero_batch_size_is_a_typed_error() {
+        let mut net = tiny_net();
+        let samples = separable_samples(4, 24, 20, 15);
+        let cfg = TrainConfig { batch_size: 0, ..Default::default() };
+        assert!(matches!(
+            try_train(&mut net, &samples, &cfg, |_| {}),
+            Err(TensorError::InvalidBatchSize { batch_size: 0 })
+        ));
     }
 }

@@ -41,7 +41,6 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod chaos;
 pub mod http;
 pub mod robust;
 pub mod server;

@@ -4,14 +4,17 @@
 //! disconnect), no panic, and the server keeps answering well-formed
 //! requests afterwards.
 
+#[path = "common/chaos.rs"]
+mod chaos;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use chaos::{ChaosOutcome, PersistentClient};
 use taor_core::prelude::{ServiceCase, ServiceExpect};
 use taor_core::service_corpus;
 use taor_core::wire::encode_rgb8;
 use taor_imgproc::image::RgbImage;
-use taor_serve::chaos::{self, ChaosOutcome, PersistentClient};
 use taor_serve::{RecognizerService, Server, ServerConfig, ServiceConfig};
 
 fn crop_bytes() -> Vec<u8> {
@@ -47,6 +50,15 @@ fn assert_still_serving(server: &Server, context: &str) {
 
 /// Every buffer in the shared service corpus gets its contractual
 /// answer over HTTP: decodable crops 200, malformed buffers 400.
+#[test]
+fn status_and_body_parse_from_raw_responses() {
+    let raw = b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\n\r\n{\"error\":\"full\"}";
+    assert_eq!(chaos::parse_status(raw), Some(429));
+    assert_eq!(chaos::parse_body(raw), b"{\"error\":\"full\"}");
+    assert_eq!(chaos::parse_status(b"garbage"), None);
+    assert!(chaos::parse_body(b"no blank line").is_empty());
+}
+
 #[test]
 fn service_corpus_over_http_maps_to_200_and_400() {
     let server = spawn(ServerConfig::default());

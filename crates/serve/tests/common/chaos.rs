@@ -1,6 +1,7 @@
 //! Client-side fault injectors: every way a robot's flaky uplink can
-//! mistreat the server, packaged for the chaos tests and the load
-//! generator.
+//! mistreat the server, packaged for the server's integration tests
+//! (`tests/{chaos,determinism,service}.rs` include this file as their
+//! `chaos` module).
 //!
 //! Each injector opens a raw TCP connection and misbehaves in one
 //! specific way — truncated bodies, oversized declarations, slow-loris
@@ -8,6 +9,9 @@
 //! did. The contract under chaos is always the same: the server
 //! answers *something typed* (or observes the disconnect), never
 //! panics, and keeps answering well-formed requests afterwards.
+
+// Each test crate that includes this module uses a different subset.
+#![allow(dead_code)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -26,7 +30,7 @@ pub enum ChaosOutcome {
 }
 
 /// Parse `HTTP/1.1 <code> ...` out of a raw response.
-fn parse_status(raw: &[u8]) -> Option<u16> {
+pub fn parse_status(raw: &[u8]) -> Option<u16> {
     let text = std::str::from_utf8(raw).ok()?;
     let line = text.lines().next()?;
     let mut parts = line.split_whitespace();
@@ -37,7 +41,7 @@ fn parse_status(raw: &[u8]) -> Option<u16> {
 }
 
 /// Body bytes after the blank line, if any.
-fn parse_body(raw: &[u8]) -> Vec<u8> {
+pub fn parse_body(raw: &[u8]) -> Vec<u8> {
     raw.windows(4)
         .position(|w| w == b"\r\n\r\n")
         .map(|i| raw.get(i + 4..).unwrap_or(&[]).to_vec())
@@ -77,7 +81,7 @@ pub fn http_roundtrip(addr: SocketAddr, raw: &[u8]) -> std::io::Result<(u16, Vec
 
 /// A client that keeps one connection open across requests — the
 /// counterpart of the server's keep-alive path, used by the reuse and
-/// pipelining tests and `bench_serve`'s persistent mode.
+/// pipelining tests.
 ///
 /// Responses are framed by their `Content-Length` (never by EOF), so
 /// several can be read back-to-back off one socket in order.
@@ -374,19 +378,5 @@ pub fn disconnect_mid_request(addr: SocketAddr) -> ChaosOutcome {
     match run() {
         Ok(()) => ChaosOutcome::ConnectionClosed,
         Err(e) => ChaosOutcome::IoError(e.to_string()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn status_and_body_parse_from_raw_responses() {
-        let raw = b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\n\r\n{\"error\":\"full\"}";
-        assert_eq!(parse_status(raw), Some(429));
-        assert_eq!(parse_body(raw), b"{\"error\":\"full\"}");
-        assert_eq!(parse_status(b"garbage"), None);
-        assert!(parse_body(b"no blank line").is_empty());
     }
 }

@@ -4,6 +4,9 @@
 //! `taor-serve` binary. Micro-batching, thread scheduling and process
 //! restarts may change *when* an answer is computed, never *what* it is.
 
+#[path = "common/chaos.rs"]
+mod chaos;
+
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -11,7 +14,6 @@ use std::sync::Arc;
 
 use taor_core::wire::{encode_f32, encode_rgb8};
 use taor_imgproc::image::RgbImage;
-use taor_serve::chaos;
 use taor_serve::{RecognizerService, Server, ServerConfig, ServiceConfig};
 
 fn gradient_crop() -> RgbImage {

@@ -1,12 +1,14 @@
 //! End-to-end service behaviour over real sockets: the full status map,
 //! backpressure, deadlines, degradation and the health snapshot.
 
+#[path = "common/chaos.rs"]
+mod chaos;
+
 use std::sync::Arc;
 use std::time::Duration;
 
 use taor_core::wire::encode_rgb8;
 use taor_imgproc::image::RgbImage;
-use taor_serve::chaos;
 use taor_serve::{RecognizerService, Server, ServerConfig, ServiceConfig};
 
 /// A deterministic 48x48 gradient crop in wire format.

@@ -8,7 +8,7 @@
 use taor::core::prelude::*;
 use taor::data::{nyu_set_subsampled, shapenet_set1};
 
-fn main() {
+fn main() -> taor::core::Result<()> {
     // 1. Build the reference catalog: ShapeNetSet1, 82 clean 2-D views on
     //    a white background (Table 1 cardinalities).
     let catalog = shapenet_set1(2019);
@@ -25,9 +25,11 @@ fn main() {
     let queries = prepare_views(&crops, Background::Black);
 
     // 4. Classify with the hybrid Hu-L3 + Hellinger scorer at the paper's
-    //    alpha = 0.3 / beta = 0.7 weighting.
-    let preds =
-        classify_hybrid(&queries, &refs, &HybridConfig::default(), Aggregation::WeightedSum);
+    //    alpha = 0.3 / beta = 0.7 weighting. NaN scores and crops nothing
+    //    matched are counted in the diagnostics ledger.
+    let diag = Diagnostics::new();
+    let hybrid = HybridConfig::default();
+    let preds = try_classify_hybrid(&queries, &refs, &hybrid, Aggregation::WeightedSum, &diag)?;
 
     // 5. Evaluate and report.
     let truth = truth_of(&queries);
@@ -37,4 +39,5 @@ fn main() {
     for (class, m) in taor::data::ObjectClass::ALL.iter().zip(&eval.per_class) {
         println!("  {:<7} {:.2}  (support {})", class.name(), m.recall, m.support);
     }
+    Ok(())
 }

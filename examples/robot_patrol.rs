@@ -51,7 +51,7 @@ fn patrol_route() -> Vec<Room> {
     ]
 }
 
-fn main() {
+fn main() -> taor::core::Result<()> {
     let seed = 2019u64;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
 
@@ -59,6 +59,7 @@ fn main() {
     let catalog = shapenet_set1(seed);
     let refs = prepare_views(&catalog, Background::White);
     let hybrid = HybridConfig::default();
+    let diag = Diagnostics::new();
 
     let mut semantic_map: BTreeMap<&'static str, Vec<(String, &'static str)>> = BTreeMap::new();
     let mut correct = 0usize;
@@ -76,12 +77,9 @@ fn main() {
                 model_id: 0,
                 feat: preprocess(&crop, Background::Black, HIST_BINS),
             };
-            let pred = classify_hybrid(
-                std::slice::from_ref(&query),
-                &refs,
-                &hybrid,
-                Aggregation::WeightedSum,
-            )[0];
+            let query = std::slice::from_ref(&query);
+            let pred =
+                try_classify_hybrid(query, &refs, &hybrid, Aggregation::WeightedSum, &diag)?[0];
 
             total += 1;
             let ok = pred == truth;
@@ -131,4 +129,5 @@ fn main() {
 
     // Seeded rng: a rerun reproduces the identical patrol.
     let _ = rng.gen::<u32>();
+    Ok(())
 }

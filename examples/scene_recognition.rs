@@ -9,28 +9,22 @@
 use taor::core::prelude::*;
 use taor::data::{patrol_frames, shapenet_set1};
 
-fn main() {
+fn main() -> taor::core::Result<()> {
     let n_frames: usize = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(6);
     let seed = 2019;
 
-    // Reference catalog + the paper's best hybrid configuration.
-    let refs = prepare_views(&shapenet_set1(seed), Background::White);
-    let hybrid = HybridConfig::default();
-    let classify = |crop: &taor::imgproc::RgbImage| {
-        let q = RefView {
-            class: taor::data::ObjectClass::Chair, // unused placeholder
-            model_id: 0,
-            feat: preprocess(crop, Background::Black, HIST_BINS),
-        };
-        classify_hybrid(std::slice::from_ref(&q), &refs, &hybrid, Aggregation::WeightedSum)[0]
-    };
+    // Reference catalog + the paper's best hybrid configuration; crops
+    // come black-masked out of the segmenter.
+    let recognizer =
+        Recognizer::try_new(&shapenet_set1(seed), Method::default(), Background::Black)?;
 
     let seg_cfg = SegmentConfig::default();
     let mut agg = SceneEvaluation::default();
 
     println!("patrolling {n_frames} simulated frames...\n");
     for (i, scene) in patrol_frames(seed, n_frames).iter().enumerate() {
-        let detections = recognise_frame(&scene.image, &seg_cfg, classify);
+        let detections =
+            try_recognise_frame(&scene.image, &seg_cfg, |crop| recognizer.recognize(crop).class)?;
         let eval = evaluate_scene(scene, &detections);
         print!("frame {i}: {} objects -> ", scene.objects.len());
         for det in &detections {
@@ -56,4 +50,5 @@ fn main() {
          accuracy of the paper's Table 2 is exactly the segmentation fault\n\
          propagation the paper set out to exclude (§3.2)."
     );
+    Ok(())
 }

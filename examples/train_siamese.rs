@@ -10,11 +10,12 @@
 //! unseen pairs — is visible in the printed precision/recall blocks.
 
 use taor::core::prelude::*;
+use taor::core::siamese::try_evaluate_siamese;
 use taor::data::{
     nyu_set_subsampled, nyu_sns1_test_pairs, shapenet_set1, shapenet_set2, sns1_test_pairs,
 };
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = std::env::args().any(|a| a == "--full");
     let seed = 2019;
     let cfg = if full { SiameseConfig::default() } else { SiameseConfig::quick() };
@@ -29,9 +30,9 @@ fn main() {
     );
 
     let sns2 = shapenet_set2(seed);
-    let (net, report) = train_siamese(&sns2, &cfg, |s| {
+    let (net, report) = try_train_siamese(&sns2, &cfg, |s| {
         println!("  epoch {:>3}  loss {:.5}  train-acc {:.3}", s.epoch, s.mean_loss, s.accuracy);
-    });
+    })?;
     println!(
         "training finished after {} epochs (early stop: {})",
         report.epochs.len(),
@@ -40,7 +41,7 @@ fn main() {
 
     // Save the trained model.
     let path = "siamese_model.json";
-    std::fs::write(path, net.to_json()).expect("writable cwd");
+    std::fs::write(path, net.to_json())?;
     println!("saved weights to {path}");
 
     // Evaluate on both §3.4 test sets.
@@ -51,7 +52,7 @@ fn main() {
         ("NYU+ShapeNetSet1 pairs", nyu_sns1_test_pairs(&nyu, &sns1, seed)),
     ];
     for (name, pairs) in sets {
-        let eval = evaluate_siamese(&net, &pairs, &cfg.net);
+        let eval = try_evaluate_siamese(&net, &pairs, &cfg.net)?;
         println!("\n{name} ({} pairs):", pairs.len());
         println!(
             "  similar    P {:.2}  R {:.2}  F1 {:.2}  support {}",
@@ -70,4 +71,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

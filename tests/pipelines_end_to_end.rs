@@ -5,6 +5,7 @@
 //! not absolute numbers.
 
 use taor::core::prelude::*;
+use taor::core::Result;
 use taor::data::{nyu_set_subsampled, shapenet_set1, shapenet_set2};
 
 fn sns_accuracy(preds: &[taor::data::ObjectClass], truth: &[taor::data::ObjectClass]) -> f64 {
@@ -12,80 +13,90 @@ fn sns_accuracy(preds: &[taor::data::ObjectClass], truth: &[taor::data::ObjectCl
 }
 
 #[test]
-fn exploratory_pipelines_beat_chance_on_controlled_setting() {
+fn exploratory_pipelines_beat_chance_on_controlled_setting() -> Result<()> {
     let refs = prepare_views(&shapenet_set2(2019), Background::White);
     let queries = prepare_views(&shapenet_set1(2019), Background::White);
     let truth = truth_of(&queries);
+    let diag = Diagnostics::new();
 
     // Shape-only is the paper's weakest family (0.12-0.19 on this
     // setting, with other configurations at exactly chance); require it
     // to stay at least near chance.
     for scorer in ShapeScorer::ALL {
-        let acc = sns_accuracy(&classify_per_view(&queries, &refs, &scorer), &truth);
+        let acc = sns_accuracy(&try_classify_per_view(&queries, &refs, &scorer, &diag)?, &truth);
         assert!(acc >= 0.08, "{}: {acc}", scorer.name());
     }
     for scorer in ColorScorer::ALL {
-        let acc = sns_accuracy(&classify_per_view(&queries, &refs, &scorer), &truth);
+        let acc = sns_accuracy(&try_classify_per_view(&queries, &refs, &scorer, &diag)?, &truth);
         assert!(acc > 0.10, "{}: {acc}", scorer.name());
     }
     let hybrid = HybridConfig::default();
     for agg in Aggregation::ALL {
-        let acc = sns_accuracy(&classify_hybrid(&queries, &refs, &hybrid, agg), &truth);
+        let acc = sns_accuracy(&try_classify_hybrid(&queries, &refs, &hybrid, agg, &diag)?, &truth);
         assert!(acc > 0.10, "{}: {acc}", agg.label());
     }
+    Ok(())
 }
 
 #[test]
-fn colour_beats_shape_in_the_controlled_setting() {
+fn colour_beats_shape_in_the_controlled_setting() -> Result<()> {
     // The paper's central relative finding (§4): "colour-based features
     // are more prominent".
     let refs = prepare_views(&shapenet_set2(2019), Background::White);
     let queries = prepare_views(&shapenet_set1(2019), Background::White);
     let truth = truth_of(&queries);
+    let diag = Diagnostics::new();
 
-    let best_shape = ShapeScorer::ALL
-        .iter()
-        .map(|s| sns_accuracy(&classify_per_view(&queries, &refs, s), &truth))
-        .fold(0.0f64, f64::max);
-    let best_color = ColorScorer::ALL
-        .iter()
-        .map(|s| sns_accuracy(&classify_per_view(&queries, &refs, s), &truth))
-        .fold(0.0f64, f64::max);
+    let mut best_shape = 0.0f64;
+    for s in ShapeScorer::ALL {
+        let acc = sns_accuracy(&try_classify_per_view(&queries, &refs, &s, &diag)?, &truth);
+        best_shape = best_shape.max(acc);
+    }
+    let mut best_color = 0.0f64;
+    for s in ColorScorer::ALL {
+        let acc = sns_accuracy(&try_classify_per_view(&queries, &refs, &s, &diag)?, &truth);
+        best_color = best_color.max(acc);
+    }
     assert!(
         best_color > best_shape,
         "best colour {best_color} should beat best shape {best_shape}"
     );
+    Ok(())
 }
 
 #[test]
-fn controlled_setting_beats_nyu_setting() {
+fn controlled_setting_beats_nyu_setting() -> Result<()> {
     let sns1 = shapenet_set1(2019);
     let refs1 = prepare_views(&sns1, Background::White);
     let q_nyu = prepare_views(&nyu_set_subsampled(2019, 25), Background::Black);
     let q_sns = prepare_views(&shapenet_set2(2019), Background::White);
 
     let hybrid = HybridConfig::default();
+    let diag = Diagnostics::new();
     let acc_nyu = sns_accuracy(
-        &classify_hybrid(&q_nyu, &refs1, &hybrid, Aggregation::WeightedSum),
+        &try_classify_hybrid(&q_nyu, &refs1, &hybrid, Aggregation::WeightedSum, &diag)?,
         &truth_of(&q_nyu),
     );
     let acc_sns = sns_accuracy(
-        &classify_hybrid(&q_sns, &refs1, &hybrid, Aggregation::WeightedSum),
+        &try_classify_hybrid(&q_sns, &refs1, &hybrid, Aggregation::WeightedSum, &diag)?,
         &truth_of(&q_sns),
     );
     assert!(acc_sns > acc_nyu, "controlled {acc_sns} should beat scene-matching {acc_nyu}");
+    Ok(())
 }
 
 #[test]
-fn descriptor_pipelines_beat_chance_and_stay_in_a_band() {
+fn descriptor_pipelines_beat_chance_and_stay_in_a_band() -> Result<()> {
     let sns1 = shapenet_set1(2019);
     let sns2 = shapenet_set2(2019);
     let truth: Vec<_> = sns1.images.iter().map(|i| i.class).collect();
+    let diag = Diagnostics::new();
     let mut accs = Vec::new();
     for kind in DescriptorKind::ALL {
         let q = extract_index(&sns1, kind);
         let r = extract_index(&sns2, kind);
-        let acc = sns_accuracy(&classify_descriptors(&q, &r, 0.5), &truth);
+        let preds = try_classify_descriptors_with(&q, &r, 0.5, &diag, AnnIndexMode::Flat)?;
+        let acc = sns_accuracy(&preds, &truth);
         assert!(acc > 0.10, "{}: {acc}", kind.label());
         accs.push(acc);
     }
@@ -93,6 +104,7 @@ fn descriptor_pipelines_beat_chance_and_stay_in_a_band() {
     let spread =
         accs.iter().cloned().fold(0.0f64, f64::max) - accs.iter().cloned().fold(1.0f64, f64::min);
     assert!(spread < 0.25, "descriptor accuracies too spread out: {accs:?}");
+    Ok(())
 }
 
 #[test]
@@ -104,12 +116,12 @@ fn random_baseline_is_calibrated() {
 }
 
 #[test]
-fn siamese_quick_run_produces_bounded_metrics() {
+fn siamese_quick_run_produces_bounded_metrics() -> Result<()> {
     let sns2 = shapenet_set2(2019);
     let mut cfg = SiameseConfig::quick();
     cfg.n_train_pairs = 120;
     cfg.train.max_epochs = 1;
-    let (net, _) = train_siamese(&sns2, &cfg, |_| {});
+    let (net, _) = try_train_siamese(&sns2, &cfg, |_| {})?;
     let sns1 = shapenet_set1(2019);
     let pairs = taor::data::sns1_test_pairs(&sns1);
     let eval = evaluate_siamese(&net, &pairs[..200], &cfg.net);
@@ -119,13 +131,14 @@ fn siamese_quick_run_produces_bounded_metrics() {
         assert!((0.0..=1.0).contains(&m.f1));
     }
     assert_eq!(eval.similar.support + eval.dissimilar.support, 200);
+    Ok(())
 }
 
 #[test]
-fn cosine_ablation_runs_end_to_end() {
+fn cosine_ablation_runs_end_to_end() -> Result<()> {
     let sns2 = shapenet_set2(2019);
     let train = taor::data::training_pairs(&sns2, 150, 1);
-    let model = CosineSiamese::fit(&train, 4);
+    let model = CosineSiamese::try_fit(&train, 4)?;
     let preds = model.predict(&train);
     let truth: Vec<usize> = train.iter().map(|p| p.label).collect();
     let eval = evaluate_binary(&truth, &preds);
@@ -136,4 +149,5 @@ fn cosine_ablation_runs_end_to_end() {
             as f64
             / truth.len() as f64;
     assert!(eval.accuracy >= majority - 1e-9, "{} < {majority}", eval.accuracy);
+    Ok(())
 }

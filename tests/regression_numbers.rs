@@ -4,6 +4,7 @@
 //! EXPERIMENTS.md documents, not exact decimals.
 
 use taor::core::prelude::*;
+use taor::core::Result;
 use taor::data::{nyu_set_subsampled, shapenet_set1, shapenet_set2};
 
 const SEED: u64 = 2019;
@@ -13,7 +14,7 @@ struct Columns {
     sns: Vec<(String, f64)>,
 }
 
-fn table2_columns() -> Columns {
+fn table2_columns() -> Result<Columns> {
     let sns1 = shapenet_set1(SEED);
     let sns2 = shapenet_set2(SEED);
     let nyu = nyu_set_subsampled(SEED, 50);
@@ -21,33 +22,35 @@ fn table2_columns() -> Columns {
     let refs2 = prepare_views(&sns2, Background::White);
     let q_nyu = prepare_views(&nyu, Background::Black);
     let q_sns = prepare_views(&sns1, Background::White);
-    let t_nyu = truth_of(&q_nyu);
-    let t_sns = truth_of(&q_sns);
+    let diag = Diagnostics::new();
+    Ok(Columns {
+        nyu: exploratory_accuracies(&q_nyu, &refs1, &diag)?,
+        sns: exploratory_accuracies(&q_sns, &refs2, &diag)?,
+    })
+}
 
-    let run = |queries: &[RefView], refs: &[RefView], truth: &[taor::data::ObjectClass]| {
-        let mut out: Vec<(String, f64)> = Vec::new();
-        for s in ShapeScorer::ALL {
-            out.push((
-                s.name(),
-                evaluate(truth, &classify_per_view(queries, refs, &s)).cumulative_accuracy,
-            ));
-        }
-        for s in ColorScorer::ALL {
-            out.push((
-                s.name(),
-                evaluate(truth, &classify_per_view(queries, refs, &s)).cumulative_accuracy,
-            ));
-        }
-        let hybrid = HybridConfig::default();
-        for agg in Aggregation::ALL {
-            out.push((
-                agg.label().to_string(),
-                evaluate(truth, &classify_hybrid(queries, refs, &hybrid, agg)).cumulative_accuracy,
-            ));
-        }
-        out
-    };
-    Columns { nyu: run(&q_nyu, &refs1, &t_nyu), sns: run(&q_sns, &refs2, &t_sns) }
+/// Cumulative accuracy of every exploratory approach, labelled.
+fn exploratory_accuracies(
+    queries: &[RefView],
+    refs: &[RefView],
+    diag: &Diagnostics,
+) -> Result<Vec<(String, f64)>> {
+    let truth = truth_of(queries);
+    let mut out = Vec::new();
+    for s in ShapeScorer::ALL {
+        let preds = try_classify_per_view(queries, refs, &s, diag)?;
+        out.push((s.name(), evaluate(&truth, &preds).cumulative_accuracy));
+    }
+    for s in ColorScorer::ALL {
+        let preds = try_classify_per_view(queries, refs, &s, diag)?;
+        out.push((s.name(), evaluate(&truth, &preds).cumulative_accuracy));
+    }
+    let hybrid = HybridConfig::default();
+    for agg in Aggregation::ALL {
+        let preds = try_classify_hybrid(queries, refs, &hybrid, agg, diag)?;
+        out.push((agg.label().to_string(), evaluate(&truth, &preds).cumulative_accuracy));
+    }
+    Ok(out)
 }
 
 fn get(rows: &[(String, f64)], label: &str) -> f64 {
@@ -55,8 +58,8 @@ fn get(rows: &[(String, f64)], label: &str) -> f64 {
 }
 
 #[test]
-fn table2_shape_of_results_is_stable() {
-    let cols = table2_columns();
+fn table2_shape_of_results_is_stable() -> Result<()> {
+    let cols = table2_columns()?;
 
     // --- NYU column: everything in the paper's band.
     for (label, acc) in &cols.nyu {
@@ -92,19 +95,23 @@ fn table2_shape_of_results_is_stable() {
     let hybrid_sns = get(&cols.sns, "Shape+Color (weighted sum)");
     let hybrid_nyu = get(&cols.nyu, "Shape+Color (weighted sum)");
     assert!(hybrid_sns > hybrid_nyu, "{hybrid_sns} !> {hybrid_nyu}");
+    Ok(())
 }
 
 #[test]
-fn descriptor_band_is_stable() {
+fn descriptor_band_is_stable() -> Result<()> {
     let sns1 = shapenet_set1(SEED);
     let sns2 = shapenet_set2(SEED);
     let truth: Vec<_> = sns1.images.iter().map(|i| i.class).collect();
+    let diag = Diagnostics::new();
     for kind in DescriptorKind::ALL {
         let q = extract_index(&sns1, kind);
         let r = extract_index(&sns2, kind);
-        let acc = evaluate(&truth, &classify_descriptors(&q, &r, 0.5)).cumulative_accuracy;
+        let preds = try_classify_descriptors_with(&q, &r, 0.5, &diag, AnnIndexMode::Flat)?;
+        let acc = evaluate(&truth, &preds).cumulative_accuracy;
         assert!((0.15..0.55).contains(&acc), "{} = {acc} left the calibrated band", kind.label());
     }
+    Ok(())
 }
 
 #[test]

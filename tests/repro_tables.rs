@@ -1,20 +1,22 @@
 //! Integration: the repro harness regenerates every table with the
 //! expected layout on a miniature configuration.
 
-use taor_bench::repro::{table1, table2, table3, table5, table6, table7or8, table9};
-use taor_bench::ReproConfig;
+use taor_bench::repro::{
+    table1_with, table2_with, table3_ex_with, table5_with, table6_with, table7or8_with, table9_with,
+};
+use taor_bench::{PreparedRepro, ReproConfig};
 use taor_core::SiameseConfig;
 
-fn mini() -> ReproConfig {
+fn mini() -> PreparedRepro {
     let mut cfg = ReproConfig::quick(2019);
     cfg.nyu_per_class = Some(6);
     cfg.siamese = SiameseConfig::quick();
-    cfg
+    PreparedRepro::new(cfg)
 }
 
 #[test]
 fn table1_lists_all_classes_and_totals() {
-    let out = table1(&mini());
+    let out = table1_with(&mini());
     for name in [
         "Chair", "Bottle", "Paper", "Book", "Table", "Box", "Window", "Door", "Sofa", "Lamp",
         "Total",
@@ -27,7 +29,7 @@ fn table1_lists_all_classes_and_totals() {
 
 #[test]
 fn table2_rows_match_paper_layout() {
-    let out = table2(&mini());
+    let out = table2_with(&mini());
     let expected_rows = [
         "Baseline",
         "Shape only L1",
@@ -53,7 +55,7 @@ fn table2_rows_match_paper_layout() {
 
 #[test]
 fn table3_reports_both_ratio_thresholds() {
-    let out = table3(&mini());
+    let out = table3_ex_with(&mini(), false);
     assert!(out.text.contains("ratio 0.5"));
     assert!(out.text.contains("ratio 0.75"));
     for label in ["SIFT", "SURF", "ORB"] {
@@ -63,7 +65,10 @@ fn table3_reports_both_ratio_thresholds() {
 
 #[test]
 fn classwise_tables_have_four_measures() {
-    for out in [table5(&mini()), table6(&mini()), table7or8(&mini(), 7), table9(&mini())] {
+    let prep = mini();
+    for out in
+        [table5_with(&prep), table6_with(&prep), table7or8_with(&prep, 7), table9_with(&prep)]
+    {
         for measure in ["Accuracy", "Precision", "Recall", "F1"] {
             assert!(out.text.contains(measure), "table {} missing {measure}", out.table);
         }
@@ -73,7 +78,7 @@ fn classwise_tables_have_four_measures() {
 
 #[test]
 fn table8_uses_the_swapped_direction() {
-    let out = table7or8(&mini(), 8);
+    let out = table7or8_with(&mini(), 8);
     assert!(out.text.contains("SNS2 v. SNS1"));
     for rec in &out.records {
         assert_eq!(rec.dataset, "SNS2 v. SNS1");
@@ -82,7 +87,7 @@ fn table8_uses_the_swapped_direction() {
 
 #[test]
 fn records_serialise_to_json() {
-    let out = table2(&mini());
+    let out = table2_with(&mini());
     let json = serde_json::to_string(&out.records).expect("serialisable");
     assert!(json.contains("cumulative_accuracy"));
     assert!(json.contains("NYU v. SNS1"));

@@ -43,13 +43,14 @@ fn preprocessing_never_panics_on_poison() {
 }
 
 #[test]
-fn recognizer_never_panics_on_poison() {
-    let r = Recognizer::new(&shapenet_set1(2019), Method::default(), Background::Black);
+fn recognizer_never_panics_on_poison() -> taor::core::Result<()> {
+    let r = Recognizer::try_new(&shapenet_set1(2019), Method::default(), Background::Black)?;
     for (name, img) in poison_crops() {
         let rec = r.recognize(&img);
         assert!(rec.confidence.is_finite(), "{name}: confidence NaN");
         assert_eq!(rec.ranking.len(), ObjectClass::COUNT, "{name}: partial ranking");
     }
+    Ok(())
 }
 
 #[test]
@@ -72,11 +73,11 @@ fn detectors_reject_or_survive_poison() {
 }
 
 #[test]
-fn segmentation_handles_textureless_frames() {
+fn segmentation_handles_textureless_frames() -> taor::core::Result<()> {
     let cfg = SegmentConfig::default();
     // A frame that is all background: no segments, no panic.
     let flat = RgbImage::filled(320, 200, [180, 175, 160]);
-    assert!(segment_frame(&flat, &cfg).is_empty());
+    assert!(try_segment_frame(&flat, &cfg)?.is_empty());
     // A frame that is a single huge foreground blob.
     let mut blob = RgbImage::filled(320, 200, [180, 175, 160]);
     for y in 40..160 {
@@ -84,9 +85,10 @@ fn segmentation_handles_textureless_frames() {
             blob.put_pixel(x, y, [30, 60, 120]);
         }
     }
-    let segs = segment_frame(&blob, &cfg);
+    let segs = try_segment_frame(&blob, &cfg)?;
     assert_eq!(segs.len(), 1);
     assert!(segs[0].area > 10_000);
+    Ok(())
 }
 
 #[test]

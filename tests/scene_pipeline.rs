@@ -3,16 +3,17 @@
 
 use rand::SeedableRng;
 use taor::core::prelude::*;
+use taor::core::Result;
 use taor::data::{patrol_frames, render_room, shapenet_set1, ObjectClass};
 
 #[test]
-fn segmentation_detects_most_objects_across_a_patrol() {
+fn segmentation_detects_most_objects_across_a_patrol() -> Result<()> {
     let frames = patrol_frames(2019, 6);
     let cfg = SegmentConfig::default();
     let mut total = 0usize;
     let mut detected = 0usize;
     for scene in &frames {
-        let segs = segment_frame(&scene.image, &cfg);
+        let segs = try_segment_frame(&scene.image, &cfg)?;
         for obj in &scene.objects {
             total += 1;
             if segs.iter().any(|s| iou(&s.bbox, &obj.bbox) >= 0.3) {
@@ -22,24 +23,28 @@ fn segmentation_detects_most_objects_across_a_patrol() {
     }
     let rate = detected as f64 / total as f64;
     assert!(rate > 0.5, "detection rate {rate} ({detected}/{total})");
+    Ok(())
 }
 
 #[test]
-fn end_to_end_recognition_beats_chance() {
+fn end_to_end_recognition_beats_chance() -> Result<()> {
     let refs = prepare_views(&shapenet_set1(2019), Background::White);
     let hybrid = HybridConfig::default();
+    let diag = Diagnostics::new();
     let classify = |crop: &taor::imgproc::RgbImage| {
         let q = RefView {
             class: ObjectClass::Chair,
             model_id: 0,
             feat: preprocess(crop, Background::Black, HIST_BINS),
         };
-        classify_hybrid(std::slice::from_ref(&q), &refs, &hybrid, Aggregation::WeightedSum)[0]
+        let q = std::slice::from_ref(&q);
+        try_classify_hybrid(q, &refs, &hybrid, Aggregation::WeightedSum, &diag)
+            .expect("reference set is non-empty")[0]
     };
     let cfg = SegmentConfig::default();
     let mut agg = SceneEvaluation::default();
     for scene in patrol_frames(2019, 8) {
-        let dets = recognise_frame(&scene.image, &cfg, classify);
+        let dets = try_recognise_frame(&scene.image, &cfg, classify)?;
         let e = evaluate_scene(&scene, &dets);
         agg.total_objects += e.total_objects;
         agg.detected += e.detected;
@@ -53,13 +58,14 @@ fn end_to_end_recognition_beats_chance() {
         agg.classification_rate()
     );
     assert!(agg.detected > 0);
+    Ok(())
 }
 
 #[test]
-fn segmented_crops_feed_the_preprocessing_pipeline() {
+fn segmented_crops_feed_the_preprocessing_pipeline() -> Result<()> {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
     let scene = render_room(&[ObjectClass::Sofa, ObjectClass::Lamp], &mut rng);
-    for seg in segment_frame(&scene.image, &SegmentConfig::default()) {
+    for seg in try_segment_frame(&scene.image, &SegmentConfig::default())? {
         // Segmenter output is NYU-format (black mask): the §3.2 pipeline
         // must process it without panicking and produce finite features.
         let p = preprocess(&seg.crop, Background::Black, HIST_BINS);
@@ -67,6 +73,7 @@ fn segmented_crops_feed_the_preprocessing_pipeline() {
         let mass: f64 = p.hist.as_slice().iter().sum();
         assert!((mass - 3.0).abs() < 1e-9);
     }
+    Ok(())
 }
 
 #[test]

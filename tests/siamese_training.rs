@@ -2,6 +2,7 @@
 //! data, early stopping, persistence, and the paper's recipe constants.
 
 use taor::core::prelude::*;
+use taor::core::Result;
 use taor::data::shapenet_set2;
 use taor::nn::{NetConfig, NormXCorrNet, TrainConfig};
 
@@ -18,26 +19,27 @@ fn paper_hyperparameters_are_the_defaults() {
 }
 
 #[test]
-fn loss_decreases_over_epochs_on_catalog_pairs() {
+fn loss_decreases_over_epochs_on_catalog_pairs() -> Result<()> {
     let sns2 = shapenet_set2(2019);
     let mut cfg = SiameseConfig::quick();
     cfg.n_train_pairs = 200;
     cfg.train.max_epochs = 3;
     cfg.train.learning_rate = 5e-4;
-    let (_, report) = train_siamese(&sns2, &cfg, |_| {});
+    let (_, report) = try_train_siamese(&sns2, &cfg, |_| {})?;
     assert_eq!(report.epochs.len(), 3);
     let first = report.epochs.first().unwrap().mean_loss;
     let last = report.epochs.last().unwrap().mean_loss;
     assert!(last < first, "loss {first} -> {last}");
+    Ok(())
 }
 
 #[test]
-fn model_roundtrips_through_json() {
+fn model_roundtrips_through_json() -> Result<()> {
     let sns2 = shapenet_set2(2019);
     let mut cfg = SiameseConfig::quick();
     cfg.n_train_pairs = 60;
     cfg.train.max_epochs = 1;
-    let (net, _) = train_siamese(&sns2, &cfg, |_| {});
+    let (net, _) = try_train_siamese(&sns2, &cfg, |_| {})?;
 
     let json = net.to_json();
     let restored = NormXCorrNet::from_json(&json).expect("valid model json");
@@ -49,18 +51,20 @@ fn model_roundtrips_through_json() {
         let p2 = restored.predict_similar(&s.a, &s.b).unwrap();
         assert_eq!(p1, p2);
     }
+    Ok(())
 }
 
 #[test]
-fn training_is_deterministic_per_seed() {
+fn training_is_deterministic_per_seed() -> Result<()> {
     let sns2 = shapenet_set2(2019);
     let mut cfg = SiameseConfig::quick();
     cfg.n_train_pairs = 40;
     cfg.train.max_epochs = 1;
-    let (n1, r1) = train_siamese(&sns2, &cfg, |_| {});
-    let (n2, r2) = train_siamese(&sns2, &cfg, |_| {});
+    let (n1, r1) = try_train_siamese(&sns2, &cfg, |_| {})?;
+    let (n2, r2) = try_train_siamese(&sns2, &cfg, |_| {})?;
     assert_eq!(r1.epochs[0].mean_loss, r2.epochs[0].mean_loss);
     assert_eq!(n1.to_json(), n2.to_json());
+    Ok(())
 }
 
 #[test]
