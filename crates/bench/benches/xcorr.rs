@@ -12,14 +12,14 @@ fn bench_xcorr(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("normxcorr_forward_8c_10x10");
     for radius in [0usize, 1, 2] {
-        let layer = NormXCorr::new(3, radius);
+        let layer = NormXCorr::new(3, radius).expect("odd patch");
         g.bench_function(format!("r{radius}"), |bch| {
             bch.iter(|| layer.forward(black_box(&a), black_box(&b)).unwrap())
         });
     }
     g.finish();
 
-    let layer = NormXCorr::new(3, 1);
+    let layer = NormXCorr::new(3, 1).expect("odd patch");
     let (y, cache) = layer.forward(&a, &b).unwrap();
     let grad = Tensor::full(y.shape(), 1.0);
     c.bench_function("normxcorr_backward_r1", |bch| {
@@ -49,9 +49,35 @@ fn bench_xcorr(c: &mut Criterion) {
         .unwrap();
     let fb = Tensor::from_vec(&[4, 10, 5, 3], (0..len).map(|i| (i as f32 * 0.29).cos()).collect())
         .unwrap();
-    let pin = NormXCorr::new(3, 1);
+    let pin = NormXCorr::new(3, 1).expect("odd patch");
     c.bench_function("pin_xcorr_forward", |bch| {
         bch.iter(|| pin.forward(black_box(&fa), black_box(&fb)).unwrap())
+    });
+
+    // One query against an 82-view gallery at the taor-serve network
+    // shape (tower features [4, 5, 3]): the pairwise head on the query
+    // stacked once per view, and the prepared-gallery sweep that
+    // replaces it on the request path.
+    let serve = NetConfig { height: 32, width: 24, c1: 4, c2: 4, c3: 4, dense: 8, ..cfg };
+    let net = NormXCorrNet::new(serve).expect("serve config is large enough");
+    let (views, item) = (82usize, 4 * 5 * 3);
+    let gallery = Tensor::from_vec(
+        &[views, 4, 5, 3],
+        (0..views * item).map(|i| (i as f32 * 0.13).sin()).collect(),
+    )
+    .unwrap();
+    let query =
+        Tensor::from_vec(&[1, 4, 5, 3], (0..item).map(|i| (i as f32 * 0.41).cos()).collect())
+            .unwrap();
+    c.bench_function("pairwise_head_82", |bch| {
+        bch.iter(|| {
+            let rows = Tensor::stack_batch(&vec![black_box(&query); views]).unwrap();
+            net.predict_similar_features(&rows, black_box(&gallery)).unwrap()
+        })
+    });
+    let prepared = net.prepare_gallery(&gallery).unwrap();
+    c.bench_function("pin_gallery_head_82", |bch| {
+        bch.iter(|| net.predict_similar_gallery(black_box(&query), black_box(&prepared)).unwrap())
     });
 }
 

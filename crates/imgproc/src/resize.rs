@@ -69,33 +69,57 @@ pub fn resize_bilinear(img: &GrayImage, new_w: u32, new_h: u32) -> Result<GrayIm
     Ok(resize_bilinear_f32(&img.to_f32(), new_w, new_h)?.to_u8())
 }
 
+/// Source taps of one output axis: for each output index the two
+/// clamped source indices and the interpolation fraction, computed as
+/// [`sample_bilinear`] computes them for `src = (i + 0.5)·scale − 0.5`.
+fn axis_taps(out_len: u32, in_len: u32) -> Vec<(usize, usize, f32)> {
+    let scale = in_len as f32 / out_len as f32;
+    let last = i64::from(in_len) - 1;
+    (0..out_len)
+        .map(|i| {
+            let src = (i as f32 + 0.5) * scale - 0.5;
+            let i0 = src.floor();
+            let frac = src - i0;
+            let i0 = i0 as i64;
+            (i0.clamp(0, last) as usize, (i0 + 1).clamp(0, last) as usize, frac)
+        })
+        .collect()
+}
+
 /// Bilinear resize of an RGB image, channel by channel.
+///
+/// Samples the interleaved `u8` buffer directly with
+/// [`sample_bilinear`]'s arithmetic (`u8 as f32` is exact, the weights
+/// and their products are formed in the same order), so the result is
+/// byte-identical to splitting the crop into `f32` planes and sampling
+/// those. Source indices and fractions are computed once per output
+/// column and once per output row.
 pub fn resize_bilinear_rgb(img: &RgbImage, new_w: u32, new_h: u32) -> Result<RgbImage> {
     check_dims(new_w, new_h)?;
     let (w, h) = img.dimensions();
-    let mut out = RgbImage::new(new_w, new_h);
-    // Split channels into f32 planes once, then sample.
-    let mut planes = [GrayF32::new(w, h), GrayF32::new(w, h), GrayF32::new(w, h)];
-    for (x, y, px) in img.enumerate_pixels() {
-        for c in 0..3 {
-            planes[c].put(x, y, px[c] as f32);
+    let cols = axis_taps(new_w, w);
+    let rows = axis_taps(new_h, h);
+    let src = img.as_raw();
+    let stride = w as usize * 3;
+    let mut out = vec![0u8; new_w as usize * new_h as usize * 3];
+    for (dst_row, &(y0, y1, fy)) in out.chunks_exact_mut(new_w as usize * 3).zip(&rows) {
+        let top = &src[y0 * stride..(y0 + 1) * stride];
+        let bottom = &src[y1 * stride..(y1 + 1) * stride];
+        for (dst, &(x0, x1, fx)) in dst_row.chunks_exact_mut(3).zip(&cols) {
+            for (c, d) in dst.iter_mut().enumerate() {
+                let p00 = f32::from(top[x0 * 3 + c]);
+                let p10 = f32::from(top[x1 * 3 + c]);
+                let p01 = f32::from(bottom[x0 * 3 + c]);
+                let p11 = f32::from(bottom[x1 * 3 + c]);
+                let v = p00 * (1.0 - fx) * (1.0 - fy)
+                    + p10 * fx * (1.0 - fy)
+                    + p01 * (1.0 - fx) * fy
+                    + p11 * fx * fy;
+                *d = v.round().clamp(0.0, 255.0) as u8;
+            }
         }
     }
-    let sx = w as f32 / new_w as f32;
-    let sy = h as f32 / new_h as f32;
-    for y in 0..new_h {
-        for x in 0..new_w {
-            let src_x = (x as f32 + 0.5) * sx - 0.5;
-            let src_y = (y as f32 + 0.5) * sy - 0.5;
-            let px = [
-                sample_bilinear(&planes[0], src_x, src_y).round().clamp(0.0, 255.0) as u8,
-                sample_bilinear(&planes[1], src_x, src_y).round().clamp(0.0, 255.0) as u8,
-                sample_bilinear(&planes[2], src_x, src_y).round().clamp(0.0, 255.0) as u8,
-            ];
-            out.put_pixel(x, y, px);
-        }
-    }
-    Ok(out)
+    RgbImage::from_vec(new_w, new_h, out)
 }
 
 #[cfg(test)]

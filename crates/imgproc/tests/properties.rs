@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use taor_imgproc::prelude::*;
+use taor_imgproc::resize::sample_bilinear;
 
 /// Arbitrary small grayscale image with at least one foreground pixel.
 fn arb_gray(max_side: u32) -> impl Strategy<Value = GrayImage> {
@@ -16,6 +17,61 @@ fn arb_rgb(max_side: u32) -> impl Strategy<Value = RgbImage> {
         proptest::collection::vec(any::<u8>(), (w * h * 3) as usize)
             .prop_map(move |data| RgbImage::from_vec(w, h, data).unwrap())
     })
+}
+
+/// The previous `resize_bilinear_rgb`, kept as the oracle: split the
+/// crop into three `f32` planes, then [`sample_bilinear`] every output
+/// sample.
+fn resize_rgb_oracle(img: &RgbImage, new_w: u32, new_h: u32) -> RgbImage {
+    let (w, h) = img.dimensions();
+    let mut out = RgbImage::new(new_w, new_h);
+    let mut planes = [GrayF32::new(w, h), GrayF32::new(w, h), GrayF32::new(w, h)];
+    for (x, y, px) in img.enumerate_pixels() {
+        for c in 0..3 {
+            planes[c].put(x, y, px[c] as f32);
+        }
+    }
+    let sx = w as f32 / new_w as f32;
+    let sy = h as f32 / new_h as f32;
+    for y in 0..new_h {
+        for x in 0..new_w {
+            let src_x = (x as f32 + 0.5) * sx - 0.5;
+            let src_y = (y as f32 + 0.5) * sy - 0.5;
+            let px = [
+                sample_bilinear(&planes[0], src_x, src_y).round().clamp(0.0, 255.0) as u8,
+                sample_bilinear(&planes[1], src_x, src_y).round().clamp(0.0, 255.0) as u8,
+                sample_bilinear(&planes[2], src_x, src_y).round().clamp(0.0, 255.0) as u8,
+            ];
+            out.put_pixel(x, y, px);
+        }
+    }
+    out
+}
+
+/// Arbitrary RGB crop from 1×1 up to `max_side` per side, any aspect.
+fn arb_crop(max_side: u32) -> impl Strategy<Value = RgbImage> {
+    (1..=max_side, 1..=max_side).prop_flat_map(|(w, h)| {
+        proptest::collection::vec(any::<u8>(), (w * h * 3) as usize)
+            .prop_map(move |data| RgbImage::from_vec(w, h, data).unwrap())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn rgb_resize_matches_the_plane_split_oracle(
+        img in arb_crop(40),
+        w in 1u32..70,
+        h in 1u32..70,
+    ) {
+        // Down- and upscales, non-square crops and targets, 1×1 at
+        // either end.
+        for (tw, th) in [(w, h), (1, 1), (24, 32), (img.width(), img.height())] {
+            let got = resize_bilinear_rgb(&img, tw, th).unwrap();
+            prop_assert_eq!(got, resize_rgb_oracle(&img, tw, th));
+        }
+    }
 }
 
 proptest! {

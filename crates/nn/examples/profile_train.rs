@@ -115,7 +115,7 @@ fn main() {
     }
     let fa = Tensor::from_vec(&[b, s[1], s[2], s[3]], fa).unwrap();
     let fb = Tensor::from_vec(&[b, s[1], s[2], s[3]], fb).unwrap();
-    let xc = taor_nn::NormXCorr::new(3, 1);
+    let xc = taor_nn::NormXCorr::new(3, 1).unwrap();
     let (xo, xcache) = xc.forward(&fa, &fb).unwrap();
     time("xcorr.forward", iters, || xc.forward(&fa, &fb).unwrap());
     let gx = Tensor::full(xo.shape(), 0.01);

@@ -71,8 +71,9 @@ pub fn gemm_nn(
     c: &mut [f32],
     accumulate: bool,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+    check_len("a", a.len(), m, k);
+    check_len("b", b.len(), k, n);
+    check_len("c", c.len(), m, n);
     // Skinny products skip packing entirely; the fold per output
     // element is identical, so the dispatch is bit-invisible.
     if m <= SMALL_M {
@@ -96,7 +97,6 @@ fn gemm_nn_kseq(
     c: &mut [f32],
     accumulate: bool,
 ) {
-    debug_assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 {
         return;
     }
@@ -127,9 +127,9 @@ pub fn gemm_tn_kseq(
     c: &mut [f32],
     accumulate: bool,
 ) {
-    debug_assert_eq!(at.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
+    check_len("at", at.len(), k, m);
+    check_len("b", b.len(), k, n);
+    check_len("c", c.len(), m, n);
     if m == 0 || n == 0 {
         return;
     }
@@ -343,8 +343,9 @@ pub fn gemm_nt(
     c: &mut [f32],
     accumulate: bool,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(bt.len(), n * k);
+    check_len("a", a.len(), m, k);
+    check_len("bt", bt.len(), n, k);
+    check_len("c", c.len(), m, n);
     // Skinny products skip packing entirely; the fold per output
     // element is identical, so the dispatch is bit-invisible.
     if m <= SMALL_M {
@@ -364,8 +365,9 @@ pub fn gemm_tn(
     c: &mut [f32],
     accumulate: bool,
 ) {
-    debug_assert_eq!(at.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
+    check_len("at", at.len(), k, m);
+    check_len("b", b.len(), k, n);
+    check_len("c", c.len(), m, n);
     // Skinny or short-fold products (dcol's k = OC, dense-dW's k = 1)
     // skip packing; the fold per element is identical either way.
     if m <= SMALL_M || k <= SMALL_M {
@@ -396,7 +398,7 @@ pub fn gemm_nt_kseq(
     c: &mut [f32],
     accumulate: bool,
 ) {
-    debug_assert_eq!(c.len(), m * n);
+    check_len("c", c.len(), m, n);
     if m == 0 || n == 0 {
         return;
     }
@@ -406,9 +408,8 @@ pub fn gemm_nt_kseq(
         }
         return;
     }
-    debug_assert!(lda >= k && ldb >= k);
-    debug_assert!(a.len() >= (m - 1) * lda + k);
-    debug_assert!(bt.len() >= (n - 1) * ldb + k);
+    check_strided("a", a.len(), m, k, lda);
+    check_strided("bt", bt.len(), n, k, ldb);
     // A transposed per KC block into lane-padded scratch: at[p·lanes + i]
     // = a[i·lda + pc + p], zero in the pad lanes (computed, discarded).
     let lanes = m.next_multiple_of(8);
@@ -564,6 +565,30 @@ unsafe fn kseq_nt_block_avx2(
     }
 }
 
+/// Panics unless an operand holds exactly `rows × cols` floats. The
+/// AVX2 kernels address operands through raw pointers derived from
+/// `m`, `n` and `k`, so every public entry checks its slices in release
+/// builds too: a short slice must panic here, never be read or written
+/// past its end.
+#[track_caller]
+fn check_len(name: &str, len: usize, rows: usize, cols: usize) {
+    assert!(
+        rows.checked_mul(cols) == Some(len),
+        "gemm: operand `{name}` holds {len} floats, expected {rows}×{cols}"
+    );
+}
+
+/// Panics unless a strided operand covers `rows` rows of `cols` floats
+/// at row stride `ld` (`ld >= cols`, last row ending inside the slice).
+#[track_caller]
+fn check_strided(name: &str, len: usize, rows: usize, cols: usize, ld: usize) {
+    let need = (rows - 1).checked_mul(ld).and_then(|v| v.checked_add(cols));
+    assert!(
+        ld >= cols && need.is_some_and(|need| len >= need),
+        "gemm: strided operand `{name}` holds {len} floats, too few for {rows} rows of {cols} at stride {ld}"
+    );
+}
+
 /// Reference kernel: the seed's naive ikj loop, kept for property tests
 /// and as the bench baseline the blocked kernel is measured against.
 pub fn matmul_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -610,7 +635,6 @@ fn gemm(
     accumulate: bool,
     layout: Layout,
 ) {
-    debug_assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 {
         return;
     }
@@ -1257,6 +1281,54 @@ mod tests {
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "[{i}]");
         }
+    }
+
+    // Short operands must panic at the entry check in release builds
+    // too; before it, the AVX2 kernels wrote past the end of `c`.
+    #[test]
+    #[should_panic(expected = "operand `a`")]
+    fn short_a_panics() {
+        let mut c = vec![0.0f32; 128];
+        gemm_nn(2, 64, 1, &[1.0; 1], &[1.0; 64], &mut c, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand `b`")]
+    fn short_b_panics() {
+        let mut c = vec![0.0f32; 128];
+        gemm_nn(2, 64, 1, &[1.0; 2], &[1.0; 63], &mut c, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand `c`")]
+    fn short_c_panics() {
+        let mut big = vec![0.0f32; 256];
+        gemm_nn(2, 64, 1, &[1.0; 2], &[1.0; 64], &mut big[..1], false);
+    }
+
+    #[test]
+    fn every_entry_rejects_a_short_c() {
+        type Entry = fn(&mut [f32]);
+        let entries: [(&str, Entry); 5] = [
+            ("nn packed", |c| gemm_nn(20, 64, 3, &[1.0; 60], &[1.0; 192], c, false)),
+            ("nt", |c| gemm_nt(2, 64, 3, &[1.0; 6], &[1.0; 192], c, false)),
+            ("tn", |c| gemm_tn(2, 64, 3, &[1.0; 6], &[1.0; 192], c, false)),
+            ("tn kseq", |c| gemm_tn_kseq(2, 64, 3, &[1.0; 6], &[1.0; 192], c, false)),
+            ("nt kseq", |c| gemm_nt_kseq(2, 64, 3, &[1.0; 6], 3, &[1.0; 192], 3, c, false)),
+        ];
+        for (name, entry) in entries {
+            let mut big = vec![0.0f32; 2048];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                entry(&mut big[..1]);
+            }));
+            assert!(caught.is_err(), "{name}: a 1-float `c` must panic");
+            assert!(big[1..].iter().all(|&v| v == 0.0), "{name}: wrote past `c`");
+        }
+        let caught = std::panic::catch_unwind(|| {
+            let mut c = vec![0.0f32; 128];
+            gemm_nt_kseq(2, 64, 3, &[1.0; 6], 3, &[1.0; 191], 3, &mut c, false);
+        });
+        assert!(caught.is_err(), "nt kseq: a short strided `bt` must panic");
     }
 
     #[test]

@@ -171,6 +171,77 @@ impl Conv2D {
         Ok((out, ConvCache { col, in_shape: [n, c, h, w], out_hw: (oh, ow) }))
     }
 
+    /// Forward over `lanes` inputs stored lane-innermost —
+    /// `x[((c·h + y)·w + x)·lanes + l]` is element `(c, y, x)` of input
+    /// `l`, the layout of [`crate::xcorr::PreparedGallery::correlate`] —
+    /// into the usual `[lanes, OC, OH, OW]`.
+    ///
+    /// One GEMM per output position, with the lanes as its columns: the
+    /// `[C·K·K, lanes]` operand holds that position's im2col column of
+    /// every lane, so the `[C·K·K, lanes·OH·OW]` matrix of
+    /// [`Self::forward`] is never built. Bit-identical to
+    /// [`Self::forward`] on the same inputs stacked `[lanes, C, H, W]`:
+    /// each output is the same column, folded on its own by `gemm_nn`.
+    pub fn forward_lanes(
+        &self,
+        x: &[f32],
+        lanes: usize,
+        h: usize,
+        w: usize,
+    ) -> Result<Tensor, TensorError> {
+        let c = self.in_channels;
+        let len = [c, h, w, lanes].iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+        if len != Some(x.len()) {
+            return Err(TensorError::ShapeMismatch {
+                expected: vec![c, h, w, lanes],
+                got: vec![x.len()],
+            });
+        }
+        let (oh, ow) = self.try_out_size(h, w)?;
+        let (k, p) = (self.kernel, self.padding);
+        let ckk = c * k * k;
+        let oc_n = self.out_channels;
+        let plane = oh * ow;
+        let mut col = Scratch::take(ckk * lanes);
+        let mut y = Scratch::take(oc_n * lanes);
+        let mut out = Tensor::zeros(&[lanes, oc_n, oh, ow]);
+        let out_data = out.data_mut();
+        for oy in 0..oh {
+            for ox in 0..ow {
+                // Valid kx range: p <= ox + kx < w + p.
+                let kx_lo = p.saturating_sub(ox).min(k);
+                let kx_hi = (w + p).saturating_sub(ox).clamp(kx_lo, k);
+                // Rows `(ci, ky, 0..k)` of this position's column block
+                // are one contiguous run of the lane-major input; padding
+                // taps are zeros, as in the zeroed im2col buffer.
+                for ci in 0..c {
+                    for ky in 0..k {
+                        let row = (ci * k + ky) * k * lanes;
+                        let dst = &mut col[row..row + k * lanes];
+                        let sy = oy + ky;
+                        if sy < p || sy >= h + p || kx_lo == kx_hi {
+                            dst.fill(0.0);
+                            continue;
+                        }
+                        let src = ((ci * h + sy - p) * w + ox + kx_lo - p) * lanes;
+                        dst[..kx_lo * lanes].fill(0.0);
+                        dst[kx_lo * lanes..kx_hi * lanes]
+                            .copy_from_slice(&x[src..src + (kx_hi - kx_lo) * lanes]);
+                        dst[kx_hi * lanes..].fill(0.0);
+                    }
+                }
+                gemm_nn(oc_n, lanes, ckk, self.weight.data(), &col, &mut y, false);
+                for oc in 0..oc_n {
+                    let b = self.bias.data()[oc];
+                    for (l, &s) in y[oc * lanes..(oc + 1) * lanes].iter().enumerate() {
+                        out_data[(l * oc_n + oc) * plane + oy * ow + ox] = s + b;
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
     /// Gather `grad_out` `[N, OC, OH·OW]` → `[OC, N·OH·OW]`, matching the
     /// batched column layout of the im2col cache.
     fn gather_gy(&self, grad_out: &Tensor, n: usize, plane: usize) -> ScratchBuf {
@@ -385,6 +456,32 @@ mod tests {
         }
         assert!(conv.try_out_size(2, 2).is_err());
         assert_eq!(conv.try_out_size(5, 7), Ok((1, 3)));
+    }
+
+    #[test]
+    fn lane_forward_matches_batched_forward_bitwise() {
+        // Padded and valid convs, a lane count off every 8-wide vector
+        // boundary, and k > KC (two chunks of the gemm fold).
+        for (c, oc, k, p, lanes) in [(36usize, 4usize, 3usize, 1usize, 11usize), (3, 2, 5, 0, 1)] {
+            let conv = Conv2D::new(c, oc, k, p, 7);
+            let (h, w) = (5usize, 6usize);
+            let data: Vec<f32> =
+                (0..lanes * c * h * w).map(|v| (v as f32 * 0.17).sin() * 2.0).collect();
+            let x = Tensor::from_vec(&[lanes, c, h, w], data.clone()).unwrap();
+            let (want, _) = conv.forward(&x).unwrap();
+            let mut lane_major = vec![0.0f32; data.len()];
+            for l in 0..lanes {
+                for i in 0..c * h * w {
+                    lane_major[i * lanes + l] = data[l * c * h * w + i];
+                }
+            }
+            let got = conv.forward_lanes(&lane_major, lanes, h, w).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "[{i}]: {a} vs {b}");
+            }
+            assert!(conv.forward_lanes(&lane_major[1..], lanes, h, w).is_err());
+        }
     }
 
     #[test]

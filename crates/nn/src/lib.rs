@@ -45,4 +45,4 @@ pub use train::{
     sample_pass, try_predict_labels, try_train, EpochStats, PairSample, TrainConfig, TrainReport,
     MICRO_BATCH,
 };
-pub use xcorr::NormXCorr;
+pub use xcorr::{NormXCorr, PreparedGallery};

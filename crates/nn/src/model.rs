@@ -29,7 +29,7 @@ use crate::layers::pool::MaxPool2D;
 use crate::layers::softmax::softmax_probs;
 use crate::layers::Relu;
 use crate::tensor::{Tensor, TensorError};
-use crate::xcorr::NormXCorr;
+use crate::xcorr::{NormXCorr, PreparedGallery};
 
 /// Network hyperparameters.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -255,6 +255,47 @@ fn split_even_odd(t: &Tensor) -> Result<(Tensor, Tensor), TensorError> {
     Ok((Tensor::from_vec(&[n, s[1], s[2], s[3]], a)?, Tensor::from_vec(&[n, s[1], s[2], s[3]], b)?))
 }
 
+/// `(in, out, kernel, padding)` of the four convs and `(in, out)` of the
+/// two dense layers [`NormXCorrNet::new`] builds for `config` — the one
+/// source of layer geometry for building and for checking a loaded model.
+type LayerSpecs = ([(usize, usize, usize, usize); 4], [(usize, usize); 2]);
+
+fn layer_specs(config: &NetConfig) -> Result<LayerSpecs, TensorError> {
+    let xcorr = NormXCorr::new(config.patch, config.radius)?;
+    if !(0.0..1.0).contains(&config.dropout) {
+        return Err(TensorError::InvalidModel {
+            reason: format!("dropout rate {} not in [0, 1)", config.dropout),
+        });
+    }
+    // Spatial bookkeeping to size the dense layer. Explicit checked
+    // arithmetic so undersized inputs fail loudly in release builds too.
+    let shrink = |v: usize| v.checked_sub(4).filter(|&r| r >= 2); // conv 5x5 valid
+    let stage = |v: usize| shrink(v).map(|r| r / 2); // + pool 2
+    let (h3, w3) = match (
+        stage(config.height).and_then(stage).map(|v| v / 2),
+        stage(config.width).and_then(stage).map(|v| v / 2),
+    ) {
+        (Some(h), Some(w)) if h >= 1 && w >= 1 => (h, w),
+        _ => return Err(TensorError::InputTooSmall { width: config.width, height: config.height }),
+    };
+    // xcorr keeps spatial dims; conv3/conv4 are 3x3 pad 1; final pool /2.
+    let k_side = xcorr.radius.checked_mul(2).and_then(|d| d.checked_add(1));
+    let xc_channels = k_side.and_then(|k| k.checked_mul(k)).and_then(|k| k.checked_mul(config.c2));
+    let flat = config.c3.checked_mul(h3).and_then(|v| v.checked_mul(w3));
+    let (Some(xc_channels), Some(flat)) = (xc_channels, flat) else {
+        return Err(TensorError::InvalidModel { reason: "layer sizes overflow".into() });
+    };
+    Ok((
+        [
+            (3, config.c1, 5, 0),
+            (config.c1, config.c2, 5, 0),
+            (xc_channels, config.c3, 3, 1),
+            (config.c3, config.c3, 3, 1),
+        ],
+        [(flat, config.dense), (config.dense, 2)],
+    ))
+}
+
 impl NormXCorrNet {
     /// Build the network for a configuration.
     ///
@@ -262,7 +303,9 @@ impl NormXCorrNet {
     /// resolution cannot survive the two conv-5×5 + pool-2 stages of the
     /// shared tower plus the final pool — undersized crops are a data
     /// condition on a robot, not a programming error, so they must not
-    /// abort the process.
+    /// abort the process. An even or zero NCC `patch` is
+    /// [`TensorError::InvalidPatch`], a dropout rate outside `[0, 1)`
+    /// [`TensorError::InvalidModel`].
     ///
     /// ```
     /// use taor_nn::{NetConfig, NormXCorrNet, Tensor};
@@ -275,40 +318,23 @@ impl NormXCorrNet {
     /// assert_eq!(logits.shape(), &[1, 2]);
     /// ```
     pub fn new(config: NetConfig) -> Result<Self, TensorError> {
-        let xcorr = NormXCorr::new(config.patch, config.radius);
-        let xc_channels = xcorr.out_channels(config.c2);
-        // Spatial bookkeeping to size the dense layer. Explicit checked
-        // arithmetic so undersized inputs fail loudly in release builds too.
-        let shrink = |v: usize| v.checked_sub(4).filter(|&r| r >= 2); // conv 5x5 valid
-        let stage = |v: usize| shrink(v).map(|r| r / 2); // + pool 2
-        let (h3, w3) = match (
-            stage(config.height).and_then(stage).map(|v| v / 2),
-            stage(config.width).and_then(stage).map(|v| v / 2),
-        ) {
-            (Some(h), Some(w)) if h >= 1 && w >= 1 => (h, w),
-            _ => {
-                return Err(TensorError::InputTooSmall {
-                    width: config.width,
-                    height: config.height,
-                })
-            }
-        };
-        // xcorr keeps spatial dims; conv3/conv4 are 3x3 pad 1; final pool /2.
-        let flat = config.c3 * h3 * w3;
-
+        let ([c1, c2, c3, c4], [d1, d2]) = layer_specs(&config)?;
+        let seed = config.seed;
+        let conv = |(cin, cout, k, p), salt: u64| Conv2D::new(cin, cout, k, p, seed ^ salt);
+        let dense = |(fin, fout), salt: u64| Dense::new(fin, fout, seed ^ salt);
         Ok(NormXCorrNet {
-            conv1: Conv2D::new(3, config.c1, 5, 0, config.seed ^ 0xC0_01),
-            conv2: Conv2D::new(config.c1, config.c2, 5, 0, config.seed ^ 0xC0_02),
-            conv3: Conv2D::new(xc_channels, config.c3, 3, 1, config.seed ^ 0xC0_03),
-            conv4: Conv2D::new(config.c3, config.c3, 3, 1, config.seed ^ 0xC0_04),
-            dense1: Dense::new(flat, config.dense, config.seed ^ 0xD0_01),
-            dense2: Dense::new(config.dense, 2, config.seed ^ 0xD0_02),
+            conv1: conv(c1, 0xC0_01),
+            conv2: conv(c2, 0xC0_02),
+            conv3: conv(c3, 0xC0_03),
+            conv4: conv(c4, 0xC0_04),
+            dense1: dense(d1, 0xD0_01),
+            dense2: dense(d2, 0xD0_02),
             config,
             pool: default_pool(),
         })
     }
 
-    fn xcorr(&self) -> NormXCorr {
+    fn xcorr(&self) -> Result<NormXCorr, TensorError> {
         NormXCorr::new(self.config.patch, self.config.radius)
     }
 
@@ -366,7 +392,7 @@ impl NormXCorrNet {
     ) -> Result<(Tensor, NetCache), TensorError> {
         let (fa, tower_a) = self.tower_forward(a)?;
         let (fb, tower_b) = self.tower_forward(b)?;
-        let (xc_out, xc) = self.xcorr().forward(&fa, &fb)?;
+        let (xc_out, xc) = self.xcorr()?.forward(&fa, &fb)?;
         let (y, c3) = self.conv3.forward(&xc_out)?;
         let (y, r3) = Relu.forward(&y);
         let (y, c4) = self.conv4.forward(&y)?;
@@ -411,7 +437,7 @@ impl NormXCorrNet {
         let g = self.conv4.backward(&cache.c4, &g, &mut grads.conv4)?;
         let g = Relu.backward(&cache.r3, &g);
         let g = self.conv3.backward(&cache.c3, &g, &mut grads.conv3)?;
-        let (ga, gb) = self.xcorr().backward(&cache.xc, &g)?;
+        let (ga, gb) = self.xcorr()?.backward(&cache.xc, &g)?;
         // Shared tower: both branches accumulate into the same parameters.
         self.tower_backward(&cache.tower_a, &ga, grads)?;
         self.tower_backward(&cache.tower_b, &gb, grads)?;
@@ -436,7 +462,7 @@ impl NormXCorrNet {
         let t = interleave(a, b)?;
         let (f, tower) = self.tower_forward(&t)?;
         let (fa, fb) = split_even_odd(&f)?;
-        let (xc_out, xc) = self.xcorr().forward(&fa, &fb)?;
+        let (xc_out, xc) = self.xcorr()?.forward(&fa, &fb)?;
         let (y, c3) = self.conv3.forward(&xc_out)?;
         let (y, r3) = Relu.forward(&y);
         let (y, c4) = self.conv4.forward(&y)?;
@@ -486,7 +512,7 @@ impl NormXCorrNet {
         let g = self.conv4.backward_grouped(&cache.c4, &g, &mut grads.conv4, 1)?;
         let g = Relu.backward(&cache.r3, &g);
         let g = self.conv3.backward_grouped(&cache.c3, &g, &mut grads.conv3, 1)?;
-        let (ga, gb) = self.xcorr().backward(&cache.xc, &g)?;
+        let (ga, gb) = self.xcorr()?.backward(&cache.xc, &g)?;
         let gt = interleave(&ga, &gb)?;
         let g = self.pool.backward(&cache.tower.p2, &gt);
         let g = Relu.backward(&cache.tower.r2, &g);
@@ -512,9 +538,15 @@ impl NormXCorrNet {
     /// Composing `tower_embed` + `head_logits` is bit-identical to
     /// [`Self::forward`] on the raw pair.
     pub fn head_logits(&self, fa: &Tensor, fb: &Tensor) -> Result<Tensor, TensorError> {
-        let (xc_out, _) = self.xcorr().forward(fa, fb)?;
+        let (xc_out, _) = self.xcorr()?.forward(fa, fb)?;
         let (y, _) = self.conv3.forward(&xc_out)?;
-        let (y, _) = Relu.forward(&y);
+        self.head_tail(&y)
+    }
+
+    /// The inference head after conv3: ReLU → conv4 → ReLU → pool →
+    /// dense stack. Shared by the pairwise and the prepared-gallery heads.
+    fn head_tail(&self, conv3_out: &Tensor) -> Result<Tensor, TensorError> {
+        let (y, _) = Relu.forward(conv3_out);
         let (y, _) = self.conv4.forward(&y)?;
         let (y, _) = Relu.forward(&y);
         let (y, _) = self.pool.forward(&y)?;
@@ -528,20 +560,53 @@ impl NormXCorrNet {
     /// Predicted "similar" probability per pair (class 1).
     pub fn predict_similar(&self, a: &Tensor, b: &Tensor) -> Result<Vec<f32>, TensorError> {
         let (logits, _) = self.forward(a, b)?;
-        let probs = softmax_probs(&logits)?;
-        Ok((0..probs.shape()[0]).map(|i| probs.at2(i, 1)).collect())
+        similar_column(&logits)
     }
 
     /// Predicted "similar" probability per pair from precomputed tower
-    /// features — the batched-inference fast path.
+    /// features — the pairwise head, and the bit-exact reference for
+    /// [`Self::predict_similar_gallery`].
     pub fn predict_similar_features(
         &self,
         fa: &Tensor,
         fb: &Tensor,
     ) -> Result<Vec<f32>, TensorError> {
-        let logits = self.head_logits(fa, fb)?;
-        let probs = softmax_probs(&logits)?;
-        Ok((0..probs.shape()[0]).map(|i| probs.at2(i, 1)).collect())
+        similar_column(&self.head_logits(fa, fb)?)
+    }
+
+    /// Prepare a gallery once for [`Self::predict_similar_gallery`]:
+    /// `features` are the views' tower features ([`Self::tower_embed`]),
+    /// `[V, C, H, W]`.
+    pub fn prepare_gallery(&self, features: &Tensor) -> Result<PreparedGallery, TensorError> {
+        self.xcorr()?.prepare(features)
+    }
+
+    /// Predicted "similar" probability of one query (tower features,
+    /// `[1, C, H, W]`) against every view of a prepared gallery, in view
+    /// order.
+    ///
+    /// Bit-identical to [`Self::predict_similar_features`] on the query
+    /// stacked once per view against the gallery features, without
+    /// building either stack: the query's NCC panels are built once and
+    /// swept across all views ([`PreparedGallery::correlate`]), conv3
+    /// runs one GEMM per output position with the views as columns
+    /// ([`Conv2D::forward_lanes`]), and the rest of the head is shared.
+    pub fn predict_similar_gallery(
+        &self,
+        query: &Tensor,
+        gallery: &PreparedGallery,
+    ) -> Result<Vec<f32>, TensorError> {
+        let layer = self.xcorr()?;
+        if gallery.layer() != layer {
+            return Err(TensorError::ShapeMismatch {
+                expected: vec![layer.patch, layer.radius],
+                got: vec![gallery.layer().patch, gallery.layer().radius],
+            });
+        }
+        let xc = gallery.correlate(query)?;
+        let [_, h, w] = gallery.feature_shape();
+        let y = self.conv3.forward_lanes(&xc, gallery.views(), h, w)?;
+        similar_column(&self.head_tail(&y)?)
     }
 
     /// Mutable references to every parameter tensor, position-stable (for
@@ -587,9 +652,61 @@ impl NormXCorrNet {
     }
 
     /// Restore a model from [`NormXCorrNet::to_json`] output.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    ///
+    /// A model file is untrusted input, so it is checked before any
+    /// kernel sees it: the config must pass [`Self::new`]'s checks, every
+    /// tensor's length must equal its shape's product
+    /// ([`TensorError::LengthMismatch`]), and every layer must have the
+    /// geometry `new(config)` builds ([`TensorError::ShapeMismatch`] for
+    /// a weight or bias, [`TensorError::InvalidModel`] for the layer
+    /// fields or unparsable JSON).
+    pub fn from_json(s: &str) -> Result<Self, TensorError> {
+        let net: NormXCorrNet = serde_json::from_str(s)
+            .map_err(|e| TensorError::InvalidModel { reason: e.to_string() })?;
+        let (convs, denses) = layer_specs(&net.config)?;
+        let convs = [&net.conv1, &net.conv2, &net.conv3, &net.conv4].into_iter().zip(convs);
+        for (i, (conv, (cin, cout, k, p))) in convs.enumerate() {
+            if (conv.in_channels, conv.out_channels, conv.kernel, conv.padding) != (cin, cout, k, p)
+            {
+                return Err(TensorError::InvalidModel {
+                    reason: format!("conv{} is not {cin}→{cout} k{k} p{p}", i + 1),
+                });
+            }
+            check_param(&conv.weight, &[cout, cin * k * k])?;
+            check_param(&conv.bias, &[cout])?;
+        }
+        for (i, (dense, (fin, fout))) in
+            [&net.dense1, &net.dense2].into_iter().zip(denses).enumerate()
+        {
+            if (dense.in_features, dense.out_features) != (fin, fout) {
+                return Err(TensorError::InvalidModel {
+                    reason: format!("dense{} is not {fin}→{fout}", i + 1),
+                });
+            }
+            check_param(&dense.weight, &[fin, fout])?;
+            check_param(&dense.bias, &[fout])?;
+        }
+        Ok(net)
     }
+}
+
+/// A loaded parameter tensor must be self-consistent and have the shape
+/// the config builds.
+fn check_param(t: &Tensor, shape: &[usize]) -> Result<(), TensorError> {
+    t.check_len()?;
+    if t.shape() != shape {
+        return Err(TensorError::ShapeMismatch {
+            expected: shape.to_vec(),
+            got: t.shape().to_vec(),
+        });
+    }
+    Ok(())
+}
+
+/// Softmax over `[N, 2]` logits, keeping the "similar" column.
+fn similar_column(logits: &Tensor) -> Result<Vec<f32>, TensorError> {
+    let probs = softmax_probs(logits)?;
+    Ok((0..probs.shape()[0]).map(|i| probs.at2(i, 1)).collect())
 }
 
 #[cfg(test)]
@@ -715,6 +832,60 @@ mod tests {
         let mut grads = net.zero_grads();
         net.backward(&cache, &grad, &mut grads).unwrap();
         assert!(grads.dense1.weight.data().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn even_patch_is_a_typed_error_in_new_and_in_json() {
+        let cfg = NetConfig { patch: 2, ..tiny_config() };
+        assert_eq!(NormXCorrNet::new(cfg).err(), Some(TensorError::InvalidPatch { patch: 2 }));
+        let json = NormXCorrNet::new(tiny_config()).unwrap().to_json().replacen(
+            "\"patch\":3",
+            "\"patch\":2",
+            1,
+        );
+        assert_eq!(
+            NormXCorrNet::from_json(&json).err(),
+            Some(TensorError::InvalidPatch { patch: 2 })
+        );
+    }
+
+    #[test]
+    fn tampered_tensors_are_typed_errors() {
+        let net = NormXCorrNet::new(tiny_config()).unwrap();
+        // A truncated conv1.weight: drop its last value.
+        let mut cut = net.clone();
+        let w = &cut.conv1.weight;
+        let (shape, data) = (w.shape().to_vec(), w.data()[..w.len() - 1].to_vec());
+        let good = serde_json::to_string(&net.conv1.weight).unwrap();
+        let bad = format!(
+            "{{\"shape\":{},\"data\":{}}}",
+            serde_json::to_string(&shape).unwrap(),
+            serde_json::to_string(&data).unwrap()
+        );
+        let json = net.to_json().replacen(&good, &bad, 1);
+        assert!(matches!(
+            NormXCorrNet::from_json(&json),
+            Err(TensorError::LengthMismatch { len, .. }) if len == data.len()
+        ));
+        // A self-consistent dense1 of the wrong shape.
+        cut.dense1.weight = Tensor::zeros(&[3, 4]);
+        assert!(matches!(
+            NormXCorrNet::from_json(&cut.to_json()),
+            Err(TensorError::ShapeMismatch { got, .. }) if got == [3, 4]
+        ));
+        // Layer geometry that disagrees with the config, and bad JSON.
+        let mut moved = net.clone();
+        moved.conv3.padding = 0;
+        assert!(matches!(
+            NormXCorrNet::from_json(&moved.to_json()),
+            Err(TensorError::InvalidModel { .. })
+        ));
+        assert!(matches!(
+            NormXCorrNet::from_json("{\"config\":"),
+            Err(TensorError::InvalidModel { .. })
+        ));
+        // The untampered model still loads.
+        assert!(NormXCorrNet::from_json(&net.to_json()).is_ok());
     }
 
     #[test]

@@ -25,6 +25,13 @@ pub enum TensorError {
     EmptyTrainingSet,
     /// A training configuration requested a batch size of zero.
     InvalidBatchSize { batch_size: usize },
+    /// A Normalized-X-Corr patch side that is even or zero.
+    InvalidPatch { patch: usize },
+    /// A network config or serialised model that describes no network
+    /// this crate builds: unparsable JSON, a dropout rate outside
+    /// `[0, 1)`, a layer whose geometry differs from what the config
+    /// builds, or sizes that overflow.
+    InvalidModel { reason: String },
 }
 
 impl fmt::Display for TensorError {
@@ -48,6 +55,10 @@ impl fmt::Display for TensorError {
             TensorError::InvalidBatchSize { batch_size } => {
                 write!(f, "batch size must be >= 1 (got {batch_size})")
             }
+            TensorError::InvalidPatch { patch } => {
+                write!(f, "NCC patch side must be odd and >= 1 (got {patch})")
+            }
+            TensorError::InvalidModel { reason } => write!(f, "invalid model: {reason}"),
         }
     }
 }
@@ -79,6 +90,18 @@ impl Tensor {
             return Err(TensorError::LengthMismatch { shape: shape.to_vec(), len: data.len() });
         }
         Ok(Tensor { shape: shape.to_vec(), data })
+    }
+
+    /// Check that the data length equals the shape's product (without
+    /// overflowing). The constructors guarantee it; a deserialised tensor
+    /// is only trusted after this check.
+    pub(crate) fn check_len(&self) -> Result<(), TensorError> {
+        let expected = self.shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+        if expected == Some(self.data.len()) {
+            Ok(())
+        } else {
+            Err(TensorError::LengthMismatch { shape: self.shape.clone(), len: self.data.len() })
+        }
     }
 
     /// Tensor shape.

@@ -36,8 +36,15 @@
 //! not used: the needed output is a `K`-band of the `PAᵀ·PB` product and
 //! the shared `k = psz` dimension is tiny, so packing overhead would
 //! dominate the saved flops).
+//!
+//! A gallery that every query is compared against is prepared once
+//! ([`NormXCorr::prepare`]): its B panels and norms are built by the same
+//! `build_panel` and stored view-innermost, and
+//! [`PreparedGallery::correlate`] sweeps one query across every view with
+//! the views as contiguous lanes — the same per-element folds as
+//! [`NormXCorr::forward`] on the query repeated once per view.
 
-use crate::scratch::Scratch;
+use crate::scratch::{Scratch, ScratchBuf};
 use crate::tensor::{Tensor, TensorError};
 
 /// Stabiliser added to the product of patch norms.
@@ -46,7 +53,7 @@ const EPS: f32 = 1e-4;
 const FLAT: f32 = 1e-6;
 
 /// Normalized cross-correlation layer configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NormXCorr {
     /// Patch side (odd).
     pub patch: usize,
@@ -60,11 +67,34 @@ pub struct XCorrCache {
     b: Tensor,
 }
 
+/// The gallery half of every Normalized-X-Corr comparison against a
+/// fixed set of views, built once by [`NormXCorr::prepare`].
+///
+/// Holds, per channel, the mean-centred radius-padded patch panel and the
+/// patch norms of every view — exactly the B-side panels
+/// [`NormXCorr::forward`] rebuilds for each pair — with the view index
+/// innermost, so [`Self::correlate`] reads all views of one
+/// `(channel, patch element, cell)` as one contiguous run.
+#[derive(Debug, Clone)]
+pub struct PreparedGallery {
+    layer: NormXCorr,
+    views: usize,
+    /// `[C, H, W]` of each view's feature stack.
+    shape: [usize; 3],
+    /// `panels[((c·psz + j)·next + e)·views + v]`: element `j` of the
+    /// centred patch around extended-grid cell `e` of view `v`, channel `c`.
+    panels: Vec<f32>,
+    /// `norms[(c·next + e)·views + v]`: that patch's norm.
+    norms: Vec<f32>,
+}
+
 impl NormXCorr {
-    /// New layer; `patch` must be odd and ≥ 1.
-    pub fn new(patch: usize, radius: usize) -> Self {
-        assert!(patch % 2 == 1 && patch >= 1, "patch side must be odd");
-        NormXCorr { patch, radius }
+    /// New layer; `patch` must be odd and ≥ 1 ([`TensorError::InvalidPatch`]).
+    pub fn new(patch: usize, radius: usize) -> Result<Self, TensorError> {
+        if patch.is_multiple_of(2) {
+            return Err(TensorError::InvalidPatch { patch });
+        }
+        Ok(NormXCorr { patch, radius })
     }
 
     /// Number of displacement cells.
@@ -242,6 +272,41 @@ impl NormXCorr {
             }
         }
         Ok((out, XCorrCache { a: a.clone(), b: b.clone() }))
+    }
+
+    /// Prepare `b` (`[V, C, H, W]`, one feature stack per gallery view)
+    /// as the B side of every later [`PreparedGallery::correlate`]: each
+    /// `(view, channel)` plane goes through `build_panel` once,
+    /// exactly as [`Self::forward`] builds it per pair.
+    pub fn prepare(&self, b: &Tensor) -> Result<PreparedGallery, TensorError> {
+        if b.shape().len() != 4 {
+            return Err(TensorError::ShapeMismatch {
+                expected: vec![0, 0, 0, 0],
+                got: b.shape().to_vec(),
+            });
+        }
+        let [views, c, h, w] = [b.shape()[0], b.shape()[1], b.shape()[2], b.shape()[3]];
+        let psz = self.patch * self.patch;
+        let rad = self.radius;
+        let npos = h * w;
+        let next = (h + 2 * rad) * (w + 2 * rad);
+        let mut panels = vec![0.0f32; c * psz * next * views];
+        let mut norms = vec![0.0f32; c * next * views];
+        let mut pb = Scratch::take(psz * next);
+        let mut norms_b = Scratch::take(next);
+        for v in 0..views {
+            for ci in 0..c {
+                let plane = (v * c + ci) * npos;
+                self.build_panel(&b.data()[plane..plane + npos], h, w, rad, &mut pb, &mut norms_b);
+                for (row, &p) in pb.iter().enumerate() {
+                    panels[(ci * psz * next + row) * views + v] = p;
+                }
+                for (e, &n) in norms_b.iter().enumerate() {
+                    norms[(ci * next + e) * views + v] = n;
+                }
+            }
+        }
+        Ok(PreparedGallery { layer: *self, views, shape: [c, h, w], panels, norms })
     }
 
     /// Reference scalar forward, retained as the bit-exactness oracle for
@@ -521,6 +586,115 @@ impl NormXCorr {
     }
 }
 
+impl PreparedGallery {
+    /// Number of gallery views.
+    pub fn views(&self) -> usize {
+        self.views
+    }
+
+    /// `[C, H, W]` of each view's feature stack.
+    pub fn feature_shape(&self) -> [usize; 3] {
+        self.shape
+    }
+
+    /// The layer geometry the panels were built for.
+    pub fn layer(&self) -> NormXCorr {
+        self.layer
+    }
+
+    /// The gallery restricted to `rows`, in the given order (callers
+    /// sort them); a row `>= views` is a [`TensorError::ShapeMismatch`].
+    pub fn subset(&self, rows: &[usize]) -> Result<PreparedGallery, TensorError> {
+        if let Some(&bad) = rows.iter().find(|&&r| r >= self.views) {
+            return Err(TensorError::ShapeMismatch { expected: vec![self.views], got: vec![bad] });
+        }
+        // Every (channel, element, cell) run of `views` lanes keeps `rows`.
+        let gather = |src: &[f32]| -> Vec<f32> {
+            let cells = src.chunks_exact(self.views.max(1));
+            cells.flat_map(|cell| rows.iter().map(|&r| cell[r])).collect()
+        };
+        Ok(PreparedGallery {
+            layer: self.layer,
+            views: rows.len(),
+            shape: self.shape,
+            panels: gather(&self.panels),
+            norms: gather(&self.norms),
+        })
+    }
+
+    /// Correlate one query feature stack `a` (`[1, C, H, W]`) with every
+    /// view: the `[V, C·K, H, W]` output of [`NormXCorr::forward`] on
+    /// `a` repeated once per view against the prepared views, stored
+    /// view-innermost as `out[((oc·H + y)·W + x)·V + v]`.
+    ///
+    /// The query panel is built once per channel instead of once per
+    /// view. Each dot is the same sequential `j`-fold from zero
+    /// (`acc += a·b`) with the same denominator `na·nb + EPS`, so every
+    /// value is bit-identical to the pairwise forward (up to NaN payloads,
+    /// as in the module docs).
+    pub fn correlate(&self, a: &Tensor) -> Result<ScratchBuf, TensorError> {
+        let [c, h, w] = self.shape;
+        if a.shape() != [1, c, h, w] {
+            return Err(TensorError::ShapeMismatch {
+                expected: vec![1, c, h, w],
+                got: a.shape().to_vec(),
+            });
+        }
+        let views = self.views;
+        let layer = self.layer;
+        let k_side = 2 * layer.radius + 1;
+        let koff = layer.offsets();
+        let psz = layer.patch * layer.patch;
+        let npos = h * w;
+        let gw = w + 2 * layer.radius;
+        let next = (h + 2 * layer.radius) * gw;
+        let mut out = Scratch::take(c * koff * npos * views);
+        let mut pa = Scratch::take(psz * npos);
+        let mut norms_a = Scratch::take(npos);
+        let mut acc = Scratch::take(views);
+        for ci in 0..c {
+            layer.build_panel(
+                &a.data()[ci * npos..(ci + 1) * npos],
+                h,
+                w,
+                0,
+                &mut pa,
+                &mut norms_a,
+            );
+            let panel = &self.panels[ci * psz * next * views..(ci + 1) * psz * next * views];
+            let norms = &self.norms[ci * next * views..(ci + 1) * next * views];
+            for ky in 0..k_side {
+                for kx in 0..k_side {
+                    let oc = ci * koff + ky * k_side + kx;
+                    for y in 0..h {
+                        for x in 0..w {
+                            let pos = y * w + x;
+                            // Extended-grid cell of the B centre at this
+                            // offset, as in `NormXCorr::forward`.
+                            let e = (y + ky) * gw + x + kx;
+                            acc.fill(0.0);
+                            for j in 0..psz {
+                                let q = pa[j * npos + pos];
+                                let lanes = &panel[(j * next + e) * views..][..views];
+                                for (s, &g) in acc.iter_mut().zip(lanes) {
+                                    *s += q * g;
+                                }
+                            }
+                            let na = norms_a[pos];
+                            let nb = &norms[e * views..(e + 1) * views];
+                            let dst = &mut out[((oc * h + y) * w + x) * views..][..views];
+                            for ((d, &s), &n) in dst.iter_mut().zip(acc.iter()).zip(nb) {
+                                *d = s / (na * n + EPS);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,8 +705,60 @@ mod tests {
     }
 
     #[test]
+    fn even_or_zero_patch_is_a_typed_error() {
+        for patch in [0usize, 2, 4] {
+            assert_eq!(NormXCorr::new(patch, 1), Err(TensorError::InvalidPatch { patch }));
+        }
+    }
+
+    #[test]
+    fn prepared_gallery_matches_pairwise_forward_bitwise() {
+        for (patch, radius) in [(3usize, 1usize), (5, 2), (3, 0)] {
+            let layer = NormXCorr::new(patch, radius).unwrap();
+            let (views, c, h, w) = (5usize, 3usize, 5usize, 4usize);
+            let q = tensor_from(&[1, c, h, w], |i| (i as f32 * 0.43).sin() * 1.7);
+            let mut g = tensor_from(&[views, c, h, w], |i| (i as f32 * 0.61).cos() - 0.2);
+            g.data_mut()[7] = f32::NAN;
+            g.data_mut()[40] = f32::INFINITY;
+            let repeated = Tensor::stack_batch(&vec![&q; views]).unwrap();
+            let (want, _) = layer.forward(&repeated, &g).unwrap();
+            let got = layer.prepare(&g).unwrap().correlate(&q).unwrap();
+            let koff = layer.offsets();
+            for v in 0..views {
+                for oc in 0..c * koff {
+                    for p in 0..h * w {
+                        let u = want.data()[(v * c * koff + oc) * h * w + p];
+                        let x = got[(oc * h * w + p) * views + v];
+                        assert!(
+                            u.to_bits() == x.to_bits() || (u.is_nan() && x.is_nan()),
+                            "view {v} channel {oc} pos {p}: {u} vs {x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gallery_subset_keeps_the_chosen_lanes() {
+        let layer = NormXCorr::new(3, 1).unwrap();
+        let g = tensor_from(&[4, 2, 3, 3], |i| (i as f32 * 0.37).sin());
+        let q = tensor_from(&[1, 2, 3, 3], |i| (i as f32 * 0.91).cos());
+        let full = layer.prepare(&g).unwrap();
+        let sub = full.subset(&[1, 3]).unwrap();
+        assert_eq!(sub.views(), 2);
+        let (a, b) = (full.correlate(&q).unwrap(), sub.correlate(&q).unwrap());
+        for cell in 0..a.len() / 4 {
+            assert_eq!(b[cell * 2].to_bits(), a[cell * 4 + 1].to_bits());
+            assert_eq!(b[cell * 2 + 1].to_bits(), a[cell * 4 + 3].to_bits());
+        }
+        assert!(full.subset(&[4]).is_err());
+        assert!(full.correlate(&tensor_from(&[1, 2, 3, 4], |_| 0.0)).is_err());
+    }
+
+    #[test]
     fn output_shape() {
-        let layer = NormXCorr::new(3, 1);
+        let layer = NormXCorr::new(3, 1).unwrap();
         let a = Tensor::zeros(&[2, 4, 5, 6]);
         let b = Tensor::zeros(&[2, 4, 5, 6]);
         let (y, _) = layer.forward(&a, &b).unwrap();
@@ -543,7 +769,7 @@ mod tests {
 
     #[test]
     fn identical_inputs_give_unit_centre_correlation() {
-        let layer = NormXCorr::new(3, 1);
+        let layer = NormXCorr::new(3, 1).unwrap();
         let a = tensor_from(&[1, 1, 7, 7], |i| ((i * 37) % 11) as f32 - 5.0);
         let (y, _) = layer.forward(&a, &a).unwrap();
         // Zero-displacement cell is channel index radius*k_side + radius = 4.
@@ -557,7 +783,7 @@ mod tests {
 
     #[test]
     fn values_bounded_by_one() {
-        let layer = NormXCorr::new(3, 1);
+        let layer = NormXCorr::new(3, 1).unwrap();
         let a = tensor_from(&[1, 2, 6, 6], |i| (i as f32 * 0.7).sin());
         let b = tensor_from(&[1, 2, 6, 6], |i| (i as f32 * 1.3).cos());
         let (y, _) = layer.forward(&a, &b).unwrap();
@@ -568,7 +794,7 @@ mod tests {
 
     #[test]
     fn anticorrelated_patches_score_negative() {
-        let layer = NormXCorr::new(3, 0);
+        let layer = NormXCorr::new(3, 0).unwrap();
         let a = tensor_from(&[1, 1, 5, 5], |i| if i % 2 == 0 { 1.0 } else { -1.0 });
         let mut bneg = a.clone();
         bneg.scale(-1.0);
@@ -579,7 +805,7 @@ mod tests {
 
     #[test]
     fn flat_patches_do_not_blow_up() {
-        let layer = NormXCorr::new(3, 1);
+        let layer = NormXCorr::new(3, 1).unwrap();
         let a = Tensor::full(&[1, 1, 5, 5], 3.0);
         let b = tensor_from(&[1, 1, 5, 5], |i| i as f32);
         let (y, cache) = layer.forward(&a, &b).unwrap();
@@ -592,7 +818,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_rejected() {
-        let layer = NormXCorr::new(3, 1);
+        let layer = NormXCorr::new(3, 1).unwrap();
         let a = Tensor::zeros(&[1, 1, 5, 5]);
         let b = Tensor::zeros(&[1, 1, 5, 6]);
         assert!(layer.forward(&a, &b).is_err());
@@ -601,7 +827,7 @@ mod tests {
     #[test]
     fn symmetry_of_zero_displacement_cell() {
         // NCC(a, b) at displacement 0 equals NCC(b, a) at displacement 0.
-        let layer = NormXCorr::new(3, 1);
+        let layer = NormXCorr::new(3, 1).unwrap();
         let a = tensor_from(&[1, 1, 6, 6], |i| (i as f32 * 0.31).sin());
         let b = tensor_from(&[1, 1, 6, 6], |i| (i as f32 * 0.57).cos());
         let (yab, _) = layer.forward(&a, &b).unwrap();
@@ -635,7 +861,7 @@ mod tests {
         for (patch, radius, shape) in
             [(3usize, 1usize, [2usize, 3, 6, 5]), (5, 2, [1, 2, 5, 7]), (3, 0, [2, 1, 4, 3])]
         {
-            let layer = NormXCorr::new(patch, radius);
+            let layer = NormXCorr::new(patch, radius).unwrap();
             let a = tensor_from(&shape, |i| (i as f32 * 0.37).sin() * 2.0 - 0.4);
             let b = tensor_from(&shape, |i| (i as f32 * 0.73).cos() * 1.5 + 0.1);
             let (fast, _) = layer.forward(&a, &b).unwrap();
@@ -647,7 +873,7 @@ mod tests {
     #[test]
     fn panel_backward_matches_naive_bitwise() {
         for (patch, radius, shape) in [(3usize, 1usize, [2usize, 3, 6, 5]), (5, 2, [1, 2, 5, 7])] {
-            let layer = NormXCorr::new(patch, radius);
+            let layer = NormXCorr::new(patch, radius).unwrap();
             let a = tensor_from(&shape, |i| (i as f32 * 0.41).sin() + 0.2);
             let b = tensor_from(&shape, |i| (i as f32 * 0.77).cos() - 0.1);
             let (y, cache) = layer.forward(&a, &b).unwrap();
@@ -663,7 +889,7 @@ mod tests {
 
     #[test]
     fn panel_matches_naive_on_nan_quarantine_inputs() {
-        let layer = NormXCorr::new(3, 1);
+        let layer = NormXCorr::new(3, 1).unwrap();
         let mut a = tensor_from(&[1, 2, 5, 4], |i| (i as f32 * 0.29).sin());
         let mut b = tensor_from(&[1, 2, 5, 4], |i| (i as f32 * 0.61).cos());
         a.data_mut()[3] = f32::NAN;
@@ -681,7 +907,7 @@ mod tests {
 
     #[test]
     fn gradient_check_both_inputs() {
-        let layer = NormXCorr::new(3, 1);
+        let layer = NormXCorr::new(3, 1).unwrap();
         let a = tensor_from(&[1, 1, 4, 4], |i| (i as f32 * 0.41).sin() + 0.2);
         let b = tensor_from(&[1, 1, 4, 4], |i| (i as f32 * 0.77).cos() - 0.1);
         let (y, cache) = layer.forward(&a, &b).unwrap();

@@ -125,7 +125,7 @@ proptest! {
         a in arb_tensor(&[1, 1, 5, 5]),
         b in arb_tensor(&[1, 1, 5, 5]),
     ) {
-        let layer = NormXCorr::new(3, 0);
+        let layer = NormXCorr::new(3, 0).unwrap();
         let (yab, _) = layer.forward(&a, &b).unwrap();
         let (yba, _) = layer.forward(&b, &a).unwrap();
         for (u, v) in yab.data().iter().zip(yba.data()) {

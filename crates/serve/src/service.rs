@@ -4,10 +4,11 @@
 //! Everything immutable is built once at startup and `Arc`-shared from
 //! then on: the preprocessed reference views (histograms, Hu moments,
 //! contours) inside the fallback [`Recognizer`], the seeded
-//! Normalized-X-Corr network, and the gallery's tower embeddings. A
+//! Normalized-X-Corr network, and the gallery's prepared NCC panels
+//! ([`PreparedGallery`], built from the views' tower embeddings). A
 //! request therefore costs one crop decode, one (optionally
-//! micro-batched) tower forward and a head sweep over the gallery —
-//! never a re-preparation of the reference set.
+//! micro-batched) tower forward and one head sweep of the query across
+//! the gallery — never a re-preparation of the reference set.
 //!
 //! The degrade ladder: the Siamese pipeline is the primary answer;
 //! when it fails with a typed error (or is deliberately skipped
@@ -19,13 +20,13 @@
 use taor_core::prelude::*;
 use taor_core::wire::{decode_crop, DecodeStats};
 use taor_core::{Error, Result};
-use taor_data::{shapenet_set1, ObjectClass};
+use taor_data::{shapenet_set1, Dataset, ObjectClass};
 use taor_features::{
     BinaryDescriptors, FloatDescriptors, HnswIndex, HnswParams, MihIndex, MihParams,
 };
 use taor_imgproc::cmp::nan_last_f64;
 use taor_imgproc::image::RgbImage;
-use taor_nn::{NetConfig, NormXCorrNet, Tensor, TensorError};
+use taor_nn::{NetConfig, NormXCorrNet, PreparedGallery, Tensor, TensorError};
 
 /// How the service is assembled.
 #[derive(Debug, Clone)]
@@ -101,15 +102,11 @@ pub struct ServiceResponse {
 /// The shared immutable artifacts plus the per-run ledger.
 pub struct RecognizerService {
     fallback: Recognizer,
-    net: Option<NormXCorrNet>,
-    /// Tower embeddings of every gallery view, stacked `[N, …]`.
-    ref_embeds: Option<Tensor>,
-    /// Class of each stacked gallery view, row-aligned with
-    /// `ref_embeds`.
+    /// The network and the gallery prepared for its head, when the
+    /// Siamese pipeline is on.
+    siamese: Option<(NormXCorrNet, PreparedGallery)>,
+    /// Class of each gallery view, in gallery row order.
     ref_classes: Vec<ObjectClass>,
-    /// Per-view embedding tensors (only populated for non-flat indexes,
-    /// where shortlisted subsets must be restacked per query).
-    ref_embed_views: Vec<Tensor>,
     /// The shortlist index over the gallery embeddings.
     gallery_index: GalleryIndex,
     cfg: ServiceConfig,
@@ -164,55 +161,59 @@ fn method_label(method: &Method) -> &'static str {
     }
 }
 
+/// The seeded network and the tower embeddings of every gallery view,
+/// stacked `[N, …]` in catalog order.
+fn embed_gallery(cfg: &ServiceConfig, catalog: &Dataset) -> Result<(NormXCorrNet, Tensor)> {
+    let mut net_cfg = cfg.net.clone();
+    net_cfg.seed = cfg.seed;
+    let net = NormXCorrNet::new(net_cfg.clone())?;
+    let tensors: Vec<Tensor> =
+        catalog.images.iter().map(|li| image_to_tensor(&li.image, &net_cfg)).collect();
+    let views: Vec<&Tensor> = tensors.iter().collect();
+    let embeds = net.tower_embed(&Tensor::stack_batch(&views)?)?;
+    Ok((net, embeds))
+}
+
 impl RecognizerService {
     /// Build every immutable artifact once: reference views, network,
-    /// gallery embeddings.
+    /// prepared gallery, shortlist index.
     pub fn new(cfg: ServiceConfig) -> Result<Self> {
         let catalog = shapenet_set1(cfg.seed);
         let fallback = Recognizer::try_new(&catalog, cfg.method, Background::Black)?;
-        let (net, ref_embeds, ref_classes) = if cfg.use_siamese {
-            let mut net_cfg = cfg.net.clone();
-            net_cfg.seed = cfg.seed;
-            let net = NormXCorrNet::new(net_cfg.clone())?;
-            let tensors: Vec<Tensor> =
-                catalog.images.iter().map(|li| image_to_tensor(&li.image, &net_cfg)).collect();
-            let views: Vec<&Tensor> = tensors.iter().collect();
-            let stacked = Tensor::stack_batch(&views)?;
-            let embeds = net.tower_embed(&stacked)?;
-            let classes = catalog.images.iter().map(|li| li.class).collect();
-            (Some(net), Some(embeds), classes)
-        } else {
-            (None, None, Vec::new())
-        };
-        let (gallery_index, ref_embed_views) = match (&ref_embeds, cfg.index) {
-            (Some(embeds), AnnIndexMode::Hnsw) => {
-                let views = embeds.split_batch()?;
-                let row_len = views.first().map_or(0, |v| v.data().len());
+        if !cfg.use_siamese {
+            return Ok(RecognizerService {
+                fallback,
+                siamese: None,
+                ref_classes: Vec::new(),
+                gallery_index: GalleryIndex::Flat,
+                cfg,
+                diag: Diagnostics::new(),
+            });
+        }
+        let (net, embeds) = embed_gallery(&cfg, &catalog)?;
+        let gallery = net.prepare_gallery(&embeds)?;
+        let ref_classes = catalog.images.iter().map(|li| li.class).collect();
+        let row_len = (embeds.len() / gallery.views().max(1)).max(1);
+        let rows = embeds.data().chunks_exact(row_len);
+        let gallery_index = match cfg.index {
+            AnnIndexMode::Flat => GalleryIndex::Flat,
+            AnnIndexMode::Hnsw => {
                 let mut descs = FloatDescriptors::new(row_len);
-                for v in &views {
-                    descs.push(v.data());
-                }
+                rows.for_each(|row| descs.push(row));
                 let params = HnswParams { seed: cfg.seed, ..HnswParams::default() };
-                let index = HnswIndex::build(descs, params).map_err(Error::from)?;
-                (GalleryIndex::Hnsw(Box::new(index)), views)
+                GalleryIndex::Hnsw(Box::new(HnswIndex::build(descs, params).map_err(Error::from)?))
             }
-            (Some(embeds), AnnIndexMode::Mih) => {
-                let views = embeds.split_batch()?;
+            AnnIndexMode::Mih => {
                 let mut descs = BinaryDescriptors::new(SIG_BYTES);
-                for v in &views {
-                    descs.push(&sign_signature(v.data(), cfg.seed));
-                }
+                rows.for_each(|row| descs.push(&sign_signature(row, cfg.seed)));
                 let index = MihIndex::build(descs, MihParams::default()).map_err(Error::from)?;
-                (GalleryIndex::Mih(Box::new(index)), views)
+                GalleryIndex::Mih(Box::new(index))
             }
-            _ => (GalleryIndex::Flat, Vec::new()),
         };
         Ok(RecognizerService {
             fallback,
-            net,
-            ref_embeds,
+            siamese: Some((net, gallery)),
             ref_classes,
-            ref_embed_views,
             gallery_index,
             cfg,
             diag: Diagnostics::new(),
@@ -301,7 +302,7 @@ impl RecognizerService {
     pub fn recognize_batch(&self, items: &[(RgbImage, DecodeStats, bool)]) -> Vec<ServiceResponse> {
         // Embed the expensive-path crops in one batched tower forward.
         let mut embeds: Vec<Option<Tensor>> = vec![None; items.len()];
-        if let Some(net) = &self.net {
+        if let Some((net, _)) = &self.siamese {
             let expensive: Vec<usize> = items
                 .iter()
                 .enumerate()
@@ -332,7 +333,7 @@ impl RecognizerService {
             .iter()
             .zip(embeds)
             .map(|((img, stats, allow), embed)| {
-                if self.net.is_some() && *allow {
+                if self.siamese.is_some() && *allow {
                     match self.siamese_answer(embed, *stats) {
                         Ok(resp) => resp,
                         Err(_) => {
@@ -355,43 +356,56 @@ impl RecognizerService {
             .collect()
     }
 
-    /// Score one embedded query against every gallery embedding and
-    /// rank per-class minima.
+    /// Score one embedded query against the gallery (all of it, or the
+    /// index's shortlist) and rank per-class minima.
     fn siamese_answer(&self, embed: Option<Tensor>, stats: DecodeStats) -> Result<ServiceResponse> {
         if self.cfg.chaos_siamese_error {
             return Err(Error::Nn(TensorError::EmptyTrainingSet));
         }
-        let (net, refs) = match (&self.net, &self.ref_embeds) {
-            (Some(n), Some(r)) => (n, r),
-            _ => return Err(Error::EmptyReference("siamese gallery is not built")),
+        let Some((net, gallery)) = &self.siamese else {
+            return Err(Error::EmptyReference("siamese gallery is not built"));
         };
         let embed = embed.ok_or(Error::Nn(TensorError::EmptyTrainingSet))?;
-        let n = self.ref_classes.len();
-
-        // Which gallery rows the head scores: everything in flat mode,
-        // the index's shortlist otherwise (ascending row order, so the
-        // stacked batch layout is deterministic).
-        let (rows, probs) = match &self.gallery_index {
-            GalleryIndex::Flat => {
-                let repeated: Vec<&Tensor> = std::iter::repeat_n(&embed, n).collect();
-                let query_rows = Tensor::stack_batch(&repeated)?;
-                let probs = net.predict_similar_features(&query_rows, refs)?;
-                ((0..n).collect::<Vec<usize>>(), probs)
+        let (rows, probs) = match self.shortlist(&embed) {
+            None => ((0..gallery.views()).collect(), net.predict_similar_gallery(&embed, gallery)?),
+            Some(rows) if rows.is_empty() => {
+                // A fully quarantined query (or an empty gallery)
+                // shortlists nothing: degrade down the ladder.
+                return Err(Error::EmptyReference("gallery shortlist is empty"));
             }
+            Some(rows) => {
+                let probs = net.predict_similar_gallery(&embed, &gallery.subset(&rows)?)?;
+                (rows, probs)
+            }
+        };
+        Ok(self.rank_answer(&rows, &probs, stats))
+    }
+
+    /// The gallery rows a non-flat index hands to the head, sorted
+    /// ascending so the sweep order — and therefore the bytes — never
+    /// depend on the index's traversal order; `None` in flat mode.
+    fn shortlist(&self, embed: &Tensor) -> Option<Vec<usize>> {
+        let k = self.cfg.shortlist.max(1);
+        let mut rows: Vec<usize> = match &self.gallery_index {
+            GalleryIndex::Flat => return None,
             GalleryIndex::Hnsw(ix) => {
-                let found = ix.search(embed.data(), self.cfg.shortlist.max(1));
-                self.score_shortlist(net, &embed, found.into_iter().map(|(i, _)| i).collect())?
+                ix.search(embed.data(), k).into_iter().map(|(i, _)| i).collect()
             }
             GalleryIndex::Mih(ix) => {
                 let sig = sign_signature(embed.data(), self.cfg.seed);
-                let found = ix.search(&sig, self.cfg.shortlist.max(1));
-                self.score_shortlist(net, &embed, found.into_iter().map(|(i, _)| i).collect())?
+                ix.search(&sig, k).into_iter().map(|(i, _)| i).collect()
             }
         };
+        rows.sort_unstable();
+        Some(rows)
+    }
 
+    /// The response for head probabilities `probs` of gallery `rows`:
+    /// per-class best distance `1 − p`, ranked.
+    fn rank_answer(&self, rows: &[usize], probs: &[f32], stats: DecodeStats) -> ServiceResponse {
         let mut best = [f64::INFINITY; ObjectClass::COUNT];
         let mut nan_seen = 0u64;
-        for (class, p) in rows.iter().filter_map(|&i| self.ref_classes.get(i)).zip(&probs) {
+        for (class, p) in rows.iter().filter_map(|&i| self.ref_classes.get(i)).zip(probs) {
             let d = 1.0 - f64::from(*p);
             if d.is_nan() {
                 nan_seen += 1;
@@ -410,7 +424,7 @@ impl RecognizerService {
             self.diag.record_degraded(1);
         }
         let class = ranking.first().copied().unwrap_or(ObjectClass::Box);
-        Ok(ServiceResponse {
+        ServiceResponse {
             class: class.name().to_string(),
             synset: class.synset().id.to_string(),
             confidence,
@@ -418,32 +432,7 @@ impl RecognizerService {
             pipeline: "siamese".to_string(),
             degraded,
             quarantined_samples: stats.nan_pixels,
-        })
-    }
-
-    /// Stack the shortlisted gallery rows, run the head over just those
-    /// pairs, and return `(rows, probs)` in ascending row order (so the
-    /// batch layout — and therefore the bytes — never depend on the
-    /// index's internal traversal order).
-    fn score_shortlist(
-        &self,
-        net: &NormXCorrNet,
-        embed: &Tensor,
-        mut rows: Vec<usize>,
-    ) -> Result<(Vec<usize>, Vec<f32>)> {
-        rows.sort_unstable();
-        let subset: Vec<&Tensor> =
-            rows.iter().filter_map(|&i| self.ref_embed_views.get(i)).collect();
-        if subset.is_empty() {
-            // A fully quarantined query (or an empty gallery) shortlists
-            // nothing: degrade down the ladder.
-            return Err(Error::EmptyReference("gallery shortlist is empty"));
         }
-        let stacked_refs = Tensor::stack_batch(&subset)?;
-        let repeated: Vec<&Tensor> = std::iter::repeat_n(embed, subset.len()).collect();
-        let query_rows = Tensor::stack_batch(&repeated)?;
-        let probs = net.predict_similar_features(&query_rows, &stacked_refs)?;
-        Ok((rows, probs))
     }
 
     /// The cheap-pipeline answer (histograms/Hu via the shared
@@ -612,6 +601,38 @@ mod tests {
             assert!(!a.degraded, "a shortlisted answer is not a degradation");
             assert_eq!(a.ranking.len(), ObjectClass::COUNT);
             assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        }
+    }
+
+    #[test]
+    fn shortlists_through_the_prepared_gallery_match_the_pairwise_head() {
+        // The reference: the query repeated once per shortlisted row
+        // against those rows' embeddings, through the pairwise head.
+        let cfg = ServiceConfig::default();
+        let (net, embeds) = embed_gallery(&cfg, &shapenet_set1(cfg.seed)).unwrap();
+        let views = embeds.split_batch().unwrap();
+        for index in [AnnIndexMode::Flat, AnnIndexMode::Hnsw, AnnIndexMode::Mih] {
+            let s = RecognizerService::new(ServiceConfig { index, shortlist: 8, ..cfg.clone() })
+                .expect("indexed gallery builds");
+            for li in nyu_set_subsampled(2019, 1).images.iter().take(4) {
+                let stats = DecodeStats::default();
+                let tensor = image_to_tensor(&li.image, &net.config);
+                let embed = net.tower_embed(&tensor).unwrap();
+                let rows = s.shortlist(&embed).unwrap_or_else(|| (0..views.len()).collect());
+                assert_eq!(rows.len(), if index == AnnIndexMode::Flat { views.len() } else { 8 });
+                let refs: Vec<&Tensor> = rows.iter().map(|&r| &views[r]).collect();
+                let query = Tensor::stack_batch(&vec![&embed; rows.len()]).unwrap();
+                let probs = net
+                    .predict_similar_features(&query, &Tensor::stack_batch(&refs).unwrap())
+                    .unwrap();
+                let want = s.rank_answer(&rows, &probs, stats);
+                let got = s.recognize_image(&li.image, stats, true);
+                assert_eq!(
+                    serde_json::to_string(&got).unwrap(),
+                    serde_json::to_string(&want).unwrap(),
+                    "{index:?}: the prepared gallery must answer like the pairwise head"
+                );
+            }
         }
     }
 

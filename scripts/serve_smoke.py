@@ -5,11 +5,16 @@ Asserts the service contract end to end, from outside the Rust
 workspace: 200 for a valid wire crop, 400 for a malformed buffer,
 keep-alive reuse (two requests over one connection, identical answers),
 429 (+ Retry-After) when the admission queue is saturated, and a clean
-exit 0 on SIGTERM. Stdlib only.
+exit 0 on SIGTERM. Then the primary pipeline: a server with the
+defaults (flat index) and one with `--index mih` must each answer the
+crop through the Siamese head, undegraded, with identical bodies on a
+reused connection; the default server's body must hash to the pinned
+SHA-256. Stdlib only.
 
 Usage: serve_smoke.py path/to/taor-serve
 """
 
+import hashlib
 import http.client
 import signal
 import struct
@@ -17,6 +22,11 @@ import subprocess
 import sys
 import threading
 import time
+
+# SHA-256 of the default server's body for `wire_crop()`. Any change to
+# the Siamese pipeline's arithmetic (resize, tower, head, ranking) shows
+# up here as a different body.
+DEFAULT_BODY_SHA256 = "b38b5faf80633012ebe8896cd2258b76ff5f4cd3802601e5f7cc96e63c4d252b"
 
 WIRE_MAGIC = b"TAOR"
 WIRE_VERSION = 1
@@ -53,6 +63,52 @@ def get(addr, path, timeout=30):
         conn.close()
 
 
+def spawn(binary, args):
+    """Start the server on an ephemeral port; return (process, addr)."""
+    proc = subprocess.Popen(
+        [binary, "--addr", "127.0.0.1:0", *args], stdout=subprocess.PIPE, text=True
+    )
+    line = proc.stdout.readline().strip()
+    assert "listening on" in line, f"unexpected first line: {line!r}"
+    host, _, port = line.rsplit(" ", 1)[-1].rpartition(":")
+    return proc, (host, int(port))
+
+
+def check_siamese(binary, args, sha256=None):
+    """The primary pipeline answers the crop, undegraded, with the same
+    body twice over one reused connection (and the pinned hash, if any)."""
+    label = " ".join(args) or "defaults"
+    proc, addr = spawn(binary, args)
+    try:
+        conn = http.client.HTTPConnection(addr[0], addr[1], timeout=30)
+        bodies = []
+        try:
+            for _ in range(2):
+                conn.request("POST", "/recognize", body=wire_crop())
+                resp = conn.getresponse()
+                body = resp.read()
+                assert resp.status == 200, f"{label}: expected 200, got {resp.status}: {body!r}"
+                bodies.append(body)
+        finally:
+            conn.close()
+        body = bodies[0]
+        assert b'"pipeline":"siamese"' in body, f"{label}: not the Siamese pipeline: {body!r}"
+        assert b'"degraded":false' in body, f"{label}: degraded answer: {body!r}"
+        assert bodies[1] == body, f"{label}: reused-connection bodies differ"
+        if sha256 is not None:
+            got = hashlib.sha256(body).hexdigest()
+            assert got == sha256, f"{label}: body SHA-256 {got} != pinned {sha256}: {body!r}"
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=30)
+        assert code == 0, f"{label}: SIGTERM: expected exit 0, got {code}"
+        pinned = ", pinned body hash" if sha256 else ""
+        print(f"siamese answer ({label}): 200, undegraded, identical on reuse{pinned}: ok")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
@@ -60,10 +116,9 @@ def main():
 
     # One worker, one queue slot, honour the test-delay header: the
     # saturation check below is deterministic, not a timing race.
-    proc = subprocess.Popen(
+    proc, addr = spawn(
+        binary,
         [
-            binary,
-            "--addr", "127.0.0.1:0",
             "--workers", "1",
             "--queue-cap", "1",
             "--batch", "1",
@@ -71,14 +126,8 @@ def main():
             "--allow-test-delay",
             "--deadline-ms", "15000",
         ],
-        stdout=subprocess.PIPE,
-        text=True,
     )
     try:
-        line = proc.stdout.readline().strip()
-        assert "listening on" in line, f"unexpected first line: {line!r}"
-        host, _, port = line.rsplit(" ", 1)[-1].rpartition(":")
-        addr = (host, int(port))
         print(f"server up at {addr[0]}:{addr[1]}")
 
         crop = wire_crop()
@@ -159,6 +208,10 @@ def main():
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+    # 7. The primary pipeline over HTTP: defaults (flat index) and MIH.
+    check_siamese(binary, [], DEFAULT_BODY_SHA256)
+    check_siamese(binary, ["--index", "mih"])
 
     print("serve smoke: all checks passed")
 
