@@ -1,15 +1,15 @@
-//! Bench: brute-force vs kd-tree (FLANN stand-in) matching.
+//! Bench: the brute-force matcher kernels against their naive oracles,
+//! and the HNSW and MIH gallery indexes against brute force at 8,192 rows.
 //!
 //! §3.3: "Using FLANN-based matching for optimised nearest neighbour
 //! search did not lead to any performance gains, compared to the
 //! brute-force approach, most likely due to the fairly limited size of
-//! the input datasets." This bench shows the crossover: at the paper's
-//! reference-set sizes (~10² descriptors) brute force wins; the tree only
-//! pays off orders of magnitude later.
+//! the input datasets." `bench_ann` records that crossover for the
+//! indexes the system ships: brute force wins at 90 gallery views, the
+//! indexes at 10,500 (`bench_records/BENCH_ann_*.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
-use taor_features::kdtree::KdTree;
 use taor_features::{
     knn_match_binary, knn_match_binary_naive, knn_match_float, knn_match_float_naive,
     BinaryDescriptors, FloatDescriptors,
@@ -123,25 +123,9 @@ fn bench_ann_pins(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_matching(c: &mut Criterion) {
-    let query = random_descs(50, 64, 1);
-    for train_n in [100usize, 1000, 10000] {
-        let train = random_descs(train_n, 64, 2);
-        let mut g = c.benchmark_group(format!("match_50q_vs_{train_n}"));
-        g.bench_function("brute_force", |b| {
-            b.iter(|| knn_match_float(black_box(&query), black_box(&train)).unwrap())
-        });
-        g.bench_function("kdtree_c32", |b| {
-            let tree = KdTree::build(&train, 32).unwrap();
-            b.iter(|| tree.knn_match(black_box(&query)).unwrap())
-        });
-        g.finish();
-    }
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_matcher_pins, bench_ann_pins, bench_matching
+    targets = bench_matcher_pins, bench_ann_pins
 }
 criterion_main!(benches);

@@ -1,4 +1,3 @@
-// taor-lint: allow(panic::index) — dense numeric kernel: indices are derived from dimensions validated at the public boundary and bounded by the enclosing loops.
 //! High-level recognition facade.
 //!
 //! The pipelines in this crate are exposed piecemeal for the repro
@@ -140,49 +139,7 @@ impl Recognizer {
     /// a full ranking with uniform confidence, counted as degraded.
     pub fn recognize(&self, crop: &RgbImage) -> Recognition {
         let q = preprocess(crop, self.query_background, HIST_BINS);
-        let mut best = [f64::INFINITY; ObjectClass::COUNT];
-        let mut nan_seen = 0u64;
-        for v in self.refs.iter() {
-            let d = self.distance(&q, v);
-            let i = v.class.index();
-            if d.is_nan() {
-                nan_seen += 1;
-            } else if d < best[i] {
-                best[i] = d;
-            }
-        }
-        self.diag.record_nan_scores(nan_seen);
-        let mut order: Vec<usize> = (0..ObjectClass::COUNT).collect();
-        order.sort_by(|&a, &b| nan_last_f64(best[a], best[b]));
-        let ranking: Vec<ObjectClass> =
-            order.iter().copied().filter_map(ObjectClass::from_index).collect();
-        let class = ranking[0];
-
-        // Confidence: softmin margin between the best and second-best
-        // finite distances (0.5 = tie, → 1 as the gap grows).
-        let d1 = best[order[0]];
-        let d2 = best[order[1]];
-        let mut degraded = false;
-        let confidence = if !d1.is_finite() {
-            self.diag.record_degraded(1);
-            degraded = true;
-            1.0 / ObjectClass::COUNT as f64 // nothing matched: uniform
-        } else if !d2.is_finite() {
-            1.0
-        } else {
-            let gap = (d2 - d1).max(0.0);
-            let scale = d1.abs().max(1e-6);
-            1.0 - 0.5 * (-gap / scale).exp()
-        };
-
-        Recognition {
-            class,
-            confidence,
-            ranking,
-            distances: best,
-            synset: class.synset(),
-            degraded,
-        }
+        rank_scores(self.refs.iter().map(|v| (v.class, self.distance(&q, v))), &self.diag)
     }
 
     /// Batch evaluation helper: top-k accuracy over labelled crops.
@@ -192,6 +149,52 @@ impl Recognizer {
             crops.iter().map(|(img, _)| self.recognize(img).ranking).collect();
         top_k_accuracy(&truth, &rankings, k)
     }
+}
+
+/// The ranking rule every recogniser answers with, over one distance
+/// per reference view. Each class scores its best (smallest) distance;
+/// NaN distances never win and are counted in `diag`. The classes rank
+/// by that distance (NaN last), and the confidence is the softmin margin
+/// between the best and second-best finite distances (0.5 = tie, → 1 as
+/// the gap grows; 1 when only one class matched). When nothing matched,
+/// the confidence is uniform and the answer is degraded, counted in
+/// `diag` too.
+pub fn rank_scores(
+    scores: impl IntoIterator<Item = (ObjectClass, f64)>,
+    diag: &Diagnostics,
+) -> Recognition {
+    let mut best = [f64::INFINITY; ObjectClass::COUNT];
+    let mut nan_seen = 0u64;
+    for (class, d) in scores {
+        if d.is_nan() {
+            nan_seen += 1;
+        } else if let Some(slot) = best.get_mut(class.index()) {
+            if d < *slot {
+                *slot = d;
+            }
+        }
+    }
+    diag.record_nan_scores(nan_seen);
+    let dist = |i: usize| best.get(i).copied().unwrap_or(f64::INFINITY);
+    let mut order: Vec<usize> = (0..ObjectClass::COUNT).collect();
+    order.sort_by(|&a, &b| nan_last_f64(dist(a), dist(b)));
+    let ranking: Vec<ObjectClass> =
+        order.iter().copied().filter_map(ObjectClass::from_index).collect();
+    let d1 = order.first().map_or(f64::INFINITY, |&i| dist(i));
+    let d2 = order.get(1).map_or(f64::INFINITY, |&i| dist(i));
+    let degraded = !d1.is_finite();
+    let confidence = if degraded {
+        diag.record_degraded(1);
+        1.0 / ObjectClass::COUNT as f64
+    } else if !d2.is_finite() {
+        1.0
+    } else {
+        let gap = (d2 - d1).max(0.0);
+        let scale = d1.abs().max(1e-6);
+        1.0 - 0.5 * (-gap / scale).exp()
+    };
+    let class = ranking.first().copied().unwrap_or(ObjectClass::Box);
+    Recognition { class, confidence, ranking, distances: best, synset: class.synset(), degraded }
 }
 
 #[cfg(test)]
@@ -279,6 +282,26 @@ mod tests {
         .unwrap();
         assert_eq!(color.reference_count(), 82);
         assert!(color.recognize(&nyu_set_subsampled(2019, 1).images[0].image).ranking.len() == 10);
+    }
+
+    #[test]
+    fn rank_scores_quarantines_nan_and_flags_an_empty_match() {
+        let diag = Diagnostics::new();
+        let rec = rank_scores(
+            [(ObjectClass::Lamp, f64::NAN), (ObjectClass::Book, 0.5), (ObjectClass::Book, 0.2)],
+            &diag,
+        );
+        assert_eq!(rec.class, ObjectClass::Book);
+        assert_eq!(rec.distances[ObjectClass::Book.index()], 0.2);
+        assert_eq!(rec.confidence, 1.0, "one matched class is certain");
+        assert!(!rec.degraded);
+        assert_eq!((diag.report().nan_scores, diag.report().degraded), (1, 0));
+
+        let rec = rank_scores([(ObjectClass::Lamp, f64::NAN)], &diag);
+        assert!(rec.degraded);
+        assert_eq!(rec.confidence, 1.0 / ObjectClass::COUNT as f64);
+        assert_eq!(rec.ranking.len(), ObjectClass::COUNT);
+        assert_eq!((diag.report().nan_scores, diag.report().degraded), (2, 1));
     }
 
     #[test]

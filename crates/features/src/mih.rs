@@ -176,7 +176,7 @@ impl MihIndex {
         let mut checked = vec![0u64; n.div_ceil(64)];
         let mut seen = 0usize;
         // Lexicographic (distance, row) top-k, kept sorted; k is 2 for the
-        // matcher and a small shortlist for serving, so insertion is cheap.
+        // matcher and small in `bench_ann`, so insertion is cheap.
         let mut top: Vec<(u32, u32)> = Vec::with_capacity(k + 1);
         let qkeys: Vec<u32> =
             self.tables.iter().map(|t| substring(qwords, t.bit_lo, t.bit_len)).collect();

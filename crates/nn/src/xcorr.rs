@@ -602,26 +602,6 @@ impl PreparedGallery {
         self.layer
     }
 
-    /// The gallery restricted to `rows`, in the given order (callers
-    /// sort them); a row `>= views` is a [`TensorError::ShapeMismatch`].
-    pub fn subset(&self, rows: &[usize]) -> Result<PreparedGallery, TensorError> {
-        if let Some(&bad) = rows.iter().find(|&&r| r >= self.views) {
-            return Err(TensorError::ShapeMismatch { expected: vec![self.views], got: vec![bad] });
-        }
-        // Every (channel, element, cell) run of `views` lanes keeps `rows`.
-        let gather = |src: &[f32]| -> Vec<f32> {
-            let cells = src.chunks_exact(self.views.max(1));
-            cells.flat_map(|cell| rows.iter().map(|&r| cell[r])).collect()
-        };
-        Ok(PreparedGallery {
-            layer: self.layer,
-            views: rows.len(),
-            shape: self.shape,
-            panels: gather(&self.panels),
-            norms: gather(&self.norms),
-        })
-    }
-
     /// Correlate one query feature stack `a` (`[1, C, H, W]`) with every
     /// view: the `[V, C·K, H, W]` output of [`NormXCorr::forward`] on
     /// `a` repeated once per view against the prepared views, stored
@@ -722,7 +702,9 @@ mod tests {
             g.data_mut()[40] = f32::INFINITY;
             let repeated = Tensor::stack_batch(&vec![&q; views]).unwrap();
             let (want, _) = layer.forward(&repeated, &g).unwrap();
-            let got = layer.prepare(&g).unwrap().correlate(&q).unwrap();
+            let prepared = layer.prepare(&g).unwrap();
+            let got = prepared.correlate(&q).unwrap();
+            assert!(prepared.correlate(&tensor_from(&[1, c, h, w + 1], |_| 0.0)).is_err());
             let koff = layer.offsets();
             for v in 0..views {
                 for oc in 0..c * koff {
@@ -737,23 +719,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gallery_subset_keeps_the_chosen_lanes() {
-        let layer = NormXCorr::new(3, 1).unwrap();
-        let g = tensor_from(&[4, 2, 3, 3], |i| (i as f32 * 0.37).sin());
-        let q = tensor_from(&[1, 2, 3, 3], |i| (i as f32 * 0.91).cos());
-        let full = layer.prepare(&g).unwrap();
-        let sub = full.subset(&[1, 3]).unwrap();
-        assert_eq!(sub.views(), 2);
-        let (a, b) = (full.correlate(&q).unwrap(), sub.correlate(&q).unwrap());
-        for cell in 0..a.len() / 4 {
-            assert_eq!(b[cell * 2].to_bits(), a[cell * 4 + 1].to_bits());
-            assert_eq!(b[cell * 2 + 1].to_bits(), a[cell * 4 + 3].to_bits());
-        }
-        assert!(full.subset(&[4]).is_err());
-        assert!(full.correlate(&tensor_from(&[1, 2, 3, 4], |_| 0.0)).is_err());
     }
 
     #[test]

@@ -341,7 +341,13 @@ fn parse_head(head_bytes: &[u8]) -> Result<Head, HttpError> {
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::Malformed("header line without a colon"));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        // A field name is a token: whitespace before the colon (or a
+        // folded continuation line) must be a 400 (RFC 9112 §5.1), not
+        // trimmed into a name another parser would not see.
+        if name.is_empty() || name.bytes().any(|b| b.is_ascii_whitespace()) {
+            return Err(HttpError::Malformed("whitespace in a header name"));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
 
     // Framing must be unambiguous on a reusable connection: a request
@@ -359,7 +365,11 @@ fn parse_head(head_bytes: &[u8]) -> Result<Head, HttpError> {
             if lengths.next().is_some() {
                 return Err(HttpError::Malformed("duplicate Content-Length"));
             }
-            v.parse::<usize>().map_err(|_| HttpError::Malformed("unparseable Content-Length"))?
+            // Digits only: `usize::from_str` also accepts a leading `+`.
+            v.parse::<usize>()
+                .ok()
+                .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or(HttpError::Malformed("unparseable Content-Length"))?
         }
     };
 
@@ -481,6 +491,15 @@ mod tests {
             parse(b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
+        // A signed length, whitespace before the colon and a folded
+        // header line (RFC 9112 §6.3, §5.1, §5.2).
+        for raw in [
+            &b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"[..],
+            b"POST / HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nHost: x\r\n Content-Length: 5\r\n\r\nhello",
+        ] {
+            assert!(matches!(parse(raw), Err(HttpError::Malformed(_))), "{raw:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! 3. **Batch** — concurrent requests that reach the workers together
 //!    are micro-batched into one `[B,3,H,W]` tower forward; per-item
 //!    results are bit-identical regardless of grouping, so batching is
-//!    invisible in the responses ([`service::RecognizerService`]).
+//!    invisible in the responses ([`service::RecognizerService`]). Each
+//!    query is then swept across every view of the gallery, prepared
+//!    once at start: at 82 views brute force is the paper's matcher and
+//!    no index pays (DESIGN.md §12.2).
 //! 4. **Degrade** — when the Siamese pipeline fails typed or the
 //!    remaining budget is too small for it, the service falls back to
 //!    the cheap histogram/Hu pipelines and labels the response

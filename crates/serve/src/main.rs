@@ -7,7 +7,6 @@
 //!            [--keep-alive true|false] [--max-requests-per-conn N]
 //!            [--idle-timeout-ms N]
 //!            [--method hybrid|shape|color] [--no-siamese]
-//!            [--index flat|hnsw|mih] [--shortlist N]
 //!            [--chaos-siamese-error] [--allow-test-delay]
 //! ```
 //!
@@ -36,8 +35,6 @@ const USAGE: &str = "taor-serve: recognition-as-a-service over the taor pipeline
   --seed N               gallery + network seed (default 2019)
   --method M             fallback pipeline: hybrid | shape | color (default hybrid)
   --no-siamese           answer from the cheap pipeline only
-  --index M              gallery index for the siamese path: flat | hnsw | mih (default flat)
-  --shortlist N          views a non-flat index hands to the scoring head (default 16)
   --chaos-siamese-error  force the siamese step to fail (degrade-ladder testing)
   --allow-test-delay     honour X-Taor-Test-Delay-Ms (tests only)";
 
@@ -97,10 +94,6 @@ fn run() -> Result<(), String> {
                 }
             }
             "--no-siamese" => service_cfg.use_siamese = false,
-            "--index" => service_cfg.index = parse("--index", args.next())?,
-            "--shortlist" => {
-                service_cfg.shortlist = parse::<usize>("--shortlist", args.next())?.max(1)
-            }
             "--chaos-siamese-error" => service_cfg.chaos_siamese_error = true,
             "--allow-test-delay" => server_cfg.allow_test_delay = true,
             "--help" | "-h" => {

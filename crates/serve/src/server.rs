@@ -335,7 +335,6 @@ fn healthz(service: &Arc<RecognizerService>, queue: &Arc<AdmissionQueue<Job>>) -
         status: String,
         reference_views: u64,
         gallery_size: u64,
-        index: String,
         queue_depth: u64,
         queue_capacity: u64,
         diagnostics: taor_core::DiagnosticsReport,
@@ -344,7 +343,6 @@ fn healthz(service: &Arc<RecognizerService>, queue: &Arc<AdmissionQueue<Job>>) -
         status: "ok".to_string(),
         reference_views: service.reference_count() as u64,
         gallery_size: service.gallery_size() as u64,
-        index: service.index_label().to_string(),
         queue_depth: queue.depth() as u64,
         queue_capacity: queue.capacity() as u64,
         diagnostics: service.diagnostics(),

@@ -18,13 +18,10 @@
 //! the shared [`Diagnostics`] ledger.
 
 use taor_core::prelude::*;
+use taor_core::recognizer::rank_scores;
 use taor_core::wire::{decode_crop, DecodeStats};
 use taor_core::{Error, Result};
 use taor_data::{shapenet_set1, Dataset, ObjectClass};
-use taor_features::{
-    BinaryDescriptors, FloatDescriptors, HnswIndex, HnswParams, MihIndex, MihParams,
-};
-use taor_imgproc::cmp::nan_last_f64;
 use taor_imgproc::image::RgbImage;
 use taor_nn::{NetConfig, NormXCorrNet, PreparedGallery, Tensor, TensorError};
 
@@ -44,15 +41,6 @@ pub struct ServiceConfig {
     /// Chaos knob: force the Siamese step to fail with a typed error,
     /// exercising the degrade ladder deterministically.
     pub chaos_siamese_error: bool,
-    /// Gallery index for the Siamese path. `Flat` runs the head over
-    /// every gallery view (the original behaviour); `Hnsw` shortlists by
-    /// embedding L2 via a graph index; `Mih` shortlists by Hamming
-    /// distance over sign-projected embedding bits. Non-flat modes score
-    /// only the shortlist — classes absent from it keep an infinite
-    /// distance and rank last.
-    pub index: AnnIndexMode,
-    /// How many gallery views a non-flat index hands to the head.
-    pub shortlist: usize,
 }
 
 impl Default for ServiceConfig {
@@ -71,8 +59,6 @@ impl Default for ServiceConfig {
                 ..NetConfig::default()
             },
             chaos_siamese_error: false,
-            index: AnnIndexMode::Flat,
-            shortlist: 16,
         }
     }
 }
@@ -107,50 +93,8 @@ pub struct RecognizerService {
     siamese: Option<(NormXCorrNet, PreparedGallery)>,
     /// Class of each gallery view, in gallery row order.
     ref_classes: Vec<ObjectClass>,
-    /// The shortlist index over the gallery embeddings.
-    gallery_index: GalleryIndex,
     cfg: ServiceConfig,
     diag: Diagnostics,
-}
-
-/// The built form of [`ServiceConfig::index`].
-enum GalleryIndex {
-    Flat,
-    Hnsw(Box<HnswIndex>),
-    Mih(Box<MihIndex>),
-}
-
-/// Bits in the sign-projection signature the MIH mode hashes.
-const SIG_BITS: usize = 256;
-const SIG_BYTES: usize = SIG_BITS / 8;
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// SimHash-style signature: each bit is the sign of the embedding's dot
-/// product with a seeded Rademacher (±1) vector. Nearby embeddings agree
-/// on most bits, so Hamming shortlists approximate L2 shortlists. Purely
-/// a function of `(row, seed)` — bit-stable across spawns and widths.
-fn sign_signature(row: &[f32], seed: u64) -> Vec<u8> {
-    let mut out = vec![0u8; SIG_BYTES];
-    for bit in 0..SIG_BITS {
-        let mut acc = 0.0f64;
-        for (i, &v) in row.iter().enumerate() {
-            let h = splitmix64(seed ^ (((bit as u64) << 32) | i as u64));
-            let w = if h & 1 == 1 { 1.0 } else { -1.0 };
-            acc += w * f64::from(v);
-        }
-        if acc > 0.0 {
-            if let Some(byte) = out.get_mut(bit / 8) {
-                *byte |= 1 << (bit % 8);
-            }
-        }
-    }
-    out
 }
 
 fn method_label(method: &Method) -> &'static str {
@@ -176,7 +120,7 @@ fn embed_gallery(cfg: &ServiceConfig, catalog: &Dataset) -> Result<(NormXCorrNet
 
 impl RecognizerService {
     /// Build every immutable artifact once: reference views, network,
-    /// prepared gallery, shortlist index.
+    /// prepared gallery.
     pub fn new(cfg: ServiceConfig) -> Result<Self> {
         let catalog = shapenet_set1(cfg.seed);
         let fallback = Recognizer::try_new(&catalog, cfg.method, Background::Black)?;
@@ -185,7 +129,6 @@ impl RecognizerService {
                 fallback,
                 siamese: None,
                 ref_classes: Vec::new(),
-                gallery_index: GalleryIndex::Flat,
                 cfg,
                 diag: Diagnostics::new(),
             });
@@ -193,36 +136,16 @@ impl RecognizerService {
         let (net, embeds) = embed_gallery(&cfg, &catalog)?;
         let gallery = net.prepare_gallery(&embeds)?;
         let ref_classes = catalog.images.iter().map(|li| li.class).collect();
-        let row_len = (embeds.len() / gallery.views().max(1)).max(1);
-        let rows = embeds.data().chunks_exact(row_len);
-        let gallery_index = match cfg.index {
-            AnnIndexMode::Flat => GalleryIndex::Flat,
-            AnnIndexMode::Hnsw => {
-                let mut descs = FloatDescriptors::new(row_len);
-                rows.for_each(|row| descs.push(row));
-                let params = HnswParams { seed: cfg.seed, ..HnswParams::default() };
-                GalleryIndex::Hnsw(Box::new(HnswIndex::build(descs, params).map_err(Error::from)?))
-            }
-            AnnIndexMode::Mih => {
-                let mut descs = BinaryDescriptors::new(SIG_BYTES);
-                rows.for_each(|row| descs.push(&sign_signature(row, cfg.seed)));
-                let index = MihIndex::build(descs, MihParams::default()).map_err(Error::from)?;
-                GalleryIndex::Mih(Box::new(index))
-            }
-        };
         Ok(RecognizerService {
             fallback,
             siamese: Some((net, gallery)),
             ref_classes,
-            gallery_index,
             cfg,
             diag: Diagnostics::new(),
         })
     }
 
-    /// A service over the same gallery artifacts and the same ledger.
-    /// `Recognizer` is `Arc`-shared internally, so this is cheap; the
-    /// network weights are cloned (small, immutable after init).
+    /// The configuration the service was built from.
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
     }
@@ -239,16 +162,6 @@ impl RecognizerService {
             self.fallback.reference_count()
         } else {
             self.ref_classes.len()
-        }
-    }
-
-    /// The index actually built over the gallery (`flat` when the
-    /// Siamese pipeline is off, whatever the config asked for).
-    pub fn index_label(&self) -> &'static str {
-        match &self.gallery_index {
-            GalleryIndex::Flat => "flat",
-            GalleryIndex::Hnsw(_) => "hnsw",
-            GalleryIndex::Mih(_) => "mih",
         }
     }
 
@@ -356,8 +269,8 @@ impl RecognizerService {
             .collect()
     }
 
-    /// Score one embedded query against the gallery (all of it, or the
-    /// index's shortlist) and rank per-class minima.
+    /// Score one embedded query against every gallery view and rank
+    /// per-class minima.
     fn siamese_answer(&self, embed: Option<Tensor>, stats: DecodeStats) -> Result<ServiceResponse> {
         if self.cfg.chaos_siamese_error {
             return Err(Error::Nn(TensorError::EmptyTrainingSet));
@@ -366,73 +279,16 @@ impl RecognizerService {
             return Err(Error::EmptyReference("siamese gallery is not built"));
         };
         let embed = embed.ok_or(Error::Nn(TensorError::EmptyTrainingSet))?;
-        let (rows, probs) = match self.shortlist(&embed) {
-            None => ((0..gallery.views()).collect(), net.predict_similar_gallery(&embed, gallery)?),
-            Some(rows) if rows.is_empty() => {
-                // A fully quarantined query (or an empty gallery)
-                // shortlists nothing: degrade down the ladder.
-                return Err(Error::EmptyReference("gallery shortlist is empty"));
-            }
-            Some(rows) => {
-                let probs = net.predict_similar_gallery(&embed, &gallery.subset(&rows)?)?;
-                (rows, probs)
-            }
-        };
-        Ok(self.rank_answer(&rows, &probs, stats))
+        let probs = net.predict_similar_gallery(&embed, gallery)?;
+        Ok(self.rank_answer(&probs, stats))
     }
 
-    /// The gallery rows a non-flat index hands to the head, sorted
-    /// ascending so the sweep order — and therefore the bytes — never
-    /// depend on the index's traversal order; `None` in flat mode.
-    fn shortlist(&self, embed: &Tensor) -> Option<Vec<usize>> {
-        let k = self.cfg.shortlist.max(1);
-        let mut rows: Vec<usize> = match &self.gallery_index {
-            GalleryIndex::Flat => return None,
-            GalleryIndex::Hnsw(ix) => {
-                ix.search(embed.data(), k).into_iter().map(|(i, _)| i).collect()
-            }
-            GalleryIndex::Mih(ix) => {
-                let sig = sign_signature(embed.data(), self.cfg.seed);
-                ix.search(&sig, k).into_iter().map(|(i, _)| i).collect()
-            }
-        };
-        rows.sort_unstable();
-        Some(rows)
-    }
-
-    /// The response for head probabilities `probs` of gallery `rows`:
-    /// per-class best distance `1 − p`, ranked.
-    fn rank_answer(&self, rows: &[usize], probs: &[f32], stats: DecodeStats) -> ServiceResponse {
-        let mut best = [f64::INFINITY; ObjectClass::COUNT];
-        let mut nan_seen = 0u64;
-        for (class, p) in rows.iter().filter_map(|&i| self.ref_classes.get(i)).zip(probs) {
-            let d = 1.0 - f64::from(*p);
-            if d.is_nan() {
-                nan_seen += 1;
-            } else {
-                let slot = best.get_mut(class.index());
-                if let Some(slot) = slot {
-                    if d < *slot {
-                        *slot = d;
-                    }
-                }
-            }
-        }
-        self.diag.record_nan_scores(nan_seen);
-        let (ranking, confidence, degraded) = rank_distances(&best);
-        if degraded {
-            self.diag.record_degraded(1);
-        }
-        let class = ranking.first().copied().unwrap_or(ObjectClass::Box);
-        ServiceResponse {
-            class: class.name().to_string(),
-            synset: class.synset().id.to_string(),
-            confidence,
-            ranking: ranking.iter().map(|c| c.name().to_string()).collect(),
-            pipeline: "siamese".to_string(),
-            degraded,
-            quarantined_samples: stats.nan_pixels,
-        }
+    /// The response for head probabilities `probs`, one per gallery
+    /// view in row order: per-class best distance `1 − p`, ranked.
+    fn rank_answer(&self, probs: &[f32], stats: DecodeStats) -> ServiceResponse {
+        let scores = self.ref_classes.iter().zip(probs).map(|(c, p)| (*c, 1.0 - f64::from(*p)));
+        let rec = rank_scores(scores, &self.diag);
+        response(&rec, "siamese", rec.degraded, stats)
     }
 
     /// The cheap-pipeline answer (histograms/Hu via the shared
@@ -444,42 +300,26 @@ impl RecognizerService {
         degraded_by_ladder: bool,
     ) -> ServiceResponse {
         let rec = self.fallback.recognize(img);
-        ServiceResponse {
-            class: rec.class.name().to_string(),
-            synset: rec.synset.id.to_string(),
-            confidence: rec.confidence,
-            ranking: rec.ranking.iter().map(|c| c.name().to_string()).collect(),
-            pipeline: method_label(&self.cfg.method).to_string(),
-            degraded: degraded_by_ladder || rec.degraded,
-            quarantined_samples: stats.nan_pixels,
-        }
+        let degraded = degraded_by_ladder || rec.degraded;
+        response(&rec, method_label(&self.cfg.method), degraded, stats)
     }
 }
 
-/// Ranking + softmin-margin confidence from per-class best distances —
-/// the same conventions as `Recognizer::recognize`, shared here for the
-/// siamese path. Returns `(ranking, confidence, degraded)`.
-fn rank_distances(best: &[f64; ObjectClass::COUNT]) -> (Vec<ObjectClass>, f64, bool) {
-    let mut order: Vec<usize> = (0..ObjectClass::COUNT).collect();
-    order.sort_by(|&a, &b| {
-        let (da, db) = (best.get(a), best.get(b));
-        match (da, db) {
-            (Some(x), Some(y)) => nan_last_f64(*x, *y),
-            _ => std::cmp::Ordering::Equal,
-        }
-    });
-    let ranking: Vec<ObjectClass> =
-        order.iter().copied().filter_map(ObjectClass::from_index).collect();
-    let d1 = order.first().and_then(|&i| best.get(i)).copied().unwrap_or(f64::INFINITY);
-    let d2 = order.get(1).and_then(|&i| best.get(i)).copied().unwrap_or(f64::INFINITY);
-    if !d1.is_finite() {
-        (ranking, 1.0 / ObjectClass::COUNT as f64, true)
-    } else if !d2.is_finite() {
-        (ranking, 1.0, false)
-    } else {
-        let gap = (d2 - d1).max(0.0);
-        let scale = d1.abs().max(1e-6);
-        (ranking, 1.0 - 0.5 * (-gap / scale).exp(), false)
+/// The response body for `rec`, answered by `pipeline`.
+fn response(
+    rec: &Recognition,
+    pipeline: &str,
+    degraded: bool,
+    stats: DecodeStats,
+) -> ServiceResponse {
+    ServiceResponse {
+        class: rec.class.name().to_string(),
+        synset: rec.synset.id.to_string(),
+        confidence: rec.confidence,
+        ranking: rec.ranking.iter().map(|c| c.name().to_string()).collect(),
+        pipeline: pipeline.to_string(),
+        degraded,
+        quarantined_samples: stats.nan_pixels,
     }
 }
 
@@ -558,94 +398,30 @@ mod tests {
         let resp = s.recognize_image(&crop(), DecodeStats::default(), true);
         assert_eq!(resp.pipeline, "hybrid");
         assert!(!resp.degraded, "the configured primary pipeline is not a degradation");
-    }
-
-    #[test]
-    fn hnsw_shortlist_covering_the_gallery_matches_flat() {
-        // With the shortlist at least as large as the gallery, the HNSW
-        // path scores every view the flat path scores, so the answer
-        // must be byte-identical (the head is per-pair).
-        let flat = service(true);
-        let hnsw = RecognizerService::new(ServiceConfig {
-            index: AnnIndexMode::Hnsw,
-            shortlist: 1024,
-            ..ServiceConfig::default()
-        })
-        .expect("hnsw gallery builds");
-        assert_eq!(hnsw.index_label(), "hnsw");
-        assert_eq!(hnsw.gallery_size(), flat.gallery_size());
-        for li in nyu_set_subsampled(2019, 1).images.iter().take(3) {
-            let a = flat.recognize_image(&li.image, DecodeStats::default(), true);
-            let b = hnsw.recognize_image(&li.image, DecodeStats::default(), true);
-            assert_eq!(
-                serde_json::to_string(&a).unwrap(),
-                serde_json::to_string(&b).unwrap(),
-                "a gallery-covering shortlist must reproduce the flat answer"
-            );
-        }
-    }
-
-    #[test]
-    fn small_shortlist_still_answers_siamese_deterministically() {
-        for index in [AnnIndexMode::Hnsw, AnnIndexMode::Mih] {
-            let s = RecognizerService::new(ServiceConfig {
-                index,
-                shortlist: 8,
-                ..ServiceConfig::default()
-            })
-            .expect("indexed gallery builds");
-            assert_eq!(s.index_label(), index.label());
-            let a = s.recognize_image(&crop(), DecodeStats::default(), true);
-            let b = s.recognize_image(&crop(), DecodeStats::default(), true);
-            assert_eq!(a.pipeline, "siamese");
-            assert!(!a.degraded, "a shortlisted answer is not a degradation");
-            assert_eq!(a.ranking.len(), ObjectClass::COUNT);
-            assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
-        }
+        assert_eq!(s.gallery_size(), s.reference_count());
     }
 
     #[test]
     fn shortlists_through_the_prepared_gallery_match_the_pairwise_head() {
-        // The reference: the query repeated once per shortlisted row
-        // against those rows' embeddings, through the pairwise head.
-        let cfg = ServiceConfig::default();
-        let (net, embeds) = embed_gallery(&cfg, &shapenet_set1(cfg.seed)).unwrap();
-        let views = embeds.split_batch().unwrap();
-        for index in [AnnIndexMode::Flat, AnnIndexMode::Hnsw, AnnIndexMode::Mih] {
-            let s = RecognizerService::new(ServiceConfig { index, shortlist: 8, ..cfg.clone() })
-                .expect("indexed gallery builds");
-            for li in nyu_set_subsampled(2019, 1).images.iter().take(4) {
-                let stats = DecodeStats::default();
-                let tensor = image_to_tensor(&li.image, &net.config);
-                let embed = net.tower_embed(&tensor).unwrap();
-                let rows = s.shortlist(&embed).unwrap_or_else(|| (0..views.len()).collect());
-                assert_eq!(rows.len(), if index == AnnIndexMode::Flat { views.len() } else { 8 });
-                let refs: Vec<&Tensor> = rows.iter().map(|&r| &views[r]).collect();
-                let query = Tensor::stack_batch(&vec![&embed; rows.len()]).unwrap();
-                let probs = net
-                    .predict_similar_features(&query, &Tensor::stack_batch(&refs).unwrap())
-                    .unwrap();
-                let want = s.rank_answer(&rows, &probs, stats);
-                let got = s.recognize_image(&li.image, stats, true);
-                assert_eq!(
-                    serde_json::to_string(&got).unwrap(),
-                    serde_json::to_string(&want).unwrap(),
-                    "{index:?}: the prepared gallery must answer like the pairwise head"
-                );
-            }
+        // The reference: the query repeated once per gallery view against
+        // every view's embedding, through the pairwise head.
+        let s = service(true);
+        let (net, embeds) = embed_gallery(s.config(), &shapenet_set1(s.config().seed)).unwrap();
+        let views = embeds.shape()[0];
+        assert_eq!(views, s.gallery_size());
+        for li in nyu_set_subsampled(2019, 1).images.iter().take(4) {
+            let stats = DecodeStats::default();
+            let embed = net.tower_embed(&image_to_tensor(&li.image, &net.config)).unwrap();
+            let query = Tensor::stack_batch(&vec![&embed; views]).unwrap();
+            let probs = net.predict_similar_features(&query, &embeds).unwrap();
+            let want = s.rank_answer(&probs, stats);
+            let got = s.recognize_image(&li.image, stats, true);
+            assert_eq!(
+                serde_json::to_string(&got).unwrap(),
+                serde_json::to_string(&want).unwrap(),
+                "the prepared gallery must answer like the pairwise head"
+            );
         }
-    }
-
-    #[test]
-    fn index_without_siamese_stays_flat() {
-        let s = RecognizerService::new(ServiceConfig {
-            use_siamese: false,
-            index: AnnIndexMode::Hnsw,
-            ..ServiceConfig::default()
-        })
-        .expect("cheap gallery builds");
-        assert_eq!(s.index_label(), "flat", "no embeddings means no index to build");
-        assert!(s.gallery_size() > 0);
     }
 
     #[test]

@@ -6,10 +6,9 @@ workspace: 200 for a valid wire crop, 400 for a malformed buffer,
 keep-alive reuse (two requests over one connection, identical answers),
 429 (+ Retry-After) when the admission queue is saturated, and a clean
 exit 0 on SIGTERM. Then the primary pipeline: a server with the
-defaults (flat index) and one with `--index mih` must each answer the
-crop through the Siamese head, undegraded, with identical bodies on a
-reused connection; the default server's body must hash to the pinned
-SHA-256. Stdlib only.
+defaults must answer the crop through the Siamese head, undegraded,
+with identical bodies on a reused connection and a body that hashes to
+the pinned SHA-256. Stdlib only.
 
 Usage: serve_smoke.py path/to/taor-serve
 """
@@ -74,11 +73,11 @@ def spawn(binary, args):
     return proc, (host, int(port))
 
 
-def check_siamese(binary, args, sha256=None):
-    """The primary pipeline answers the crop, undegraded, with the same
-    body twice over one reused connection (and the pinned hash, if any)."""
-    label = " ".join(args) or "defaults"
-    proc, addr = spawn(binary, args)
+def check_siamese(binary):
+    """The primary pipeline of a server with the defaults answers the
+    crop, undegraded, with the same body twice over one reused
+    connection, hashing to the pinned SHA-256."""
+    proc, addr = spawn(binary, [])
     try:
         conn = http.client.HTTPConnection(addr[0], addr[1], timeout=30)
         bodies = []
@@ -87,22 +86,20 @@ def check_siamese(binary, args, sha256=None):
                 conn.request("POST", "/recognize", body=wire_crop())
                 resp = conn.getresponse()
                 body = resp.read()
-                assert resp.status == 200, f"{label}: expected 200, got {resp.status}: {body!r}"
+                assert resp.status == 200, f"expected 200, got {resp.status}: {body!r}"
                 bodies.append(body)
         finally:
             conn.close()
         body = bodies[0]
-        assert b'"pipeline":"siamese"' in body, f"{label}: not the Siamese pipeline: {body!r}"
-        assert b'"degraded":false' in body, f"{label}: degraded answer: {body!r}"
-        assert bodies[1] == body, f"{label}: reused-connection bodies differ"
-        if sha256 is not None:
-            got = hashlib.sha256(body).hexdigest()
-            assert got == sha256, f"{label}: body SHA-256 {got} != pinned {sha256}: {body!r}"
+        assert b'"pipeline":"siamese"' in body, f"not the Siamese pipeline: {body!r}"
+        assert b'"degraded":false' in body, f"degraded answer: {body!r}"
+        assert bodies[1] == body, "reused-connection bodies differ"
+        got = hashlib.sha256(body).hexdigest()
+        assert got == DEFAULT_BODY_SHA256, f"body SHA-256 {got} != pinned: {body!r}"
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=30)
-        assert code == 0, f"{label}: SIGTERM: expected exit 0, got {code}"
-        pinned = ", pinned body hash" if sha256 else ""
-        print(f"siamese answer ({label}): 200, undegraded, identical on reuse{pinned}: ok")
+        assert code == 0, f"SIGTERM: expected exit 0, got {code}"
+        print("siamese answer (defaults): 200, undegraded, identical on reuse, pinned body hash: ok")
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -209,9 +206,8 @@ def main():
             proc.kill()
             proc.wait()
 
-    # 7. The primary pipeline over HTTP: defaults (flat index) and MIH.
-    check_siamese(binary, [], DEFAULT_BODY_SHA256)
-    check_siamese(binary, ["--index", "mih"])
+    # 7. The primary pipeline over HTTP, with the defaults.
+    check_siamese(binary)
 
     print("serve smoke: all checks passed")
 
