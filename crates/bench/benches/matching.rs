@@ -1,12 +1,12 @@
 //! Bench: the brute-force matcher kernels against their naive oracles,
-//! and the HNSW and MIH gallery indexes against brute force at 8,192 rows.
+//! and the MIH gallery index against brute force at 8,192 rows.
 //!
 //! §3.3: "Using FLANN-based matching for optimised nearest neighbour
 //! search did not lead to any performance gains, compared to the
 //! brute-force approach, most likely due to the fairly limited size of
 //! the input datasets." `bench_ann` records that crossover for the
-//! indexes the system ships: brute force wins at 90 gallery views, the
-//! indexes at 10,500 (`bench_records/BENCH_ann_*.json`).
+//! index the system ships: brute force wins at 90 gallery views, MIH at
+//! 10,500 (`bench_records/BENCH_ann_*.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -73,11 +73,10 @@ fn bench_matcher_pins(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pins for the sub-linear gallery indexes at a past-the-crossover scale
-/// (8,192 gallery rows): a single HNSW query must beat the brute L2 scan
-/// and a single MIH query must beat the brute Hamming scan. Both pins
-/// time pure lookups — the index is built once outside the loop. The MIH
-/// pin is the nearest-gallery-view lookup (k = 1) for a lightly corrupted
+/// Pin for the MIH gallery index at a past-the-crossover scale (8,192
+/// gallery rows): a single MIH query must beat the brute Hamming scan.
+/// The pin times pure lookups — the index is built once outside the
+/// loop — of the nearest gallery view (k = 1) for a lightly corrupted
 /// gallery row — the near-duplicate serving workload, as in `bench_ann`:
 /// MIH's pigeonhole stop fires once the kth kept distance drops below
 /// m·(r+1), so it is fast exactly when the answer set is close. On
@@ -86,19 +85,7 @@ fn bench_matcher_pins(c: &mut Criterion) {
 /// real galleries cluster (neighbouring views of one model), which is
 /// what `bench_ann`'s k = 10 run exercises.
 fn bench_ann_pins(c: &mut Criterion) {
-    use taor_features::{
-        exact_knn_binary, exact_knn_float, HnswIndex, HnswParams, MihIndex, MihParams,
-    };
-
-    let train = random_descs(8192, 64, 21);
-    let query = random_descs(1, 64, 22);
-    let hnsw = HnswIndex::build(train.clone(), HnswParams::default()).unwrap();
-    let mut g = c.benchmark_group("pin_hnsw_query");
-    g.bench_function("hnsw", |b| b.iter(|| hnsw.search(black_box(query.row(0)), 10)));
-    g.bench_function("brute", |b| {
-        b.iter(|| exact_knn_float(black_box(query.row(0)), black_box(&train), 10))
-    });
-    g.finish();
+    use taor_features::{exact_knn_binary, MihIndex, MihParams};
 
     let btrain = random_bdescs(8192, 32, 23);
     let mut qcode: Vec<u8> = btrain.row(4096).to_vec();

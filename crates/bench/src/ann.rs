@@ -3,12 +3,11 @@
 //! The paper's matcher is brute force, which §3.3 justifies by the
 //! "fairly limited size of the input datasets" (~10² views). This module
 //! measures where that argument stops holding: it scales the procedural
-//! catalog to ShapeNet-like view counts with [`gallery_grid`], extracts
-//! one cheap global descriptor per view (a 256-d gist-style gray grid
-//! plus a 256-bit BRIEF-style binary signature), and races the PR's
-//! sub-linear indexes — HNSW for float rows, exact multi-index hashing
-//! for binary codes — against per-query brute-force scans, reporting
-//! recall@k alongside the speedup so the accuracy cost is never silent.
+//! catalog to ShapeNet-like view counts with [`gallery_grid`], describes
+//! each view with one cheap global code (a 256-bit BRIEF-style signature
+//! over a 256-cell gist-style gray grid), and races exact multi-index
+//! hashing against a per-query brute-force Hamming scan, reporting
+//! recall@k alongside the speedup so exactness is checked, not assumed.
 //!
 //! Queries are near-duplicate re-renders of gallery cells (the same model
 //! grid under a different jitter stream), i.e. the serving workload: "a
@@ -19,15 +18,14 @@ use std::time::Instant;
 use serde::Serialize;
 use taor_data::gallery_grid;
 use taor_features::{
-    exact_knn_binary, exact_knn_float, mean_recall, recall_at_k, recall_at_k_u32,
-    BinaryDescriptors, FloatDescriptors, HnswIndex, HnswParams, MihIndex, MihParams,
+    exact_knn_binary, mean_recall, recall_at_k_u32, BinaryDescriptors, MihIndex, MihParams,
 };
 use taor_imgproc::image::RgbImage;
 
 /// Schema tag written into every record.
-pub const ANN_PERF_SCHEMA: &str = "taor-bench-ann-perf-v1";
+pub const ANN_PERF_SCHEMA: &str = "taor-bench-ann-perf-v2";
 
-/// Cells per side of the gist grid; the float descriptor is
+/// Cells per side of the gist grid the signature compares; the gist is
 /// `GIST_GRID`² wide.
 const GIST_GRID: usize = 16;
 /// Bits in the binary signature (pairwise gist-cell comparisons).
@@ -83,10 +81,10 @@ impl AnnBenchConfig {
     }
 }
 
-/// One index's race against its brute-force oracle.
+/// The index's race against its brute-force oracle.
 #[derive(Debug, Clone, Serialize)]
 pub struct AnnModePerf {
-    /// `hnsw` or `mih`.
+    /// Always `mih`.
     pub index: String,
     /// Index construction, milliseconds.
     pub build_ms: f64,
@@ -112,14 +110,12 @@ pub struct AnnPerfRecord {
     pub gallery_views: usize,
     /// Near-duplicate queries probed.
     pub queries: usize,
-    /// Float descriptor width.
+    /// Gist width the signature's comparisons draw from.
     pub dim: usize,
     /// Binary signature width in bits.
     pub bits: usize,
     /// Neighbours requested per query.
     pub k: usize,
-    /// HNSW over the gist descriptors vs a brute L2 scan.
-    pub float: AnnModePerf,
     /// MIH over the binary signatures vs a brute Hamming scan.
     pub binary: AnnModePerf,
 }
@@ -175,105 +171,52 @@ pub fn binary_signature(gist: &[f32], seed: u64) -> Vec<u8> {
     out
 }
 
-/// Descriptor tables for one rendered gallery (or query set).
-pub struct DescribedViews {
-    pub float: FloatDescriptors,
-    pub binary: BinaryDescriptors,
-}
-
-/// Render `gallery_grid(cfg, jitter)` and describe every view.
-pub fn describe_grid(cfg: &AnnBenchConfig, jitter: u64, take_every: usize) -> DescribedViews {
+/// Render `gallery_grid(cfg, jitter)` and sign every `take_every`th view.
+pub fn describe_grid(cfg: &AnnBenchConfig, jitter: u64, take_every: usize) -> BinaryDescriptors {
     let ds = gallery_grid(cfg.seed, cfg.models_per_class, cfg.yaw_steps, cfg.pitch_steps, jitter);
-    let mut float = FloatDescriptors::new(GIST_GRID * GIST_GRID);
-    let mut binary = BinaryDescriptors::new(SIG_BYTES);
+    let mut codes = BinaryDescriptors::new(SIG_BYTES);
     for li in ds.images.iter().step_by(take_every.max(1)) {
-        let g = gist_descriptor(&li.image);
-        binary.push(&binary_signature(&g, cfg.seed));
-        float.push(&g);
+        codes.push(&binary_signature(&gist_descriptor(&li.image), cfg.seed));
     }
-    DescribedViews { float, binary }
+    codes
 }
 
 /// Run the full race: render, index, probe, report.
 pub fn run_ann_bench(cfg: &AnnBenchConfig) -> taor_features::Result<AnnPerfRecord> {
     let gallery = describe_grid(cfg, 0, 1);
-    let n = gallery.float.len();
+    let n = gallery.len();
     // Queries: the same grid cells re-rendered under jitter stream 1,
     // thinned to roughly `cfg.queries` evenly spaced views.
     let stride = (n / cfg.queries.max(1)).max(1);
     let queries = describe_grid(cfg, 1, stride);
-    let nq = queries.float.len();
+    let nq = queries.len();
     let k = cfg.k.max(1);
 
-    // --- Float: HNSW vs brute L2. -------------------------------------
     let started = Instant::now();
-    let hnsw = HnswIndex::build(
-        gallery.float.clone(),
-        HnswParams { seed: cfg.seed, ..HnswParams::default() },
-    )?;
-    let hnsw_build_ms = started.elapsed().as_secs_f64() * 1e3;
+    let mih = MihIndex::build(gallery.clone(), MihParams::default())?;
+    let build_ms = started.elapsed().as_secs_f64() * 1e3;
+
+    let qwords: Vec<&[u64]> = queries.packed_words().chunks(queries.words_per_row()).collect();
 
     let started = Instant::now();
-    let exact_f: Vec<Vec<(usize, f32)>> =
-        (0..nq).map(|i| exact_knn_float(queries.float.row(i), &gallery.float, k)).collect();
-    let brute_f_us = started.elapsed().as_secs_f64() * 1e6 / nq.max(1) as f64;
+    let exact: Vec<Vec<(usize, u32)>> =
+        qwords.iter().map(|q| exact_knn_binary(q, &gallery, k)).collect();
+    let brute_us = started.elapsed().as_secs_f64() * 1e6 / nq.max(1) as f64;
 
     let started = Instant::now();
-    let approx_f: Vec<Vec<(usize, f32)>> =
-        (0..nq).map(|i| hnsw.search(queries.float.row(i), k)).collect();
-    let ann_f_us = started.elapsed().as_secs_f64() * 1e6 / nq.max(1) as f64;
+    let approx: Vec<Vec<(usize, u32)>> = qwords.iter().map(|q| mih.search_words(q, k)).collect();
+    let ann_us = started.elapsed().as_secs_f64() * 1e6 / nq.max(1) as f64;
 
-    let r1_f: Vec<f64> = approx_f.iter().zip(&exact_f).map(|(a, e)| recall_at_k(a, e, 1)).collect();
-    let rk_f: Vec<f64> = approx_f.iter().zip(&exact_f).map(|(a, e)| recall_at_k(a, e, k)).collect();
-    let float = AnnModePerf {
-        index: "hnsw".to_string(),
-        build_ms: hnsw_build_ms,
-        brute_us_per_query: brute_f_us,
-        ann_us_per_query: ann_f_us,
-        speedup: brute_f_us / ann_f_us.max(1e-9),
-        recall_at_1: mean_recall(&r1_f),
-        recall_at_k: mean_recall(&rk_f),
-    };
-
-    // --- Binary: MIH vs brute Hamming. --------------------------------
-    let started = Instant::now();
-    let mih = MihIndex::build(gallery.binary.clone(), MihParams::default())?;
-    let mih_build_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let qwords: Vec<Vec<u64>> = (0..nq)
-        .map(|i| {
-            let row = queries.binary.row(i);
-            let mut words = vec![0u64; row.len().div_ceil(8)];
-            for (w, chunk) in words.iter_mut().zip(row.chunks(8)) {
-                let mut bytes = [0u8; 8];
-                bytes[..chunk.len()].copy_from_slice(chunk);
-                *w = u64::from_le_bytes(bytes);
-            }
-            words
-        })
-        .collect();
-
-    let started = Instant::now();
-    let exact_b: Vec<Vec<(usize, u32)>> =
-        qwords.iter().map(|q| exact_knn_binary(q, &gallery.binary, k)).collect();
-    let brute_b_us = started.elapsed().as_secs_f64() * 1e6 / nq.max(1) as f64;
-
-    let started = Instant::now();
-    let approx_b: Vec<Vec<(usize, u32)>> = qwords.iter().map(|q| mih.search_words(q, k)).collect();
-    let ann_b_us = started.elapsed().as_secs_f64() * 1e6 / nq.max(1) as f64;
-
-    let r1_b: Vec<f64> =
-        approx_b.iter().zip(&exact_b).map(|(a, e)| recall_at_k_u32(a, e, 1)).collect();
-    let rk_b: Vec<f64> =
-        approx_b.iter().zip(&exact_b).map(|(a, e)| recall_at_k_u32(a, e, k)).collect();
+    let r1: Vec<f64> = approx.iter().zip(&exact).map(|(a, e)| recall_at_k_u32(a, e, 1)).collect();
+    let rk: Vec<f64> = approx.iter().zip(&exact).map(|(a, e)| recall_at_k_u32(a, e, k)).collect();
     let binary = AnnModePerf {
         index: "mih".to_string(),
-        build_ms: mih_build_ms,
-        brute_us_per_query: brute_b_us,
-        ann_us_per_query: ann_b_us,
-        speedup: brute_b_us / ann_b_us.max(1e-9),
-        recall_at_1: mean_recall(&r1_b),
-        recall_at_k: mean_recall(&rk_b),
+        build_ms,
+        brute_us_per_query: brute_us,
+        ann_us_per_query: ann_us,
+        speedup: brute_us / ann_us.max(1e-9),
+        recall_at_1: mean_recall(&r1),
+        recall_at_k: mean_recall(&rk),
     };
 
     Ok(AnnPerfRecord {
@@ -284,7 +227,6 @@ pub fn run_ann_bench(cfg: &AnnBenchConfig) -> taor_features::Result<AnnPerfRecor
         dim: GIST_GRID * GIST_GRID,
         bits: SIG_BITS,
         k,
-        float,
         binary,
     })
 }
@@ -294,13 +236,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_gallery_indexes_hit_the_recall_floor() {
+    fn quick_gallery_index_is_exact() {
         // The scaled-gallery recall gate at a debug-feasible size: the
         // same pipeline CI runs at 10,500 views in release mode.
         let record = run_ann_bench(&AnnBenchConfig::quick(2019)).expect("bench runs");
         assert_eq!(record.gallery_views, 240);
         assert!(record.queries >= 20);
-        assert!(record.float.recall_at_1 >= 0.99, "hnsw recall@1 = {}", record.float.recall_at_1);
         assert!(
             (record.binary.recall_at_1 - 1.0).abs() < 1e-12,
             "mih is exact, recall@1 = {}",
@@ -318,9 +259,8 @@ mod tests {
         let cfg = AnnBenchConfig::quick(7);
         let a = describe_grid(&cfg, 0, 5);
         let b = describe_grid(&cfg, 0, 5);
-        assert_eq!(a.float.as_slice(), b.float.as_slice(), "same jitter, same bytes");
-        assert_eq!(a.binary.row(0), b.binary.row(0));
+        assert_eq!(a, b, "same jitter, same bytes");
         let c = describe_grid(&cfg, 1, 5);
-        assert_ne!(a.float.as_slice(), c.float.as_slice(), "jitter must perturb the views");
+        assert_ne!(a, c, "jitter must perturb the views");
     }
 }

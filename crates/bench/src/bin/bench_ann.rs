@@ -1,15 +1,15 @@
-//! `bench_ann` — race the sub-linear gallery indexes against brute force.
+//! `bench_ann` — race the MIH gallery index against brute force.
 //!
 //! ```text
 //! bench_ann [--seed S] [--models-per-class N] [--yaw N] [--pitch N]
 //!           [--queries N] [--k N] [--quick] [--out PATH]
 //! ```
 //!
-//! Renders a `gallery_grid` catalog (default: 10,500 views), describes
-//! every view with a 256-d gist descriptor and a 256-bit binary
-//! signature, builds the HNSW and MIH indexes, and reports per-query
-//! brute-vs-indexed lookup time plus recall@1/@k. `--out` writes the
-//! `taor-bench-ann-perf-v1` JSON record (see `bench_records/`).
+//! Renders a `gallery_grid` catalog (default: 10,500 views), signs every
+//! view with a 256-bit binary code over a 256-cell gist, builds the MIH
+//! index, and reports per-query brute-vs-indexed lookup time plus
+//! recall@1/@k. `--out` writes the `taor-bench-ann-perf-v2` JSON record
+//! (see `bench_records/`).
 
 use taor_bench::ann::{run_ann_bench, AnnBenchConfig};
 
@@ -77,20 +77,19 @@ fn main() {
             std::process::exit(1);
         }
     };
-    for mode in [&record.float, &record.binary] {
-        println!(
-            "{:>4}: build {:8.1} ms | brute {:9.1} us/q | ann {:8.1} us/q | {:6.1}x | \
-             recall@1 {:.4} | recall@{} {:.4}",
-            mode.index,
-            mode.build_ms,
-            mode.brute_us_per_query,
-            mode.ann_us_per_query,
-            mode.speedup,
-            mode.recall_at_1,
-            record.k,
-            mode.recall_at_k,
-        );
-    }
+    let mode = &record.binary;
+    println!(
+        "{:>4}: build {:8.1} ms | brute {:9.1} us/q | ann {:8.1} us/q | {:6.1}x | \
+         recall@1 {:.4} | recall@{} {:.4}",
+        mode.index,
+        mode.build_ms,
+        mode.brute_us_per_query,
+        mode.ann_us_per_query,
+        mode.speedup,
+        mode.recall_at_1,
+        record.k,
+        mode.recall_at_k,
+    );
     if let Some(path) = args.out {
         let json = match serde_json::to_string_pretty(&record) {
             Ok(j) => j,

@@ -4,7 +4,7 @@
 //! repro [--table N] [--quick|--medium|--full] [--seed S] [--sweep]
 //!       [--ablate] [--extensions] [--nyu-per-class N] [--json PATH]
 //!       [--train-pairs N] [--train-epochs N] [--eval-pairs N]
-//!       [--index flat|hnsw|mih] [--verbose]
+//!       [--index flat|mih] [--verbose]
 //! ```
 //!
 //! Default is `--quick`: NYU subsampled to 50 crops/class and a reduced
@@ -15,11 +15,9 @@
 //! `--extensions` appends the E1–E3 future-work experiments; `--ablate`
 //! adds the RANSAC column to Table 3 and the cosine head to Table 4.
 //! `--index` selects the descriptor-gallery index for tables 3 and 9:
-//! `flat` (brute force, the default), `hnsw` (approximate, float kinds)
-//! or `mih` (exact multi-index hashing, binary kinds); every mode is
-//! deterministic across spawns and `TAOR_THREADS` widths.
+//! `flat` (brute force, the default) or `mih` (exact multi-index hashing
+//! for ORB; SIFT and SURF stay brute force). Both print the same bytes.
 
-use std::io::Write;
 use taor_bench::extensions::{table_e1, table_e2, table_e3};
 use taor_bench::repro::{
     table1_with, table2_sweep_with, table2_with, table3_ex_with, table4_with, table5_with,
@@ -110,7 +108,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "repro [--table N] [--quick|--medium|--full] [--seed S] [--sweep] [--ablate] \
                      [--extensions] [--nyu-per-class N] [--json PATH] [--train-pairs N] \
-                     [--train-epochs N] [--eval-pairs N] [--index flat|hnsw|mih] [--verbose]"
+                     [--train-epochs N] [--eval-pairs N] [--index flat|mih] [--verbose]"
                 );
                 std::process::exit(0);
             }
@@ -216,12 +214,17 @@ fn main() {
     }
 
     if let Some(path) = args.json {
-        let json = serde_json::to_string_pretty(&records).expect("records serialise");
-        let mut f = std::fs::File::create(&path).unwrap_or_else(|e| {
+        let json = match serde_json::to_string_pretty(&records) {
+            Ok(j) => j,
+            Err(e) => {
+                eprintln!("error: records do not serialise: {e}");
+                std::process::exit(1);
+            }
+        };
+        if let Err(e) = std::fs::write(&path, json) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(1);
-        });
-        f.write_all(json.as_bytes()).expect("write json");
+        }
         eprintln!("wrote {} records to {path}", records.len());
     }
 }

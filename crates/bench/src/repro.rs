@@ -31,9 +31,9 @@ pub struct ReproConfig {
     /// one). `None` (the default) evaluates every pair.
     pub max_eval_pairs: Option<usize>,
     /// Gallery index for the descriptor tables (3 and 9): brute force
-    /// (`Flat`, the paper's matcher), HNSW for float kinds or exact MIH
-    /// for binary kinds. Every mode is deterministic across spawns and
-    /// `TAOR_THREADS` widths; MIH is additionally bit-identical to flat.
+    /// (`Flat`, the paper's matcher) or exact MIH for the binary kind
+    /// (ORB); SIFT and SURF always match brute force. Both modes print
+    /// the same bytes at every `TAOR_THREADS` width.
     pub index: AnnIndexMode,
 }
 

@@ -90,29 +90,24 @@ fn table4_reduced_is_byte_identical_across_thread_counts() {
     assert_eq!(one, four, "table 4: stdout differs between TAOR_THREADS=1 and TAOR_THREADS=4");
 }
 
-/// The `--index` gallery modes carry the same end-to-end guarantee as
-/// flat matching: byte-identical Table 3 output across process restarts
-/// and pool widths. MIH is exact by construction, so its stdout must
-/// additionally equal the brute-force run bit-for-bit; HNSW is allowed
-/// to differ from flat but never from itself.
+/// The `--index mih` gallery mode carries the same end-to-end guarantee
+/// as flat matching: byte-identical Table 3 output across process
+/// restarts and pool widths. MIH is exact by construction, so its stdout
+/// must additionally equal the brute-force run bit-for-bit.
 #[test]
 fn indexed_table3_is_deterministic_and_mih_matches_flat() {
     let flat = repro_stdout_with("2", &["--quick", "--table", "3", "--seed", "7"]);
-    for index in ["hnsw", "mih"] {
-        let args = ["--quick", "--table", "3", "--seed", "7", "--index", index];
-        let first = repro_stdout_with("2", &args);
-        let second = repro_stdout_with("2", &args);
-        let narrow = repro_stdout_with("1", &args);
-        let wide = repro_stdout_with("4", &args);
-        assert!(!first.is_empty(), "--index {index} produced no output");
-        assert_eq!(first, second, "--index {index}: stdout differs between two spawns");
-        assert_eq!(narrow, wide, "--index {index}: stdout differs across TAOR_THREADS widths");
-        assert_eq!(first, narrow, "--index {index}: stdout differs across runs");
-        if index == "mih" {
-            assert_eq!(
-                first, flat,
-                "MIH is an exact index: its tables must be byte-identical to brute force"
-            );
-        }
-    }
+    let args = ["--quick", "--table", "3", "--seed", "7", "--index", "mih"];
+    let first = repro_stdout_with("2", &args);
+    let second = repro_stdout_with("2", &args);
+    let narrow = repro_stdout_with("1", &args);
+    let wide = repro_stdout_with("4", &args);
+    assert!(!first.is_empty(), "--index mih produced no output");
+    assert_eq!(first, second, "--index mih: stdout differs between two spawns");
+    assert_eq!(narrow, wide, "--index mih: stdout differs across TAOR_THREADS widths");
+    assert_eq!(first, narrow, "--index mih: stdout differs across runs");
+    assert_eq!(
+        first, flat,
+        "MIH is an exact index: its tables must be byte-identical to brute force"
+    );
 }

@@ -14,8 +14,8 @@ use taor_data::{Dataset, ObjectClass};
 use taor_features::{
     knn_match_binary, knn_match_float, orb_detect_and_compute, ratio_test_matches,
     sift_detect_and_compute, surf_detect_and_compute, verify_matches, BinaryDescriptors,
-    FloatDescriptors, HnswIndex, HnswParams, KeyPoint, MihIndex, MihParams, OrbParams,
-    RansacParams, RatioMatch, SiftParams, SurfParams,
+    FloatDescriptors, KeyPoint, MihIndex, MihParams, OrbParams, RansacParams, RatioMatch,
+    SiftParams, SurfParams,
 };
 use taor_imgproc::cmp::nan_last_f32;
 use taor_imgproc::color::rgb_to_gray;
@@ -45,29 +45,25 @@ impl DescriptorKind {
 
 /// How the pooled reference gallery is searched during classification.
 ///
-/// `Flat` is the paper's brute-force matcher; the other two are the
-/// sub-linear indexes of `taor-features`. Each index only applies to the
-/// metric it serves — HNSW to float (SIFT/SURF) pools, MIH to binary
-/// (ORB) pools — and the other metric transparently stays brute-force,
-/// so any mode is safe with any descriptor kind. MIH is exact
-/// (bit-identical predictions to `Flat`); HNSW is approximate.
+/// `Flat` is the paper's brute-force matcher; `Mih` searches binary (ORB)
+/// pools through the exact multi-index hashing of `taor-features`, with
+/// predictions bit-identical to `Flat`. Float (SIFT/SURF) pools always
+/// match brute force, so either mode is safe with any descriptor kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AnnIndexMode {
     #[default]
     Flat,
-    Hnsw,
     Mih,
 }
 
 impl AnnIndexMode {
     /// All modes, flat first.
-    pub const ALL: [AnnIndexMode; 3] = [AnnIndexMode::Flat, AnnIndexMode::Hnsw, AnnIndexMode::Mih];
+    pub const ALL: [AnnIndexMode; 2] = [AnnIndexMode::Flat, AnnIndexMode::Mih];
 
     /// CLI / report label.
     pub fn label(&self) -> &'static str {
         match self {
             AnnIndexMode::Flat => "flat",
-            AnnIndexMode::Hnsw => "hnsw",
             AnnIndexMode::Mih => "mih",
         }
     }
@@ -79,9 +75,8 @@ impl std::str::FromStr for AnnIndexMode {
     fn from_str(s: &str) -> std::result::Result<Self, String> {
         match s {
             "flat" => Ok(AnnIndexMode::Flat),
-            "hnsw" => Ok(AnnIndexMode::Hnsw),
             "mih" => Ok(AnnIndexMode::Mih),
-            other => Err(format!("unknown index mode {other:?} (flat | hnsw | mih)")),
+            other => Err(format!("unknown index mode {other:?} (flat | mih)")),
         }
     }
 }
@@ -96,7 +91,6 @@ enum Descs {
 /// The pooled reference gallery under one of the [`AnnIndexMode`]s.
 enum PoolIndex {
     FloatFlat(FloatDescriptors),
-    FloatHnsw(Box<HnswIndex>),
     BinaryFlat(BinaryDescriptors),
     BinaryMih(Box<MihIndex>),
 }
@@ -104,15 +98,12 @@ enum PoolIndex {
 impl PoolIndex {
     fn build(pool: Descs, mode: AnnIndexMode) -> Result<PoolIndex> {
         Ok(match (pool, mode) {
-            (Descs::Float(p), AnnIndexMode::Hnsw) => PoolIndex::FloatHnsw(Box::new(
-                HnswIndex::build(p, HnswParams::default()).map_err(Error::from)?,
-            )),
             (Descs::Binary(p), AnnIndexMode::Mih) => PoolIndex::BinaryMih(Box::new(
                 MihIndex::build(p, MihParams::default()).map_err(Error::from)?,
             )),
-            // The other metric stays brute-force under either ANN mode.
+            (Descs::Binary(p), AnnIndexMode::Flat) => PoolIndex::BinaryFlat(p),
+            // Float pools always match brute force.
             (Descs::Float(p), _) => PoolIndex::FloatFlat(p),
-            (Descs::Binary(p), _) => PoolIndex::BinaryFlat(p),
         })
     }
 
@@ -121,7 +112,6 @@ impl PoolIndex {
     fn knn(&self, q: &Descs) -> Vec<RatioMatch> {
         match (q, self) {
             (Descs::Float(q), PoolIndex::FloatFlat(p)) => knn_match_float(q, p).unwrap_or_default(),
-            (Descs::Float(q), PoolIndex::FloatHnsw(ix)) => ix.knn_match(q).unwrap_or_default(),
             (Descs::Binary(q), PoolIndex::BinaryFlat(p)) => {
                 knn_match_binary(q, p).unwrap_or_default()
             }
@@ -301,11 +291,10 @@ pub fn try_classify_descriptors_verified(
 /// batch.
 ///
 /// `mode` picks the gallery index: the pooled reference descriptors are
-/// searched brute-force (`Flat`, the paper's matcher), through an HNSW
-/// graph (`Hnsw`, float kinds) or through multi-index hashing (`Mih`,
-/// binary kinds — exact, so predictions are bit-identical to `Flat`).
-/// The index is built once per call and amortised over every query
-/// image.
+/// searched brute-force (`Flat`, the paper's matcher) or, for binary
+/// kinds, through multi-index hashing (`Mih` — exact, so predictions are
+/// bit-identical to `Flat`; float kinds stay brute-force). The index is
+/// built once per call and amortised over every query image.
 pub fn try_classify_descriptors_with(
     queries: &DescriptorIndex,
     reference: &DescriptorIndex,
@@ -483,27 +472,13 @@ mod tests {
     }
 
     #[test]
-    fn hnsw_mode_agrees_with_flat() {
-        let sns1 = shapenet_set1(7);
-        let idx = extract_index(&sns1, DescriptorKind::Surf);
-        let diag = Diagnostics::new();
-        let flat =
-            try_classify_descriptors_with(&idx, &idx, 0.75, &diag, AnnIndexMode::Flat).unwrap();
-        let hnsw =
-            try_classify_descriptors_with(&idx, &idx, 0.75, &diag, AnnIndexMode::Hnsw).unwrap();
-        // HNSW is approximate: allow a small prediction drift vs. the
-        // brute-force pool, but at self-matching recall it should agree on
-        // nearly every view.
-        let agree = flat.iter().zip(&hnsw).filter(|(a, b)| a == b).count();
-        assert!(agree as f64 / flat.len() as f64 >= 0.9, "{agree}/{}", flat.len());
-    }
-
-    #[test]
     fn index_mode_labels_and_parsing() {
         for mode in AnnIndexMode::ALL {
             assert_eq!(mode.label().parse::<AnnIndexMode>().unwrap(), mode);
         }
         assert!("faiss".parse::<AnnIndexMode>().is_err());
+        let err = "hnsw".parse::<AnnIndexMode>().unwrap_err();
+        assert!(err.contains("flat | mih"), "{err}");
         assert_eq!(AnnIndexMode::default(), AnnIndexMode::Flat);
     }
 

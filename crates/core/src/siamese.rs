@@ -187,9 +187,8 @@ pub fn try_evaluate_siamese(
         .par_chunks(EVAL_BATCH)
         .map(|chunk| {
             let refs: Vec<&Tensor> = chunk.iter().collect();
-            let batch = stack_rows(&refs)?;
-            let feats = net.tower_embed(&batch)?;
-            split_rows(&feats)
+            let feats = net.tower_embed(&Tensor::stack_batch(&refs)?)?;
+            Ok(feats.split_batch()?)
         })
         .collect();
     let mut features = Vec::with_capacity(unique.len());
@@ -209,7 +208,8 @@ pub fn try_evaluate_siamese(
                 .iter()
                 .map(|p| &features[index[&(p.b as *const taor_data::LabeledImage as usize)]])
                 .collect();
-            let probs = net.predict_similar_features(&stack_rows(&fa)?, &stack_rows(&fb)?)?;
+            let probs = net
+                .predict_similar_features(&Tensor::stack_batch(&fa)?, &Tensor::stack_batch(&fb)?)?;
             Ok(probs.into_iter().map(|p| usize::from(p > 0.5)).collect::<Vec<_>>())
         })
         .collect();
@@ -220,17 +220,6 @@ pub fn try_evaluate_siamese(
 
     let truth: Vec<usize> = pairs.iter().map(|p| p.label).collect();
     Ok(evaluate_binary(&truth, &preds))
-}
-
-/// Stack `[1, …]` tensors into one `[B, …]` batch
-/// ([`Tensor::stack_batch`], lifted into the crate error type).
-fn stack_rows(items: &[&Tensor]) -> crate::error::Result<Tensor> {
-    Ok(Tensor::stack_batch(items)?)
-}
-
-/// Split a `[B, …]` batch back into `B` tensors of leading dimension 1.
-fn split_rows(batch: &Tensor) -> crate::error::Result<Vec<Tensor>> {
-    Ok(batch.split_batch()?)
 }
 
 // ---------------------------------------------------------------------

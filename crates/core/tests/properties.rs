@@ -132,3 +132,104 @@ proptest! {
         prop_assert!(e.cumulative_accuracy < 0.55, "baseline suspiciously strong");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Wire codec. Crop bytes come off the network, so the decoder must answer
+// every input with a crop or a typed `Error::Wire` and never panic, and
+// whatever the encoders write must decode back to the same pixels.
+// ---------------------------------------------------------------------------
+
+/// A header with the current magic and version.
+fn wire_header(format: u8, width: u32, height: u32) -> Vec<u8> {
+    let mut out = WIRE_MAGIC.to_vec();
+    out.push(WIRE_VERSION);
+    out.push(format);
+    out.extend_from_slice(&width.to_le_bytes());
+    out.extend_from_slice(&height.to_le_bytes());
+    out
+}
+
+/// `bytes` decode to a crop of the size its header names, or to a wire
+/// error.
+fn decodes_or_rejects(bytes: &[u8]) -> Result<(), String> {
+    match decode_crop(bytes) {
+        Ok((img, stats)) => {
+            let le = |at: usize| {
+                u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+            };
+            prop_assert_eq!(img.dimensions(), (le(6), le(10)));
+            prop_assert!(stats.nan_pixels <= img.as_raw().len() as u64);
+            Ok(())
+        }
+        Err(taor_core::Error::Wire(_)) => Ok(()),
+        Err(other) => Err(format!("{} bytes: not a wire error: {other:?}", bytes.len())),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn decode_crop_answers_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..48)) {
+        decodes_or_rejects(&bytes)?;
+    }
+
+    #[test]
+    fn decode_crop_answers_a_valid_header_with_any_payload(
+        (format, width, height, payload) in (0u8..2, 1u32..6, 1u32..6, any::<bool>())
+            .prop_flat_map(|(format, width, height, exact)| {
+                let sample_bytes = if format == 0 { 1 } else { 4 };
+                let expected = (width * height * 3) as usize * sample_bytes;
+                // Half the cases carry exactly the promised length, so the
+                // accepting path sees arbitrary (for RGBF32, sometimes
+                // non-finite) samples.
+                let len = if exact { expected..expected + 1 } else { 0..expected + 8 };
+                (Just(format), Just(width), Just(height), collection::vec(any::<u8>(), len))
+            }),
+    ) {
+        let mut bytes = wire_header(format, width, height);
+        bytes.extend_from_slice(&payload);
+        decodes_or_rejects(&bytes)?;
+    }
+
+    #[test]
+    fn rgb8_encoding_round_trips(
+        (width, height, raw) in (1u32..9, 1u32..9).prop_flat_map(|(width, height)| {
+            let n = (width * height * 3) as usize;
+            (Just(width), Just(height), collection::vec(any::<u8>(), n))
+        }),
+    ) {
+        let img = taor_imgproc::image::RgbImage::from_vec(width, height, raw).unwrap();
+        let (back, stats) = decode_crop(&encode_rgb8(&img)).unwrap();
+        prop_assert_eq!(back.dimensions(), (width, height));
+        prop_assert_eq!(back.as_raw(), img.as_raw());
+        prop_assert_eq!(stats.nan_pixels, 0);
+    }
+
+    #[test]
+    fn f32_encoding_counts_every_non_finite_sample(
+        (width, height, samples, poison) in (1u32..6, 1u32..6).prop_flat_map(|(width, height)| {
+            let n = (width * height * 3) as usize;
+            (Just(width), Just(height), collection::vec(-0.5f32..1.5, n), collection::vec(0u8..6, n))
+        }),
+    ) {
+        // Poison codes 0-2 put NaN, +inf or -inf in place of the sample.
+        let mixed: Vec<f32> = samples
+            .iter()
+            .zip(&poison)
+            .map(|(&s, &p)| match p {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                _ => s,
+            })
+            .collect();
+        let non_finite = mixed.iter().filter(|v| !v.is_finite()).count() as u64;
+        let (img, stats) = decode_crop(&encode_f32(width, height, &mixed)).unwrap();
+        prop_assert_eq!(img.dimensions(), (width, height));
+        prop_assert_eq!(stats.nan_pixels, non_finite);
+        for (v, &b) in mixed.iter().zip(img.as_raw()) {
+            prop_assert!(v.is_finite() || b == 0, "a quarantined sample decodes as 0");
+        }
+    }
+}

@@ -17,18 +17,16 @@
 //!   descriptors with the ratio test: the paper's matcher, which it keeps
 //!   because FLANN "did not lead to any performance gains" at its ~10²
 //!   reference views,
-//! * [`hnsw`] / [`mih`] — the sub-linear gallery indexes for galleries
-//!   past the paper's scale: an HNSW graph for float descriptors and an
-//!   exact multi-index-hashing table for binary codes, with a
-//!   recall@k-vs-exact harness in [`recall`]. `bench_ann` in `taor-bench`
-//!   records where they pay: not at 90 views, where brute force wins as
-//!   §3.3 reports, but at 10,500 (`bench_records/`).
+//! * [`mih`] — an exact multi-index-hashing table for binary codes, with
+//!   a recall@k-vs-exact harness in [`recall`]. `bench_ann` in
+//!   `taor-bench` records where it pays: not at 90 views, where brute
+//!   force wins as §3.3 reports, but at 10,500 (`bench_records/`). Float
+//!   descriptors always match brute force.
 
 #![forbid(unsafe_code)]
 
 pub mod error;
 pub mod evaluation;
-pub mod hnsw;
 pub mod keypoint;
 pub mod matcher;
 pub mod mih;
@@ -40,7 +38,6 @@ pub mod surf;
 
 pub use error::{FeatureError, Result};
 pub use evaluation::{matching_score, repeatability};
-pub use hnsw::{HnswIndex, HnswParams};
 pub use keypoint::{BinaryDescriptors, FloatDescriptors, KeyPoint};
 pub use matcher::{
     knn_match_binary, knn_match_binary_naive, knn_match_float, knn_match_float_naive,
@@ -49,6 +46,6 @@ pub use matcher::{
 pub use mih::{MihIndex, MihParams};
 pub use orb::{orb_detect_and_compute, OrbParams};
 pub use ransac::{verify_matches, RansacParams, Similarity, Verification};
-pub use recall::{exact_knn_binary, exact_knn_float, mean_recall, recall_at_k, recall_at_k_u32};
+pub use recall::{exact_knn_binary, mean_recall, recall_at_k_u32};
 pub use sift::{sift_detect_and_compute, SiftParams};
 pub use surf::{surf_detect_and_compute, SurfParams};

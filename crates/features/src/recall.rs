@@ -1,29 +1,14 @@
 // taor-lint: allow(panic::index) — dense evaluation kernel: row indices are bounded by the descriptor containers they came from.
-//! Recall@k-vs-exact evaluation for the approximate indexes.
+//! Recall@k-vs-exact evaluation for the gallery index.
 //!
-//! The exact oracles reuse the PR 3 naive-matcher pattern — a scalar scan
+//! The exact oracle follows the naive matcher's pattern — a scalar scan
 //! maintaining the lexicographically smallest `(distance, index)` pairs —
 //! generalised from 2-NN to top-k, and recall is **tie-tolerant**: an
-//! approximate neighbour counts as a hit when its (exact, rescored)
-//! distance is no worse than the oracle's kth distance, so duplicated
-//! descriptors cannot flip a correct answer into a miss by index
-//! disagreement alone.
+//! indexed neighbour counts as a hit when its (exact, rescored) distance
+//! is no worse than the oracle's kth distance, so duplicated descriptors
+//! cannot flip a correct answer into a miss by index disagreement alone.
 
-use crate::keypoint::{hamming_words, l2_sq, BinaryDescriptors, FloatDescriptors};
-
-/// Exact top-`k` neighbours of `query` in `train` under squared L2 as
-/// `(row, distance)`, ascending by `(distance, index)`; non-finite
-/// distances are quarantined (never returned), matching the naive
-/// matcher's semantics.
-pub fn exact_knn_float(query: &[f32], train: &FloatDescriptors, k: usize) -> Vec<(usize, f32)> {
-    let mut all: Vec<(usize, f32)> = (0..train.len())
-        .map(|i| (i, l2_sq(query, train.row(i))))
-        .filter(|&(_, d)| d.is_finite())
-        .collect();
-    all.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    all.truncate(k);
-    all
-}
+use crate::keypoint::{hamming_words, BinaryDescriptors};
 
 /// Exact top-`k` neighbours of a word-packed binary `query` in `train`
 /// under Hamming distance as `(row, distance)`, ascending by
@@ -39,20 +24,10 @@ pub fn exact_knn_binary(query: &[u64], train: &BinaryDescriptors, k: usize) -> V
     all
 }
 
-/// Tie-tolerant recall@k for one query: the fraction of the first `k`
-/// approximate neighbours whose distance is `≤` the exact kth distance.
-/// Returns 1.0 when the exact list is empty (nothing to recall).
-pub fn recall_at_k(approx: &[(usize, f32)], exact: &[(usize, f32)], k: usize) -> f64 {
-    let k = k.min(exact.len());
-    if k == 0 {
-        return 1.0;
-    }
-    let kth = exact[k - 1].1;
-    let hits = approx.iter().take(k).filter(|&&(_, d)| d <= kth).count();
-    hits as f64 / k as f64
-}
-
-/// [`recall_at_k`] over integer (Hamming) distances.
+/// Tie-tolerant recall@k for one query under integer (Hamming)
+/// distances: the fraction of the first `k` indexed neighbours whose
+/// distance is `≤` the exact kth distance. Returns 1.0 when the exact
+/// list is empty (nothing to recall).
 pub fn recall_at_k_u32(approx: &[(usize, u32)], exact: &[(usize, u32)], k: usize) -> f64 {
     let k = k.min(exact.len());
     if k == 0 {
@@ -76,17 +51,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_float_oracle_sorts_and_quarantines() {
-        let mut train = FloatDescriptors::new(1);
-        train.push(&[3.0]);
-        train.push(&[f32::NAN]);
-        train.push(&[1.0]);
-        train.push(&[1.0]);
-        let nn = exact_knn_float(&[1.0], &train, 3);
-        assert_eq!(nn, vec![(2, 0.0), (3, 0.0), (0, 4.0)]);
-    }
-
-    #[test]
     fn exact_binary_oracle_sorts_with_index_ties() {
         let mut train = BinaryDescriptors::new(1);
         train.push(&[0b11]);
@@ -98,17 +62,17 @@ mod tests {
 
     #[test]
     fn recall_is_tie_tolerant() {
-        let exact = vec![(1, 0.5f32), (2, 0.5)];
+        let exact = vec![(1, 5u32), (2, 5)];
         // Different index, same distance: still a hit.
-        let approx = vec![(7, 0.5f32), (2, 0.5)];
-        assert_eq!(recall_at_k(&approx, &exact, 2), 1.0);
+        let approx = vec![(7, 5u32), (2, 5)];
+        assert_eq!(recall_at_k_u32(&approx, &exact, 2), 1.0);
         // A worse distance is a miss.
-        let approx = vec![(7, 0.6f32), (2, 0.5)];
-        assert_eq!(recall_at_k(&approx, &exact, 2), 0.5);
-        // Short approximate lists count the absent entries as misses.
-        assert_eq!(recall_at_k(&[], &exact, 2), 0.0);
+        let approx = vec![(7, 6u32), (2, 5)];
+        assert_eq!(recall_at_k_u32(&approx, &exact, 2), 0.5);
+        // Short indexed lists count the absent entries as misses.
+        assert_eq!(recall_at_k_u32(&[], &exact, 2), 0.0);
         // Empty exact list: vacuous hit.
-        assert_eq!(recall_at_k(&approx, &[], 2), 1.0);
+        assert_eq!(recall_at_k_u32(&approx, &[], 2), 1.0);
     }
 
     #[test]

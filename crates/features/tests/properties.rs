@@ -243,14 +243,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ANN index equivalence. MIH is exact by construction (the pigeonhole
-// bound), so it must be bit-identical to the naive Hamming oracle on ANY
-// input, at ANY substring width. HNSW degenerates to the exact scalar
-// scan whenever `ef >= n`, so a saturating ef must be bit-identical to
-// the naive L2 oracle — including its NaN-quarantine placeholders.
+// MIH equivalence. MIH is exact by construction (the pigeonhole bound), so
+// it must be bit-identical to the naive Hamming oracle on ANY input, at
+// ANY substring width.
 // ---------------------------------------------------------------------------
 
-use taor_features::{HnswIndex, HnswParams, MihIndex, MihParams};
+use taor_features::{MihIndex, MihParams};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -289,112 +287,4 @@ proptest! {
         let naive = knn_match_binary_naive(&q, &t).unwrap();
         prop_assert_eq!(index.knn_match(&q).unwrap(), naive);
     }
-
-    #[test]
-    fn hnsw_with_saturating_ef_is_bit_identical_to_naive(
-        qflat in proptest::collection::vec(-4.0f32..4.0, 12 * 8),
-        tflat in proptest::collection::vec(-4.0f32..4.0, 10 * 8),
-        seed in any::<u64>(),
-    ) {
-        let q = descs_flat(8, &qflat);
-        let t = descs_flat(8, &tflat);
-        let params = HnswParams { ef_search: 1024, seed, ..HnswParams::default() };
-        let index = HnswIndex::build(t.clone(), params).unwrap();
-        let naive = knn_match_float_naive(&q, &t).unwrap();
-        prop_assert_eq!(index.knn_match(&q).unwrap(), naive);
-    }
-
-    #[test]
-    fn hnsw_saturating_ef_handles_poisoned_rows_like_naive(
-        qflat in proptest::collection::vec(-4.0f32..4.0, 10 * 8),
-        tflat in proptest::collection::vec(-4.0f32..4.0, 9 * 8),
-        qbad in proptest::collection::vec(0usize..10 * 8, 1..6),
-        tbad in proptest::collection::vec(0usize..9 * 8, 1..6),
-        use_inf in 0u8..2,
-    ) {
-        let poison = if use_inf == 1 { f32::INFINITY } else { f32::NAN };
-        let mut qflat = qflat;
-        let mut tflat = tflat;
-        for &i in &qbad {
-            qflat[i] = poison;
-        }
-        for &i in &tbad {
-            tflat[i] = poison;
-        }
-        let q = descs_flat(8, &qflat);
-        let t = descs_flat(8, &tflat);
-        let params = HnswParams { ef_search: 1024, ..HnswParams::default() };
-        let index = HnswIndex::build(t.clone(), params).unwrap();
-        let naive = knn_match_float_naive(&q, &t).unwrap();
-        prop_assert_eq!(index.knn_match(&q).unwrap(), naive);
-    }
-
-    #[test]
-    fn hnsw_build_is_seed_deterministic(
-        tflat in proptest::collection::vec(-4.0f32..4.0, 12 * 6),
-        qflat in proptest::collection::vec(-4.0f32..4.0, 3 * 6),
-        seed in any::<u64>(),
-    ) {
-        let t = descs_flat(6, &tflat);
-        let q = descs_flat(6, &qflat);
-        let params = HnswParams { seed, ..HnswParams::default() };
-        let a = HnswIndex::build(t.clone(), params).unwrap();
-        let b = HnswIndex::build(t, params).unwrap();
-        prop_assert_eq!(a.knn_match(&q).unwrap(), b.knn_match(&q).unwrap());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recall on a clustered gallery: with the default search parameters the
-// HNSW graph must place the true nearest neighbour first for ≥ 99 % of
-// near-duplicate queries. Deterministic (splitmix-driven data), so this
-// is a pinned bound rather than a statistical hope.
-// ---------------------------------------------------------------------------
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit_f32(state: &mut u64) -> f32 {
-    (splitmix(state) >> 40) as f32 / (1u64 << 24) as f32
-}
-
-#[test]
-fn hnsw_recall_at_1_is_high_on_a_clustered_gallery() {
-    use taor_features::{exact_knn_float, recall_at_k};
-
-    const DIM: usize = 16;
-    const CLUSTERS: usize = 40;
-    const PER_CLUSTER: usize = 50; // 2,000 gallery rows
-    const QUERIES: usize = 200;
-
-    let mut state = 0xC0FF_EE00u64;
-    let centers: Vec<Vec<f32>> =
-        (0..CLUSTERS).map(|_| (0..DIM).map(|_| unit_f32(&mut state) * 10.0).collect()).collect();
-    let mut gallery = FloatDescriptors::new(DIM);
-    for c in &centers {
-        for _ in 0..PER_CLUSTER {
-            let row: Vec<f32> = c.iter().map(|&v| v + (unit_f32(&mut state) - 0.5)).collect();
-            gallery.push(&row);
-        }
-    }
-    let index = HnswIndex::build(gallery.clone(), HnswParams::default()).unwrap();
-
-    let mut hits = 0usize;
-    for qi in 0..QUERIES {
-        let base = gallery.row((qi * 7) % gallery.len()).to_vec();
-        let query: Vec<f32> =
-            base.iter().map(|&v| v + (unit_f32(&mut state) - 0.5) * 0.02).collect();
-        let approx = index.search(&query, 1);
-        let exact = exact_knn_float(&query, &gallery, 1);
-        if recall_at_k(&approx, &exact, 1) >= 1.0 {
-            hits += 1;
-        }
-    }
-    let recall = hits as f64 / QUERIES as f64;
-    assert!(recall >= 0.99, "recall@1 = {recall} over {QUERIES} queries");
 }

@@ -94,26 +94,25 @@ type MicroPassResult = Result<(Vec<f32>, Vec<bool>, NetGrads), TensorError>;
 /// batched micro-passes — but it is retained as the bit-exactness
 /// reference the batched path is pinned against (see the
 /// `batched_equivalence` integration tests). Returns `(loss, correct,
-/// grads)`.
+/// grads)`; a pair the network cannot take is a typed error.
 pub fn sample_pass(
     net: &NormXCorrNet,
     sample: &PairSample,
     dropout_seed: u64,
-) -> (f32, bool, NetGrads) {
-    let (logits, cache) =
-        net.forward_ex(&sample.a, &sample.b, Some(dropout_seed)).expect("shapes fixed by dataset"); // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
-    let (loss, grad) =
-        softmax_cross_entropy(&logits, &[sample.label]).expect("logits are [1,2] by construction"); // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
+) -> Result<(f32, bool, NetGrads), TensorError> {
+    let (logits, cache) = net.forward_ex(&sample.a, &sample.b, Some(dropout_seed))?;
+    let (loss, grad) = softmax_cross_entropy(&logits, &[sample.label])?;
     let pred = if logits.at2(0, 1) > logits.at2(0, 0) { 1 } else { 0 };
     let mut grads = net.zero_grads();
-    net.backward(&cache, &grad, &mut grads).expect("backward mirrors forward"); // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
-    (loss, pred == sample.label, grads)
+    net.backward(&cache, &grad, &mut grads)?;
+    Ok((loss, pred == sample.label, grads))
 }
 
 /// One micro-batch: stack the selected pairs, run the batched
 /// forward/backward, and return per-row losses/correctness plus the
 /// micro's gradient store (per-sample contributions accumulated in row
-/// order, bit-identical to the [`sample_pass`] oracle).
+/// order, bit-identical to the [`sample_pass`] oracle). Pairs of unequal
+/// shapes are a [`TensorError::ShapeMismatch`].
 fn micro_pass(
     net: &NormXCorrNet,
     samples: &[PairSample],
@@ -121,9 +120,10 @@ fn micro_pass(
     epoch: usize,
     seed: u64,
 ) -> Result<(Vec<f32>, Vec<bool>, NetGrads), TensorError> {
-    let pairs: Vec<&PairSample> = idxs.iter().map(|&i| &samples[i]).collect();
-    let (a, b) = stack_pair_refs(&pairs);
-    let labels: Vec<usize> = pairs.iter().map(|p| p.label).collect();
+    let a: Vec<&Tensor> = idxs.iter().map(|&i| &samples[i].a).collect();
+    let b: Vec<&Tensor> = idxs.iter().map(|&i| &samples[i].b).collect();
+    let (a, b) = (Tensor::stack_batch(&a)?, Tensor::stack_batch(&b)?);
+    let labels: Vec<usize> = idxs.iter().map(|&i| samples[i].label).collect();
     // Per-sample, per-epoch dropout stream — a function of the sample
     // index, not of the batch grouping.
     let seeds: Vec<u64> =
@@ -223,31 +223,9 @@ pub fn try_train(
 /// costs a single GEMM instead of `B` small ones.
 const EVAL_BATCH: usize = 16;
 
-/// Stack a chunk of `[1, 3, H, W]` pairs into one `[B, 3, H, W]` pair.
-fn stack_pairs(chunk: &[PairSample]) -> (Tensor, Tensor) {
-    let refs: Vec<&PairSample> = chunk.iter().collect();
-    stack_pair_refs(&refs)
-}
-
-/// [`stack_pairs`] over borrowed pairs (the training loop indexes into a
-/// shuffled order and never owns a contiguous chunk).
-fn stack_pair_refs(chunk: &[&PairSample]) -> (Tensor, Tensor) {
-    let s = chunk[0].a.shape();
-    let (c, h, w) = (s[1], s[2], s[3]);
-    let mut a = Vec::with_capacity(chunk.len() * c * h * w);
-    let mut b = Vec::with_capacity(chunk.len() * c * h * w);
-    for sample in chunk {
-        a.extend_from_slice(sample.a.data());
-        b.extend_from_slice(sample.b.data());
-    }
-    (
-        Tensor::from_vec(&[chunk.len(), c, h, w], a).expect("uniform pair shapes"), // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
-        Tensor::from_vec(&[chunk.len(), c, h, w], b).expect("uniform pair shapes"), // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
-    )
-}
-
 /// Evaluate: predicted label (argmax) per sample, scored in
-/// pool-parallel batches; malformed pair shapes are typed errors.
+/// pool-parallel batches; pairs of unequal shapes are a
+/// [`TensorError::ShapeMismatch`].
 pub fn try_predict_labels(
     net: &NormXCorrNet,
     samples: &[PairSample],
@@ -255,8 +233,10 @@ pub fn try_predict_labels(
     let results: Vec<Result<Vec<usize>, TensorError>> = samples
         .par_chunks(EVAL_BATCH)
         .map(|chunk| {
-            let (a, b) = stack_pairs(chunk);
-            let probs = net.predict_similar(&a, &b)?;
+            let a: Vec<&Tensor> = chunk.iter().map(|p| &p.a).collect();
+            let b: Vec<&Tensor> = chunk.iter().map(|p| &p.b).collect();
+            let probs =
+                net.predict_similar(&Tensor::stack_batch(&a)?, &Tensor::stack_batch(&b)?)?;
             Ok(probs.into_iter().map(|p| usize::from(p > 0.5)).collect::<Vec<_>>())
         })
         .collect();
@@ -356,6 +336,33 @@ mod tests {
         let labels = try_predict_labels(&net, &samples).unwrap();
         assert_eq!(labels.len(), 6);
         assert!(labels.iter().all(|&l| l == 0 || l == 1));
+    }
+
+    #[test]
+    fn mixed_pair_shapes_are_a_typed_error() {
+        // A 24×20 pair, then a taller one, or one with the same element
+        // count under transposed sides that must not be silently reshaped.
+        for (h, w) in [(26, 20), (20, 24)] {
+            let mut samples = separable_samples(1, 24, 20, 17);
+            samples.extend(separable_samples(1, h, w, 19));
+            let net = tiny_net();
+            assert!(
+                matches!(
+                    try_predict_labels(&net, &samples),
+                    Err(TensorError::ShapeMismatch { .. })
+                ),
+                "predict on a [1, 3, {h}, {w}] pair"
+            );
+            let mut net = tiny_net();
+            let cfg = TrainConfig { max_epochs: 1, batch_size: 8, ..Default::default() };
+            assert!(
+                matches!(
+                    try_train(&mut net, &samples, &cfg, |_| {}),
+                    Err(TensorError::ShapeMismatch { .. })
+                ),
+                "train on a [1, 3, {h}, {w}] pair"
+            );
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn check_batch_against_oracle(net: &NormXCorrNet, samples: &[PairSample], seed: 
 
     let mut oracle = net.zero_grads();
     for (i, s) in samples.iter().enumerate() {
-        let (loss, _, g) = sample_pass(net, s, seeds[i]);
+        let (loss, _, g) = sample_pass(net, s, seeds[i]).unwrap();
         let (l1, _) = net.forward_ex(&s.a, &s.b, Some(seeds[i])).unwrap();
         assert_bits_eq(&logits.data()[i * 2..(i + 1) * 2], l1.data(), &format!("row {i} logits"));
         if !(losses[i].is_nan() && loss.is_nan()) {
