@@ -53,6 +53,15 @@ fn bench_xcorr(c: &mut Criterion) {
     c.bench_function("pin_xcorr_forward", |bch| {
         bch.iter(|| pin.forward(black_box(&fa), black_box(&fb)).unwrap())
     });
+    // The backward at the same shape, from the forward's cache, with a
+    // dense gradient (no `g == 0` skips).
+    let (y, pin_cache) = pin.forward(&fa, &fb).unwrap();
+    let pin_grad =
+        Tensor::from_vec(y.shape(), (0..y.len()).map(|i| (i as f32 * 0.07).cos()).collect())
+            .unwrap();
+    c.bench_function("pin_xcorr_backward", |bch| {
+        bch.iter(|| pin.backward(black_box(&pin_cache), black_box(&pin_grad)).unwrap())
+    });
 
     // One query against an 82-view gallery at the taor-serve network
     // shape (tower features [4, 5, 3]): the pairwise head on the query

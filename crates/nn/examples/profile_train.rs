@@ -89,9 +89,10 @@ fn main() {
     let (y1, c1) = net.conv1.forward(&t0).unwrap();
     time("conv1.forward [8,3,32,24]", iters, || net.conv1.forward(&t0).unwrap());
     let g1 = Tensor::full(y1.shape(), 0.01);
-    time("conv1.backward_grouped", iters, || {
+    time("conv1.backward_params_grouped", iters, || {
         let mut g = net.conv1.zero_grads();
-        net.conv1.backward_grouped(&c1, &g1, &mut g, 2).unwrap()
+        net.conv1.backward_params_grouped(&c1, &g1, &mut g, 2).unwrap();
+        g
     });
     let (p1, _) = taor_nn::MaxPool2D::new(2, 2).forward(&y1).unwrap();
     let (r1, _) = taor_nn::layers::Relu.forward(&p1);
@@ -136,7 +137,7 @@ fn main() {
     });
 
     // Raw GEMM shapes behind conv1 at 2B = 8 interleaved items.
-    use taor_nn::gemm::{gemm_nn, gemm_nt, gemm_tn};
+    use taor_nn::gemm::{gemm_nn, gemm_nt};
     let a1 = vec![0.3f32; 8 * 75];
     let b1 = vec![0.2f32; 75 * 4480];
     let mut c1buf = vec![0.0f32; 8 * 4480];
@@ -145,13 +146,4 @@ fn main() {
     let b2 = vec![0.2f32; 75 * 560];
     let mut c2buf = vec![0.0f32; 8 * 75];
     time("gemm_nt 8x75x560 (dW item)", iters, || gemm_nt(8, 75, 560, &a2, &b2, &mut c2buf, true));
-    let a3 = vec![0.3f32; 8 * 75];
-    let b3 = vec![0.2f32; 8 * 4480];
-    let mut c3buf = vec![0.0f32; 75 * 4480];
-    time("gemm_tn 75x4480x8 (dcol)", iters, || gemm_tn(75, 4480, 8, &a3, &b3, &mut c3buf, false));
-    let mut z = vec![0.0f32; 75 * 4480];
-    time("zero 336k floats", iters, || {
-        z.fill(0.0);
-        std::hint::black_box(&z);
-    });
 }

@@ -243,8 +243,19 @@ impl Conv2D {
     }
 
     /// Gather `grad_out` `[N, OC, OH·OW]` → `[OC, N·OH·OW]`, matching the
-    /// batched column layout of the im2col cache.
-    fn gather_gy(&self, grad_out: &Tensor, n: usize, plane: usize) -> ScratchBuf {
+    /// batched column layout of the im2col cache. A `grad_out` whose
+    /// shape is not the cached output's is a [`TensorError::ShapeMismatch`].
+    fn gather_gy(&self, cache: &ConvCache, grad_out: &Tensor) -> Result<ScratchBuf, TensorError> {
+        let n = cache.in_shape[0];
+        let (oh, ow) = cache.out_hw;
+        let expected = [n, self.out_channels, oh, ow];
+        if grad_out.shape() != expected {
+            return Err(TensorError::ShapeMismatch {
+                expected: expected.to_vec(),
+                got: grad_out.shape().to_vec(),
+            });
+        }
+        let plane = oh * ow;
         let cols_n = n * plane;
         let mut gy = Scratch::take(self.out_channels * cols_n);
         for oc in 0..self.out_channels {
@@ -254,7 +265,7 @@ impl Conv2D {
                 gy[oc * cols_n + ni * plane..oc * cols_n + (ni + 1) * plane].copy_from_slice(src);
             }
         }
-        gy
+        Ok(gy)
     }
 
     /// Backward pass: accumulates parameter gradients into `grads` and
@@ -265,13 +276,24 @@ impl Conv2D {
         grad_out: &Tensor,
         grads: &mut ConvGrads,
     ) -> Result<Tensor, TensorError> {
-        let [n, _c, _h, _w] = cache.in_shape;
+        let gy = self.backward_params(cache, grad_out, grads)?;
+        Ok(self.input_grad(cache, &gy))
+    }
+
+    /// The parameter half of [`Self::backward`]: the same weight and bias
+    /// accumulation, and no input gradient — for a first layer, whose
+    /// input gradient nothing reads. Returns the gathered `grad_out`, as
+    /// [`Self::backward_params_grouped`] does.
+    pub(crate) fn backward_params(
+        &self,
+        cache: &ConvCache,
+        grad_out: &Tensor,
+        grads: &mut ConvGrads,
+    ) -> Result<ScratchBuf, TensorError> {
         let (oh, ow) = cache.out_hw;
         let ckk = self.in_channels * self.kernel * self.kernel;
-        let plane = oh * ow;
-        let cols_n = n * plane;
-
-        let gy = self.gather_gy(grad_out, n, plane);
+        let cols_n = cache.in_shape[0] * oh * ow;
+        let gy = self.gather_gy(cache, grad_out)?;
 
         // dW += gy · colᵀ, accumulated straight into the gradient store
         // (no temporary product or add_assign pass).
@@ -281,22 +303,12 @@ impl Conv2D {
             let s: f32 = gy[oc * cols_n..(oc + 1) * cols_n].iter().sum();
             grads.bias.data_mut()[oc] += s;
         }
-
-        self.input_grad(cache, &gy)
+        Ok(gy)
     }
 
     /// Batched backward whose **parameter-gradient accumulation order is
-    /// bit-identical to the per-sample oracle**: consecutive runs of
-    /// `group` batch items form one oracle sample (the Siamese tower
-    /// interleaves `[a₀, b₀, a₁, b₁, …]`, so its convs pass `group = 2`
-    /// — the oracle runs the a-branch then the b-branch into one
-    /// per-sample store; head convs pass `group = 1`). Each item gets its
-    /// own `k = OH·OW` GEMM — the exact call the per-sample path makes —
-    /// accumulated into a zeroed temp, and the temp is added into
-    /// `grads` elementwise per group. One batched GEMM over
-    /// `k = N·OH·OW` would regroup the f32 fold and shift the low bits.
-    /// The input gradient has no such hazard (its contraction runs over
-    /// `OC`, per column) and stays one batched GEMM.
+    /// bit-identical to the per-sample oracle**
+    /// ([`Self::backward_params_grouped`]), plus the input gradient.
     pub fn backward_grouped(
         &self,
         cache: &ConvCache,
@@ -304,14 +316,39 @@ impl Conv2D {
         grads: &mut ConvGrads,
         group: usize,
     ) -> Result<Tensor, TensorError> {
-        let [n, _c, _h, _w] = cache.in_shape;
+        let gy = self.backward_params_grouped(cache, grad_out, grads, group)?;
+        Ok(self.input_grad(cache, &gy))
+    }
+
+    /// The parameter half of [`Self::backward_grouped`], bit-identical to
+    /// the per-sample oracle: consecutive runs of `group` batch items
+    /// form one oracle sample (the Siamese tower interleaves `[a₀, b₀,
+    /// a₁, b₁, …]`, so its convs pass `group = 2` — the oracle runs the
+    /// a-branch then the b-branch into one per-sample store; head convs
+    /// pass `group = 1`). Each item gets its own `k = OH·OW` GEMM — the
+    /// exact call the per-sample path makes — accumulated into a zeroed
+    /// temp, and the temp is added into `grads` elementwise per group.
+    /// One batched GEMM over `k = N·OH·OW` would regroup the f32 fold and
+    /// shift the low bits.
+    ///
+    /// Returns `grad_out` gathered to the im2col column layout
+    /// `[OC, N·OH·OW]`, which the input gradient reads; a caller that
+    /// wants only the parameters drops it.
+    pub fn backward_params_grouped(
+        &self,
+        cache: &ConvCache,
+        grad_out: &Tensor,
+        grads: &mut ConvGrads,
+        group: usize,
+    ) -> Result<ScratchBuf, TensorError> {
+        let n = cache.in_shape[0];
         let (oh, ow) = cache.out_hw;
         let ckk = self.in_channels * self.kernel * self.kernel;
         let plane = oh * ow;
         let cols_n = n * plane;
         debug_assert!(group >= 1, "group must be >= 1");
 
-        let gy = self.gather_gy(grad_out, n, plane);
+        let gy = self.gather_gy(cache, grad_out)?;
 
         let wlen = self.out_channels * ckk;
         let mut wtmp = Scratch::take_zeroed(wlen);
@@ -349,13 +386,14 @@ impl Conv2D {
                 *d += s;
             }
         }
-
-        self.input_grad(cache, &gy)
+        Ok(gy)
     }
 
-    /// Input gradient: `dcol = Wᵀ · gy` then col2im scatter-add. Each
-    /// dcol column is a `k = OC` fold, so batching cannot regroup it.
-    fn input_grad(&self, cache: &ConvCache, gy: &[f32]) -> Result<Tensor, TensorError> {
+    /// Input gradient from the gathered `gy`: `dcol = Wᵀ · gy` then
+    /// col2im scatter-add. Each dcol column is a `k = OC` fold, so
+    /// batching cannot regroup it, and it is the same call after either
+    /// parameter half.
+    fn input_grad(&self, cache: &ConvCache, gy: &[f32]) -> Tensor {
         let [n, c, h, w] = cache.in_shape;
         let (oh, ow) = cache.out_hw;
         let k = self.kernel;
@@ -401,7 +439,7 @@ impl Conv2D {
                 }
             }
         }
-        Ok(grad_in)
+        grad_in
     }
 }
 
@@ -607,6 +645,52 @@ mod tests {
         for (a, b) in gin.data().iter().zip(gin2.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn parameter_half_matches_the_full_backward_bitwise() {
+        // conv1's geometry (3 → 8, 5×5 valid) on an interleaved batch of
+        // two pairs, with an output plane (28×20) past one KC chunk.
+        let conv = Conv2D::new(3, 8, 5, 0, 41);
+        let data: Vec<f32> = (0..4 * 3 * 32 * 24).map(|v| (v as f32 * 0.019).sin()).collect();
+        let x = Tensor::from_vec(&[4, 3, 32, 24], data).unwrap();
+        let (y, cache) = conv.forward(&x).unwrap();
+        let g =
+            Tensor::from_vec(y.shape(), (0..y.len()).map(|v| (v as f32 * 0.07).cos()).collect())
+                .unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let (mut full, mut half) = (conv.zero_grads(), conv.zero_grads());
+        conv.backward_grouped(&cache, &g, &mut full, 2).unwrap();
+        conv.backward_params_grouped(&cache, &g, &mut half, 2).unwrap();
+        assert_eq!(bits(&full.weight), bits(&half.weight));
+        assert_eq!(bits(&full.bias), bits(&half.bias));
+
+        let (mut full, mut half) = (conv.zero_grads(), conv.zero_grads());
+        conv.backward(&cache, &g, &mut full).unwrap();
+        conv.backward_params(&cache, &g, &mut half).unwrap();
+        assert_eq!(bits(&full.weight), bits(&half.weight));
+        assert_eq!(bits(&full.bias), bits(&half.bias));
+    }
+
+    #[test]
+    fn grad_out_of_another_shape_is_a_typed_error() {
+        let conv = Conv2D::new(2, 3, 3, 1, 33);
+        let (y, cache) = conv.forward(&Tensor::zeros(&[2, 2, 6, 5])).unwrap();
+        assert_eq!(y.shape(), &[2, 3, 6, 5]);
+        let mut grads = conv.zero_grads();
+        // Too few items: gathering it read past the end.
+        assert_eq!(
+            conv.backward_grouped(&cache, &Tensor::zeros(&[1, 3, 6, 5]), &mut grads, 2).err(),
+            Some(TensorError::ShapeMismatch { expected: vec![2, 3, 6, 5], got: vec![1, 3, 6, 5] })
+        );
+        // Same length, transposed plane: it was read as the cached one.
+        assert_eq!(
+            conv.backward(&cache, &Tensor::zeros(&[2, 3, 5, 6]), &mut grads).err(),
+            Some(TensorError::ShapeMismatch { expected: vec![2, 3, 6, 5], got: vec![2, 3, 5, 6] })
+        );
+        assert!(conv.backward_params(&cache, &Tensor::zeros(&[2, 3, 5, 6]), &mut grads).is_err());
+        assert!(grads.weight.data().iter().chain(grads.bias.data()).all(|&v| v == 0.0));
     }
 
     #[test]

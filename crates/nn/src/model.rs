@@ -371,7 +371,8 @@ impl NormXCorrNet {
         let g = self.conv2.backward(&cache.c2, &g, &mut grads.conv2)?;
         let g = self.pool.backward(&cache.p1, &g);
         let g = Relu.backward(&cache.r1, &g);
-        let _ = self.conv1.backward(&cache.c1, &g, &mut grads.conv1)?;
+        // conv1's input is the image: only its parameters need a gradient.
+        self.conv1.backward_params(&cache.c1, &g, &mut grads.conv1)?;
         Ok(())
     }
 
@@ -492,7 +493,8 @@ impl NormXCorrNet {
     /// order and summing the per-sample stores: every layer replays the
     /// oracle's accumulation order (grouped conv GEMMs with `group = 2`
     /// on the interleaved tower, per-row dense rank-1 products), so f32
-    /// non-associativity cannot shift a single bit.
+    /// non-associativity cannot shift a single bit. conv1, whose input is
+    /// the image, computes its parameter gradients only.
     pub fn backward_batch(
         &self,
         cache: &BatchCache,
@@ -519,7 +521,7 @@ impl NormXCorrNet {
         let g = self.conv2.backward_grouped(&cache.tower.c2, &g, &mut grads.conv2, 2)?;
         let g = self.pool.backward(&cache.tower.p1, &g);
         let g = Relu.backward(&cache.tower.r1, &g);
-        let _ = self.conv1.backward_grouped(&cache.tower.c1, &g, &mut grads.conv1, 2)?;
+        self.conv1.backward_params_grouped(&cache.tower.c1, &g, &mut grads.conv1, 2)?;
         Ok(())
     }
 

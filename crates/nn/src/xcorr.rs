@@ -20,12 +20,13 @@
 //!
 //! Patches are square (`patch` side) with zero padding outside the map.
 //!
-//! Two implementations live here. [`NormXCorr::forward`] /
-//! [`NormXCorr::backward`] expand each `(n, c)` plane once into
-//! mean-centred *patch panels* held in the [`Scratch`] arena and turn
-//! every displacement cell into a banded row-product between the A panel
-//! and a shifted view of the B panel — the layout the PR-3 norm-trick
-//! matcher uses for its GEMM panels. Each output dot keeps the exact
+//! Two implementations live here. [`NormXCorr::forward`] expands each
+//! `(n, c)` plane once into mean-centred *patch panels* held in the
+//! [`Scratch`] arena and turns every displacement cell into a banded
+//! row-product between the A panel and a shifted view of the B panel —
+//! the layout the PR-3 norm-trick matcher uses for its GEMM panels.
+//! [`NormXCorr::backward`] reads those panels and dots back from the
+//! forward's [`XCorrCache`]. Each output dot keeps the exact
 //! sequential `j = 0..psz` fold of the scalar path, so the results are
 //! bit-identical to [`NormXCorr::forward_naive`] /
 //! [`NormXCorr::backward_naive`], which are retained as the
@@ -61,10 +62,26 @@ pub struct NormXCorr {
     pub radius: usize,
 }
 
-/// Cache for the backward pass: the two inputs.
+/// What [`NormXCorr::forward`] built, kept for [`NormXCorr::backward`]:
+/// per `(n, c)` plane `p`, the mean-centred A and B patch panels, their
+/// patch norms and the NCC numerators. The buffers come from the
+/// [`Scratch`] arena, so a caller that drops the cache returns them for
+/// the next forward.
 pub struct XCorrCache {
-    a: Tensor,
-    b: Tensor,
+    /// `[N, C, H, W]` of each input.
+    shape: [usize; 4],
+    /// `pa[(p·psz + j)·H·W + pos]`: element `j` of the centred A patch
+    /// around `pos` (`build_panel` with no padding).
+    pa: ScratchBuf,
+    /// `pb[(p·psz + j)·next + e]`: the same for B around extended-grid
+    /// cell `e` (`build_panel` padded by the radius).
+    pb: ScratchBuf,
+    /// `norms_a[p·H·W + pos]`, `norms_b[p·next + e]`: the patch norms.
+    norms_a: ScratchBuf,
+    norms_b: ScratchBuf,
+    /// `dots[i]`: the numerator `⟨â, b̂⟩` of output element `i`, in the
+    /// output's `[N, C·K, H, W]` layout.
+    dots: ScratchBuf,
 }
 
 /// The gallery half of every Normalized-X-Corr comparison against a
@@ -220,6 +237,7 @@ impl NormXCorr {
     /// then each displacement cell is a banded row-product between the A
     /// panel and a shifted window of the B panel. Bit-identical to
     /// [`Self::forward_naive`] (pinned by the `*_matches_naive` tests).
+    /// The panels, norms and numerators stay in the returned cache.
     pub fn forward(&self, a: &Tensor, b: &Tensor) -> Result<(Tensor, XCorrCache), TensorError> {
         let [n, c, h, w] = self.check(a, b)?;
         let k_side = 2 * self.radius + 1;
@@ -229,49 +247,56 @@ impl NormXCorr {
         let npos = h * w;
         let (gh, gw) = (h + 2 * rad, w + 2 * rad);
         let next = gh * gw;
+        let planes = n * c;
         let mut out = Tensor::zeros(&[n, c * koff, h, w]);
         let out_data = out.data_mut();
-        let mut pa = Scratch::take(psz * npos);
-        let mut pb = Scratch::take(psz * next);
-        let mut norms_a = Scratch::take(npos);
-        let mut norms_b = Scratch::take(next);
+        let mut cache = XCorrCache {
+            shape: [n, c, h, w],
+            pa: Scratch::take(planes * psz * npos),
+            pb: Scratch::take(planes * psz * next),
+            norms_a: Scratch::take(planes * npos),
+            norms_b: Scratch::take(planes * next),
+            dots: Scratch::take(planes * koff * npos),
+        };
         let mut acc = Scratch::take(w);
         let a_data = a.data();
         let b_data = b.data();
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = (ni * c + ci) * npos;
-                self.build_panel(&a_data[plane..plane + npos], h, w, 0, &mut pa, &mut norms_a);
-                self.build_panel(&b_data[plane..plane + npos], h, w, rad, &mut pb, &mut norms_b);
-                for ky in 0..k_side {
-                    for kx in 0..k_side {
-                        let oc = ci * koff + ky * k_side + kx;
-                        for y in 0..h {
-                            // B centre for output (y, x) at this offset is
-                            // extended-grid cell (y + ky, x + kx).
-                            let bbase = (y + ky) * gw + kx;
-                            let arow = y * w;
-                            acc[..w].fill(0.0);
-                            // j-outer so each acc[x] is the same sequential
-                            // j-fold as the scalar dot product.
-                            for j in 0..psz {
-                                let pa_row = &pa[j * npos + arow..j * npos + arow + w];
-                                let pb_row = &pb[j * next + bbase..j * next + bbase + w];
-                                for x in 0..w {
-                                    acc[x] += pa_row[x] * pb_row[x];
-                                }
-                            }
-                            let orow = ((ni * c * koff + oc) * h + y) * w;
+        for p in 0..planes {
+            let plane = p * npos;
+            let pa = &mut cache.pa[p * psz * npos..(p + 1) * psz * npos];
+            let pb = &mut cache.pb[p * psz * next..(p + 1) * psz * next];
+            let norms_a = &mut cache.norms_a[plane..plane + npos];
+            let norms_b = &mut cache.norms_b[p * next..(p + 1) * next];
+            self.build_panel(&a_data[plane..plane + npos], h, w, 0, pa, norms_a);
+            self.build_panel(&b_data[plane..plane + npos], h, w, rad, pb, norms_b);
+            for ky in 0..k_side {
+                for kx in 0..k_side {
+                    let ochan = (p * koff + ky * k_side + kx) * npos;
+                    for y in 0..h {
+                        // B centre for output (y, x) at this offset is
+                        // extended-grid cell (y + ky, x + kx).
+                        let bbase = (y + ky) * gw + kx;
+                        let arow = y * w;
+                        acc[..w].fill(0.0);
+                        // j-outer so each acc[x] is the same sequential
+                        // j-fold as the scalar dot product.
+                        for j in 0..psz {
+                            let pa_row = &pa[j * npos + arow..j * npos + arow + w];
+                            let pb_row = &pb[j * next + bbase..j * next + bbase + w];
                             for x in 0..w {
-                                out_data[orow + x] =
-                                    acc[x] / (norms_a[arow + x] * norms_b[bbase + x] + EPS);
+                                acc[x] += pa_row[x] * pb_row[x];
                             }
+                        }
+                        cache.dots[ochan + arow..ochan + arow + w].copy_from_slice(&acc[..w]);
+                        for x in 0..w {
+                            out_data[ochan + arow + x] =
+                                acc[x] / (norms_a[arow + x] * norms_b[bbase + x] + EPS);
                         }
                     }
                 }
             }
         }
-        Ok((out, XCorrCache { a: a.clone(), b: b.clone() }))
+        Ok((out, cache))
     }
 
     /// Prepare `b` (`[V, C, H, W]`, one feature stack per gallery view)
@@ -312,11 +337,7 @@ impl NormXCorr {
     /// Reference scalar forward, retained as the bit-exactness oracle for
     /// the panel path: [`Self::forward`] must match it bit-for-bit,
     /// including NaN payloads.
-    pub fn forward_naive(
-        &self,
-        a: &Tensor,
-        b: &Tensor,
-    ) -> Result<(Tensor, XCorrCache), TensorError> {
+    pub fn forward_naive(&self, a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         let [n, c, h, w] = self.check(a, b)?;
         let k_side = 2 * self.radius as i64 + 1;
         let koff = self.offsets();
@@ -344,7 +365,21 @@ impl NormXCorr {
                 }
             }
         }
-        Ok((out, XCorrCache { a: a.clone(), b: b.clone() }))
+        Ok(out)
+    }
+
+    /// The `[N, C·K, H, W]` gradient of an `[N, C, H, W]` pair's output;
+    /// any other shape is a [`TensorError::ShapeMismatch`].
+    fn check_grad(&self, shape: [usize; 4], grad_out: &Tensor) -> Result<(), TensorError> {
+        let [n, c, h, w] = shape;
+        let expected = [n, self.out_channels(c), h, w];
+        if grad_out.shape() != expected {
+            return Err(TensorError::ShapeMismatch {
+                expected: expected.to_vec(),
+                got: grad_out.shape().to_vec(),
+            });
+        }
+        Ok(())
     }
 
     /// Scatter `grad * d(ncc)/d(patch)` back into `grad_t` for the patch of
@@ -362,30 +397,8 @@ impl NormXCorr {
         let s = grad_t.shape();
         let (h, w) = (s[2], s[3]);
         let base = (n * s[1] + c) * h * w;
-        Self::scatter_into_plane(
-            self.patch,
-            &mut grad_t.data_mut()[base..base + h * w],
-            h,
-            w,
-            cx,
-            cy,
-            dvals,
-        );
-    }
-
-    /// Plane-slice core of [`Self::scatter_patch_grad`]: identical add
-    /// order and boundary handling, with the plane base hoisted by the
-    /// caller so the hot backward loop skips per-element 4-D indexing.
-    fn scatter_into_plane(
-        patch: usize,
-        plane: &mut [f32],
-        h: usize,
-        w: usize,
-        cx: i64,
-        cy: i64,
-        dvals: &[f32],
-    ) {
-        let r = (patch / 2) as i64;
+        let plane = &mut grad_t.data_mut()[base..base + h * w];
+        let r = (self.patch / 2) as i64;
         let (hi, wi) = (h as i64, w as i64);
         // Chain through the mean subtraction: the gradient w.r.t. the raw
         // patch is (I − 11ᵀ/n) · dvals, and positions outside the image are
@@ -395,7 +408,7 @@ impl NormXCorr {
         for dy in -r..=r {
             let y = cy + dy;
             if y < 0 || y >= hi {
-                i += patch;
+                i += self.patch;
                 continue;
             }
             let row = y as usize * w;
@@ -409,136 +422,138 @@ impl NormXCorr {
         }
     }
 
+    /// [`Self::scatter_patch_grad`] into a zero-padded plane of row
+    /// length `stride`, for the patch whose top-left tap is cell
+    /// `(top, left)`: every tap is in the plane, so there is no bounds
+    /// test. Taps the oracle drops land in the margin, and every interior
+    /// cell gets the same terms in the same order.
+    fn scatter_padded(
+        &self,
+        plane: &mut [f32],
+        stride: usize,
+        top: usize,
+        left: usize,
+        dvals: &[f32],
+    ) {
+        let mean_d: f32 = dvals.iter().sum::<f32>() / dvals.len() as f32;
+        for (dy, row) in dvals.chunks_exact(self.patch).enumerate() {
+            let start = (top + dy) * stride + left;
+            for (g, &d) in plane[start..start + self.patch].iter_mut().zip(row) {
+                *g += d - mean_d;
+            }
+        }
+    }
+
     /// Backward: returns `(grad_a, grad_b)`.
     ///
-    /// Panel formulation: the centred panels and every `(position,
-    /// displacement)` dot product are precomputed with the forward's
-    /// banded kernel, then the scatter loop replays the oracle's exact
-    /// `(y, x, ky, kx)` order — including the `g == 0` sparsity skip and
-    /// the `FLAT`-gated norm coefficients — reading patches out of the
-    /// panels instead of re-extracting them per displacement.
-    /// Bit-identical to [`Self::backward_naive`].
+    /// Reads the centred panels, norms and dot products the forward left
+    /// in `cache`, then replays the oracle's exact `(y, x, ky, kx)`
+    /// scatter order — including the `g == 0` sparsity skip and the
+    /// `FLAT`-gated norm coefficients — into zero-padded planes (margin
+    /// `patch / 2` for A, `radius + patch / 2` for B) whose interiors are
+    /// the gradients. Bit-identical to [`Self::backward_naive`].
     pub fn backward(
         &self,
         cache: &XCorrCache,
         grad_out: &Tensor,
     ) -> Result<(Tensor, Tensor), TensorError> {
-        let [n, c, h, w] = self.check(&cache.a, &cache.b)?;
+        self.check_grad(cache.shape, grad_out)?;
+        let [n, c, h, w] = cache.shape;
         let k_side = 2 * self.radius + 1;
         let koff = self.offsets();
         let psz = self.patch * self.patch;
         let rad = self.radius;
         let npos = h * w;
-        let (gh, gw) = (h + 2 * rad, w + 2 * rad);
-        let next = gh * gw;
-        let mut grad_a = Tensor::zeros(cache.a.shape());
-        let mut grad_b = Tensor::zeros(cache.b.shape());
-        let mut pa = Scratch::take(psz * npos);
-        let mut pb = Scratch::take(psz * next);
-        let mut norms_a = Scratch::take(npos);
-        let mut norms_b = Scratch::take(next);
-        let mut dots = Scratch::take(koff * npos);
+        let gw = w + 2 * rad;
+        let next = (h + 2 * rad) * gw;
+        // Padded gradient planes: A patch taps reach `patch / 2` past the
+        // map, B patch taps `radius` further.
+        let (ma, mb) = (self.patch / 2, rad + self.patch / 2);
+        let (aw, bw) = (w + 2 * ma, w + 2 * mb);
+        let mut ga_pad = Scratch::take((h + 2 * ma) * aw);
+        let mut gb_pad = Scratch::take((h + 2 * mb) * bw);
+        let mut grad_a = Tensor::zeros(&cache.shape);
+        let mut grad_b = Tensor::zeros(&cache.shape);
         let mut da = Scratch::take(psz);
         let mut db = Scratch::take(psz);
         let mut pa_patch = Scratch::take(psz);
-        let a_data = cache.a.data();
-        let b_data = cache.b.data();
         let go_data = grad_out.data();
         let ga_data = grad_a.data_mut();
         let gb_data = grad_b.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane = (ni * c + ci) * npos;
-                self.build_panel(&a_data[plane..plane + npos], h, w, 0, &mut pa, &mut norms_a);
-                self.build_panel(&b_data[plane..plane + npos], h, w, rad, &mut pb, &mut norms_b);
-                // Same banded kernel as the forward, so each dot is the
-                // identical sequential j-fold the oracle computes inline.
-                for ky in 0..k_side {
-                    for kx in 0..k_side {
-                        let off = ky * k_side + kx;
-                        for y in 0..h {
-                            let bbase = (y + ky) * gw + kx;
-                            let arow = y * w;
-                            let drow = off * npos + arow;
-                            dots[drow..drow + w].fill(0.0);
-                            for j in 0..psz {
-                                let pa_row = &pa[j * npos + arow..j * npos + arow + w];
-                                let pb_row = &pb[j * next + bbase..j * next + bbase + w];
-                                for x in 0..w {
-                                    dots[drow + x] += pa_row[x] * pb_row[x];
-                                }
+        for p in 0..n * c {
+            let pa = &cache.pa[p * psz * npos..(p + 1) * psz * npos];
+            let pb = &cache.pb[p * psz * next..(p + 1) * psz * next];
+            let norms_a = &cache.norms_a[p * npos..(p + 1) * npos];
+            let norms_b = &cache.norms_b[p * next..(p + 1) * next];
+            let dots = &cache.dots[p * koff * npos..(p + 1) * koff * npos];
+            let go = &go_data[p * koff * npos..(p + 1) * koff * npos];
+            ga_pad.fill(0.0);
+            gb_pad.fill(0.0);
+            for y in 0..h {
+                for x in 0..w {
+                    let pos = y * w + x;
+                    let na = norms_a[pos];
+                    for (i, v) in pa_patch.iter_mut().enumerate() {
+                        *v = pa[i * npos + pos];
+                    }
+                    for ky in 0..k_side {
+                        for kx in 0..k_side {
+                            let off = ky * k_side + kx;
+                            let g = go[off * npos + pos];
+                            // taor-lint: allow(float::eq) — sparsity skip: only a bit-exact zero may be elided
+                            if g == 0.0 {
+                                continue;
                             }
+                            let epos = (y + ky) * gw + (x + kx);
+                            let nb = norms_b[epos];
+                            let dot = dots[off * npos + pos];
+                            let denom = na * nb + EPS;
+                            let inv = 1.0 / denom;
+                            let coef_a =
+                                if na > FLAT { dot * nb / (na * denom * denom) } else { 0.0 };
+                            let coef_b =
+                                if nb > FLAT { dot * na / (nb * denom * denom) } else { 0.0 };
+                            for i in 0..psz {
+                                let (u, v) = (pa_patch[i], pb[i * next + epos]);
+                                da[i] = g * (v * inv - coef_a * u);
+                                db[i] = g * (u * inv - coef_b * v);
+                            }
+                            // The A patch centred at (x, y) starts at padded
+                            // cell (y, x); the B patch centred at
+                            // (x + kx − radius, y + ky − radius) at
+                            // (y + ky, x + kx).
+                            self.scatter_padded(&mut ga_pad, aw, y, x, &da);
+                            self.scatter_padded(&mut gb_pad, bw, y + ky, x + kx, &db);
                         }
                     }
                 }
-                // Scatter in the oracle's (y, x, ky, kx) order, on raw
-                // plane slices with the A patch gathered once per position.
-                let gbase = plane * koff;
-                let ga_plane = &mut ga_data[plane..plane + npos];
-                let gb_plane = &mut gb_data[plane..plane + npos];
-                for y in 0..h {
-                    for x in 0..w {
-                        let pos = y * w + x;
-                        let na = norms_a[pos];
-                        for (i, p) in pa_patch.iter_mut().enumerate().take(psz) {
-                            *p = pa[i * npos + pos];
-                        }
-                        for ky in 0..k_side {
-                            for kx in 0..k_side {
-                                let off = ky * k_side + kx;
-                                let g = go_data[gbase + off * npos + pos];
-                                // taor-lint: allow(float::eq) — sparsity skip: only a bit-exact zero may be elided
-                                if g == 0.0 {
-                                    continue;
-                                }
-                                let epos = (y + ky) * gw + (x + kx);
-                                let nb = norms_b[epos];
-                                let dot = dots[off * npos + pos];
-                                let denom = na * nb + EPS;
-                                let inv = 1.0 / denom;
-                                let coef_a =
-                                    if na > FLAT { dot * nb / (na * denom * denom) } else { 0.0 };
-                                let coef_b =
-                                    if nb > FLAT { dot * na / (nb * denom * denom) } else { 0.0 };
-                                for i in 0..psz {
-                                    let (u, v) = (pa_patch[i], pb[i * next + epos]);
-                                    da[i] = g * (v * inv - coef_a * u);
-                                    db[i] = g * (u * inv - coef_b * v);
-                                }
-                                let (cy, cx) = (y as i64, x as i64);
-                                let (dy, dx) = (ky as i64 - rad as i64, kx as i64 - rad as i64);
-                                Self::scatter_into_plane(self.patch, ga_plane, h, w, cx, cy, &da);
-                                Self::scatter_into_plane(
-                                    self.patch,
-                                    gb_plane,
-                                    h,
-                                    w,
-                                    cx + dx,
-                                    cy + dy,
-                                    &db,
-                                );
-                            }
-                        }
-                    }
-                }
+            }
+            for y in 0..h {
+                let dst = p * npos + y * w;
+                ga_data[dst..dst + w].copy_from_slice(&ga_pad[(y + ma) * aw + ma..][..w]);
+                gb_data[dst..dst + w].copy_from_slice(&gb_pad[(y + mb) * bw + mb..][..w]);
             }
         }
         Ok((grad_a, grad_b))
     }
 
-    /// Reference scalar backward, retained as the bit-exactness oracle
-    /// for the panel path: [`Self::backward`] must match it bit-for-bit.
+    /// Reference scalar backward from the inputs `a`, `b` and `grad_out`,
+    /// retained as the bit-exactness oracle for the panel path:
+    /// [`Self::backward`] must match it bit-for-bit.
     pub fn backward_naive(
         &self,
-        cache: &XCorrCache,
+        a: &Tensor,
+        b: &Tensor,
         grad_out: &Tensor,
     ) -> Result<(Tensor, Tensor), TensorError> {
-        let [n, c, h, w] = self.check(&cache.a, &cache.b)?;
+        let shape = self.check(a, b)?;
+        self.check_grad(shape, grad_out)?;
+        let [n, c, h, w] = shape;
         let k_side = 2 * self.radius as i64 + 1;
         let koff = self.offsets();
         let psz = self.patch * self.patch;
-        let mut grad_a = Tensor::zeros(cache.a.shape());
-        let mut grad_b = Tensor::zeros(cache.b.shape());
+        let mut grad_a = Tensor::zeros(a.shape());
+        let mut grad_b = Tensor::zeros(b.shape());
         let mut pa = vec![0.0f32; psz];
         let mut pb = vec![0.0f32; psz];
         let mut da = vec![0.0f32; psz];
@@ -548,7 +563,7 @@ impl NormXCorr {
             for ci in 0..c {
                 for y in 0..h as i64 {
                     for x in 0..w as i64 {
-                        let na = self.centred_patch(&cache.a, ni, ci, x, y, &mut pa);
+                        let na = self.centred_patch(a, ni, ci, x, y, &mut pa);
                         for ky in 0..k_side {
                             for kx in 0..k_side {
                                 let dy = ky - self.radius as i64;
@@ -559,8 +574,7 @@ impl NormXCorr {
                                 if g == 0.0 {
                                     continue;
                                 }
-                                let nb =
-                                    self.centred_patch(&cache.b, ni, ci, x + dx, y + dy, &mut pb);
+                                let nb = self.centred_patch(b, ni, ci, x + dx, y + dy, &mut pb);
                                 let dot: f32 = pa.iter().zip(&pb).map(|(&u, &v)| u * v).sum();
                                 let denom = na * nb + EPS;
                                 let inv = 1.0 / denom;
@@ -830,14 +844,21 @@ mod tests {
             let a = tensor_from(&shape, |i| (i as f32 * 0.37).sin() * 2.0 - 0.4);
             let b = tensor_from(&shape, |i| (i as f32 * 0.73).cos() * 1.5 + 0.1);
             let (fast, _) = layer.forward(&a, &b).unwrap();
-            let (slow, _) = layer.forward_naive(&a, &b).unwrap();
+            let slow = layer.forward_naive(&a, &b).unwrap();
             assert_bits_eq(&fast, &slow);
         }
     }
 
     #[test]
     fn panel_backward_matches_naive_bitwise() {
-        for (patch, radius, shape) in [(3usize, 1usize, [2usize, 3, 6, 5]), (5, 2, [1, 2, 5, 7])] {
+        // The last two planes are narrower than the patch, so most taps
+        // land in the padded margins.
+        for (patch, radius, shape) in [
+            (3usize, 1usize, [2usize, 3, 6, 5]),
+            (5, 2, [1, 2, 5, 7]),
+            (3, 1, [1, 2, 4, 1]),
+            (5, 2, [1, 1, 3, 2]),
+        ] {
             let layer = NormXCorr::new(patch, radius).unwrap();
             let a = tensor_from(&shape, |i| (i as f32 * 0.41).sin() + 0.2);
             let b = tensor_from(&shape, |i| (i as f32 * 0.77).cos() - 0.1);
@@ -846,9 +867,27 @@ mod tests {
             let g =
                 tensor_from(y.shape(), |i| if i % 7 == 0 { 0.0 } else { (i as f32 * 0.13).sin() });
             let (fa, fb) = layer.backward(&cache, &g).unwrap();
-            let (sa, sb) = layer.backward_naive(&cache, &g).unwrap();
+            let (sa, sb) = layer.backward_naive(&a, &b, &g).unwrap();
             assert_bits_eq(&fa, &sa);
             assert_bits_eq(&fb, &sb);
+        }
+    }
+
+    #[test]
+    fn grad_out_of_another_shape_is_a_typed_error() {
+        let layer = NormXCorr::new(3, 1).unwrap();
+        let a = tensor_from(&[1, 2, 5, 3], |i| (i as f32 * 0.41).sin());
+        let b = tensor_from(&[1, 2, 5, 3], |i| (i as f32 * 0.77).cos());
+        let (y, cache) = layer.forward(&a, &b).unwrap();
+        assert_eq!(y.shape(), &[1, 18, 5, 3]);
+        // Fewer channels than the output indexed out of bounds; a second
+        // item was silently ignored.
+        for bad in [[1usize, 2, 5, 3], [2, 18, 5, 3]] {
+            let want =
+                Some(TensorError::ShapeMismatch { expected: vec![1, 18, 5, 3], got: bad.to_vec() });
+            let g = Tensor::full(&bad, 1.0);
+            assert_eq!(layer.backward(&cache, &g).err(), want);
+            assert_eq!(layer.backward_naive(&a, &b, &g).err(), want);
         }
     }
 
@@ -861,11 +900,11 @@ mod tests {
         a.data_mut()[17] = f32::INFINITY;
         b.data_mut()[9] = f32::NAN;
         let (fast, cache) = layer.forward(&a, &b).unwrap();
-        let (slow, _) = layer.forward_naive(&a, &b).unwrap();
+        let slow = layer.forward_naive(&a, &b).unwrap();
         assert_bits_eq(&fast, &slow);
         let g = tensor_from(fast.shape(), |i| if i % 5 == 0 { 0.0 } else { 1.0 });
         let (fa, fb) = layer.backward(&cache, &g).unwrap();
-        let (sa, sb) = layer.backward_naive(&cache, &g).unwrap();
+        let (sa, sb) = layer.backward_naive(&a, &b, &g).unwrap();
         assert_bits_eq(&fa, &sa);
         assert_bits_eq(&fb, &sb);
     }

@@ -25,26 +25,18 @@ fn tiny_cfg(dropout: f32) -> NetConfig {
     }
 }
 
-fn pair_from(data_a: Vec<f32>, data_b: Vec<f32>, label: usize) -> PairSample {
+fn pair_from(h: usize, w: usize, data_a: Vec<f32>, data_b: Vec<f32>, label: usize) -> PairSample {
     PairSample {
-        a: Tensor::from_vec(&[1, 3, 24, 20], data_a).unwrap(),
-        b: Tensor::from_vec(&[1, 3, 24, 20], data_b).unwrap(),
+        a: Tensor::from_vec(&[1, 3, h, w], data_a).unwrap(),
+        b: Tensor::from_vec(&[1, 3, h, w], data_b).unwrap(),
         label,
     }
 }
 
 fn stack(samples: &[PairSample]) -> (Tensor, Tensor) {
-    let len = 3 * 24 * 20;
-    let mut a = Vec::with_capacity(samples.len() * len);
-    let mut b = Vec::with_capacity(samples.len() * len);
-    for s in samples {
-        a.extend_from_slice(s.a.data());
-        b.extend_from_slice(s.b.data());
-    }
-    (
-        Tensor::from_vec(&[samples.len(), 3, 24, 20], a).unwrap(),
-        Tensor::from_vec(&[samples.len(), 3, 24, 20], b).unwrap(),
-    )
+    let a: Vec<&Tensor> = samples.iter().map(|s| &s.a).collect();
+    let b: Vec<&Tensor> = samples.iter().map(|s| &s.b).collect();
+    (Tensor::stack_batch(&a).unwrap(), Tensor::stack_batch(&b).unwrap())
 }
 
 /// Bitwise equality that also accepts NaN == NaN (positions pinned,
@@ -114,7 +106,7 @@ proptest! {
                 let a = raw[i * len..(i + 1) * len].to_vec();
                 let mut b = a.clone();
                 b.rotate_left(7);
-                pair_from(a, b, i % 2)
+                pair_from(24, 20, a, b, i % 2)
             })
             .collect();
         check_batch_against_oracle(&net, &samples, seed);
@@ -134,7 +126,7 @@ proptest! {
                 let a = raw[i * len..(i + 1) * len].to_vec();
                 let mut b = a.clone();
                 b.reverse();
-                pair_from(a, b, 1 - i % 2)
+                pair_from(24, 20, a, b, 1 - i % 2)
             })
             .collect();
         check_batch_against_oracle(&net, &samples, seed);
@@ -153,13 +145,40 @@ fn batched_pass_matches_oracle_on_nan_quarantine_inputs() {
             let a: Vec<f32> = (0..len).map(|v| ((v + i * 31) as f32 * 0.11).sin()).collect();
             let mut b = a.clone();
             b.rotate_left(13);
-            pair_from(a, b, i % 2)
+            pair_from(24, 20, a, b, i % 2)
         })
         .collect();
     // Poison the middle pair.
     samples[1].a.data_mut()[17] = f32::NAN;
     samples[1].b.data_mut()[200] = f32::INFINITY;
     check_batch_against_oracle(&net, &samples, 99);
+}
+
+/// Table 4's own network (`--quick` and `--medium`) at the trainer's
+/// micro-batch of four pairs: its 32×24 inputs reach 5×3 xcorr planes,
+/// where the tiny config's reach 3×2.
+#[test]
+fn batched_pass_matches_oracle_at_table4_shapes() {
+    let cfg = NetConfig {
+        height: 32,
+        width: 24,
+        c1: 8,
+        c2: 10,
+        c3: 10,
+        dense: 32,
+        ..NetConfig::default()
+    };
+    let net = NormXCorrNet::new(cfg.clone()).unwrap();
+    let len = 3 * cfg.height * cfg.width;
+    let samples: Vec<PairSample> = (0..4)
+        .map(|i| {
+            let a: Vec<f32> = (0..len).map(|v| ((v + i * 97) as f32 * 0.013).sin() * 0.5).collect();
+            let mut b = a.clone();
+            b.rotate_left(29);
+            pair_from(cfg.height, cfg.width, a, b, i % 2)
+        })
+        .collect();
+    check_batch_against_oracle(&net, &samples, 2019);
 }
 
 /// `tree_sum` is a *fixed* pairwise reduction: its result must equal the
