@@ -84,7 +84,13 @@ fn parse_args() -> Result<Args, String> {
             "--extensions" => args.extensions = true,
             "--nyu-per-class" => {
                 let v = it.next().ok_or("--nyu-per-class needs a value")?;
-                args.nyu_per_class = Some(v.parse().map_err(|_| format!("bad count: {v}"))?);
+                let n: usize = v.parse().map_err(|_| format!("bad count: {v}"))?;
+                if n == 0 {
+                    return Err("--nyu-per-class must be at least 1: tables 2 and 5-8 \
+                                evaluate the NYU set"
+                        .into());
+                }
+                args.nyu_per_class = Some(n);
             }
             "--train-pairs" => {
                 let v = it.next().ok_or("--train-pairs needs a value")?;

@@ -8,6 +8,7 @@
 use std::cell::OnceCell;
 
 use taor_core::prelude::*;
+use taor_core::siamese::try_evaluate_siamese;
 use taor_data::{
     nyu_set, nyu_set_subsampled, nyu_sns1_test_pairs, shapenet_set1, shapenet_set2,
     sns1_test_pairs, Dataset, ObjectClass,
@@ -435,8 +436,9 @@ pub fn table3_ex_with(prep: &PreparedRepro, ablate: bool) -> TableOutput {
 /// Table 4: Normalized-X-Corr binary evaluation on both pair test sets.
 /// With `ablate`, also reports the cosine "exact matching" baseline.
 ///
-/// Fallible: an input resolution too small for the architecture or an
-/// empty training set is a typed [`taor_core::Error`] instead of a panic.
+/// Fallible: an input resolution too small for the architecture, an
+/// empty training set or an empty evaluation set is a typed
+/// [`taor_core::Error`] instead of a panic.
 pub fn table4_with(
     prep: &PreparedRepro,
     ablate: bool,
@@ -464,8 +466,8 @@ pub fn table4_with(
         pairs_nyu.truncate(n);
     }
 
-    let eval_sns1 = evaluate_siamese(&net, &pairs_sns1, &cfg.siamese.net);
-    let eval_nyu = evaluate_siamese(&net, &pairs_nyu, &cfg.siamese.net);
+    let eval_sns1 = try_evaluate_siamese(&net, &pairs_sns1, &cfg.siamese.net)?;
+    let eval_nyu = try_evaluate_siamese(&net, &pairs_nyu, &cfg.siamese.net)?;
 
     let mut t = TextTable::new(
         format!(

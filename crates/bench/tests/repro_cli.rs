@@ -1,6 +1,7 @@
 //! `repro`'s exit codes on bad input and unwritable output: 2 with a
 //! message for an argument it does not take, 1 with a message for an
-//! output it cannot write, and never a panic.
+//! output it cannot write or a table it cannot evaluate, and never a
+//! panic.
 
 use std::process::{Command, Output};
 
@@ -19,6 +20,29 @@ fn unknown_index_mode_exits_2_naming_the_modes() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("flat | mih"), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "no table before the arguments parse");
+}
+
+#[test]
+fn empty_nyu_set_exits_2_naming_the_flag() {
+    let out = repro(&["--table", "2", "--nyu-per-class", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--nyu-per-class must be at least 1"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "no table before the arguments parse");
+}
+
+#[test]
+fn empty_table4_evaluation_exits_1_without_a_panic() {
+    let out =
+        repro(&["--table", "4", "--train-pairs", "8", "--train-epochs", "1", "--eval-pairs", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("error: table 4 failed: empty input: evaluation pairs"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 /// `/dev/full` accepts the open and fails every write with `ENOSPC`.

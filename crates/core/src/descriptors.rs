@@ -396,11 +396,6 @@ pub fn try_classify_descriptors_with(
         .collect())
 }
 
-/// Ground-truth classes of an index, in image order.
-pub fn index_truth(index: &DescriptorIndex) -> Vec<ObjectClass> {
-    index.classes.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,7 +427,7 @@ mod tests {
         let sns1 = shapenet_set1(2);
         let idx = extract_index(&sns1, DescriptorKind::Orb);
         let preds = flat(&idx, &idx, 0.75);
-        let truth = index_truth(&idx);
+        let truth = idx.classes.clone();
         let correct = preds.iter().zip(&truth).filter(|(p, t)| p == t).count();
         assert!(correct as f64 / truth.len() as f64 > 0.8, "{correct}/82");
     }
@@ -493,7 +488,7 @@ mod tests {
         assert_eq!(preds.len(), 82);
         // Self-matching with geometric verification should be strong: the
         // identical view is a perfect inlier set.
-        let truth = index_truth(&idx);
+        let truth = idx.classes.clone();
         let correct = preds.iter().zip(&truth).filter(|(p, t)| p == t).count();
         assert!(correct as f64 / 82.0 > 0.7, "{correct}/82");
     }

@@ -125,7 +125,7 @@ mod tests {
         let e = Error::from(TensorError::InputTooSmall { width: 1, height: 1 });
         assert!(e.source().is_some());
         assert!(e.to_string().contains("too small"));
-        let e = Error::from(ImgError::EmptyInput("frame"));
+        let e = Error::from(ImgError::InvalidDimensions { width: 0, height: 0 });
         assert!(e.source().is_some());
         let e = Error::from(FeatureError::DescriptorWidthMismatch { left: 64, right: 128 });
         assert!(e.source().is_some());

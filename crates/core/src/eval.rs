@@ -141,48 +141,6 @@ pub fn evaluate_binary(truth: &[usize], predictions: &[usize]) -> BinaryEvaluati
     }
 }
 
-/// Area under the ROC curve for binary scores (`score` = confidence that
-/// the label is 1). Computed via the rank-sum (Mann–Whitney U) identity,
-/// with proper tie handling. Returns 0.5 when either class is absent.
-pub fn roc_auc(truth: &[usize], scores: &[f32]) -> f64 {
-    assert_eq!(truth.len(), scores.len(), "truth/score length mismatch");
-    let n_pos = truth.iter().filter(|&&t| t == 1).count();
-    let n_neg = truth.len() - n_pos;
-    if n_pos == 0 || n_neg == 0 {
-        return 0.5;
-    }
-    // Rank the scores (average ranks for ties).
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| taor_imgproc::cmp::nan_last_f32(scores[a], scores[b]));
-    let mut ranks = vec![0.0f64; scores.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &order[i..=j] {
-            ranks[k] = avg_rank;
-        }
-        i = j + 1;
-    }
-    let rank_sum_pos: f64 =
-        truth.iter().zip(&ranks).filter(|(&t, _)| t == 1).map(|(_, &r)| r).sum();
-    let u = rank_sum_pos - (n_pos * (n_pos + 1)) as f64 / 2.0;
-    u / (n_pos as f64 * n_neg as f64)
-}
-
-/// Top-k accuracy for multi-class rankings: `rankings[i]` lists classes
-/// from most to least likely for sample `i`.
-pub fn top_k_accuracy(truth: &[ObjectClass], rankings: &[Vec<ObjectClass>], k: usize) -> f64 {
-    assert_eq!(truth.len(), rankings.len(), "truth/ranking length mismatch");
-    assert!(k >= 1, "k must be >= 1");
-    let hits =
-        truth.iter().zip(rankings).filter(|(t, r)| r.iter().take(k).any(|c| c == *t)).count();
-    hits as f64 / truth.len().max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,43 +255,5 @@ mod tests {
         let truth = classes(&[0]);
         let pred = classes(&[0, 1]);
         evaluate(&truth, &pred);
-    }
-
-    #[test]
-    fn auc_perfect_and_inverted() {
-        let truth = [0, 0, 1, 1];
-        assert_eq!(roc_auc(&truth, &[0.1, 0.2, 0.8, 0.9]), 1.0);
-        assert_eq!(roc_auc(&truth, &[0.9, 0.8, 0.2, 0.1]), 0.0);
-    }
-
-    #[test]
-    fn auc_random_scores_near_half() {
-        let truth: Vec<usize> = (0..2000).map(|i| i % 2).collect();
-        let scores: Vec<f32> =
-            (0..2000).map(|i| ((i * 2654435761u64 as usize) % 997) as f32).collect();
-        let auc = roc_auc(&truth, &scores);
-        assert!((auc - 0.5).abs() < 0.05, "auc {auc}");
-    }
-
-    #[test]
-    fn auc_handles_ties_and_degenerate_classes() {
-        let truth = [0, 1, 0, 1];
-        // All-equal scores: AUC is exactly 0.5 under average ranks.
-        assert_eq!(roc_auc(&truth, &[0.5; 4]), 0.5);
-        // Single-class truth: defined as 0.5.
-        assert_eq!(roc_auc(&[1, 1], &[0.2, 0.9]), 0.5);
-    }
-
-    #[test]
-    fn top_k_monotone_in_k() {
-        let truth = classes(&[0, 1, 2]);
-        let rankings = vec![
-            classes(&[3, 0, 1]), // truth at rank 2
-            classes(&[1, 2, 3]), // truth at rank 1
-            classes(&[4, 5, 2]), // truth at rank 3
-        ];
-        assert!((top_k_accuracy(&truth, &rankings, 1) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((top_k_accuracy(&truth, &rankings, 2) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((top_k_accuracy(&truth, &rankings, 3) - 1.0).abs() < 1e-12);
     }
 }

@@ -23,7 +23,9 @@
 //! empty reference set, a descriptor-kind mismatch or an undersized
 //! network input is an [`Error`], never a panic. Per-item faults (NaN
 //! scores, featureless queries) degrade to a deterministic fallback and
-//! are counted in a [`Diagnostics`] ledger the caller passes in.
+//! are counted in a [`Diagnostics`] ledger the caller passes in. The
+//! fault-injection harness that holds every pipeline to that contract
+//! is dev-only test code and lives outside this crate.
 //!
 //! ## Quickstart
 //!
@@ -52,7 +54,6 @@ pub mod descriptors;
 pub mod diag;
 pub mod error;
 pub mod eval;
-pub mod fault;
 pub mod hybrid;
 pub mod pipeline;
 pub mod preprocess;
@@ -67,21 +68,16 @@ pub mod wire;
 pub mod prelude {
     pub use crate::color_only::ColorScorer;
     pub use crate::descriptors::{
-        extract_index, index_truth, try_classify_descriptors_verified,
-        try_classify_descriptors_with, AnnIndexMode, DescriptorIndex, DescriptorKind,
+        extract_index, try_classify_descriptors_verified, try_classify_descriptors_with,
+        AnnIndexMode, DescriptorIndex, DescriptorKind,
     };
     pub use crate::diag::{Diagnostics, DiagnosticsReport};
     pub use crate::eval::{
         evaluate, evaluate_binary, random_baseline, BinaryEvaluation, ClassMetrics, Evaluation,
     };
-    pub use crate::fault::{
-        adversarial_corpus, run_fault_injection, run_service_fault_injection, service_corpus,
-        AdversarialCase, FaultReport, NanScorer, PipelineOutcome, ServiceCase, ServiceExpect,
-    };
     pub use crate::hybrid::{try_classify_hybrid, Aggregation, HybridConfig};
     pub use crate::pipeline::{
-        prepare_views, truth_of, try_classify_per_view, try_classify_per_view_ranked, MatchScorer,
-        RefView,
+        prepare_views, truth_of, try_classify_per_view, MatchScorer, RefView,
     };
     pub use crate::preprocess::{binarise, preprocess, Background, Preprocessed, HIST_BINS};
     pub use crate::recognizer::{Method, Recognition, Recognizer};

@@ -17,7 +17,6 @@ use crate::error::{Error, Result};
 use crate::preprocess::{preprocess, Background, Preprocessed, HIST_BINS};
 use rayon::prelude::*;
 use taor_data::{Dataset, ObjectClass};
-use taor_imgproc::cmp::nan_last_f64;
 
 /// One preprocessed reference view (or query crop).
 #[derive(Debug, Clone)]
@@ -122,59 +121,6 @@ pub fn truth_of(queries: &[RefView]) -> Vec<ObjectClass> {
     queries.iter().map(|q| q.class).collect()
 }
 
-/// Classify every query, returning the *full class ranking* (best class
-/// first, by each class's minimum view distance) — feeds
-/// [`crate::eval::top_k_accuracy`], a robot-relevant measure: a planner
-/// can often act on a small hypothesis set rather than a single label.
-///
-/// Same NaN-quarantine and degradation accounting as
-/// [`try_classify_per_view`]. A query whose every class distance stayed
-/// infinite still yields a full, deterministic class permutation (index
-/// order) and counts as degraded.
-pub fn try_classify_per_view_ranked(
-    queries: &[RefView],
-    views: &[RefView],
-    scorer: &dyn MatchScorer,
-    diag: &Diagnostics,
-) -> Result<Vec<Vec<ObjectClass>>> {
-    if views.is_empty() {
-        return Err(Error::EmptyReference("reference set is empty"));
-    }
-    Ok(queries
-        .par_chunks(QUERY_BLOCK)
-        .flat_map(|block| {
-            let mut best = vec![[f64::INFINITY; ObjectClass::COUNT]; block.len()];
-            let mut nan_seen = 0u64;
-            for tile in views.chunks(VIEW_TILE) {
-                for (qi, q) in block.iter().enumerate() {
-                    for v in tile {
-                        let i = v.class.index();
-                        // A view only matters if it improves its own
-                        // class's best, so that is the abandon bound.
-                        let s = scorer.score_bounded(&q.feat, &v.feat, best[qi][i]);
-                        if s.is_nan() {
-                            nan_seen += 1;
-                        } else if s < best[qi][i] {
-                            best[qi][i] = s;
-                        }
-                    }
-                }
-            }
-            diag.record_nan_scores(nan_seen);
-            diag.record_degraded(
-                best.iter().filter(|pc| pc.iter().all(|d| d.is_infinite())).count() as u64,
-            );
-            best.into_iter()
-                .map(|per_class| {
-                    let mut order: Vec<usize> = (0..ObjectClass::COUNT).collect();
-                    order.sort_by(|&a, &b| nan_last_f64(per_class[a], per_class[b]));
-                    order.into_iter().filter_map(ObjectClass::from_index).collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,10 +128,6 @@ mod tests {
 
     fn per_view(q: &[RefView], r: &[RefView]) -> Vec<ObjectClass> {
         try_classify_per_view(q, r, &ClassOracle, &Diagnostics::new()).unwrap()
-    }
-
-    fn ranked(q: &[RefView], r: &[RefView]) -> Vec<Vec<ObjectClass>> {
-        try_classify_per_view_ranked(q, r, &ClassOracle, &Diagnostics::new()).unwrap()
     }
 
     struct ClassOracle;
@@ -231,34 +173,5 @@ mod tests {
         let r = prepare_views(&shapenet_set2(3), Background::White);
         let preds = per_view(&q, &r);
         assert_eq!(preds.len(), q.len());
-    }
-
-    #[test]
-    fn ranked_classification_is_consistent_with_top1() {
-        let q = prepare_views(&shapenet_set2(5), Background::White);
-        let r = prepare_views(&shapenet_set1(5), Background::White);
-        let top1 = per_view(&q, &r);
-        let ranked = ranked(&q, &r);
-        for (p, rank) in top1.iter().zip(&ranked) {
-            assert_eq!(rank.len(), 10);
-            assert_eq!(rank[0], *p, "rank-1 must equal the argmin prediction");
-            // Ranking is a permutation of all classes.
-            let mut sorted: Vec<usize> = rank.iter().map(|c| c.index()).collect();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..10).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn top_k_grows_with_k() {
-        use crate::eval::top_k_accuracy;
-        let q = prepare_views(&shapenet_set2(6), Background::White);
-        let r = prepare_views(&shapenet_set1(6), Background::White);
-        let truth = truth_of(&q);
-        let ranked = ranked(&q, &r);
-        let t1 = top_k_accuracy(&truth, &ranked, 1);
-        let t3 = top_k_accuracy(&truth, &ranked, 3);
-        assert!(t3 >= t1);
-        assert!(t3 > 0.2, "top-3 should be meaningfully above chance: {t3}");
     }
 }

@@ -9,7 +9,6 @@
 use crate::color_only::ColorScorer;
 use crate::diag::{Diagnostics, DiagnosticsReport};
 use crate::error::{Error, Result};
-use crate::eval::top_k_accuracy;
 use crate::hybrid::HybridConfig;
 use crate::pipeline::{prepare_views, MatchScorer, RefView};
 use crate::preprocess::{preprocess, Background, HIST_BINS};
@@ -83,32 +82,12 @@ impl Recognizer {
         if catalog.is_empty() {
             return Err(Error::EmptyReference("reference catalog is empty"));
         }
-        Recognizer::from_shared_views(
-            prepare_views(catalog, Background::White).into(),
+        Ok(Recognizer {
+            refs: prepare_views(catalog, Background::White).into(),
             method,
             query_background,
-        )
-    }
-
-    /// Build over already-prepared, `Arc`-shared reference views —
-    /// preprocess the gallery once at service startup, then hand the
-    /// same immutable views to any number of recognisers (one per
-    /// method, say) without re-extracting features.
-    pub fn from_shared_views(
-        refs: Arc<[RefView]>,
-        method: Method,
-        query_background: Background,
-    ) -> Result<Self> {
-        if refs.is_empty() {
-            return Err(Error::EmptyReference("reference catalog is empty"));
-        }
-        Ok(Recognizer { refs, method, query_background, diag: Arc::new(Diagnostics::new()) })
-    }
-
-    /// The shared reference views, for building further recognisers
-    /// over the same gallery.
-    pub fn shared_views(&self) -> Arc<[RefView]> {
-        Arc::clone(&self.refs)
+            diag: Arc::new(Diagnostics::new()),
+        })
     }
 
     /// Snapshot of the degradation counters accumulated over every
@@ -140,14 +119,6 @@ impl Recognizer {
     pub fn recognize(&self, crop: &RgbImage) -> Recognition {
         let q = preprocess(crop, self.query_background, HIST_BINS);
         rank_scores(self.refs.iter().map(|v| (v.class, self.distance(&q, v))), &self.diag)
-    }
-
-    /// Batch evaluation helper: top-k accuracy over labelled crops.
-    pub fn top_k(&self, crops: &[(&RgbImage, ObjectClass)], k: usize) -> f64 {
-        let truth: Vec<ObjectClass> = crops.iter().map(|(_, c)| *c).collect();
-        let rankings: Vec<Vec<ObjectClass>> =
-            crops.iter().map(|(img, _)| self.recognize(img).ranking).collect();
-        top_k_accuracy(&truth, &rankings, k)
     }
 }
 
@@ -226,10 +197,16 @@ mod tests {
     fn beats_chance_on_a_batch() {
         let r = recognizer();
         let crops = nyu_set_subsampled(2019, 12);
-        let batch: Vec<(&RgbImage, ObjectClass)> =
-            crops.images.iter().map(|i| (&i.image, i.class)).collect();
-        let t1 = r.top_k(&batch, 1);
-        let t3 = r.top_k(&batch, 3);
+        let n = crops.images.len() as f64;
+        let top_k = |k: usize| {
+            let hits = crops
+                .images
+                .iter()
+                .filter(|i| r.recognize(&i.image).ranking[..k].contains(&i.class));
+            hits.count() as f64 / n
+        };
+        let t1 = top_k(1);
+        let t3 = top_k(3);
         assert!(t1 > 0.10, "top-1 {t1}");
         assert!(t3 > t1, "top-3 {t3} should exceed top-1 {t1}");
     }
@@ -266,22 +243,13 @@ mod tests {
     fn clones_share_the_gallery_and_the_ledger() {
         let r = recognizer();
         let clone = r.clone();
-        assert!(Arc::ptr_eq(&r.shared_views(), &clone.shared_views()));
+        assert!(Arc::ptr_eq(&r.refs, &clone.refs));
         // A degraded answer recorded through the clone is visible on the
         // original's ledger: the counters are one shared ledger.
         let rec = clone.recognize(&RgbImage::new(32, 32));
         if rec.degraded {
             assert!(r.diagnostics().degraded >= 1);
         }
-        // Prepared views feed a second method with zero re-preprocessing.
-        let color = Recognizer::from_shared_views(
-            r.shared_views(),
-            Method::Color(ColorScorer::ALL[0]),
-            Background::Black,
-        )
-        .unwrap();
-        assert_eq!(color.reference_count(), 82);
-        assert!(color.recognize(&nyu_set_subsampled(2019, 1).images[0].image).ranking.len() == 10);
     }
 
     #[test]
@@ -302,12 +270,5 @@ mod tests {
         assert_eq!(rec.confidence, 1.0 / ObjectClass::COUNT as f64);
         assert_eq!(rec.ranking.len(), ObjectClass::COUNT);
         assert_eq!((diag.report().nan_scores, diag.report().degraded), (2, 1));
-    }
-
-    #[test]
-    fn empty_shared_views_are_a_typed_error() {
-        let res =
-            Recognizer::from_shared_views(Vec::new().into(), Method::default(), Background::Black);
-        assert!(matches!(res.err(), Some(Error::EmptyReference(_))));
     }
 }

@@ -160,12 +160,16 @@ pub fn evaluate_siamese(
 /// batches) and each pair is then scored through the light NormXCorr
 /// head from the precomputed features, also in pool-parallel batches.
 /// Predictions are bit-identical to the naive pair-at-a-time path:
-/// every layer's per-item fold is independent of batch grouping.
+/// every layer's per-item fold is independent of batch grouping. An
+/// empty pair list is an [`Error::EmptyInput`](crate::error::Error::EmptyInput).
 pub fn try_evaluate_siamese(
     net: &NormXCorrNet,
     pairs: &[ImagePair<'_>],
     cfg: &NetConfig,
 ) -> crate::error::Result<BinaryEvaluation> {
+    if pairs.is_empty() {
+        return Err(crate::error::Error::EmptyInput("evaluation pairs"));
+    }
     // Identity-keyed image dedup (pairs borrow from a shared catalog, so
     // the address is the identity; first-seen order keeps this
     // deterministic).
@@ -376,6 +380,16 @@ mod tests {
         assert!(matches!(
             try_train_siamese(&sns2, &cfg, |_| {}),
             Err(crate::error::Error::Nn(taor_nn::TensorError::EmptyTrainingSet))
+        ));
+    }
+
+    #[test]
+    fn empty_evaluation_pairs_are_a_typed_error() {
+        let cfg = NetConfig::default();
+        let net = NormXCorrNet::new(cfg.clone()).unwrap();
+        assert!(matches!(
+            try_evaluate_siamese(&net, &[], &cfg),
+            Err(crate::error::Error::EmptyInput("evaluation pairs"))
         ));
     }
 

@@ -7,9 +7,7 @@
 //! original (seed) semantics from the public `score` method alone: plain
 //! first-seen argmin over views in order, no bound, no tiling.
 
-use taor_core::pipeline::{
-    prepare_views, try_classify_per_view, try_classify_per_view_ranked, MatchScorer, RefView,
-};
+use taor_core::pipeline::{prepare_views, try_classify_per_view, MatchScorer, RefView};
 use taor_core::preprocess::Background;
 use taor_core::{ColorScorer, Diagnostics, ShapeScorer};
 use taor_data::{shapenet_set1, shapenet_set2, ObjectClass};
@@ -39,33 +37,6 @@ fn classify_reference(
         .collect()
 }
 
-/// Unpruned reference for the ranked variant.
-fn classify_ranked_reference(
-    queries: &[RefView],
-    views: &[RefView],
-    scorer: &dyn MatchScorer,
-) -> Vec<Vec<ObjectClass>> {
-    queries
-        .iter()
-        .map(|q| {
-            let mut best = [f64::INFINITY; ObjectClass::COUNT];
-            for v in views {
-                let s = scorer.score(&q.feat, &v.feat);
-                let i = v.class.index();
-                if s < best[i] {
-                    best[i] = s;
-                }
-            }
-            let mut order: Vec<usize> = (0..ObjectClass::COUNT).collect();
-            order.sort_by(|&a, &b| best[a].partial_cmp(&best[b]).expect("finite or inf"));
-            order
-                .into_iter()
-                .map(|i| ObjectClass::from_index(i).expect("index below COUNT"))
-                .collect()
-        })
-        .collect()
-}
-
 fn all_scorers() -> Vec<Box<dyn MatchScorer>> {
     let mut scorers: Vec<Box<dyn MatchScorer>> = Vec::new();
     for s in ShapeScorer::ALL {
@@ -85,18 +56,6 @@ fn pruned_classification_is_byte_identical_on_sns1_vs_sns2() {
         let pruned = try_classify_per_view(&q, &r, scorer.as_ref(), &Diagnostics::new()).unwrap();
         let reference = classify_reference(&q, &r, scorer.as_ref());
         assert_eq!(pruned, reference, "{} diverged under pruning", scorer.name());
-    }
-}
-
-#[test]
-fn pruned_ranking_is_byte_identical_on_sns1_vs_sns2() {
-    let q = prepare_views(&shapenet_set1(SEED), Background::White);
-    let r = prepare_views(&shapenet_set2(SEED), Background::White);
-    for scorer in all_scorers() {
-        let pruned =
-            try_classify_per_view_ranked(&q, &r, scorer.as_ref(), &Diagnostics::new()).unwrap();
-        let reference = classify_ranked_reference(&q, &r, scorer.as_ref());
-        assert_eq!(pruned, reference, "{} ranking diverged under pruning", scorer.name());
     }
 }
 

@@ -25,17 +25,6 @@ pub enum DatasetKind {
     NyuSet,
 }
 
-impl DatasetKind {
-    /// Short name used in reports ("SNS1", "SNS2", "NYU").
-    pub fn short(&self) -> &'static str {
-        match self {
-            DatasetKind::ShapeNetSet1 => "SNS1",
-            DatasetKind::ShapeNetSet2 => "SNS2",
-            DatasetKind::NyuSet => "NYU",
-        }
-    }
-}
-
 /// One labelled image.
 #[derive(Debug, Clone)]
 pub struct LabeledImage {

@@ -43,6 +43,6 @@ pub use pairs::{
     mixed_training_pairs, nyu_sns1_test_pairs, sns1_test_pairs, training_pairs, ImagePair,
     NYU_TEST_DISSIMILAR, NYU_TEST_SIMILAR, SNS1_TEST_PAIRS, TRAIN_PAIRS,
 };
-pub use render::{render_catalog_view, render_grid_view, render_scene_crop, RenderMode, CANVAS};
+pub use render::{render_catalog_view, render_grid_view, render_scene_crop, CANVAS};
 pub use scene::{patrol_frames, render_room, RoomScene, SceneObject, FRAME_H, FRAME_W};
 pub use shapes::{draw_object, sample_model, ModelParams, ViewParams};

@@ -17,17 +17,6 @@ use taor_imgproc::image::RgbImage;
 /// Canvas side for every generated image.
 pub const CANVAS: u32 = 96;
 
-/// Rendering mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RenderMode {
-    /// Clean white background, canonical pose set, no degradation — like a
-    /// ShapeNet 2-D view.
-    Catalog,
-    /// Black mask background, heavy pose/lighting jitter, occlusion and
-    /// noise — like a segmented NYU crop.
-    Scene,
-}
-
 /// Render one catalog view: `view_idx` selects a canonical rotation
 /// (ShapeNet views are a small set of fixed object rotations).
 pub fn render_catalog_view(m: &ModelParams, view_idx: usize, rng: &mut impl Rng) -> RgbImage {

@@ -59,22 +59,6 @@ pub struct ViewParams {
     pub shear: f32,
 }
 
-impl ViewParams {
-    /// A canonical front-facing view (no stretch).
-    pub fn frontal(scale: f32, cx: f32, cy: f32) -> Self {
-        ViewParams {
-            rotation: 0.0,
-            scale,
-            cx,
-            cy,
-            flip: false,
-            stretch_x: 1.0,
-            stretch_y: 1.0,
-            shear: 0.0,
-        }
-    }
-}
-
 /// Small per-model colour jitter so two models of a class differ.
 /// Channels cap at 254, never 255: a pure-white model would be invisible
 /// against the catalog background (white paper at +22 jitter saturated
@@ -494,11 +478,25 @@ mod tests {
     use rand::SeedableRng;
     use taor_imgproc::prelude::*;
 
+    /// A canonical front-facing view (no stretch).
+    fn frontal(scale: f32, cx: f32, cy: f32) -> ViewParams {
+        ViewParams {
+            rotation: 0.0,
+            scale,
+            cx,
+            cy,
+            flip: false,
+            stretch_x: 1.0,
+            stretch_y: 1.0,
+            shear: 0.0,
+        }
+    }
+
     fn render(class: ObjectClass, seed: u64) -> taor_imgproc::RgbImage {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let m = sample_model(class, &mut rng);
         let mut canvas = Canvas::new(96, 96, [255, 255, 255]);
-        draw_object(&mut canvas, &m, ViewParams::frontal(36.0, 48.0, 48.0));
+        draw_object(&mut canvas, &m, frontal(36.0, 48.0, 48.0));
         canvas.into_image()
     }
 
@@ -551,7 +549,7 @@ mod tests {
         let m = sample_model(ObjectClass::Lamp, &mut rng);
         let mut c1 = Canvas::new(96, 96, [255, 255, 255]);
         let mut c2 = Canvas::new(96, 96, [255, 255, 255]);
-        let base = ViewParams::frontal(34.0, 48.0, 48.0);
+        let base = frontal(34.0, 48.0, 48.0);
         draw_object(&mut c1, &m, base);
         draw_object(&mut c2, &m, ViewParams { rotation: 0.8, ..base });
         assert_ne!(c1.into_image(), c2.into_image());
@@ -561,7 +559,7 @@ mod tests {
     fn flip_mirrors_the_render() {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(13);
         let m = sample_model(ObjectClass::Door, &mut rng);
-        let base = ViewParams::frontal(34.0, 48.0, 48.0);
+        let base = frontal(34.0, 48.0, 48.0);
         let mut c1 = Canvas::new(96, 96, [255, 255, 255]);
         draw_object(&mut c1, &m, base);
         let mut c2 = Canvas::new(96, 96, [255, 255, 255]);

@@ -22,11 +22,14 @@
 //!   `taor-bench` records where it pays: not at 90 views, where brute
 //!   force wins as §3.3 reports, but at 10,500 (`bench_records/`). Float
 //!   descriptors always match brute force.
+//!
+//! Detector repeatability and matching score under a known warp are
+//! test metrics and live outside this crate, with the other dev-only
+//! test harnesses.
 
 #![forbid(unsafe_code)]
 
 pub mod error;
-pub mod evaluation;
 pub mod keypoint;
 pub mod matcher;
 pub mod mih;
@@ -37,7 +40,6 @@ pub mod sift;
 pub mod surf;
 
 pub use error::{FeatureError, Result};
-pub use evaluation::{matching_score, repeatability};
 pub use keypoint::{BinaryDescriptors, FloatDescriptors, KeyPoint};
 pub use matcher::{
     knn_match_binary, knn_match_binary_naive, knn_match_float, knn_match_float_naive,

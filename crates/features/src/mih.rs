@@ -232,17 +232,6 @@ impl MihIndex {
         top.iter().map(|&(d, row)| (row as usize, d)).collect()
     }
 
-    /// [`MihIndex::search_words`] over an unpacked byte row.
-    pub fn search(&self, row: &[u8], k: usize) -> Vec<(usize, u32)> {
-        let mut words = vec![0u64; row.len().div_ceil(8)];
-        for (w, chunk) in words.iter_mut().zip(row.chunks(8)) {
-            let mut bytes = [0u8; 8];
-            bytes[..chunk.len()].copy_from_slice(chunk);
-            *w = u64::from_le_bytes(bytes);
-        }
-        self.search_words(&words, k)
-    }
-
     /// 2-NN match every query row against the index, mirroring
     /// [`crate::matcher::knn_match_binary`]'s output shape. Exact: output
     /// is bit-identical to [`crate::matcher::knn_match_binary_naive`].
@@ -406,7 +395,7 @@ mod tests {
         let train = random_bdescs(200, 32, 9);
         let query = random_bdescs(1, 32, 10);
         let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
-        let got = index.search(query.row(0), 10);
+        let got = index.search_words(query.packed_words(), 10);
         // Brute-force oracle.
         let mut all: Vec<(u32, usize)> = (0..train.len())
             .map(|i| (crate::keypoint::hamming(query.row(0), train.row(i)), i))
@@ -421,7 +410,7 @@ mod tests {
         let empty = BinaryDescriptors::new(32);
         let index = MihIndex::build(empty, MihParams::default()).unwrap();
         assert!(index.knn_match(&random_bdescs(2, 32, 1)).unwrap().is_empty());
-        assert!(index.search(&[0u8; 32], 2).is_empty());
+        assert!(index.search_words(&[0u64; 4], 2).is_empty());
         let index = MihIndex::build(random_bdescs(5, 32, 2), MihParams::default()).unwrap();
         assert!(index.knn_match(&BinaryDescriptors::new(32)).unwrap().is_empty());
         assert!(index.knn_match(&random_bdescs(2, 16, 3)).is_err());

@@ -9,7 +9,6 @@
 //! tracing (Jacob's stopping criterion). Only external contours are
 //! produced, matching the `RETR_EXTERNAL` mode the pipeline needs.
 
-use crate::error::{ImgError, Result};
 use crate::image::{GrayImage, ImageBuf, Rect};
 
 /// A point on a contour, in pixel coordinates.
@@ -51,21 +50,6 @@ impl Contour {
         (acc.abs() as f64) / 2.0
     }
 
-    /// Perimeter: sum of Euclidean segment lengths of the closed polygon.
-    pub fn perimeter(&self) -> f64 {
-        let n = self.points.len();
-        if n < 2 {
-            return 0.0;
-        }
-        (0..n)
-            .map(|i| {
-                let p = self.points[i];
-                let q = self.points[(i + 1) % n];
-                (((p.x - q.x).pow(2) + (p.y - q.y).pow(2)) as f64).sqrt()
-            })
-            .sum()
-    }
-
     /// Axis-aligned bounding rectangle of the contour.
     pub fn bounding_rect(&self) -> Rect {
         let min_x = self.points.iter().map(|p| p.x).min().unwrap_or(0).max(0) as u32;
@@ -73,17 +57,6 @@ impl Contour {
         let max_x = self.points.iter().map(|p| p.x).max().unwrap_or(0).max(0) as u32;
         let max_y = self.points.iter().map(|p| p.y).max().unwrap_or(0).max(0) as u32;
         Rect::new(min_x, min_y, max_x - min_x + 1, max_y - min_y + 1)
-    }
-
-    /// Contour centroid from boundary points (not area-weighted).
-    pub fn centroid(&self) -> (f64, f64) {
-        if self.points.is_empty() {
-            return (0.0, 0.0);
-        }
-        let n = self.points.len() as f64;
-        let sx: i64 = self.points.iter().map(|p| p.x as i64).sum();
-        let sy: i64 = self.points.iter().map(|p| p.y as i64).sum();
-        (sx as f64 / n, sy as f64 / n)
     }
 }
 
@@ -187,30 +160,6 @@ pub fn largest_contour(contours: &[Contour]) -> Option<&Contour> {
     contours.iter().max_by(|a, b| crate::cmp::nan_first_f64(a.area(), b.area()))
 }
 
-/// Crop `img` to the bounding rectangle of the largest contour of `bin`.
-///
-/// This is the paper's full step (iv). `bin` must have the same dimensions
-/// as `img`.
-pub fn crop_to_largest_contour<T: Copy + Default, const C: usize>(
-    img: &ImageBuf<T, C>,
-    bin: &GrayImage,
-) -> Result<ImageBuf<T, C>> {
-    if img.dimensions() != bin.dimensions() {
-        return Err(ImgError::InvalidRect {
-            msg: format!(
-                "mask {}x{} does not match image {}x{}",
-                bin.width(),
-                bin.height(),
-                img.width(),
-                img.height()
-            ),
-        });
-    }
-    let contours = find_contours(bin);
-    let largest = largest_contour(&contours).ok_or(ImgError::EmptyInput("no contours found"))?;
-    img.crop(largest.bounding_rect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,34 +240,11 @@ mod tests {
         let bin = square_image(5, 6, 4);
         let mut rgb = crate::image::RgbImage::new(20, 20);
         rgb.put_pixel(5, 6, [9, 9, 9]);
-        let cropped = crop_to_largest_contour(&rgb, &bin).unwrap();
+        let contours = find_contours(&bin);
+        let rect = largest_contour(&contours).unwrap().bounding_rect();
+        let cropped = rgb.crop(rect).unwrap();
         assert_eq!(cropped.dimensions(), (4, 4));
         assert_eq!(cropped.pixel(0, 0), [9, 9, 9]);
-    }
-
-    #[test]
-    fn crop_fails_on_empty_mask() {
-        let bin = GrayImage::new(10, 10);
-        let rgb = crate::image::RgbImage::new(10, 10);
-        assert_eq!(
-            crop_to_largest_contour(&rgb, &bin),
-            Err(ImgError::EmptyInput("no contours found"))
-        );
-    }
-
-    #[test]
-    fn crop_fails_on_dimension_mismatch() {
-        let bin = GrayImage::new(10, 10);
-        let rgb = crate::image::RgbImage::new(9, 10);
-        assert!(crop_to_largest_contour(&rgb, &bin).is_err());
-    }
-
-    #[test]
-    fn perimeter_of_square() {
-        let img = square_image(2, 2, 5);
-        let contours = find_contours(&img);
-        // 4x4 polygon over pixel centres: perimeter 16.
-        assert!((contours[0].perimeter() - 16.0).abs() < 1e-9);
     }
 
     #[test]

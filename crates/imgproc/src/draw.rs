@@ -28,11 +28,6 @@ impl P2 {
         let dy = self.y - center.y;
         P2 { x: center.x + dx * c - dy * s, y: center.y + dx * s + dy * c }
     }
-
-    /// Uniform scale around `center`.
-    pub fn scaled(self, center: P2, k: f32) -> P2 {
-        P2 { x: center.x + (self.x - center.x) * k, y: center.y + (self.y - center.y) * k }
-    }
 }
 
 /// An RGB drawing surface.
@@ -147,47 +142,6 @@ impl Canvas {
         }
     }
 
-    /// Draw a line of the given `thickness` (square brush along Bresenham).
-    pub fn draw_line(&mut self, a: P2, b: P2, thickness: f32, color: [u8; 3]) {
-        let dx = b.x - a.x;
-        let dy = b.y - a.y;
-        let len = (dx * dx + dy * dy).sqrt();
-        let steps = (len.ceil() as usize).max(1);
-        let r = (thickness / 2.0).max(0.5);
-        for i in 0..=steps {
-            let t = i as f32 / steps as f32;
-            let px = a.x + t * dx;
-            let py = a.y + t * dy;
-            let x0 = (px - r).round() as i64;
-            let x1 = (px + r).round() as i64;
-            let y0 = (py - r).round() as i64;
-            let y1 = (py + r).round() as i64;
-            for yy in y0..=y1 {
-                for xx in x0..=x1 {
-                    self.plot(xx, yy, color);
-                }
-            }
-        }
-    }
-
-    /// Stroke the outline of an axis-aligned rectangle (1 px border,
-    /// thickened by `thickness`); used to annotate detections.
-    pub fn draw_rect_outline(&mut self, rect: crate::image::Rect, thickness: u32, color: [u8; 3]) {
-        let t = thickness.max(1) as f32;
-        let (x, y) = (rect.x as f32, rect.y as f32);
-        let (w, h) = (rect.width as f32, rect.height as f32);
-        self.fill_rect(x, y, w, t, color);
-        self.fill_rect(x, y + h - t, w, t, color);
-        self.fill_rect(x, y, t, h, color);
-        self.fill_rect(x + w - t, y, t, h, color);
-    }
-
-    /// Draw a small cross marker centred at `(cx, cy)` (keypoint overlay).
-    pub fn draw_cross(&mut self, cx: f32, cy: f32, arm: f32, color: [u8; 3]) {
-        self.draw_line(p2(cx - arm, cy), p2(cx + arm, cy), 1.0, color);
-        self.draw_line(p2(cx, cy - arm), p2(cx, cy + arm), 1.0, color);
-    }
-
     /// Fill a rotated rectangle: center `(cx, cy)`, size `w × h`, rotation
     /// `angle` radians.
     pub fn fill_rot_rect(&mut self, cx: f32, cy: f32, w: f32, h: f32, angle: f32, color: [u8; 3]) {
@@ -257,34 +211,6 @@ mod tests {
         c.fill_rot_rect(20.0, 20.0, 12.0, 8.0, std::f32::consts::FRAC_PI_4, [5, 5, 5]);
         let n = count_color(c.image(), [5, 5, 5]) as f32;
         assert!((n - 96.0).abs() / 96.0 < 0.2, "area {n}");
-    }
-
-    #[test]
-    fn line_connects_endpoints() {
-        let mut c = Canvas::new(12, 12, [0, 0, 0]);
-        c.draw_line(p2(1.0, 1.0), p2(10.0, 10.0), 1.0, [3, 3, 3]);
-        assert_eq!(c.image().pixel(1, 1), [3, 3, 3]);
-        assert_eq!(c.image().pixel(10, 10), [3, 3, 3]);
-        assert_eq!(c.image().pixel(5, 5), [3, 3, 3]);
-    }
-
-    #[test]
-    fn rect_outline_leaves_interior_untouched() {
-        let mut c = Canvas::new(20, 20, [0, 0, 0]);
-        c.draw_rect_outline(crate::image::Rect::new(4, 4, 10, 8), 1, [9, 9, 9]);
-        assert_eq!(c.image().pixel(4, 4), [9, 9, 9]);
-        assert_eq!(c.image().pixel(13, 11), [9, 9, 9]);
-        assert_eq!(c.image().pixel(8, 8), [0, 0, 0], "interior stays empty");
-    }
-
-    #[test]
-    fn cross_marks_center() {
-        let mut c = Canvas::new(16, 16, [0, 0, 0]);
-        c.draw_cross(8.0, 8.0, 3.0, [7, 7, 7]);
-        assert_eq!(c.image().pixel(8, 8), [7, 7, 7]);
-        assert_eq!(c.image().pixel(5, 8), [7, 7, 7]);
-        assert_eq!(c.image().pixel(8, 11), [7, 7, 7]);
-        assert_eq!(c.image().pixel(5, 5), [0, 0, 0]);
     }
 
     #[test]

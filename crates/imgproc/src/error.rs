@@ -7,13 +7,8 @@ use std::fmt;
 pub enum ImgError {
     /// An image dimension was zero or exceeded the supported maximum.
     InvalidDimensions { width: u32, height: u32 },
-    /// A pixel coordinate lay outside the image bounds.
-    OutOfBounds { x: u32, y: u32, width: u32, height: u32 },
     /// A rectangle did not fit inside the image it was applied to.
     InvalidRect { msg: String },
-    /// The operation needs a non-empty input (e.g. cropping to the largest
-    /// contour of an image that contains no contour).
-    EmptyInput(&'static str),
     /// A numeric parameter was outside its valid range.
     InvalidParameter { name: &'static str, msg: String },
 }
@@ -24,11 +19,7 @@ impl fmt::Display for ImgError {
             ImgError::InvalidDimensions { width, height } => {
                 write!(f, "invalid image dimensions {width}x{height}")
             }
-            ImgError::OutOfBounds { x, y, width, height } => {
-                write!(f, "pixel ({x},{y}) out of bounds for {width}x{height} image")
-            }
             ImgError::InvalidRect { msg } => write!(f, "invalid rectangle: {msg}"),
-            ImgError::EmptyInput(what) => write!(f, "empty input: {what}"),
             ImgError::InvalidParameter { name, msg } => {
                 write!(f, "invalid parameter `{name}`: {msg}")
             }

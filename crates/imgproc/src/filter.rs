@@ -1,7 +1,5 @@
-//! Separable Gaussian smoothing and Sobel gradients.
-//!
-//! These are the scale-space substrate for SIFT (Gaussian pyramid, DoG) and
-//! the gradient source for descriptor orientation histograms.
+//! Separable Gaussian smoothing: the scale-space substrate for SIFT
+//! (Gaussian pyramid, DoG) and ORB's pre-smoothing.
 
 use crate::error::{ImgError, Result};
 use crate::image::GrayF32;
@@ -68,42 +66,6 @@ pub fn gaussian_blur(img: &GrayF32, sigma: f32) -> Result<GrayF32> {
     Ok(convolve_v(&convolve_h(img, &kernel), &kernel))
 }
 
-/// Sobel gradients: returns `(gx, gy)` images using the 3×3 Sobel kernels.
-pub fn sobel(img: &GrayF32) -> (GrayF32, GrayF32) {
-    let (w, h) = img.dimensions();
-    let mut gx = GrayF32::new(w, h);
-    let mut gy = GrayF32::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let xi = x as i64;
-            let yi = y as i64;
-            let p = |dx: i64, dy: i64| img.get_clamped(xi + dx, yi + dy);
-            let sx = -p(-1, -1) + p(1, -1) - 2.0 * p(-1, 0) + 2.0 * p(1, 0) - p(-1, 1) + p(1, 1);
-            let sy = -p(-1, -1) - 2.0 * p(0, -1) - p(1, -1) + p(-1, 1) + 2.0 * p(0, 1) + p(1, 1);
-            gx.put(x, y, sx);
-            gy.put(x, y, sy);
-        }
-    }
-    (gx, gy)
-}
-
-/// Central-difference gradients (used by SIFT orientation/descriptor code,
-/// which follows Lowe's pixel-difference convention rather than Sobel).
-pub fn central_gradients(img: &GrayF32) -> (GrayF32, GrayF32) {
-    let (w, h) = img.dimensions();
-    let mut gx = GrayF32::new(w, h);
-    let mut gy = GrayF32::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let xi = x as i64;
-            let yi = y as i64;
-            gx.put(x, y, (img.get_clamped(xi + 1, yi) - img.get_clamped(xi - 1, yi)) * 0.5);
-            gy.put(x, y, (img.get_clamped(xi, yi + 1) - img.get_clamped(xi, yi - 1)) * 0.5);
-        }
-    }
-    (gx, gy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,31 +110,5 @@ mod tests {
         };
         let b = gaussian_blur(&img, 1.0).unwrap();
         assert!(var(&b) < var(&img) * 0.5);
-    }
-
-    #[test]
-    fn sobel_detects_vertical_edge() {
-        let mut img = GrayF32::new(8, 8);
-        for y in 0..8 {
-            for x in 4..8 {
-                img.put(x, y, 100.0);
-            }
-        }
-        let (gx, gy) = sobel(&img);
-        assert!(gx.get(3, 4).abs() > 100.0, "gx at edge = {}", gx.get(3, 4));
-        assert!(gy.get(3, 4).abs() < 1e-4, "gy should vanish on pure vertical edge");
-    }
-
-    #[test]
-    fn central_gradient_of_ramp_is_slope() {
-        let mut img = GrayF32::new(8, 4);
-        for y in 0..4 {
-            for x in 0..8 {
-                img.put(x, y, 3.0 * x as f32);
-            }
-        }
-        let (gx, gy) = central_gradients(&img);
-        assert!((gx.get(4, 2) - 3.0).abs() < 1e-6);
-        assert!(gy.get(4, 2).abs() < 1e-6);
     }
 }

@@ -130,17 +130,6 @@ impl<T: Copy + Default, const C: usize> ImageBuf<T, C> {
         (self.width, self.height)
     }
 
-    /// Number of channels (the const parameter `C`).
-    #[inline]
-    pub fn channels(&self) -> usize {
-        C
-    }
-
-    /// Whole-image rectangle.
-    pub fn bounds(&self) -> Rect {
-        Rect::new(0, 0, self.width, self.height)
-    }
-
     /// Flat index of pixel `(x, y)` channel 0.
     #[inline]
     fn idx(&self, x: u32, y: u32) -> usize {
@@ -171,15 +160,6 @@ impl<T: Copy + Default, const C: usize> ImageBuf<T, C> {
         let mut out = [self.data[i]; C];
         out[..C].copy_from_slice(&self.data[i..i + C]);
         out
-    }
-
-    /// Fallible pixel read.
-    pub fn try_pixel(&self, x: u32, y: u32) -> Result<[T; C]> {
-        if x < self.width && y < self.height {
-            Ok(self.pixel(x, y))
-        } else {
-            Err(ImgError::OutOfBounds { x, y, width: self.width, height: self.height })
-        }
     }
 
     /// Write the pixel at `(x, y)`.
@@ -213,11 +193,6 @@ impl<T: Copy + Default, const C: usize> ImageBuf<T, C> {
     #[inline]
     pub fn as_raw_mut(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consume the image, returning the raw buffer.
-    pub fn into_raw(self) -> Vec<T> {
-        self.data
     }
 
     /// One image row as an interleaved slice.

@@ -1,12 +1,12 @@
 // taor-lint: allow(panic::index) — dense numeric kernel: indices are derived from dimensions validated at the public boundary and bounded by the enclosing loops.
-//! Minimal image I/O: binary PPM (P6) and PGM (P5).
+//! Minimal image I/O: binary PPM (P6).
 //!
 //! Keeps the reproduction dependency-free while letting users export the
 //! synthetic datasets and inspect intermediate pipeline stages with any
 //! standard image viewer.
 
 use crate::error::{ImgError, Result};
-use crate::image::{GrayImage, RgbImage};
+use crate::image::RgbImage;
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -17,20 +17,14 @@ pub fn write_ppm(path: &Path, img: &RgbImage) -> std::io::Result<()> {
     f.write_all(img.as_raw())
 }
 
-/// Write a grayscale image as binary PGM (P5).
-pub fn write_pgm(path: &Path, img: &GrayImage) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    write!(f, "P5\n{} {}\n255\n", img.width(), img.height())?;
-    f.write_all(img.as_raw())
-}
-
-/// Parse the PNM header: magic, width, height, maxval. Supports `#`
-/// comments and arbitrary whitespace, per the Netpbm spec.
-fn parse_header(data: &[u8], magic: &[u8; 2]) -> Result<(u32, u32, usize)> {
-    if data.len() < 2 || &data[..2] != magic {
+/// Parse the PPM header: magic, width, height, maxval. Supports `#`
+/// comments and arbitrary whitespace, per the Netpbm spec. Returns the
+/// dimensions and the offset of the pixel data.
+fn parse_header(data: &[u8]) -> Result<(u32, u32, usize)> {
+    if !data.starts_with(b"P6") {
         return Err(ImgError::InvalidParameter {
             name: "pnm",
-            msg: format!("bad magic, expected {}", String::from_utf8_lossy(magic)),
+            msg: "bad magic, expected P6".into(),
         });
     }
     let mut pos = 2usize;
@@ -71,8 +65,13 @@ fn parse_header(data: &[u8], magic: &[u8; 2]) -> Result<(u32, u32, usize)> {
         });
     }
     // Exactly one whitespace byte separates header from pixel data.
-    pos += 1;
-    Ok((fields[0], fields[1], pos))
+    if pos >= data.len() {
+        return Err(ImgError::InvalidParameter {
+            name: "pnm",
+            msg: "no separator byte after maxval".into(),
+        });
+    }
+    Ok((fields[0], fields[1], pos + 1))
 }
 
 /// Read a binary PPM (P6) file.
@@ -81,32 +80,21 @@ pub fn read_ppm(path: &Path) -> Result<RgbImage> {
     std::fs::File::open(path)
         .and_then(|mut f| f.read_to_end(&mut data))
         .map_err(|e| ImgError::InvalidParameter { name: "path", msg: e.to_string() })?;
-    let (w, h, offset) = parse_header(&data, b"P6")?;
-    let need = w as usize * h as usize * 3;
-    if data.len() < offset + need {
+    let (w, h, offset) = parse_header(&data)?;
+    let need = (w as usize).checked_mul(h as usize).and_then(|n| n.checked_mul(3));
+    let (Some(need), Some(end)) = (need, need.and_then(|n| offset.checked_add(n))) else {
+        return Err(ImgError::InvalidParameter {
+            name: "pnm",
+            msg: format!("{w}x{h} pixel data overflows the address space"),
+        });
+    };
+    if data.len() < end {
         return Err(ImgError::InvalidParameter {
             name: "pnm",
             msg: format!("pixel data truncated: have {}, need {need}", data.len() - offset),
         });
     }
-    RgbImage::from_vec(w, h, data[offset..offset + need].to_vec())
-}
-
-/// Read a binary PGM (P5) file.
-pub fn read_pgm(path: &Path) -> Result<GrayImage> {
-    let mut data = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut data))
-        .map_err(|e| ImgError::InvalidParameter { name: "path", msg: e.to_string() })?;
-    let (w, h, offset) = parse_header(&data, b"P5")?;
-    let need = w as usize * h as usize;
-    if data.len() < offset + need {
-        return Err(ImgError::InvalidParameter {
-            name: "pnm",
-            msg: format!("pixel data truncated: have {}, need {need}", data.len() - offset),
-        });
-    }
-    GrayImage::from_vec(w, h, data[offset..offset + need].to_vec())
+    RgbImage::from_vec(w, h, data[offset..end].to_vec())
 }
 
 #[cfg(test)]
@@ -133,25 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn pgm_roundtrip() {
-        let mut img = GrayImage::new(4, 9);
-        for (i, v) in img.as_raw_mut().iter_mut().enumerate() {
-            *v = (i * 7 % 256) as u8;
-        }
-        let path = tmp("rt.pgm");
-        write_pgm(&path, &img).unwrap();
-        let back = read_pgm(&path).unwrap();
-        assert_eq!(back, img);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn header_with_comments_parses() {
-        let path = tmp("comment.pgm");
-        std::fs::write(&path, b"P5\n# a comment\n2 2\n# another\n255\n\x01\x02\x03\x04").unwrap();
-        let img = read_pgm(&path).unwrap();
+        let path = tmp("comment.ppm");
+        let mut bytes = b"P6\n# a comment\n2 2\n# another\n255\n".to_vec();
+        bytes.extend(1..=12u8);
+        std::fs::write(&path, bytes).unwrap();
+        let img = read_ppm(&path).unwrap();
         assert_eq!(img.dimensions(), (2, 2));
-        assert_eq!(img.as_raw(), &[1, 2, 3, 4]);
+        assert_eq!(img.as_raw(), &(1..=12u8).collect::<Vec<_>>()[..]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -178,9 +155,27 @@ mod tests {
 
     #[test]
     fn unsupported_maxval_rejected() {
-        let path = tmp("max.pgm");
-        std::fs::write(&path, b"P5\n1 1\n65535\n\x00\x00").unwrap();
-        assert!(read_pgm(&path).is_err());
+        let path = tmp("max.ppm");
+        std::fs::write(&path, b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00").unwrap();
+        assert!(read_ppm(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn header_ending_at_eof_rejected() {
+        let path = tmp("eof.ppm");
+        std::fs::write(&path, b"P6\n1 1\n255").unwrap();
+        let err = read_ppm(&path).unwrap_err();
+        assert!(matches!(err, ImgError::InvalidParameter { name: "pnm", .. }), "{err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn overflowing_dimensions_rejected() {
+        let path = tmp("huge.ppm");
+        std::fs::write(&path, b"P6\n4294967295 4294967295\n255\n\x00\x00\x00").unwrap();
+        let err = read_ppm(&path).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -27,16 +27,6 @@ pub struct Labels {
 }
 
 impl Labels {
-    /// Component containing `(x, y)`, if any.
-    pub fn component_at(&self, x: u32, y: u32) -> Option<&Component> {
-        let l = self.map.pixel(x, y)[0];
-        if l == 0 {
-            None
-        } else {
-            self.components.get(l as usize - 1)
-        }
-    }
-
     /// Components with at least `min_area` pixels, largest first.
     pub fn filtered(&self, min_area: usize) -> Vec<&Component> {
         let mut out: Vec<&Component> =
@@ -118,15 +108,6 @@ mod tests {
         assert_eq!(labels.components[0].area, 9);
         assert_eq!(labels.components[1].area, 20);
         assert_eq!(labels.components[1].bbox, Rect::new(8, 10, 5, 4));
-    }
-
-    #[test]
-    fn component_at_lookup() {
-        let mut img = GrayImage::new(8, 8);
-        img.put(3, 3, 255);
-        let labels = label_components(&img);
-        assert!(labels.component_at(3, 3).is_some());
-        assert!(labels.component_at(0, 0).is_none());
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! from the primary sources, exactly the parts those pipelines consume:
 //!
 //! * image containers and colour conversion ([`image`], [`color`]),
-//! * global binary thresholding and Otsu's method ([`threshold`]),
+//! * global binary thresholding ([`threshold`]),
 //! * Suzuki–Abe border following and contour geometry ([`contour`]),
 //! * raw/central/normalised image moments and the seven Hu invariants,
 //!   plus the three `matchShapes` distances ([`moments`]),
 //! * per-channel RGB histograms with the four OpenCV comparison metrics
 //!   ([`histogram`]),
-//! * resizing, separable Gaussian smoothing, Sobel gradients ([`resize`],
+//! * bilinear resizing and separable Gaussian smoothing ([`resize`],
 //!   [`filter`]),
 //! * integral images ([`integral`]) for the SURF substrate, and
 //! * simple rasterisation ([`draw`]) for the synthetic dataset renderer.
@@ -57,7 +57,6 @@ pub mod moments;
 pub mod morphology;
 pub mod resize;
 pub mod threshold;
-pub mod warp;
 
 /// Convenient glob-import of the most common types and functions.
 pub mod prelude {
@@ -66,25 +65,24 @@ pub mod prelude {
         nan_last_f64,
     };
     pub use crate::color::{rgb_to_gray, Hsv};
-    pub use crate::contour::{crop_to_largest_contour, find_contours, largest_contour, Contour};
+    pub use crate::contour::{find_contours, largest_contour, Contour};
     pub use crate::draw::Canvas;
     pub use crate::error::{ImgError, Result};
-    pub use crate::filter::{gaussian_blur, sobel};
+    pub use crate::filter::gaussian_blur;
     pub use crate::histogram::{
         compare_hist, compare_hist_bounded, rgb_histogram, HistCompare, RgbHistogram,
     };
     pub use crate::image::{GrayF32, GrayImage, ImageBuf, Rect, RgbImage};
     pub use crate::integral::IntegralImage;
-    pub use crate::io::{read_pgm, read_ppm, write_pgm, write_ppm};
+    pub use crate::io::{read_ppm, write_ppm};
     pub use crate::label::{label_components, Component, Labels};
     pub use crate::moments::{
         hu_moments, match_shapes, match_shapes_bounded, moments, moments_of_contour, HuMoments,
         MatchShapesMode, Moments,
     };
     pub use crate::morphology::{close, dilate, erode, open};
-    pub use crate::resize::{resize_bilinear, resize_bilinear_rgb, resize_nearest};
-    pub use crate::threshold::{otsu_threshold, threshold_binary, threshold_binary_inv};
-    pub use crate::warp::{warp_affine, warp_affine_rgb, Affine};
+    pub use crate::resize::resize_bilinear_rgb;
+    pub use crate::threshold::{threshold_binary, threshold_binary_inv};
 }
 
 pub use prelude::*;

@@ -47,15 +47,6 @@ pub struct Moments {
 pub type HuMoments = [f64; 7];
 
 impl Moments {
-    /// Centroid `(x̄, ȳ)`; `(0, 0)` for an empty region.
-    pub fn centroid(&self) -> (f64, f64) {
-        if self.m00.abs() < f64::EPSILON {
-            (0.0, 0.0)
-        } else {
-            (self.m10 / self.m00, self.m01 / self.m00)
-        }
-    }
-
     /// Fill central and normalised moments from the raw ones.
     fn complete(&mut self) {
         if self.m00.abs() < f64::EPSILON {
@@ -316,9 +307,8 @@ mod tests {
         let m = moments(&img, true);
         assert_eq!(m.m00, 8.0);
         // x over {2,3,4,5}, mean 3.5; y over {3,4}, mean 3.5.
-        let (cx, cy) = m.centroid();
-        assert!((cx - 3.5).abs() < 1e-12);
-        assert!((cy - 3.5).abs() < 1e-12);
+        assert!((m.m10 / m.m00 - 3.5).abs() < 1e-12);
+        assert!((m.m01 / m.m00 - 3.5).abs() < 1e-12);
     }
 
     #[test]
@@ -328,8 +318,8 @@ mod tests {
         img.put(3, 0, 250);
         let mb = moments(&img, true);
         let mi = moments(&img, false);
-        assert_eq!(mb.centroid().0, 1.5);
-        assert!(mi.centroid().0 > 2.5, "intensity centroid pulled to bright pixel");
+        assert_eq!(mb.m10 / mb.m00, 1.5);
+        assert!(mi.m10 / mi.m00 > 2.5, "intensity centroid pulled to bright pixel");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use taor_imgproc::prelude::*;
-use taor_imgproc::resize::sample_bilinear;
+use taor_imgproc::resize::{resize_bilinear_f32, sample_bilinear};
 
 /// Arbitrary small grayscale image with at least one foreground pixel.
 fn arb_gray(max_side: u32) -> impl Strategy<Value = GrayImage> {
@@ -83,14 +83,6 @@ proptest! {
         for (a, b) in bin.as_raw().iter().zip(inv.as_raw()) {
             prop_assert_eq!(a ^ b, 255);
         }
-    }
-
-    #[test]
-    fn otsu_threshold_is_a_valid_level(img in arb_gray(16)) {
-        // Applying the returned threshold must never panic and must binarise.
-        let t = otsu_threshold(&img);
-        let bin = threshold_binary(&img, t);
-        prop_assert!(bin.as_raw().iter().all(|&v| v == 0 || v == 255));
     }
 
     #[test]
@@ -184,19 +176,17 @@ proptest! {
 
     #[test]
     fn resize_dimensions_honoured(img in arb_gray(16), w in 1u32..40, h in 1u32..40) {
-        let r = resize_bilinear(&img, w, h).unwrap();
+        let r = resize_bilinear_f32(&img.to_f32(), w, h).unwrap();
         prop_assert_eq!(r.dimensions(), (w, h));
-        let n = resize_nearest(&img, w, h).unwrap();
-        prop_assert_eq!(n.dimensions(), (w, h));
     }
 
     #[test]
     fn resize_output_within_input_range(img in arb_gray(12)) {
-        let lo = *img.as_raw().iter().min().unwrap();
-        let hi = *img.as_raw().iter().max().unwrap();
-        let r = resize_bilinear(&img, 7, 9).unwrap();
+        let lo = f32::from(*img.as_raw().iter().min().unwrap());
+        let hi = f32::from(*img.as_raw().iter().max().unwrap());
+        let r = resize_bilinear_f32(&img.to_f32(), 7, 9).unwrap();
         for &v in r.as_raw() {
-            prop_assert!(v >= lo && v <= hi);
+            prop_assert!(v >= lo - 1e-3 && v <= hi + 1e-3);
         }
     }
 

@@ -2,13 +2,15 @@
 //!
 //! The engine owns everything that needs more than one file's worth of
 //! context: which paths are linted at all, which crates are "strict"
-//! (panic/float/determinism rules), and the per-crate unsafe-surface
-//! checks (`unsafe::missing-forbid` / `unsafe::missing-deny`).
+//! (panic/float/determinism/dead rules), the cross-file tables, and the
+//! per-crate unsafe-surface checks (`unsafe::missing-forbid` /
+//! `unsafe::missing-deny`).
 
 use crate::allow;
 use crate::diag::Diagnostic;
 use crate::lexer::{self, TokenKind};
 use crate::regions;
+use crate::rules::dead::{self, RefTable};
 use crate::rules::{self, RuleCtx};
 use crate::stmt;
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,6 +30,10 @@ const STRICT_CRATES: &[&str] = &[
 /// Top-level directories the workspace walk covers.
 const WALK_ROOTS: &[&str] = &["src", "tests", "examples", "crates", "vendor"];
 
+/// Directories read for references only, never linted: the frozen
+/// benchmark package calls library functions by name.
+const REFERENCE_ROOTS: &[&str] = &["perfbench/src"];
+
 /// Directory names never descended into. `fixtures` holds the lint's
 /// own corpus of deliberately-bad snippets.
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
@@ -37,23 +43,26 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
 /// exactly the production path. Like the engine, the file's own
 /// `Result`-returning functions feed `err::swallowed-result`; a full
 /// workspace run unions the tables of every file first
-/// ([`lint_source_with`]).
+/// ([`lint_source_with`]). A lone file cannot see its callers, so
+/// `dead::unreached-pub` does not run here.
 pub fn lint_source(file: &str, src: &str, strict: bool, all_test: bool) -> Vec<Diagnostic> {
     let out = lexer::lex(src);
     let result_fns: BTreeSet<String> = stmt::result_fns(&out.tokens).into_iter().collect();
-    lint_lexed(file, &out, strict, all_test, &result_fns)
+    lint_lexed(file, &out, strict, all_test, &result_fns, None)
 }
 
-/// [`lint_source`] with an externally-collected `Result`-returning
-/// function table (engine pass 1 over the whole workspace).
+/// [`lint_source`] with externally-collected tables (engine pass 1 over
+/// the whole workspace): the `Result`-returning function names and the
+/// identifier references, which turn on `dead::unreached-pub`.
 pub fn lint_source_with(
     file: &str,
     src: &str,
     strict: bool,
     all_test: bool,
     result_fns: &BTreeSet<String>,
+    refs: &RefTable,
 ) -> Vec<Diagnostic> {
-    lint_lexed(file, &lexer::lex(src), strict, all_test, result_fns)
+    lint_lexed(file, &lexer::lex(src), strict, all_test, result_fns, Some(refs))
 }
 
 fn lint_lexed(
@@ -62,6 +71,7 @@ fn lint_lexed(
     strict: bool,
     all_test: bool,
     result_fns: &BTreeSet<String>,
+    refs: Option<&RefTable>,
 ) -> Vec<Diagnostic> {
     let mask = regions::test_mask(&out.tokens);
     let ctx = RuleCtx {
@@ -72,6 +82,7 @@ fn lint_lexed(
         strict,
         all_test,
         result_fns,
+        refs,
     };
     let mut diags = Vec::new();
     rules::run_file(&ctx, &mut diags);
@@ -124,10 +135,11 @@ struct CrateInfo {
 /// sorted by (file, line, rule).
 ///
 /// Two passes: pass 1 reads and lexes every file, collecting the
-/// workspace-wide table of `Result`-returning function names and the
-/// per-crate facts; pass 2 runs the rules with that table in scope, so
-/// `err::swallowed-result` knows the project's own fallible functions
-/// regardless of declaration order.
+/// workspace-wide tables of `Result`-returning function names and of
+/// identifier references, and the per-crate facts; pass 2 runs the
+/// rules with those tables in scope, so `err::swallowed-result` knows
+/// the project's own fallible functions and `dead::unreached-pub` sees
+/// every caller, regardless of file order.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
     for top in WALK_ROOTS {
@@ -137,22 +149,34 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         }
     }
     files.sort();
+    let linted = files.len();
+    for top in REFERENCE_ROOTS {
+        let dir = root.join(top);
+        if dir.is_dir() {
+            collect_rs_files(&dir, &mut files)?;
+        }
+    }
 
-    // Pass 1: lex everything once; accumulate the fallible-fn table and
-    // crate-level bookkeeping.
+    // Pass 1: lex everything once; accumulate the fallible-fn and
+    // reference tables and crate-level bookkeeping.
     let mut lexed: Vec<(String, lexer::LexOut, bool, bool)> = Vec::new();
     let mut result_fns: BTreeSet<String> = BTreeSet::new();
+    let mut refs = RefTable::new();
     let mut crates: BTreeMap<String, CrateInfo> = BTreeMap::new();
-    for path in &files {
+    for (n, path) in files.iter().enumerate() {
         let rel = path.strip_prefix(root).unwrap_or(path);
         let rel_str = rel.to_string_lossy().replace('\\', "/");
         let src = std::fs::read_to_string(path)?;
+        let out = lexer::lex(&src);
+        dead::record_references(&mut refs, &rel_str, &out.tokens, &regions::test_mask(&out.tokens));
+        if n >= linted {
+            continue; // a reference root: read, never linted
+        }
         let strict = STRICT_CRATES.iter().any(|c| rel_str.starts_with(&format!("{c}/src/")));
         let all_test = rel_str.contains("/tests/")
             || rel_str.contains("/benches/")
             || rel_str.starts_with("tests/")
             || rel_str.starts_with("examples/");
-        let out = lexer::lex(&src);
         result_fns.extend(stmt::result_fns(&out.tokens));
 
         let crate_key = crate_of(&rel_str);
@@ -178,7 +202,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     // Pass 2: run the rules with the full table in scope.
     let mut diags = Vec::new();
     for (rel_str, out, strict, all_test) in &lexed {
-        diags.extend(lint_lexed(rel_str, out, *strict, *all_test, &result_fns));
+        diags.extend(lint_lexed(rel_str, out, *strict, *all_test, &result_fns, Some(&refs)));
     }
 
     for (name, info) in &crates {

@@ -92,7 +92,7 @@ OUTPUT:
 
 Suppress a finding with a justified allow comment:
     // taor-lint: allow(rule::name) — why this site is sound
-Rule families: panic, float, det, unsafe, atomics, concurrency, err
+Rule families: panic, float, det, unsafe, atomics, concurrency, err, dead
 (see DESIGN.md §9)."
     );
 }

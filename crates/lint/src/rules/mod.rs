@@ -1,5 +1,5 @@
-//! The rule engine: a shared per-file context and the five rule
-//! families that run over it.
+//! The rule engine: a shared per-file context and the rule families
+//! that run over it.
 //!
 //! | family | rules | scope |
 //! |---|---|---|
@@ -10,14 +10,16 @@
 //! | `atomics` | `undocumented`, `relaxed-handoff` | whole workspace, non-test |
 //! | `concurrency` | `naked-atomic` | whole workspace, non-test |
 //! | `err` | `swallowed-result` | whole workspace, non-test |
+//! | `dead` | `unreached-pub` | strict library code, workspace runs only |
 //!
 //! "Strict library code" is the non-test portion of
-//! `crates/{core,imgproc,features,nn,data}/src`: the result-producing
+//! `crates/{core,data,features,imgproc,nn,serve}/src`: the result-producing
 //! inference paths where a panic, a NaN-partial comparison or a
 //! hash-order dependency is a correctness bug, not a style issue.
 
 pub mod atomics;
 pub mod concurrency;
+pub mod dead;
 pub mod determinism;
 pub mod err;
 pub mod float;
@@ -45,6 +47,10 @@ pub struct RuleCtx<'a> {
     /// workspace (engine pass 1); `err::swallowed-result` unions this
     /// with its std built-ins.
     pub result_fns: &'a BTreeSet<String>,
+    /// Identifier references across every file the engine reads
+    /// (engine pass 1); `None` when a single file is linted on its own,
+    /// which cannot see its callers, so `dead::unreached-pub` is off.
+    pub refs: Option<&'a dead::RefTable>,
 }
 
 impl RuleCtx<'_> {
@@ -90,6 +96,7 @@ pub fn run_file(ctx: &RuleCtx<'_>, diags: &mut Vec<Diagnostic>) {
         panic::run(ctx, diags);
         float::run(ctx, diags);
         determinism::run(ctx, diags);
+        dead::run(ctx, diags);
     }
     unsafety::run(ctx, diags);
     atomics::run(ctx, diags);

@@ -146,12 +146,40 @@ fn err_swallowed_result_uses_cross_file_table() {
     let table: std::collections::BTreeSet<String> =
         ["truncated_body".to_string()].into_iter().collect();
     let src = "fn f(s: &S) { let _ = truncated_body(s); }";
-    let diags = taor_lint::lint_source_with("x.rs", src, true, false, &table);
+    let refs = taor_lint::RefTable::new();
+    let diags = taor_lint::lint_source_with("x.rs", src, true, false, &table, &refs);
     assert!(
         diags.iter().any(|d| d.rule == "err::swallowed-result"),
         "cross-file Result fn must be flagged, got {:?}",
         rules_of(&diags)
     );
+}
+
+// ---- dead family -----------------------------------------------------
+
+#[test]
+fn dead_unreached_pub_fires_on_test_only_and_reexport_only_fns() {
+    // `only_tested` is called from its own file's #[cfg(test)] module and
+    // `only_reexported` only appears in a `pub use`; `called` has a
+    // non-test caller. The reference table is the one engine pass 1
+    // builds, here over the fixture alone.
+    let name = "dead_unreached_pub.rs";
+    let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).expect("fixture");
+    let out = taor_lint::lexer::lex(&src);
+    let mask = taor_lint::regions::test_mask(&out.tokens);
+    let mut refs = taor_lint::RefTable::new();
+    taor_lint::rules::dead::record_references(&mut refs, name, &out.tokens, &mask);
+    let diags = taor_lint::lint_source_with(name, &src, true, false, &Default::default(), &refs);
+    let dead: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.rule == "dead::unreached-pub")
+        .map(|d| d.message.as_str())
+        .collect();
+    assert_eq!(dead.len(), 2, "{dead:?}");
+    assert!(dead[0].contains("only_tested") && dead[1].contains("only_reexported"), "{dead:?}");
+    // A lone file cannot see its callers: single-file linting skips the rule.
+    assert!(!fixture(name).iter().any(|d| d.rule == "dead::unreached-pub"));
 }
 
 // ---- allow grammar ---------------------------------------------------

@@ -230,11 +230,6 @@ macro_rules! protocol_impl {
                 relock(self.state.lock()).closed = true;
                 self.cv.notify_all();
             }
-
-            /// Has `close` been called?
-            pub fn is_closed(&self) -> bool {
-                relock(self.state.lock()).closed
-            }
         }
     };
 }

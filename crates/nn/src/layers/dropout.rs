@@ -89,11 +89,6 @@ impl Dropout {
         (out, DropoutCache { scale_mask })
     }
 
-    /// Inference-mode forward: identity.
-    pub fn forward_eval(&self, x: &Tensor) -> Tensor {
-        x.clone()
-    }
-
     /// Backward: gradient flows only through kept units, with the same
     /// inverted scale.
     pub fn backward(&self, cache: &DropoutCache, grad_out: &Tensor) -> Tensor {
@@ -108,13 +103,6 @@ impl Dropout {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eval_is_identity() {
-        let d = Dropout::new(0.5);
-        let x = Tensor::from_vec(&[4], vec![1.0, -2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(d.forward_eval(&x), x);
-    }
 
     #[test]
     fn train_zeroes_roughly_rate_fraction() {

@@ -48,11 +48,6 @@ impl Adam {
         self
     }
 
-    /// Number of completed steps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
     /// Effective learning rate for the *next* step.
     pub fn current_lr(&self) -> f32 {
         self.lr / (1.0 + self.decay * self.t as f32)
@@ -122,7 +117,7 @@ mod tests {
             adam.step(&mut [&mut x], &[&g]);
         }
         assert!((adam.current_lr() - 0.001 / 2.0).abs() < 1e-9);
-        assert_eq!(adam.steps(), 10);
+        assert_eq!(adam.t, 10);
     }
 
     #[test]

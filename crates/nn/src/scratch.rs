@@ -47,8 +47,9 @@ impl Scratch {
         ScratchBuf { buf }
     }
 
-    /// Number of buffers currently pooled on this thread (for tests).
-    pub fn pooled() -> usize {
+    /// Number of buffers currently pooled on this thread.
+    #[cfg(test)]
+    fn pooled() -> usize {
         POOL.with(|p| p.borrow().len())
     }
 

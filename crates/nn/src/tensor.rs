@@ -154,8 +154,8 @@ impl Tensor {
     }
 
     /// Mutable 4-D access.
-    #[inline]
-    pub fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut f32 {
+    #[cfg(test)]
+    pub(crate) fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut f32 {
         debug_assert_eq!(self.shape.len(), 4);
         let [_, cs, hs, ws] = [self.shape[0], self.shape[1], self.shape[2], self.shape[3]];
         &mut self.data[((n * cs + c) * hs + h) * ws + w]
@@ -166,13 +166,6 @@ impl Tensor {
     pub fn at2(&self, r: usize, c: usize) -> f32 {
         debug_assert_eq!(self.shape.len(), 2);
         self.data[r * self.shape[1] + c]
-    }
-
-    /// Mutable 2-D access.
-    #[inline]
-    pub fn at2_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        debug_assert_eq!(self.shape.len(), 2);
-        &mut self.data[r * self.shape[1] + c]
     }
 
     /// Elementwise in-place addition. Shapes must match.
@@ -194,11 +187,6 @@ impl Tensor {
         for v in &mut self.data {
             *v *= k;
         }
-    }
-
-    /// Set every element to zero (gradient reset between batches).
-    pub fn zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// Matrix product of two rank-2 tensors: `[m,k] × [k,n] → [m,n]`.
@@ -261,24 +249,6 @@ impl Tensor {
             .map(|i| Tensor::from_vec(&shape, self.data[i * plane..(i + 1) * plane].to_vec()))
             .collect()
     }
-
-    /// Transpose of a rank-2 tensor.
-    pub fn transpose2(&self) -> Result<Tensor, TensorError> {
-        if self.shape.len() != 2 {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![0, 0],
-                got: self.shape.clone(),
-            });
-        }
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = Tensor::zeros(&[n, m]);
-        for i in 0..m {
-            for j in 0..n {
-                out.data[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -335,9 +305,7 @@ mod tests {
     #[test]
     fn transpose_and_matmul_identity() {
         let a = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let at = a.transpose2().unwrap();
-        assert_eq!(at.shape(), &[3, 2]);
-        assert_eq!(at.at2(0, 1), 4.0);
+        let at = Tensor::from_vec(&[3, 2], vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]).unwrap();
         let aat = a.matmul(&at).unwrap();
         // (A Aᵀ) is symmetric.
         assert_eq!(aat.at2(0, 1), aat.at2(1, 0));
@@ -353,13 +321,6 @@ mod tests {
         assert!(a.data().iter().all(|&v| v == 1.5));
         let c = Tensor::zeros(&[5]);
         assert!(a.add_assign(&c).is_err());
-    }
-
-    #[test]
-    fn zero_resets() {
-        let mut a = Tensor::full(&[3], 7.0);
-        a.zero();
-        assert!(a.data().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //! [`NormXCorr::backward`] reads those panels and dots back from the
 //! forward's [`XCorrCache`]. Each output dot keeps the exact
 //! sequential `j = 0..psz` fold of the scalar path, so the results are
-//! bit-identical to [`NormXCorr::forward_naive`] /
-//! [`NormXCorr::backward_naive`], which are retained as the
-//! bit-exactness oracles. (Bit-identical up to NaN payloads: IEEE 754
+//! bit-identical to `NormXCorr::forward_naive` / `backward_naive`, which
+//! are retained, test-only, as the bit-exactness oracles. (Bit-identical up to NaN payloads: IEEE 754
 //! leaves NaN sign/payload propagation unspecified and the compiler may
 //! commute `fmul`/`fadd` operands, so on NaN-quarantine inputs only the
 //! NaN *positions* are pinned, not their payload bits.) (a full `taor_nn::gemm` call is deliberately
@@ -138,6 +137,7 @@ impl NormXCorr {
 
     /// Collect the zero-padded patch of `t` centred at `(cx, cy)` in plane
     /// `(n, c)`, subtract its mean, and return `(centred, norm)`.
+    #[cfg(test)]
     fn centred_patch(
         &self,
         t: &Tensor,
@@ -236,7 +236,7 @@ impl NormXCorr {
     /// Panel formulation: both planes are centred once ([`Self::build_panel`]),
     /// then each displacement cell is a banded row-product between the A
     /// panel and a shifted window of the B panel. Bit-identical to
-    /// [`Self::forward_naive`] (pinned by the `*_matches_naive` tests).
+    /// the test-only `forward_naive` (pinned by the `*_matches_naive` tests).
     /// The panels, norms and numerators stay in the returned cache.
     pub fn forward(&self, a: &Tensor, b: &Tensor) -> Result<(Tensor, XCorrCache), TensorError> {
         let [n, c, h, w] = self.check(a, b)?;
@@ -337,7 +337,8 @@ impl NormXCorr {
     /// Reference scalar forward, retained as the bit-exactness oracle for
     /// the panel path: [`Self::forward`] must match it bit-for-bit,
     /// including NaN payloads.
-    pub fn forward_naive(&self, a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
+    #[cfg(test)]
+    fn forward_naive(&self, a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         let [n, c, h, w] = self.check(a, b)?;
         let k_side = 2 * self.radius as i64 + 1;
         let koff = self.offsets();
@@ -384,6 +385,7 @@ impl NormXCorr {
 
     /// Scatter `grad * d(ncc)/d(patch)` back into `grad_t` for the patch of
     /// `t` centred at `(cx, cy)`.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     fn scatter_patch_grad(
         &self,
@@ -451,7 +453,7 @@ impl NormXCorr {
     /// scatter order — including the `g == 0` sparsity skip and the
     /// `FLAT`-gated norm coefficients — into zero-padded planes (margin
     /// `patch / 2` for A, `radius + patch / 2` for B) whose interiors are
-    /// the gradients. Bit-identical to [`Self::backward_naive`].
+    /// the gradients. Bit-identical to the test-only `backward_naive`.
     pub fn backward(
         &self,
         cache: &XCorrCache,
@@ -540,7 +542,8 @@ impl NormXCorr {
     /// Reference scalar backward from the inputs `a`, `b` and `grad_out`,
     /// retained as the bit-exactness oracle for the panel path:
     /// [`Self::backward`] must match it bit-for-bit.
-    pub fn backward_naive(
+    #[cfg(test)]
+    fn backward_naive(
         &self,
         a: &Tensor,
         b: &Tensor,

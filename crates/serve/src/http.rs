@@ -194,12 +194,6 @@ impl<R: Read> ConnectionReader<R> {
         ConnectionReader { inner, buf: Vec::new() }
     }
 
-    /// Bytes already buffered for the next request (a pipelined client
-    /// has more framing queued).
-    pub fn has_buffered(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
     /// The wrapped reader, e.g. to write a response on a duplex socket.
     pub fn get_mut(&mut self) -> &mut R {
         &mut self.inner
@@ -386,20 +380,6 @@ fn parse_head(head_bytes: &[u8]) -> Result<Head, HttpError> {
     Ok(Head { method, path, headers, content_length, keep_alive })
 }
 
-/// Read one request from a one-shot stream (tests and simple clients):
-/// a [`ConnectionReader`] that treats quiescence as a disconnect and
-/// discards any pipelined surplus.
-pub fn read_request<R: Read>(
-    r: &mut R,
-    limits: &HttpLimits,
-    read_deadline: &Deadline,
-) -> Result<Request, HttpError> {
-    let mut reader = ConnectionReader::new(r);
-    reader
-        .next_request(limits, read_deadline, read_deadline.remaining(), &|| false)?
-        .ok_or(HttpError::Disconnected)
-}
-
 /// Byte offset of the `\r\n\r\n` head terminator at or after
 /// `from.saturating_sub(3)` — the caller passes how far previous scans
 /// got so the search never re-reads old bytes.
@@ -441,6 +421,20 @@ mod tests {
 
     fn deadline() -> Deadline {
         Deadline::after(Duration::from_secs(5))
+    }
+
+    /// Read one request from a one-shot stream: a [`ConnectionReader`]
+    /// that treats quiescence as a disconnect and discards any pipelined
+    /// surplus.
+    fn read_request<R: Read>(
+        r: &mut R,
+        limits: &HttpLimits,
+        read_deadline: &Deadline,
+    ) -> Result<Request, HttpError> {
+        let mut reader = ConnectionReader::new(r);
+        reader
+            .next_request(limits, read_deadline, read_deadline.remaining(), &|| false)?
+            .ok_or(HttpError::Disconnected)
     }
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
@@ -553,7 +547,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(first.body, b"hello");
-        assert!(reader.has_buffered(), "the second request is carried over");
+        assert!(!reader.buf.is_empty(), "the second request is carried over");
         let second = reader
             .next_request(&limits, &idle, Duration::from_secs(5), &|| false)
             .unwrap()

@@ -193,21 +193,6 @@ impl RecognizerService {
         self.diag.record_timeouts(1);
     }
 
-    /// Recognise one decoded crop. `allow_expensive` gates the Siamese
-    /// pipeline: overload control passes `false` to drop straight to
-    /// the cheap pipelines (a labelled degradation, not an error).
-    pub fn recognize_image(
-        &self,
-        img: &RgbImage,
-        stats: DecodeStats,
-        allow_expensive: bool,
-    ) -> ServiceResponse {
-        self.recognize_batch(&[(img.clone(), stats, allow_expensive)])
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| self.fallback_response(img, stats, true))
-    }
-
     /// Recognise a micro-batch. All crops that may use the Siamese
     /// pipeline share one batched tower forward; per-item results are
     /// bit-identical regardless of how requests were grouped, so
@@ -338,12 +323,26 @@ mod tests {
         nyu_set_subsampled(2019, 1).images[0].image.clone()
     }
 
+    /// Recognise one decoded crop as a batch of one. `allow_expensive`
+    /// gates the Siamese pipeline: overload control passes `false` to
+    /// drop straight to the cheap pipelines.
+    fn recognize_image(
+        s: &RecognizerService,
+        img: &RgbImage,
+        stats: DecodeStats,
+        allow_expensive: bool,
+    ) -> ServiceResponse {
+        let mut out = s.recognize_batch(&[(img.clone(), stats, allow_expensive)]);
+        assert_eq!(out.len(), 1, "one response per crop");
+        out.remove(0)
+    }
+
     #[test]
     fn siamese_answer_is_full_and_deterministic() {
         let s = service(true);
         let (img, stats) = s.decode(&encode_rgb8(&crop())).unwrap();
-        let a = s.recognize_image(&img, stats, true);
-        let b = s.recognize_image(&img, stats, true);
+        let a = recognize_image(&s, &img, stats, true);
+        let b = recognize_image(&s, &img, stats, true);
         assert_eq!(a.pipeline, "siamese");
         assert!(!a.degraded);
         assert_eq!(a.ranking.len(), ObjectClass::COUNT);
@@ -362,7 +361,7 @@ mod tests {
             .collect();
         let batched = s.recognize_batch(&items);
         for (item, batched_resp) in items.iter().zip(&batched) {
-            let single = s.recognize_image(&item.0, item.1, true);
+            let single = recognize_image(&s, &item.0, item.1, true);
             assert_eq!(
                 serde_json::to_string(&single).unwrap(),
                 serde_json::to_string(batched_resp).unwrap(),
@@ -378,7 +377,7 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        let resp = s.recognize_image(&crop(), DecodeStats::default(), true);
+        let resp = recognize_image(&s, &crop(), DecodeStats::default(), true);
         assert!(resp.degraded, "forced siamese failure must be labelled");
         assert_eq!(resp.pipeline, "hybrid");
         assert!(s.diagnostics().degraded >= 1);
@@ -387,7 +386,7 @@ mod tests {
     #[test]
     fn overload_skip_degrades_with_a_label() {
         let s = service(true);
-        let resp = s.recognize_image(&crop(), DecodeStats::default(), false);
+        let resp = recognize_image(&s, &crop(), DecodeStats::default(), false);
         assert!(resp.degraded);
         assert_eq!(resp.pipeline, "hybrid");
     }
@@ -395,7 +394,7 @@ mod tests {
     #[test]
     fn no_siamese_config_answers_with_the_cheap_pipeline() {
         let s = service(false);
-        let resp = s.recognize_image(&crop(), DecodeStats::default(), true);
+        let resp = recognize_image(&s, &crop(), DecodeStats::default(), true);
         assert_eq!(resp.pipeline, "hybrid");
         assert!(!resp.degraded, "the configured primary pipeline is not a degradation");
         assert_eq!(s.gallery_size(), s.reference_count());
@@ -415,7 +414,7 @@ mod tests {
             let query = Tensor::stack_batch(&vec![&embed; views]).unwrap();
             let probs = net.predict_similar_features(&query, &embeds).unwrap();
             let want = s.rank_answer(&probs, stats);
-            let got = s.recognize_image(&li.image, stats, true);
+            let got = recognize_image(&s, &li.image, stats, true);
             assert_eq!(
                 serde_json::to_string(&got).unwrap(),
                 serde_json::to_string(&want).unwrap(),

@@ -11,11 +11,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chaos::{ChaosOutcome, PersistentClient};
-use taor_core::prelude::{ServiceCase, ServiceExpect};
-use taor_core::service_corpus;
 use taor_core::wire::encode_rgb8;
 use taor_imgproc::image::RgbImage;
 use taor_serve::{RecognizerService, Server, ServerConfig, ServiceConfig};
+use taor_testkit::fault::{service_corpus, ServiceCase, ServiceExpect};
 
 fn crop_bytes() -> Vec<u8> {
     let mut img = RgbImage::new(48, 48);

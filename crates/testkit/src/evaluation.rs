@@ -7,12 +7,9 @@
 //! by a known similarity transform, detect keypoints in both, and ask
 //! (a) how many keypoints *re-occur* at the transformed location
 //! (repeatability) and (b) how many descriptor matches are geometrically
-//! correct (matching score). The `descriptors` bench uses it to explain
-//! *why* the descriptor pipelines behave as they do on synthetic renders.
+//! correct (matching score).
 
-use crate::keypoint::KeyPoint;
-use crate::matcher::DMatch;
-use crate::ransac::Similarity;
+use taor_features::{DMatch, KeyPoint, Similarity};
 
 /// Repeatability of a detector under a known transform: the fraction of
 /// keypoints in `a` whose transformed location lies within `tolerance`

@@ -13,21 +13,19 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::color_only::ColorScorer;
-use crate::descriptors::{
+use rand::{Rng, SeedableRng};
+use taor_core::color_only::ColorScorer;
+use taor_core::descriptors::{
     extract_index, try_classify_descriptors_with, AnnIndexMode, DescriptorKind,
 };
-use crate::diag::{Diagnostics, DiagnosticsReport};
-use crate::error::Error;
-use crate::hybrid::{try_classify_hybrid, Aggregation, HybridConfig};
-use crate::pipeline::{
-    prepare_views, try_classify_per_view, try_classify_per_view_ranked, MatchScorer, RefView,
-};
-use crate::preprocess::{Background, Preprocessed};
-use crate::shape_only::ShapeScorer;
-use crate::siamese::image_to_tensor;
-use crate::wire;
-use rand::{Rng, SeedableRng};
+use taor_core::diag::{Diagnostics, DiagnosticsReport};
+use taor_core::error::Error;
+use taor_core::hybrid::{try_classify_hybrid, Aggregation, HybridConfig};
+use taor_core::pipeline::{prepare_views, try_classify_per_view, MatchScorer};
+use taor_core::preprocess::{Background, Preprocessed};
+use taor_core::shape_only::ShapeScorer;
+use taor_core::siamese::image_to_tensor;
+use taor_core::wire;
 use taor_data::{Dataset, DatasetKind, LabeledImage, ObjectClass};
 use taor_imgproc::histogram::HistCompare;
 use taor_imgproc::image::RgbImage;
@@ -172,7 +170,7 @@ fn drive(
 
 /// Check a `try_*` batch result: every query answered, or a typed error.
 fn check_batch<T>(
-    res: crate::error::Result<Vec<T>>,
+    res: taor_core::error::Result<Vec<T>>,
     n_queries: usize,
 ) -> std::result::Result<String, String> {
     match res {
@@ -293,18 +291,10 @@ fn drive_stubs(crops: &Dataset, _catalog: &Dataset, diag: &Diagnostics) -> Vec<P
     let shape = ShapeScorer { mode: MatchShapesMode::I3 };
     let mut outcomes = Vec::new();
 
-    // NaN-score stub: ranking must quarantine, not panic.
+    // NaN-score stub: the argmin must quarantine, not panic.
     outcomes.push(drive("nan-scorer", || {
-        let top1 = try_classify_per_view(&queries, &refs, &NanScorer, diag);
-        let ranked = try_classify_per_view_ranked(&queries, &refs, &NanScorer, diag);
-        check_batch(top1, n)?;
-        match ranked {
-            Ok(r) if r.iter().all(|perm| perm.len() == ObjectClass::COUNT) => {
-                Ok("NaN scores quarantined in top-1 and ranked outputs".into())
-            }
-            Ok(_) => Err("ranked output is not a full class permutation".into()),
-            Err(e) => Err(format!("unexpected error: {e}")),
-        }
+        check_batch(try_classify_per_view(&queries, &refs, &NanScorer, diag), n)?;
+        Ok("NaN scores quarantined in top-1 output".into())
     }));
 
     // Empty reference catalog: a typed error, never a panic or a guess.
@@ -319,11 +309,6 @@ fn drive_stubs(crops: &Dataset, _catalog: &Dataset, diag: &Diagnostics) -> Vec<P
     outcomes
 }
 
-/// Narrow helper for tests: prepared views of the adversarial corpus.
-pub fn adversarial_views() -> Vec<RefView> {
-    prepare_views(&corpus_dataset(), Background::Black)
-}
-
 // ---------------------------------------------------------------------------
 // Service-shaped corpus: raw byte buffers, as a client would POST them.
 // ---------------------------------------------------------------------------
@@ -335,7 +320,7 @@ pub enum ServiceExpect {
     Decodes,
     /// Rejected at the wire boundary with a typed [`WireError`].
     ///
-    /// [`WireError`]: crate::wire::WireError
+    /// [`WireError`]: taor_core::wire::WireError
     Rejected,
 }
 
@@ -487,7 +472,7 @@ mod tests {
 
     #[test]
     fn nan_scorer_scores_nan() {
-        let views = adversarial_views();
+        let views = prepare_views(&corpus_dataset(), Background::Black);
         assert!(NanScorer.score(&views[0].feat, &views[0].feat).is_nan());
     }
 

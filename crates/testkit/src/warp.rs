@@ -1,13 +1,12 @@
 // taor-lint: allow(panic::index) — dense numeric kernel: indices are derived from dimensions validated at the public boundary and bounded by the enclosing loops.
 //! Affine warping.
 //!
-//! Used by the detector-evaluation harness (`taor-features::evaluation`)
-//! to generate image pairs under a *known* transform, and generally
-//! useful for augmenting the synthetic datasets.
+//! Generates image pairs under a *known* transform for the
+//! detector-evaluation metrics in [`crate::evaluation`].
 
-use crate::error::{ImgError, Result};
-use crate::image::{GrayF32, GrayImage, RgbImage};
-use crate::resize::sample_bilinear;
+use taor_imgproc::error::{ImgError, Result};
+use taor_imgproc::image::{GrayF32, GrayImage};
+use taor_imgproc::resize::sample_bilinear;
 
 /// A 2×3 affine transform `p' = A·p + t` in row-major order
 /// `[a00, a01, tx, a10, a11, ty]`.
@@ -99,35 +98,6 @@ pub fn warp_affine(img: &GrayImage, transform: &Affine, fill: u8) -> Result<Gray
     Ok(out)
 }
 
-/// Warp an RGB image by `transform`, channelwise bilinear.
-pub fn warp_affine_rgb(img: &RgbImage, transform: &Affine, fill: [u8; 3]) -> Result<RgbImage> {
-    let inv = transform.inverse()?;
-    let (w, h) = img.dimensions();
-    let mut planes = [GrayF32::new(w, h), GrayF32::new(w, h), GrayF32::new(w, h)];
-    for (x, y, px) in img.enumerate_pixels() {
-        for c in 0..3 {
-            planes[c].put(x, y, px[c] as f32);
-        }
-    }
-    let mut out = RgbImage::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let (sx, sy) = inv.apply(x as f32, y as f32);
-            if sx >= -0.5 && sy >= -0.5 && sx <= w as f32 - 0.5 && sy <= h as f32 - 0.5 {
-                let px = [
-                    sample_bilinear(&planes[0], sx, sy).round().clamp(0.0, 255.0) as u8,
-                    sample_bilinear(&planes[1], sx, sy).round().clamp(0.0, 255.0) as u8,
-                    sample_bilinear(&planes[2], sx, sy).round().clamp(0.0, 255.0) as u8,
-                ];
-                out.put_pixel(x, y, px);
-            } else {
-                out.put_pixel(x, y, fill);
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,13 +171,5 @@ mod tests {
         let w = warp_affine(&img, &Affine::translation(6.0, 0.0), 7).unwrap();
         assert_eq!(w.get(0, 0), 7);
         assert_eq!(w.get(7, 0), 100);
-    }
-
-    #[test]
-    fn rgb_warp_keeps_channels() {
-        let img = RgbImage::filled(10, 10, [10, 100, 200]);
-        let w = warp_affine_rgb(&img, &Affine::translation(1.0, 1.0), [0, 0, 0]).unwrap();
-        assert_eq!(w.pixel(5, 5), [10, 100, 200]);
-        assert_eq!(w.pixel(0, 0), [0, 0, 0]);
     }
 }

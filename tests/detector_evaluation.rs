@@ -1,12 +1,13 @@
 //! Integration: detector repeatability under known warps — connecting
-//! `taor-imgproc::warp`, the three detectors and
-//! `taor-features::evaluation`.
+//! `taor_testkit::warp`, the three detectors and
+//! `taor_testkit::evaluation`.
 
 use taor::features::{
-    matching_score, orb_detect_and_compute, repeatability, sift_detect_and_compute, OrbParams,
-    SiftParams, Similarity,
+    orb_detect_and_compute, sift_detect_and_compute, OrbParams, SiftParams, Similarity,
 };
 use taor::imgproc::prelude::*;
+use taor_testkit::evaluation::{matching_score, repeatability};
+use taor_testkit::warp::{warp_affine, Affine};
 
 /// A structured test card with corners, blobs and texture.
 fn test_card() -> GrayImage {

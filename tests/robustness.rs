@@ -9,6 +9,7 @@ use taor::features::{
     SiftParams, SurfParams,
 };
 use taor::imgproc::prelude::*;
+use taor_testkit::warp::{warp_affine, Affine};
 
 /// Pathological crops every stage must survive.
 fn poison_crops() -> Vec<(&'static str, RgbImage)> {
