@@ -11,10 +11,9 @@ fn bench_contours(c: &mut Criterion) {
     let scenes = nyu_set_subsampled(2019, 2);
     let white = &catalog.images[0].image;
     let black = &scenes.images[0].image;
-    let gray = rgb_to_gray(white);
-    let bin = threshold_binary_inv(&gray, 245);
+    let bin = threshold_luma_inv(white, 245);
 
-    c.bench_function("threshold_96px", |b| b.iter(|| threshold_binary_inv(black_box(&gray), 245)));
+    c.bench_function("threshold_96px", |b| b.iter(|| threshold_luma_inv(black_box(white), 245)));
     c.bench_function("find_contours_96px", |b| b.iter(|| find_contours(black_box(&bin))));
     c.bench_function("preprocess_catalog", |b| {
         b.iter(|| preprocess(black_box(white), Background::White, HIST_BINS))

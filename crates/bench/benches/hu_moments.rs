@@ -8,14 +8,13 @@ use taor_imgproc::prelude::*;
 
 fn bench_hu(c: &mut Criterion) {
     let ds = shapenet_set1(2019);
-    let gray = rgb_to_gray(&ds.images[0].image);
-    let bin = threshold_binary_inv(&gray, 245);
+    let bin = threshold_luma_inv(&ds.images[0].image, 245);
     let contours = find_contours(&bin);
     let contour = largest_contour(&contours).expect("object present");
     let hu_a = hu_moments(&moments_of_contour(contour));
 
-    let other = rgb_to_gray(&ds.of_class(ObjectClass::Sofa).next().unwrap().image);
-    let bin_b = threshold_binary_inv(&other, 245);
+    let other = &ds.of_class(ObjectClass::Sofa).next().unwrap().image;
+    let bin_b = threshold_luma_inv(other, 245);
     let contours_b = find_contours(&bin_b);
     let hu_b = hu_moments(&moments_of_contour(largest_contour(&contours_b).unwrap()));
 

@@ -97,6 +97,40 @@ pub fn try_classify_hybrid(
     agg: Aggregation,
     diag: &Diagnostics,
 ) -> Result<Vec<ObjectClass>> {
+    Ok(sweep(queries, views, cfg, [agg], diag)?.into_iter().map(|[class]| class).collect())
+}
+
+/// [`try_classify_hybrid`] under all three aggregations, in
+/// [`Aggregation::ALL`] order, from one θ sweep: each (query, view) θ is
+/// computed once and read by every aggregation.
+///
+/// Predictions and `diag` counts are exactly those of three single
+/// calls: each query's NaN θs are counted once per aggregation, and a
+/// degraded query once per aggregation that found no finite group.
+pub fn try_classify_hybrid_all(
+    queries: &[RefView],
+    views: &[RefView],
+    cfg: &HybridConfig,
+    diag: &Diagnostics,
+) -> Result<[Vec<ObjectClass>; 3]> {
+    let mut preds: [Vec<ObjectClass>; 3] = Default::default();
+    for row in sweep(queries, views, cfg, Aggregation::ALL, diag)? {
+        for (column, class) in preds.iter_mut().zip(row) {
+            column.push(class);
+        }
+    }
+    Ok(preds)
+}
+
+/// The one θ loop: per query, θ against every view, then each of `aggs`
+/// picks its class from the same θ row.
+fn sweep<const N: usize>(
+    queries: &[RefView],
+    views: &[RefView],
+    cfg: &HybridConfig,
+    aggs: [Aggregation; N],
+    diag: &Diagnostics,
+) -> Result<Vec<[ObjectClass; N]>> {
     if views.is_empty() {
         return Err(Error::EmptyReference("reference set is empty"));
     }
@@ -104,30 +138,33 @@ pub fn try_classify_hybrid(
         .par_iter()
         .map(|q| {
             let thetas: Vec<f64> = views.iter().map(|v| cfg.theta(&q.feat, &v.feat)).collect();
-            diag.record_nan_scores(thetas.iter().filter(|t| t.is_nan()).count() as u64);
-            let (best, best_class) = match agg {
-                Aggregation::WeightedSum => {
-                    let (mut best, mut best_class) = (f64::INFINITY, views[0].class);
-                    for (v, &t) in views.iter().zip(&thetas) {
-                        if t < best {
-                            best = t;
-                            best_class = v.class;
+            let nan = thetas.iter().filter(|t| t.is_nan()).count() as u64;
+            aggs.map(|agg| {
+                diag.record_nan_scores(nan);
+                let (best, best_class) = match agg {
+                    Aggregation::WeightedSum => {
+                        let (mut best, mut best_class) = (f64::INFINITY, views[0].class);
+                        for (v, &t) in views.iter().zip(&thetas) {
+                            if t < best {
+                                best = t;
+                                best_class = v.class;
+                            }
                         }
+                        (best, best_class)
                     }
-                    (best, best_class)
+                    Aggregation::MicroAverage => {
+                        // Average per (class, model) group.
+                        argmin_grouped(views, &thetas, |v| (v.class.index(), v.model_id))
+                    }
+                    Aggregation::MacroAverage => {
+                        argmin_grouped(views, &thetas, |v| (v.class.index(), 0))
+                    }
+                };
+                if !best.is_finite() {
+                    diag.record_degraded(1);
                 }
-                Aggregation::MicroAverage => {
-                    // Average per (class, model) group.
-                    argmin_grouped(views, &thetas, |v| (v.class.index(), v.model_id))
-                }
-                Aggregation::MacroAverage => {
-                    argmin_grouped(views, &thetas, |v| (v.class.index(), 0))
-                }
-            };
-            if !best.is_finite() {
-                diag.record_degraded(1);
-            }
-            best_class
+                best_class
+            })
         })
         .collect())
 }
@@ -207,6 +244,17 @@ mod tests {
         let a = classify(&q, &r, &cfg, Aggregation::WeightedSum);
         let b = classify(&q, &r, &cfg, Aggregation::MacroAverage);
         assert!(a.iter().zip(&b).any(|(x, y)| x != y), "ΘT and ΘC should disagree on some queries");
+    }
+
+    #[test]
+    fn one_sweep_matches_three_single_calls() {
+        let q = prepare_views(&shapenet_set2(5), Background::White);
+        let r = prepare_views(&shapenet_set1(5), Background::White);
+        let cfg = HybridConfig::default();
+        let all = try_classify_hybrid_all(&q, &r, &cfg, &Diagnostics::new()).unwrap();
+        for (agg, preds) in Aggregation::ALL.into_iter().zip(&all) {
+            assert_eq!(preds, &classify(&q, &r, &cfg, agg), "{}", agg.label());
+        }
     }
 
     #[test]

@@ -75,7 +75,9 @@ pub mod prelude {
     pub use crate::eval::{
         evaluate, evaluate_binary, random_baseline, BinaryEvaluation, ClassMetrics, Evaluation,
     };
-    pub use crate::hybrid::{try_classify_hybrid, Aggregation, HybridConfig};
+    pub use crate::hybrid::{
+        try_classify_hybrid, try_classify_hybrid_all, Aggregation, HybridConfig,
+    };
     pub use crate::pipeline::{
         prepare_views, truth_of, try_classify_per_view, MatchScorer, RefView,
     };

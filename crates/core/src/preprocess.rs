@@ -42,14 +42,14 @@ pub struct Preprocessed {
     pub contour_ok: bool,
 }
 
-/// Binarise according to the background convention.
+/// Binarise according to the background convention: steps (i) and (ii),
+/// grey conversion and the global threshold, in one pass.
 pub fn binarise(img: &RgbImage, bg: Background) -> GrayImage {
-    let gray = rgb_to_gray(img);
     match bg {
         // White background: object pixels are the *darker* ones.
-        Background::White => threshold_binary_inv(&gray, 245),
+        Background::White => threshold_luma_inv(img, 245),
         // Black mask: object pixels are the brighter ones.
-        Background::Black => threshold_binary(&gray, 10),
+        Background::Black => threshold_luma(img, 10),
     }
 }
 

@@ -185,6 +185,35 @@ fn nan_scores_yield_a_ranking_instead_of_a_panic() {
 }
 
 // ---------------------------------------------------------------------
+// The fused hybrid sweep: one θ matrix for all three aggregations must
+// predict and count exactly what three single-aggregation calls do.
+// ---------------------------------------------------------------------
+
+#[test]
+fn fused_hybrid_matches_three_single_calls_on_the_corpus() {
+    let queries: Vec<RefView> = adversarial_corpus().iter().map(|c| query_of(&c.image)).collect();
+    // The default weights, and NaN weights that poison every θ.
+    let poisoned = HybridConfig { alpha: f64::NAN, ..HybridConfig::default() };
+    for cfg in [HybridConfig::default(), poisoned] {
+        let fused_diag = Diagnostics::new();
+        let fused = try_classify_hybrid_all(&queries, ref_views(), &cfg, &fused_diag).unwrap();
+        let single_diag = Diagnostics::new();
+        for (agg, preds) in Aggregation::ALL.into_iter().zip(&fused) {
+            let single =
+                try_classify_hybrid(&queries, ref_views(), &cfg, agg, &single_diag).unwrap();
+            assert_eq!(preds, &single, "alpha {}: {}", cfg.alpha, agg.label());
+        }
+        assert_eq!(fused_diag.report(), single_diag.report(), "alpha {}", cfg.alpha);
+    }
+    let diag = Diagnostics::new();
+    try_classify_hybrid_all(&queries, ref_views(), &poisoned, &diag).unwrap();
+    let views = ref_views().len() as u64;
+    let n = queries.len() as u64;
+    assert_eq!(diag.nan_scores(), 3 * n * views, "every θ, once per aggregation");
+    assert_eq!(diag.degraded(), 3 * n, "every query, once per aggregation");
+}
+
+// ---------------------------------------------------------------------
 // Empty reference catalogs: typed errors, never panics or fabricated
 // predictions.
 // ---------------------------------------------------------------------
@@ -211,6 +240,10 @@ fn empty_catalogs_are_typed_errors() {
             Aggregation::WeightedSum,
             &diag
         ),
+        Err(Error::EmptyReference(_))
+    ));
+    assert!(matches!(
+        try_classify_hybrid_all(&queries, &[], &HybridConfig::default(), &diag),
         Err(Error::EmptyReference(_))
     ));
     let empty_idx = extract_index(&empty, DescriptorKind::Orb);

@@ -514,8 +514,7 @@ mod tests {
     fn object_produces_one_dominant_contour() {
         for class in ObjectClass::ALL {
             let img = render(class, 3);
-            let gray = rgb_to_gray(&img);
-            let bin = threshold_binary_inv(&gray, 250);
+            let bin = threshold_luma_inv(&img, 250);
             let contours = find_contours(&bin);
             let largest = largest_contour(&contours).expect("object visible");
             assert!(largest.area() > 100.0, "{class:?} area {}", largest.area());

@@ -16,7 +16,15 @@ pub struct Hsv {
 /// Luma of one RGB triple (ITU-R BT.601: 0.299 R + 0.587 G + 0.114 B).
 #[inline]
 pub fn luma(r: u8, g: u8, b: u8) -> u8 {
-    (0.299 * r as f32 + 0.587 * g as f32 + 0.114 * b as f32).round() as u8
+    luma_sum(r, g, b).round() as u8
+}
+
+/// The unrounded BT.601 weighted sum behind [`luma`]. Thresholding
+/// compares this sum directly (see [`crate::threshold`]), so both must
+/// evaluate the same `f32` expression.
+#[inline]
+pub(crate) fn luma_sum(r: u8, g: u8, b: u8) -> f32 {
+    0.299 * r as f32 + 0.587 * g as f32 + 0.114 * b as f32
 }
 
 /// Convert an RGB image to grayscale with BT.601 weights.

@@ -9,7 +9,7 @@
 //! tracing (Jacob's stopping criterion). Only external contours are
 //! produced, matching the `RETR_EXTERNAL` mode the pipeline needs.
 
-use crate::image::{GrayImage, ImageBuf, Rect};
+use crate::image::{GrayImage, Rect};
 
 /// A point on a contour, in pixel coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,39 +64,86 @@ impl Contour {
 const NEIGHBOURS: [(i32, i32); 8] =
     [(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)];
 
+/// Cell states of [`find_contours`]' padded mask copy.
+const BACKGROUND: u8 = 0;
+const UNSEEN: u8 = 1;
+const SEEN: u8 = 2;
+
 /// Find the outer contour of every 8-connected foreground component
 /// (`pixel > 0`). Components are discovered in raster order, so output
 /// order is deterministic.
+///
+/// Works on a copy of the mask framed by one pixel of background, so
+/// every neighbour probe indexes the flat buffer through an offset
+/// precomputed from the padded width and needs no in-image check. Each
+/// cell is background, foreground not yet reached, or foreground already
+/// filled; the trace only asks "foreground?", so the fill does not change
+/// what it sees.
 pub fn find_contours(bin: &GrayImage) -> Vec<Contour> {
-    let (w, h) = bin.dimensions();
-    let mut labels: ImageBuf<u32, 1> = ImageBuf::new(w, h);
+    let (w, h) = (bin.width() as usize, bin.height() as usize);
+    let stride = w + 2;
+    let mut cells = vec![BACKGROUND; stride * (h + 2)];
+    for (dst, src) in cells[stride..].chunks_exact_mut(stride).zip(bin.as_raw().chunks_exact(w)) {
+        for (d, &s) in dst[1..=w].iter_mut().zip(src) {
+            *d = if s > 0 { UNSEEN } else { BACKGROUND };
+        }
+    }
+    let offsets = NEIGHBOURS.map(|(dx, dy)| dy as isize * stride as isize + dx as isize);
+    let max_points = w * h * 4;
     let mut contours = Vec::new();
-    let mut next_label = 1u32;
-    let mut queue: Vec<(u32, u32)> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
 
     for y in 0..h {
         for x in 0..w {
-            if bin.get(x, y) == 0 || labels.pixel(x, y)[0] != 0 {
+            let start = (y + 1) * stride + x + 1;
+            if cells[start] != UNSEEN {
                 continue;
             }
-            // New component: trace its outer boundary from this raster-first
-            // pixel, then flood-fill the label so we never re-trace it.
-            contours.push(trace_boundary(bin, x, y));
-            let label = next_label;
-            next_label += 1;
-            queue.clear();
-            queue.push((x, y));
-            labels.put_pixel(x, y, [label]);
-            while let Some((cx, cy)) = queue.pop() {
-                for (dx, dy) in NEIGHBOURS {
-                    let nx = cx as i64 + dx as i64;
-                    let ny = cy as i64 + dy as i64;
-                    if bin.in_bounds(nx, ny)
-                        && bin.get(nx as u32, ny as u32) > 0
-                        && labels.pixel(nx as u32, ny as u32)[0] == 0
-                    {
-                        labels.put_pixel(nx as u32, ny as u32, [label]);
-                        queue.push((nx as u32, ny as u32));
+            // New component: trace its outer boundary from this
+            // raster-first pixel with Moore-neighbour tracing. Its west
+            // neighbour is background by construction, so the clockwise
+            // scan begins there; `back` indexes the background neighbour
+            // we came from. An isolated pixel has no foreground
+            // neighbour, and its contour is the pixel alone.
+            let mut at = Point::new(x as i32, y as i32);
+            let mut points = vec![at];
+            let (mut cur, mut back) = (start, 0usize);
+            while let Some(dir) = (1..=8)
+                .map(|step| (back + step) % 8)
+                .find(|&d| cells[cur.wrapping_add_signed(offsets[d])] != BACKGROUND)
+            {
+                let next = cur.wrapping_add_signed(offsets[dir]);
+                if next == start && points.len() > 1 {
+                    // Jacob's criterion variant: stop when we re-enter
+                    // the start pixel; a full revisit of (start,
+                    // first-move) would also do but this terminates
+                    // equivalently for our flood-filled usage.
+                    break;
+                }
+                let (dx, dy) = NEIGHBOURS[dir];
+                at = Point::new(at.x + dx, at.y + dy);
+                points.push(at);
+                // The scan from `next` resumes just after the neighbour
+                // we came from: the reverse of `dir`.
+                back = (dir + 4) % 8;
+                cur = next;
+                if points.len() > max_points {
+                    // Safety valve: malformed tracing cannot loop forever.
+                    break;
+                }
+            }
+            contours.push(Contour { points });
+
+            // Flood-fill the component so the raster scan never starts
+            // another trace inside it.
+            cells[start] = SEEN;
+            stack.push(start);
+            while let Some(i) = stack.pop() {
+                for off in offsets {
+                    let n = i.wrapping_add_signed(off);
+                    if cells[n] == UNSEEN {
+                        cells[n] = SEEN;
+                        stack.push(n);
                     }
                 }
             }
@@ -105,57 +152,11 @@ pub fn find_contours(bin: &GrayImage) -> Vec<Contour> {
     contours
 }
 
-/// Moore-neighbour boundary trace starting at the raster-first pixel of a
-/// component. `(sx, sy)` must be foreground with no foreground pixel in any
-/// earlier raster position of the same component.
-fn trace_boundary(bin: &GrayImage, sx: u32, sy: u32) -> Contour {
-    let start = Point::new(sx as i32, sy as i32);
-    let mut points = vec![start];
-    let fg =
-        |p: Point| bin.in_bounds(p.x as i64, p.y as i64) && bin.get(p.x as u32, p.y as u32) > 0;
-
-    // The raster-first pixel was entered "from the west" (its west neighbour
-    // is background by construction), so begin the clockwise scan there.
-    let mut current = start;
-    let mut backtrack_dir = 0usize; // index into NEIGHBOURS pointing at the background we came from
-
-    loop {
-        let mut found = None;
-        for step in 1..=8 {
-            let dir = (backtrack_dir + step) % 8;
-            let (dx, dy) = NEIGHBOURS[dir];
-            let cand = Point::new(current.x + dx, current.y + dy);
-            if fg(cand) {
-                found = Some((cand, dir));
-                break;
-            }
-        }
-        let Some((next, dir)) = found else {
-            // Isolated pixel.
-            break;
-        };
-        if next == start && points.len() > 1 {
-            // Jacob's criterion variant: stop when we re-enter the start
-            // pixel; a full revisit of (start, first-move) would also do but
-            // this terminates equivalently for our flood-filled usage.
-            break;
-        }
-        points.push(next);
-        // New backtrack direction: the neighbour we came from, i.e. the
-        // reverse of `dir` as seen from `next`.
-        backtrack_dir = (dir + 4) % 8;
-        // Re-point the clockwise scan to start just after the backtrack.
-        current = next;
-        if points.len() > (bin.width() as usize * bin.height() as usize * 4) {
-            // Safety valve: malformed tracing cannot loop forever.
-            break;
-        }
-    }
-    Contour { points }
-}
-
-/// The contour with the largest shoelace area, ties broken by first
-/// occurrence (raster order). A NaN area never wins the maximum.
+/// The contour with the largest shoelace area. Of several with the same
+/// largest area, the last in `contours` wins (`Iterator::max_by` keeps
+/// the last maximum), which for [`find_contours`]' output is the
+/// component whose first pixel comes last in raster order. A NaN area
+/// never wins the maximum.
 pub fn largest_contour(contours: &[Contour]) -> Option<&Contour> {
     contours.iter().max_by(|a, b| crate::cmp::nan_first_f64(a.area(), b.area()))
 }
@@ -198,6 +199,21 @@ mod tests {
         assert_eq!(contours.len(), 2);
         let largest = largest_contour(&contours).unwrap();
         assert_eq!(largest.bounding_rect(), Rect::new(10, 10, 5, 4));
+    }
+
+    #[test]
+    fn equal_areas_resolve_to_the_last_in_raster_order() {
+        let mut img = square_image(1, 1, 4);
+        for y in 10..14 {
+            for x in 10..14 {
+                img.put(x, y, 255);
+            }
+        }
+        let contours = find_contours(&img);
+        assert_eq!(contours.len(), 2);
+        assert_eq!(contours[0].area(), contours[1].area());
+        let largest = largest_contour(&contours).unwrap();
+        assert_eq!(largest.bounding_rect(), Rect::new(10, 10, 4, 4));
     }
 
     #[test]

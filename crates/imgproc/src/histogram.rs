@@ -80,18 +80,19 @@ pub fn rgb_histogram(img: &RgbImage, bins: usize) -> Result<RgbHistogram> {
             msg: format!("{bins} not in 1..=256"),
         });
     }
-    let mut data = vec![0.0f64; bins * 3];
+    // Each channel value's bin, from the float formula, once per value
+    // instead of once per sample. Counting in integers and dividing once
+    // gives the same bits as summing `1.0`s: every count is exact in f64.
     let scale = bins as f64 / 256.0;
+    let bin_of: [usize; 256] = std::array::from_fn(|v| ((v as f64 * scale) as usize).min(bins - 1));
+    let mut counts = vec![0u64; bins * 3];
     for px in img.as_raw().chunks_exact(3) {
-        for (c, &v) in px.iter().enumerate() {
-            let b = ((v as f64 * scale) as usize).min(bins - 1);
-            data[c * bins + b] += 1.0;
-        }
+        counts[bin_of[usize::from(px[0])]] += 1;
+        counts[bins + bin_of[usize::from(px[1])]] += 1;
+        counts[2 * bins + bin_of[usize::from(px[2])]] += 1;
     }
     let total = (img.width() as f64) * (img.height() as f64);
-    for v in &mut data {
-        *v /= total;
-    }
+    let data = counts.iter().map(|&n| n as f64 / total).collect();
     Ok(RgbHistogram { bins_per_channel: bins, data })
 }
 

@@ -7,7 +7,8 @@
 //! from the primary sources, exactly the parts those pipelines consume:
 //!
 //! * image containers and colour conversion ([`image`], [`color`]),
-//! * global binary thresholding ([`threshold`]),
+//! * global binary thresholding of the BT.601 luma, straight from RGB
+//!   ([`threshold`]),
 //! * Suzuki–Abe border following and contour geometry ([`contour`]),
 //! * raw/central/normalised image moments and the seven Hu invariants,
 //!   plus the three `matchShapes` distances ([`moments`]),
@@ -27,13 +28,13 @@
 //! use taor_imgproc::prelude::*;
 //!
 //! // An 8x8 white square on black background.
-//! let mut img = GrayImage::new(16, 16);
+//! let mut img = RgbImage::new(16, 16);
 //! for y in 4..12 {
 //!     for x in 4..12 {
-//!         img.put(x, y, 255);
+//!         img.put_pixel(x, y, [255, 255, 255]);
 //!     }
 //! }
-//! let bin = threshold_binary(&img, 128);
+//! let bin = threshold_luma(&img, 128);
 //! let contours = find_contours(&bin);
 //! assert_eq!(contours.len(), 1);
 //! let hu = hu_moments(&moments_of_contour(&contours[0]));
@@ -82,7 +83,7 @@ pub mod prelude {
     };
     pub use crate::morphology::{close, dilate, erode, open};
     pub use crate::resize::resize_bilinear_rgb;
-    pub use crate::threshold::{threshold_binary, threshold_binary_inv};
+    pub use crate::threshold::{threshold_luma, threshold_luma_inv};
 }
 
 pub use prelude::*;

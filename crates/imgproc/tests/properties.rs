@@ -1,6 +1,7 @@
 //! Property-based tests for the image-processing substrate.
 
 use proptest::prelude::*;
+use taor_imgproc::contour::Point;
 use taor_imgproc::prelude::*;
 use taor_imgproc::resize::{resize_bilinear_f32, sample_bilinear};
 
@@ -48,6 +49,158 @@ fn resize_rgb_oracle(img: &RgbImage, new_w: u32, new_h: u32) -> RgbImage {
     out
 }
 
+/// The grey image as RGB with r = g = b, whose luma is the grey value, so
+/// thresholding it thresholds the grey values themselves.
+fn grey_rgb(img: &GrayImage) -> RgbImage {
+    let data = img.as_raw().iter().flat_map(|&v| [v, v, v]).collect();
+    RgbImage::from_vec(img.width(), img.height(), data).unwrap()
+}
+
+/// One shape painted into a test mask: `(kind, x, y, size, bits)`.
+type Stroke = (u8, u32, u32, u32, u64);
+
+/// A mask from 1×1 up to `max_side` per side, painted from a few shapes
+/// that may run past the border: filled rectangles, rectangles with a
+/// hole, pairs of equal squares, single pixels, diagonal chains and
+/// speckle.
+fn arb_mask(max_side: u32) -> impl Strategy<Value = GrayImage> {
+    let stroke = (0u8..6, 0..max_side + 2, 0..max_side + 2, 1u32..9, any::<u64>());
+    (1..=max_side, 1..=max_side, proptest::collection::vec(stroke, 0..7))
+        .prop_map(|(w, h, strokes)| paint_mask(w, h, &strokes))
+}
+
+fn paint_mask(w: u32, h: u32, strokes: &[Stroke]) -> GrayImage {
+    let mut img = GrayImage::new(w, h);
+    let mut put = |x: u32, y: u32| {
+        if x < w && y < h {
+            img.put(x, y, 255);
+        }
+    };
+    for &(kind, x0, y0, size, bits) in strokes {
+        match kind {
+            // Filled rectangle; with kind 1, a one-pixel hole inside it.
+            0 | 1 => {
+                let (rw, rh) = (size, (bits % 8) as u32 + 1);
+                for y in y0..y0 + rh {
+                    for x in x0..x0 + rw {
+                        let hole = kind == 1 && x == x0 + rw / 2 && y == y0 + rh / 2;
+                        if !hole {
+                            put(x, y);
+                        }
+                    }
+                }
+            }
+            // Two equal squares side by side: equal areas.
+            2 => {
+                for (ox, oy) in [(0, 0), (size + 1 + (bits % 3) as u32, (bits >> 8) as u32 % 4)] {
+                    for y in 0..size {
+                        for x in 0..size {
+                            put(x0 + ox + x, y0 + oy + y);
+                        }
+                    }
+                }
+            }
+            3 => put(x0, y0),
+            // Diagonal chain, down-right or down-left.
+            4 => {
+                for i in 0..size + 2 {
+                    if bits & 1 == 0 {
+                        put(x0 + i, y0 + i);
+                    } else if let Some(x) = x0.checked_sub(i) {
+                        put(x, y0 + i);
+                    }
+                }
+            }
+            // Speckle: one bit per pixel of an 8x8 block.
+            _ => {
+                for i in 0..64 {
+                    if bits >> i & 1 == 1 {
+                        put(x0 + i % 8, y0 + i / 8);
+                    }
+                }
+            }
+        }
+    }
+    img
+}
+
+/// The previous `find_contours`, kept as the oracle: label components on
+/// a `u32` image with bounds-checked accessors, trace each one's outer
+/// border with Moore-neighbour tracing from its raster-first pixel.
+fn find_contours_oracle(bin: &GrayImage) -> Vec<Contour> {
+    const NEIGHBOURS: [(i32, i32); 8] =
+        [(-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1)];
+    let trace = |sx: u32, sy: u32| {
+        let start = Point::new(sx as i32, sy as i32);
+        let mut points = vec![start];
+        let fg =
+            |p: Point| bin.in_bounds(p.x as i64, p.y as i64) && bin.get(p.x as u32, p.y as u32) > 0;
+        let mut current = start;
+        let mut backtrack_dir = 0usize;
+        loop {
+            let mut found = None;
+            for step in 1..=8 {
+                let dir = (backtrack_dir + step) % 8;
+                let (dx, dy) = NEIGHBOURS[dir];
+                let cand = Point::new(current.x + dx, current.y + dy);
+                if fg(cand) {
+                    found = Some((cand, dir));
+                    break;
+                }
+            }
+            let Some((next, dir)) = found else { break };
+            if next == start && points.len() > 1 {
+                break;
+            }
+            points.push(next);
+            backtrack_dir = (dir + 4) % 8;
+            current = next;
+            if points.len() > (bin.width() as usize * bin.height() as usize * 4) {
+                break;
+            }
+        }
+        Contour { points }
+    };
+    let (w, h) = bin.dimensions();
+    let mut labels: ImageBuf<u32, 1> = ImageBuf::new(w, h);
+    let mut contours = Vec::new();
+    let mut next_label = 1u32;
+    let mut queue: Vec<(u32, u32)> = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            if bin.get(x, y) == 0 || labels.pixel(x, y)[0] != 0 {
+                continue;
+            }
+            contours.push(trace(x, y));
+            let label = next_label;
+            next_label += 1;
+            queue.clear();
+            queue.push((x, y));
+            labels.put_pixel(x, y, [label]);
+            while let Some((cx, cy)) = queue.pop() {
+                for (dx, dy) in NEIGHBOURS {
+                    let nx = cx as i64 + dx as i64;
+                    let ny = cy as i64 + dy as i64;
+                    if bin.in_bounds(nx, ny)
+                        && bin.get(nx as u32, ny as u32) > 0
+                        && labels.pixel(nx as u32, ny as u32)[0] == 0
+                    {
+                        labels.put_pixel(nx as u32, ny as u32, [label]);
+                        queue.push((nx as u32, ny as u32));
+                    }
+                }
+            }
+        }
+    }
+    contours
+}
+
+/// The previous `largest_contour`: `max_by` keeps the last of equal
+/// maxima.
+fn largest_contour_oracle(contours: &[Contour]) -> Option<&Contour> {
+    contours.iter().max_by(|a, b| nan_first_f64(a.area(), b.area()))
+}
+
 /// Arbitrary RGB crop from 1×1 up to `max_side` per side, any aspect.
 fn arb_crop(max_side: u32) -> impl Strategy<Value = RgbImage> {
     (1..=max_side, 1..=max_side).prop_flat_map(|(w, h)| {
@@ -75,11 +228,23 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn contours_match_the_labelling_oracle(bin in arb_mask(24)) {
+        let contours = find_contours(&bin);
+        let oracle = find_contours_oracle(&bin);
+        prop_assert_eq!(&contours, &oracle);
+        prop_assert_eq!(largest_contour(&contours), largest_contour_oracle(&oracle));
+    }
+}
+
+proptest! {
     #[test]
     fn threshold_outputs_only_0_and_255(img in arb_gray(24), t in any::<u8>()) {
-        let bin = threshold_binary(&img, t);
+        let bin = threshold_luma(&grey_rgb(&img), t);
         prop_assert!(bin.as_raw().iter().all(|&v| v == 0 || v == 255));
-        let inv = threshold_binary_inv(&img, t);
+        let inv = threshold_luma_inv(&grey_rgb(&img), t);
         for (a, b) in bin.as_raw().iter().zip(inv.as_raw()) {
             prop_assert_eq!(a ^ b, 255);
         }
@@ -87,7 +252,7 @@ proptest! {
 
     #[test]
     fn contours_cover_every_component_start(img in arb_gray(20)) {
-        let bin = threshold_binary(&img, 127);
+        let bin = threshold_luma(&grey_rgb(&img), 127);
         let contours = find_contours(&bin);
         // Every contour's bounding rect lies inside the image.
         for c in &contours {
@@ -107,7 +272,7 @@ proptest! {
         // in which case the shoelace value double-counts wound regions (the
         // same caveat OpenCV documents for `contourArea`). The area is still
         // bounded by a small multiple of the bounding box.
-        let bin = threshold_binary(&img, 100);
+        let bin = threshold_luma(&grey_rgb(&img), 100);
         for c in find_contours(&bin) {
             let bb = c.bounding_rect().area() as f64;
             prop_assert!(
@@ -138,8 +303,8 @@ proptest! {
 
     #[test]
     fn match_shapes_symmetry_i2(img1 in arb_gray(16), img2 in arb_gray(16)) {
-        let h1 = hu_moments(&moments(&threshold_binary(&img1, 127), true));
-        let h2 = hu_moments(&moments(&threshold_binary(&img2, 127), true));
+        let h1 = hu_moments(&moments(&threshold_luma(&grey_rgb(&img1), 127), true));
+        let h2 = hu_moments(&moments(&threshold_luma(&grey_rgb(&img2), 127), true));
         let d12 = match_shapes(&h1, &h2, MatchShapesMode::I2);
         let d21 = match_shapes(&h2, &h1, MatchShapesMode::I2);
         // Degenerate (empty-contour) Hu vectors yield +inf on both sides;
