@@ -11,12 +11,12 @@ fn bench_hu(c: &mut Criterion) {
     let bin = threshold_luma_inv(&ds.images[0].image, 245);
     let contours = find_contours(&bin);
     let contour = largest_contour(&contours).expect("object present");
-    let hu_a = hu_moments(&moments_of_contour(contour));
+    let hu_a = LogHu::new(&hu_moments(&moments_of_contour(contour)));
 
     let other = &ds.of_class(ObjectClass::Sofa).next().unwrap().image;
     let bin_b = threshold_luma_inv(other, 245);
     let contours_b = find_contours(&bin_b);
-    let hu_b = hu_moments(&moments_of_contour(largest_contour(&contours_b).unwrap()));
+    let hu_b = LogHu::new(&hu_moments(&moments_of_contour(largest_contour(&contours_b).unwrap())));
 
     c.bench_function("contour_moments_96px", |b| b.iter(|| moments_of_contour(black_box(contour))));
     c.bench_function("raster_moments_96px", |b| b.iter(|| moments(black_box(&bin), true)));

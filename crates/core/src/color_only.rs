@@ -12,7 +12,7 @@
 
 use crate::pipeline::MatchScorer;
 use crate::preprocess::Preprocessed;
-use taor_imgproc::histogram::{compare_hist, compare_hist_bounded, HistCompare};
+use taor_imgproc::histogram::{compare_hist, HistCompare};
 
 /// Floor for inverted similarity scores, so zero or negative correlation
 /// maps to a very large (but finite) distance.
@@ -32,11 +32,6 @@ impl ColorScorer {
         ColorScorer { metric: HistCompare::Intersection },
         ColorScorer { metric: HistCompare::Hellinger },
     ];
-
-    /// Table 2 row label.
-    pub fn label(&self) -> String {
-        format!("Color only {}", self.metric.name())
-    }
 }
 
 impl MatchScorer for ColorScorer {
@@ -50,22 +45,9 @@ impl MatchScorer for ColorScorer {
         }
     }
 
-    fn score_bounded(&self, query: &Preprocessed, view: &Preprocessed, bound: f64) -> f64 {
-        // Only the directly-accumulating metrics can abandon early;
-        // `compare_hist_bounded` falls back to the full distance for the
-        // rest. Inverted similarities can never prune (the distance is a
-        // decreasing function of the accumulated similarity), so they
-        // take the plain path.
-        if self.metric.higher_is_more_similar() {
-            self.score(query, view)
-        } else {
-            compare_hist_bounded(&query.hist, &view.hist, self.metric, bound)
-                .expect("preprocessing uses one bin layout") // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
-        }
-    }
-
+    /// Table 2 row label.
     fn name(&self) -> String {
-        self.label()
+        format!("Color only {}", self.metric.name())
     }
 }
 
@@ -79,7 +61,7 @@ mod tests {
 
     #[test]
     fn labels_match_table2() {
-        let labels: Vec<_> = ColorScorer::ALL.iter().map(|s| s.label()).collect();
+        let labels: Vec<_> = ColorScorer::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(
             labels,
             [

@@ -15,16 +15,17 @@
 
 use crate::color_only::ColorScorer;
 use crate::diag::Diagnostics;
-use crate::error::{Error, Result};
-use crate::pipeline::{MatchScorer, RefView};
+use crate::error::Result;
+use crate::pipeline::{sweep, MatchScorer, RefView};
+use crate::preprocess::Preprocessed;
 use crate::shape_only::ShapeScorer;
-use rayon::prelude::*;
 use taor_data::ObjectClass;
-use taor_imgproc::cmp::nan_last_f64;
 use taor_imgproc::histogram::HistCompare;
 use taor_imgproc::moments::MatchShapesMode;
 
-/// Aggregation strategy for the hybrid argmin.
+/// Aggregation strategy for the hybrid argmin. Per-view classification
+/// ([`try_classify_per_view`](crate::pipeline::try_classify_per_view))
+/// is the ΘT rule over one scorer's distances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
     /// ΘT: argmin over all individual views.
@@ -73,19 +74,16 @@ impl Default for HybridConfig {
 }
 
 impl HybridConfig {
-    /// θ for one (query, view) pair.
-    fn theta(
-        &self,
-        q: &crate::preprocess::Preprocessed,
-        v: &crate::preprocess::Preprocessed,
-    ) -> f64 {
+    /// θ = αS + βC for one (query, view) pair.
+    pub(crate) fn theta(&self, q: &Preprocessed, v: &Preprocessed) -> f64 {
         self.alpha * self.shape.score(q, v) + self.beta * self.color.score(q, v)
     }
 }
 
 /// Classify queries with the hybrid pipeline under one aggregation rule.
 ///
-/// An empty reference set is an [`Error::EmptyReference`]; NaN θ scores
+/// An empty reference set is an
+/// [`Error::EmptyReference`](crate::Error::EmptyReference); NaN θ scores
 /// are quarantined (counted in `diag`, never winning the argmin under
 /// any aggregation); a query for which no group produced a finite mean
 /// falls back to the first reference view's class and is counted as
@@ -97,7 +95,8 @@ pub fn try_classify_hybrid(
     agg: Aggregation,
     diag: &Diagnostics,
 ) -> Result<Vec<ObjectClass>> {
-    Ok(sweep(queries, views, cfg, [agg], diag)?.into_iter().map(|[class]| class).collect())
+    let rows = sweep(queries, views, |q, v| cfg.theta(q, v), [agg], diag)?;
+    Ok(rows.into_iter().map(|[class]| class).collect())
 }
 
 /// [`try_classify_hybrid`] under all three aggregations, in
@@ -114,84 +113,12 @@ pub fn try_classify_hybrid_all(
     diag: &Diagnostics,
 ) -> Result<[Vec<ObjectClass>; 3]> {
     let mut preds: [Vec<ObjectClass>; 3] = Default::default();
-    for row in sweep(queries, views, cfg, Aggregation::ALL, diag)? {
+    for row in sweep(queries, views, |q, v| cfg.theta(q, v), Aggregation::ALL, diag)? {
         for (column, class) in preds.iter_mut().zip(row) {
             column.push(class);
         }
     }
     Ok(preds)
-}
-
-/// The one θ loop: per query, θ against every view, then each of `aggs`
-/// picks its class from the same θ row.
-fn sweep<const N: usize>(
-    queries: &[RefView],
-    views: &[RefView],
-    cfg: &HybridConfig,
-    aggs: [Aggregation; N],
-    diag: &Diagnostics,
-) -> Result<Vec<[ObjectClass; N]>> {
-    if views.is_empty() {
-        return Err(Error::EmptyReference("reference set is empty"));
-    }
-    Ok(queries
-        .par_iter()
-        .map(|q| {
-            let thetas: Vec<f64> = views.iter().map(|v| cfg.theta(&q.feat, &v.feat)).collect();
-            let nan = thetas.iter().filter(|t| t.is_nan()).count() as u64;
-            aggs.map(|agg| {
-                diag.record_nan_scores(nan);
-                let (best, best_class) = match agg {
-                    Aggregation::WeightedSum => {
-                        let (mut best, mut best_class) = (f64::INFINITY, views[0].class);
-                        for (v, &t) in views.iter().zip(&thetas) {
-                            if t < best {
-                                best = t;
-                                best_class = v.class;
-                            }
-                        }
-                        (best, best_class)
-                    }
-                    Aggregation::MicroAverage => {
-                        // Average per (class, model) group.
-                        argmin_grouped(views, &thetas, |v| (v.class.index(), v.model_id))
-                    }
-                    Aggregation::MacroAverage => {
-                        argmin_grouped(views, &thetas, |v| (v.class.index(), 0))
-                    }
-                };
-                if !best.is_finite() {
-                    diag.record_degraded(1);
-                }
-                best_class
-            })
-        })
-        .collect())
-}
-
-/// Argmin over group means; groups are keyed by `key(view)` and resolve
-/// to `(mean, class)` of the winning group. A NaN group mean never wins
-/// unless every mean is NaN; `views` must be non-empty (the caller
-/// checks), and the all-NaN case still resolves deterministically to the
-/// first group in key order.
-fn argmin_grouped(
-    views: &[RefView],
-    thetas: &[f64],
-    key: impl Fn(&RefView) -> (usize, usize),
-) -> (f64, ObjectClass) {
-    use std::collections::BTreeMap;
-    let mut sums: BTreeMap<(usize, usize), (f64, usize, ObjectClass)> = BTreeMap::new();
-    for (v, &t) in views.iter().zip(thetas) {
-        let e = sums.entry(key(v)).or_insert((0.0, 0, v.class));
-        e.0 += t;
-        e.1 += 1;
-    }
-    // BTreeMap iterates in key order, so min_by ties (and the all-NaN
-    // fallback) resolve to the first group in key order on every run.
-    sums.into_iter()
-        .map(|(_, (sum, n, class))| (sum / n as f64, class))
-        .min_by(|a, b| nan_last_f64(a.0, b.0))
-        .unwrap_or((f64::INFINITY, views[0].class))
 }
 
 #[cfg(test)]

@@ -1,4 +1,3 @@
-// taor-lint: allow(panic::index) — dense numeric kernel: indices are derived from dimensions validated at the public boundary and bounded by the enclosing loops.
 //! Shared machinery of the matching pipelines.
 //!
 //! The paper frames classification as: "a set of K Shapenet models, Mc,
@@ -11,12 +10,15 @@
 //! [`prepare_views`] preprocesses a dataset once; a [`MatchScorer`] turns
 //! a (query, view) pair into a *distance* (lower = more similar);
 //! [`try_classify_per_view`] predicts by argmin over every reference view.
+//! It and the hybrid pipeline share one argmin loop, `sweep`.
 
 use crate::diag::Diagnostics;
 use crate::error::{Error, Result};
+use crate::hybrid::Aggregation;
 use crate::preprocess::{preprocess, Background, Preprocessed, HIST_BINS};
 use rayon::prelude::*;
 use taor_data::{Dataset, ObjectClass};
+use taor_imgproc::cmp::nan_last_f64;
 
 /// One preprocessed reference view (or query crop).
 #[derive(Debug, Clone)]
@@ -46,28 +48,9 @@ pub trait MatchScorer: Sync {
     /// Distance between a query and a reference view; lower = better.
     fn score(&self, query: &Preprocessed, view: &Preprocessed) -> f64;
 
-    /// Distance with early abandon. **Contract:** the result must be
-    /// exact whenever it is `< bound`; when the true distance is
-    /// `≥ bound` the implementation may stop early and return any value
-    /// `≥ bound`. Argmin searches that pass their running best as
-    /// `bound` and compare with strict `<` therefore see identical
-    /// decisions — a pruned candidate could never have replaced the
-    /// incumbent. The default computes the full distance.
-    fn score_bounded(&self, query: &Preprocessed, view: &Preprocessed, bound: f64) -> f64 {
-        let _ = bound;
-        self.score(query, view)
-    }
-
     /// Human-readable configuration name for reports.
     fn name(&self) -> String;
 }
-
-/// Reference views scanned per tile of the distance-matrix loops: small
-/// enough that a tile's features stay cache-resident while every query
-/// of a block visits them, large enough to amortise the loop overhead.
-const VIEW_TILE: usize = 64;
-/// Queries per parallel work item in the classify loops.
-const QUERY_BLOCK: usize = 8;
 
 /// Classify every query by the class of its argmin view (the paper's
 /// ΘT rule; also how the shape-only and colour-only pipelines decide).
@@ -83,37 +66,85 @@ pub fn try_classify_per_view(
     scorer: &dyn MatchScorer,
     diag: &Diagnostics,
 ) -> Result<Vec<ObjectClass>> {
+    let rows = sweep(queries, views, |q, v| scorer.score(q, v), [Aggregation::WeightedSum], diag)?;
+    Ok(rows.into_iter().map(|[class]| class).collect())
+}
+
+/// The one argmin loop: per query, `score` against every view in order,
+/// then each of `aggs` picks its class from that one row of distances.
+///
+/// Each query's NaN distances are counted in `diag` once per
+/// aggregation (they never win), and so is a query for which an
+/// aggregation found no finite distance; that query falls back to
+/// `views[0].class`. An empty `views` is an [`Error::EmptyReference`].
+pub(crate) fn sweep<const N: usize>(
+    queries: &[RefView],
+    views: &[RefView],
+    score: impl Fn(&Preprocessed, &Preprocessed) -> f64 + Sync,
+    aggs: [Aggregation; N],
+    diag: &Diagnostics,
+) -> Result<Vec<[ObjectClass; N]>> {
     if views.is_empty() {
         return Err(Error::EmptyReference("reference set is empty"));
     }
-    // Tiled scan: a block of queries walks one tile of reference views at
-    // a time, so tile features are reused across the block instead of
-    // streaming the whole reference set per query. Each (query, view)
-    // pair passes the query's running best as the abandon bound.
     Ok(queries
-        .par_chunks(QUERY_BLOCK)
-        .flat_map(|block| {
-            let mut best = vec![f64::INFINITY; block.len()];
-            let mut best_class = vec![views[0].class; block.len()];
-            let mut nan_seen = 0u64;
-            for tile in views.chunks(VIEW_TILE) {
-                for (qi, q) in block.iter().enumerate() {
-                    for v in tile {
-                        let s = scorer.score_bounded(&q.feat, &v.feat, best[qi]);
-                        if s.is_nan() {
-                            nan_seen += 1;
-                        } else if s < best[qi] {
-                            best[qi] = s;
-                            best_class[qi] = v.class;
+        .par_iter()
+        .map(|q| {
+            let row: Vec<f64> = views.iter().map(|v| score(&q.feat, &v.feat)).collect();
+            let nan = row.iter().filter(|d| d.is_nan()).count() as u64;
+            aggs.map(|agg| {
+                diag.record_nan_scores(nan);
+                let (best, best_class) = match agg {
+                    Aggregation::WeightedSum => {
+                        let (mut best, mut best_class) = (f64::INFINITY, views[0].class);
+                        for (v, &d) in views.iter().zip(&row) {
+                            if d < best {
+                                best = d;
+                                best_class = v.class;
+                            }
                         }
+                        (best, best_class)
                     }
+                    Aggregation::MicroAverage => {
+                        // Average per (class, model) group.
+                        argmin_grouped(views, &row, |v| (v.class.index(), v.model_id))
+                    }
+                    Aggregation::MacroAverage => {
+                        argmin_grouped(views, &row, |v| (v.class.index(), 0))
+                    }
+                };
+                if !best.is_finite() {
+                    diag.record_degraded(1);
                 }
-            }
-            diag.record_nan_scores(nan_seen);
-            diag.record_degraded(best.iter().filter(|b| b.is_infinite()).count() as u64);
-            best_class
+                best_class
+            })
         })
         .collect())
+}
+
+/// Argmin over group means; groups are keyed by `key(view)` and resolve
+/// to `(mean, class)` of the winning group. A NaN group mean never wins
+/// unless every mean is NaN; `views` must be non-empty (the caller
+/// checks), and the all-NaN case still resolves deterministically to the
+/// first group in key order.
+fn argmin_grouped(
+    views: &[RefView],
+    row: &[f64],
+    key: impl Fn(&RefView) -> (usize, usize),
+) -> (f64, ObjectClass) {
+    use std::collections::BTreeMap;
+    let mut sums: BTreeMap<(usize, usize), (f64, usize, ObjectClass)> = BTreeMap::new();
+    for (v, &d) in views.iter().zip(row) {
+        let e = sums.entry(key(v)).or_insert((0.0, 0, v.class));
+        e.0 += d;
+        e.1 += 1;
+    }
+    // BTreeMap iterates in key order, so min_by ties (and the all-NaN
+    // fallback) resolve to the first group in key order on every run.
+    sums.into_iter()
+        .map(|(_, (sum, n, class))| (sum / n as f64, class))
+        .min_by(|a, b| nan_last_f64(a.0, b.0))
+        .unwrap_or((f64::INFINITY, views[0].class))
 }
 
 /// Ground-truth classes of a prepared query set.

@@ -7,8 +7,8 @@
 //! area."
 //!
 //! The output bundles everything the matching pipelines consume: the RGB
-//! crop, the binary mask crop, the largest contour's Hu invariants, and
-//! the RGB histogram of the crop.
+//! crop, the binary mask crop, the largest contour's Hu invariants (raw
+//! and log-signed), and the RGB histogram of the crop.
 
 use taor_imgproc::prelude::*;
 
@@ -33,6 +33,9 @@ pub struct Preprocessed {
     pub mask: GrayImage,
     /// Hu invariants of the largest contour.
     pub hu: HuMoments,
+    /// Their log-signed form, the side of every shape distance this crop
+    /// takes part in, computed once here.
+    pub log_hu: LogHu,
     /// Per-channel RGB histogram of the crop.
     pub hist: RgbHistogram,
     /// Whether the contour stage succeeded (false = whole-image fallback,
@@ -78,7 +81,7 @@ pub fn preprocess(img: &RgbImage, bg: Background, bins: usize) -> Preprocessed {
         }
     };
     let hist = rgb_histogram(&crop, bins).expect("bins validated by caller contract"); // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
-    Preprocessed { crop, mask, hu, hist, contour_ok }
+    Preprocessed { crop, mask, hu, log_hu: LogHu::new(&hu), hist, contour_ok }
 }
 
 #[cfg(test)]

@@ -106,9 +106,7 @@ impl Recognizer {
         match &self.method {
             Method::Shape(s) => s.score(q, &v.feat),
             Method::Color(s) => s.score(q, &v.feat),
-            Method::Hybrid(h) => {
-                h.alpha * h.shape.score(q, &v.feat) + h.beta * h.color.score(q, &v.feat)
-            }
+            Method::Hybrid(h) => h.theta(q, &v.feat),
         }
     }
 

@@ -7,7 +7,7 @@
 
 use crate::pipeline::MatchScorer;
 use crate::preprocess::Preprocessed;
-use taor_imgproc::moments::{match_shapes, match_shapes_bounded, MatchShapesMode};
+use taor_imgproc::moments::{match_shapes, MatchShapesMode};
 
 /// Hu-moment shape scorer; the paper's L1/L2/L3 variants map to
 /// [`MatchShapesMode::I1`]/[`I2`](MatchShapesMode::I2)/[`I3`](MatchShapesMode::I3).
@@ -23,30 +23,21 @@ impl ShapeScorer {
         ShapeScorer { mode: MatchShapesMode::I2 },
         ShapeScorer { mode: MatchShapesMode::I3 },
     ];
+}
+
+impl MatchScorer for ShapeScorer {
+    fn score(&self, query: &Preprocessed, view: &Preprocessed) -> f64 {
+        match_shapes(&query.log_hu, &view.log_hu, self.mode)
+    }
 
     /// Table 2 row label.
-    pub fn label(&self) -> &'static str {
+    fn name(&self) -> String {
         match self.mode {
             MatchShapesMode::I1 => "Shape only L1",
             MatchShapesMode::I2 => "Shape only L2",
             MatchShapesMode::I3 => "Shape only L3",
         }
-    }
-}
-
-impl MatchScorer for ShapeScorer {
-    fn score(&self, query: &Preprocessed, view: &Preprocessed) -> f64 {
-        match_shapes(&query.hu, &view.hu, self.mode)
-    }
-
-    fn score_bounded(&self, query: &Preprocessed, view: &Preprocessed, bound: f64) -> f64 {
-        // All three Hu distances accumulate monotonically, so the
-        // bounded kernel can abandon a pair mid-scan.
-        match_shapes_bounded(&query.hu, &view.hu, self.mode, bound)
-    }
-
-    fn name(&self) -> String {
-        self.label().to_string()
+        .to_string()
     }
 }
 
@@ -60,7 +51,7 @@ mod tests {
 
     #[test]
     fn labels_match_table2() {
-        let labels: Vec<_> = ShapeScorer::ALL.iter().map(|s| s.label()).collect();
+        let labels: Vec<_> = ShapeScorer::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(labels, ["Shape only L1", "Shape only L2", "Shape only L3"]);
     }
 

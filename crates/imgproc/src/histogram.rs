@@ -157,47 +157,6 @@ pub fn compare_hist(a: &RgbHistogram, b: &RgbHistogram, method: HistCompare) -> 
     })
 }
 
-/// [`compare_hist`] with early abandon for metrics whose distance
-/// accumulates monotonically. Only Chi-square qualifies: its per-bin
-/// terms `(aᵢ−bᵢ)²/aᵢ` are non-negative, so the partial sum is a lower
-/// bound of the final distance and the scan stops once it reaches
-/// `bound`. The other metrics (Correlation, Intersection, Hellinger)
-/// normalise by totals only known at the end, so they always compute the
-/// full distance.
-///
-/// The result is exact whenever it is `< bound`; otherwise it is some
-/// value `≥ bound`.
-pub fn compare_hist_bounded(
-    a: &RgbHistogram,
-    b: &RgbHistogram,
-    method: HistCompare,
-    bound: f64,
-) -> Result<f64> {
-    if method != HistCompare::ChiSquare || !bound.is_finite() {
-        return compare_hist(a, b, method);
-    }
-    if a.bins_per_channel != b.bins_per_channel {
-        return Err(ImgError::InvalidParameter {
-            name: "histogram",
-            msg: format!("bin mismatch: {} vs {}", a.bins_per_channel, b.bins_per_channel),
-        });
-    }
-    let mut acc = 0.0f64;
-    // Chunked accumulation: check the bound every 64 bins rather than
-    // every term, keeping the inner loop branch-light.
-    for (ca, cb) in a.data.chunks(64).zip(b.data.chunks(64)) {
-        for (&x, &y) in ca.iter().zip(cb) {
-            if x > 0.0 {
-                acc += (x - y) * (x - y) / x;
-            }
-        }
-        if acc >= bound {
-            return Ok(acc);
-        }
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,16 +70,14 @@ pub mod prelude {
     pub use crate::draw::Canvas;
     pub use crate::error::{ImgError, Result};
     pub use crate::filter::gaussian_blur;
-    pub use crate::histogram::{
-        compare_hist, compare_hist_bounded, rgb_histogram, HistCompare, RgbHistogram,
-    };
+    pub use crate::histogram::{compare_hist, rgb_histogram, HistCompare, RgbHistogram};
     pub use crate::image::{GrayF32, GrayImage, ImageBuf, Rect, RgbImage};
     pub use crate::integral::IntegralImage;
     pub use crate::io::{read_ppm, write_ppm};
     pub use crate::label::{label_components, Component, Labels};
     pub use crate::moments::{
-        hu_moments, match_shapes, match_shapes_bounded, moments, moments_of_contour, HuMoments,
-        MatchShapesMode, Moments,
+        hu_moments, match_shapes, moments, moments_of_contour, HuMoments, LogHu, MatchShapesMode,
+        Moments,
     };
     pub use crate::morphology::{close, dilate, erode, open};
     pub use crate::resize::resize_bilinear_rgb;

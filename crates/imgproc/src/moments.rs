@@ -221,50 +221,49 @@ pub enum MatchShapesMode {
     I3,
 }
 
-/// Log-signed transform used by `matchShapes`: `mᵢ = sign(hᵢ)·log₁₀|hᵢ|`.
-fn log_sign(h: f64) -> Option<f64> {
-    if h.abs() > f64::MIN_POSITIVE {
-        Some(h.signum() * h.abs().log10())
-    } else {
-        None
+/// The log-signed Hu invariants `mᵢ = sign(hᵢ)·log₁₀|hᵢ|` that
+/// [`match_shapes`] compares. Each side's seven logs depend on that side
+/// only, so a shape is transformed once (`taor-core` does it in
+/// `preprocess`) and every pair it takes part in reads the cached values.
+///
+/// A component with `|hᵢ| ≤ f64::MIN_POSITIVE` (or a NaN invariant) is
+/// numerically zero and not comparable; it is held as NaN, which no
+/// comparable invariant logs to (`±∞` logs to `±∞`).
+#[derive(Debug, Clone, Copy)]
+pub struct LogHu([f64; 7]);
+
+impl LogHu {
+    /// Transform the seven invariants of one shape.
+    pub fn new(hu: &HuMoments) -> Self {
+        LogHu(hu.map(|h| {
+            if h.abs() > f64::MIN_POSITIVE {
+                h.signum() * h.abs().log10()
+            } else {
+                f64::NAN
+            }
+        }))
     }
 }
 
-/// Hu-moment shape distance between two sets of invariants. Lower is more
-/// similar; identical shapes score 0.
+/// Hu-moment shape distance between two sets of log-signed invariants.
+/// Lower is more similar; identical shapes score 0.
 ///
 /// Components where either invariant is (numerically) zero are skipped,
 /// as in OpenCV. Unlike OpenCV, when *no* component is comparable — e.g.
 /// one side is the all-zero vector of a degenerate/empty contour — the
 /// distance is `+∞` rather than 0: an empty shape matches nothing, and
 /// returning 0 would make degenerate references universal attractors in
-/// argmin classification.
-pub fn match_shapes(a: &HuMoments, b: &HuMoments, mode: MatchShapesMode) -> f64 {
-    match_shapes_bounded(a, b, mode, f64::INFINITY)
-}
-
-/// [`match_shapes`] with early abandon: every mode accumulates
-/// monotonically (I1/I2 sum non-negative terms, I3 takes a running max),
-/// so once the partial distance reaches `bound` the final value cannot
-/// fall back below it and the scan stops.
-///
-/// The result is exact whenever it is `< bound`; otherwise it is some
-/// value `≥ bound` (a valid lower bound of the true distance). Argmin
-/// searches that pass their current best as `bound` and compare with
-/// strict `<` are unaffected by the truncation.
-pub fn match_shapes_bounded(
-    a: &HuMoments,
-    b: &HuMoments,
-    mode: MatchShapesMode,
-    bound: f64,
-) -> f64 {
+/// argmin classification. Once the distance reaches `+∞` it stays there:
+/// a later `∞ − ∞` term (two unit invariants under I1) does not turn it
+/// into NaN.
+pub fn match_shapes(a: &LogHu, b: &LogHu, mode: MatchShapesMode) -> f64 {
     let mut acc = 0.0f64;
-    let mut compared = 0usize;
-    for i in 0..7 {
-        let (Some(ma), Some(mb)) = (log_sign(a[i]), log_sign(b[i])) else {
+    let mut compared = false;
+    for (&ma, &mb) in a.0.iter().zip(&b.0) {
+        if ma.is_nan() || mb.is_nan() {
             continue;
-        };
-        compared += 1;
+        }
+        compared = true;
         match mode {
             MatchShapesMode::I1 => acc += (1.0 / ma - 1.0 / mb).abs(),
             MatchShapesMode::I2 => acc += (ma - mb).abs(),
@@ -275,14 +274,14 @@ pub fn match_shapes_bounded(
                 }
             }
         }
-        if acc >= bound {
+        if acc == f64::INFINITY {
             return acc;
         }
     }
-    if compared == 0 {
-        f64::INFINITY
-    } else {
+    if compared {
         acc
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -359,7 +358,7 @@ mod tests {
         // variance of x over {0..w-1} is (w²−1)/12, not w²/12), so allow a
         // few percent on the first invariant.
         assert!((ha[0] - hb[0]).abs() / ha[0].abs() < 0.07);
-        assert!(match_shapes(&ha, &hb, MatchShapesMode::I2) < 0.5);
+        assert!(match_shapes(&LogHu::new(&ha), &LogHu::new(&hb), MatchShapesMode::I2) < 0.5);
     }
 
     #[test]
@@ -381,7 +380,7 @@ mod tests {
     #[test]
     fn match_shapes_identity_is_zero() {
         let img = rect_image(3, 3, 8, 5, 20);
-        let hu = hu_moments(&moments(&img, true));
+        let hu = LogHu::new(&hu_moments(&moments(&img, true)));
         for mode in [MatchShapesMode::I1, MatchShapesMode::I2, MatchShapesMode::I3] {
             assert_eq!(match_shapes(&hu, &hu, mode), 0.0);
         }
@@ -389,9 +388,10 @@ mod tests {
 
     #[test]
     fn match_shapes_discriminates_rect_from_bar() {
-        let square = hu_moments(&moments(&rect_image(4, 4, 8, 8, 32), true));
-        let square2 = hu_moments(&moments(&rect_image(10, 10, 12, 12, 32), true));
-        let bar = hu_moments(&moments(&rect_image(4, 4, 24, 2, 32), true));
+        let log_hu = |img: &GrayImage| LogHu::new(&hu_moments(&moments(img, true)));
+        let square = log_hu(&rect_image(4, 4, 8, 8, 32));
+        let square2 = log_hu(&rect_image(10, 10, 12, 12, 32));
+        let bar = log_hu(&rect_image(4, 4, 24, 2, 32));
         for mode in [MatchShapesMode::I1, MatchShapesMode::I2, MatchShapesMode::I3] {
             let near = match_shapes(&square, &square2, mode);
             let far = match_shapes(&square, &bar, mode);
@@ -403,9 +403,9 @@ mod tests {
     fn match_shapes_degenerate_is_infinite() {
         // An all-zero Hu vector (empty contour) must match nothing,
         // never everything.
-        let zeroish: HuMoments = [0.0; 7];
+        let zeroish = LogHu::new(&[0.0; 7]);
         let img = rect_image(3, 3, 8, 5, 20);
-        let hu = hu_moments(&moments(&img, true));
+        let hu = LogHu::new(&hu_moments(&moments(&img, true)));
         for mode in [MatchShapesMode::I1, MatchShapesMode::I2, MatchShapesMode::I3] {
             assert_eq!(match_shapes(&zeroish, &hu, mode), f64::INFINITY);
             assert_eq!(match_shapes(&zeroish, &zeroish, mode), f64::INFINITY);

@@ -56,6 +56,85 @@ fn grey_rgb(img: &GrayImage) -> RgbImage {
     RgbImage::from_vec(img.width(), img.height(), data).unwrap()
 }
 
+/// The per-pair `matchShapes` that took both sides' logs on every call,
+/// kept as the oracle of [`match_shapes`] over cached [`LogHu`] vectors:
+/// `log_sign` plus the early-abandon kernel at an infinite bound.
+fn match_shapes_oracle(a: &HuMoments, b: &HuMoments, mode: MatchShapesMode) -> f64 {
+    fn log_sign(h: f64) -> Option<f64> {
+        if h.abs() > f64::MIN_POSITIVE {
+            Some(h.signum() * h.abs().log10())
+        } else {
+            None
+        }
+    }
+    let bound = f64::INFINITY;
+    let mut acc = 0.0f64;
+    let mut compared = 0usize;
+    for i in 0..7 {
+        let (Some(ma), Some(mb)) = (log_sign(a[i]), log_sign(b[i])) else {
+            continue;
+        };
+        compared += 1;
+        match mode {
+            MatchShapesMode::I1 => acc += (1.0 / ma - 1.0 / mb).abs(),
+            MatchShapesMode::I2 => acc += (ma - mb).abs(),
+            MatchShapesMode::I3 => {
+                let d = (ma - mb).abs() / ma.abs();
+                if d > acc {
+                    acc = d;
+                }
+            }
+        }
+        if acc >= bound {
+            return acc;
+        }
+    }
+    if compared == 0 {
+        f64::INFINITY
+    } else {
+        acc
+    }
+}
+
+/// One Hu invariant, weighted towards the edge cases of the log-signed
+/// transform: zeros, `±MIN_POSITIVE`, subnormals, `±1` (log 0), `±∞`,
+/// NaN, arbitrary bit patterns and realistic magnitudes.
+fn arb_hu_component() -> impl Strategy<Value = f64> {
+    (0u8..12, any::<u64>(), any::<bool>()).prop_map(|(kind, bits, negative)| {
+        let v = match kind {
+            0 => 0.0,
+            1 => f64::MIN_POSITIVE,
+            2 => f64::from_bits(bits % (1 << 52)), // subnormal (or zero)
+            3 => 1.0,
+            4 => f64::INFINITY,
+            5 => f64::NAN,
+            6 | 7 => f64::from_bits(bits),
+            // Hu invariants of real contours span ~1e-30..1.
+            _ => (bits % 1000 + 1) as f64 * 10f64.powi(-(((bits >> 10) % 32) as i32) - 3),
+        };
+        if negative {
+            -v
+        } else {
+            v
+        }
+    })
+}
+
+/// A pair of Hu vectors; each component of the second repeats the
+/// first's about half the time, so `∞ − ∞`, `0/0` and exact zeros occur.
+fn arb_hu_pair() -> impl Strategy<Value = (HuMoments, HuMoments)> {
+    (collection::vec(arb_hu_component(), 7), collection::vec(arb_hu_component(), 7), any::<u8>())
+        .prop_map(|(a, b, shared)| {
+            let mut ha = [0.0; 7];
+            let mut hb = [0.0; 7];
+            for i in 0..7 {
+                ha[i] = a[i];
+                hb[i] = if (shared >> i) & 1 == 1 { a[i] } else { b[i] };
+            }
+            (ha, hb)
+        })
+}
+
 /// One shape painted into a test mask: `(kind, x, y, size, bits)`.
 type Stroke = (u8, u32, u32, u32, u64);
 
@@ -303,8 +382,8 @@ proptest! {
 
     #[test]
     fn match_shapes_symmetry_i2(img1 in arb_gray(16), img2 in arb_gray(16)) {
-        let h1 = hu_moments(&moments(&threshold_luma(&grey_rgb(&img1), 127), true));
-        let h2 = hu_moments(&moments(&threshold_luma(&grey_rgb(&img2), 127), true));
+        let h1 = LogHu::new(&hu_moments(&moments(&threshold_luma(&grey_rgb(&img1), 127), true)));
+        let h2 = LogHu::new(&hu_moments(&moments(&threshold_luma(&grey_rgb(&img2), 127), true)));
         let d12 = match_shapes(&h1, &h2, MatchShapesMode::I2);
         let d21 = match_shapes(&h2, &h1, MatchShapesMode::I2);
         // Degenerate (empty-contour) Hu vectors yield +inf on both sides;
@@ -391,6 +470,27 @@ proptest! {
             let hi = r.max(gr).max(b);
             let v = g.get(x, y);
             prop_assert!(v >= lo.saturating_sub(1) && v <= hi.saturating_add(1));
+        }
+    }
+}
+
+// Pure arithmetic on seven-component vectors: many cases are cheap.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn match_shapes_on_cached_logs_is_bit_identical_to_per_pair_logs((a, b) in arb_hu_pair()) {
+        let (la, lb) = (LogHu::new(&a), LogHu::new(&b));
+        for mode in [MatchShapesMode::I1, MatchShapesMode::I2, MatchShapesMode::I3] {
+            for (x, y, lx, ly) in [(&a, &b, &la, &lb), (&b, &a, &lb, &la), (&a, &a, &la, &la)] {
+                let want = match_shapes_oracle(x, y, mode);
+                let got = match_shapes(lx, ly, mode);
+                // NaN has many bit patterns; compare NaN as NaN, all else bitwise.
+                prop_assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{:?} on {:?} v {:?}: {} (cached) vs {} (oracle)", mode, x, y, got, want
+                );
+            }
         }
     }
 }

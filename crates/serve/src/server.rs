@@ -281,11 +281,18 @@ fn handle_conn(
                 Ok(None) => break,
                 Ok(Some(req)) => {
                     served += 1;
+                    let response = route(&req, service, queue, cfg);
+                    // An overload or server-side answer (429, 5xx) closes:
+                    // the client is told to back off, so holding this
+                    // thread for the idle timeout would only add to the
+                    // overload. A 404 or 405 on sound framing keeps it.
+                    let overloaded = response.status == 429 || response.status >= 500;
                     let reuse = cfg.keep_alive
                         && req.keep_alive
+                        && !overloaded
                         && served < cfg.max_requests_per_conn
                         && !draining();
-                    (route(&req, service, queue, cfg), reuse)
+                    (response, reuse)
                 }
                 // Mid-request failures poison the framing: answer typed,
                 // then close rather than guess where the next request

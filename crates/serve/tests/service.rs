@@ -67,6 +67,17 @@ fn unknown_paths_and_wrong_methods_are_404_and_405() {
 }
 
 #[test]
+fn not_found_keeps_the_connection_for_the_next_request() {
+    let server = spawn(cheap_cfg(), ServerConfig::default());
+    let mut client = chaos::PersistentClient::connect(server.local_addr()).unwrap();
+    assert_eq!(client.roundtrip("GET", "/nope", b"", false).unwrap().0, 404);
+    let (status, body) = client.roundtrip("GET", "/healthz", b"", false).unwrap();
+    assert_eq!(status, 200, "the socket that got a 404 must serve the next request");
+    assert!(String::from_utf8(body).unwrap().contains("\"status\":\"ok\""));
+    server.shutdown();
+}
+
+#[test]
 fn oversized_body_declaration_is_413_before_transfer() {
     let cfg = ServerConfig {
         limits: taor_serve::HttpLimits { max_body: 1024, ..Default::default() },
@@ -109,7 +120,9 @@ fn saturated_queue_sheds_with_429_and_retry_after() {
     let mut shed = 0;
     let mut retry_after_seen = false;
     for _ in 0..6 {
-        // Raw roundtrip so the Retry-After header is visible.
+        // Raw keep-alive roundtrip so the headers are visible; the
+        // server must close after a 429, or `read_to_end` waits out the
+        // idle timeout.
         let raw = {
             let mut req = format!(
                 "POST /recognize HTTP/1.1\r\nHost: taor\r\nContent-Length: {}\r\n\r\n",
@@ -128,6 +141,8 @@ fn saturated_queue_sheds_with_429_and_retry_after() {
         if text.starts_with("HTTP/1.1 429") {
             shed += 1;
             retry_after_seen |= text.contains("Retry-After: 1");
+            let head = text.split("\r\n\r\n").next().unwrap_or("");
+            assert!(head.contains("\r\nConnection: close"), "a 429 must close: {head}");
         }
     }
     for h in slow {
