@@ -16,10 +16,10 @@ fn bench_contours(c: &mut Criterion) {
     c.bench_function("threshold_96px", |b| b.iter(|| threshold_luma_inv(black_box(white), 245)));
     c.bench_function("find_contours_96px", |b| b.iter(|| find_contours(black_box(&bin))));
     c.bench_function("preprocess_catalog", |b| {
-        b.iter(|| preprocess(black_box(white), Background::White, HIST_BINS))
+        b.iter(|| preprocess(black_box(white), Background::White))
     });
     c.bench_function("preprocess_scene", |b| {
-        b.iter(|| preprocess(black_box(black), Background::Black, HIST_BINS))
+        b.iter(|| preprocess(black_box(black), Background::Black))
     });
 }
 

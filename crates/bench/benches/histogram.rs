@@ -1,5 +1,5 @@
-//! Ablation bench: histogram bin count (8/16/32/64 per channel) and the
-//! four comparison metrics of the colour-only pipeline.
+//! Bench: building one RGB histogram and the four comparison metrics of
+//! the colour-only pipeline.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use taor_data::shapenet_set1;
@@ -10,20 +10,14 @@ fn bench_histograms(c: &mut Criterion) {
     let img_a = &ds.images[0].image;
     let img_b = &ds.images[50].image;
 
-    let mut g = c.benchmark_group("rgb_histogram_bins");
-    for bins in [8usize, 16, 32, 64] {
-        g.bench_function(format!("{bins}"), |b| {
-            b.iter(|| rgb_histogram(black_box(img_a), bins).unwrap())
-        });
-    }
-    g.finish();
+    c.bench_function("rgb_histogram", |b| b.iter(|| rgb_histogram(black_box(img_a))));
 
-    let ha = rgb_histogram(img_a, 32).unwrap();
-    let hb = rgb_histogram(img_b, 32).unwrap();
+    let ha = rgb_histogram(img_a);
+    let hb = rgb_histogram(img_b);
     let mut g = c.benchmark_group("compare_hist");
     for metric in HistCompare::ALL {
         g.bench_function(metric.name(), |b| {
-            b.iter(|| compare_hist(black_box(&ha), black_box(&hb), metric).unwrap())
+            b.iter(|| compare_hist(black_box(&ha), black_box(&hb), metric))
         });
     }
     g.finish();

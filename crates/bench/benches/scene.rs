@@ -38,7 +38,7 @@ fn bench_scene(c: &mut Criterion) {
                 let q = RefView {
                     class: ObjectClass::Chair,
                     model_id: 0,
-                    feat: preprocess(crop, Background::Black, HIST_BINS),
+                    feat: preprocess(crop, Background::Black),
                 };
                 let q = std::slice::from_ref(&q);
                 try_classify_hybrid(q, &refs, &hybrid, Aggregation::WeightedSum, &diag).unwrap()[0]

@@ -31,7 +31,7 @@ pub fn table_e1(cfg: &ReproConfig, n_frames: usize) -> TableOutput {
         let q = RefView {
             class: taor_data::ObjectClass::Chair, // placeholder truth, unused
             model_id: 0,
-            feat: preprocess(crop, Background::Black, HIST_BINS),
+            feat: preprocess(crop, Background::Black),
         };
         hybrid_preds(std::slice::from_ref(&q), &refs, &hybrid, Aggregation::WeightedSum, &diag)[0]
     };

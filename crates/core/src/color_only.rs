@@ -36,8 +36,7 @@ impl ColorScorer {
 
 impl MatchScorer for ColorScorer {
     fn score(&self, query: &Preprocessed, view: &Preprocessed) -> f64 {
-        let c = compare_hist(&query.hist, &view.hist, self.metric)
-            .expect("preprocessing uses one bin layout"); // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
+        let c = compare_hist(&query.hist, &view.hist, self.metric);
         if self.metric.higher_is_more_similar() {
             1.0 / c.max(SIM_FLOOR)
         } else {

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::pipeline::{
         prepare_views, truth_of, try_classify_per_view, MatchScorer, RefView,
     };
-    pub use crate::preprocess::{binarise, preprocess, Background, Preprocessed, HIST_BINS};
+    pub use crate::preprocess::{binarise, preprocess, Background, Preprocessed};
     pub use crate::recognizer::{Method, Recognition, Recognizer};
     pub use crate::report::{
         classwise_headers, classwise_rows, fmt_f, ExperimentRecord, TextTable,

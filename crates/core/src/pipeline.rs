@@ -15,7 +15,7 @@
 use crate::diag::Diagnostics;
 use crate::error::{Error, Result};
 use crate::hybrid::Aggregation;
-use crate::preprocess::{preprocess, Background, Preprocessed, HIST_BINS};
+use crate::preprocess::{preprocess, Background, Preprocessed};
 use rayon::prelude::*;
 use taor_data::{Dataset, ObjectClass};
 use taor_imgproc::cmp::nan_last_f64;
@@ -37,7 +37,7 @@ pub fn prepare_views(dataset: &Dataset, bg: Background) -> Vec<RefView> {
         .map(|img| RefView {
             class: img.class,
             model_id: img.model_id,
-            feat: preprocess(&img.image, bg, HIST_BINS),
+            feat: preprocess(&img.image, bg),
         })
         .collect()
 }

@@ -6,9 +6,9 @@
 //! and (iv) cropped the original RGB image to the contour of largest
 //! area."
 //!
-//! The output bundles everything the matching pipelines consume: the RGB
-//! crop, the binary mask crop, the largest contour's Hu invariants (raw
-//! and log-signed), and the RGB histogram of the crop.
+//! The output holds what the matching pipelines consume, not the crop
+//! itself: the box the features were cut from, the largest contour's Hu
+//! invariants (raw and log-signed), and the RGB histogram of the crop.
 
 use taor_imgproc::prelude::*;
 
@@ -21,16 +21,12 @@ pub enum Background {
     Black,
 }
 
-/// Default histogram bins per channel used throughout the reproduction.
-pub const HIST_BINS: usize = 32;
-
 /// Features extracted from one image by the preprocessing pipeline.
 #[derive(Debug, Clone)]
 pub struct Preprocessed {
-    /// RGB image cropped to the largest contour's bounding box.
-    pub crop: RgbImage,
-    /// Binary mask over the same bounding box (255 = object).
-    pub mask: GrayImage,
+    /// The largest contour's bounding box, or the whole frame on
+    /// fallback: the crop the histogram was read from.
+    pub rect: Rect,
     /// Hu invariants of the largest contour.
     pub hu: HuMoments,
     /// Their log-signed form, the side of every shape distance this crop
@@ -62,26 +58,25 @@ pub fn binarise(img: &RgbImage, bg: Background) -> GrayImage {
 /// as the crop (flagged via [`Preprocessed::contour_ok`]), mirroring how a
 /// brittle thresholding stage degrades rather than aborts a robot's
 /// recognition loop.
-pub fn preprocess(img: &RgbImage, bg: Background, bins: usize) -> Preprocessed {
+pub fn preprocess(img: &RgbImage, bg: Background) -> Preprocessed {
     let bin = binarise(img, bg);
     let contours = find_contours(&bin);
     let largest = largest_contour(&contours).filter(|c| c.area() >= 4.0);
 
-    let (crop, mask, hu, contour_ok) = match largest {
+    let (rect, hu, hist, contour_ok) = match largest {
         Some(contour) => {
             let rect = contour.bounding_rect();
             let crop = img.crop(rect).expect("bounding rect lies inside the image"); // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
-            let mask = bin.crop(rect).expect("same rect, same image size"); // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
             let hu = hu_moments(&moments_of_contour(contour));
-            (crop, mask, hu, true)
+            (rect, hu, rgb_histogram(&crop), true)
         }
         None => {
+            let (w, h) = img.dimensions();
             let hu = hu_moments(&moments(&bin, true));
-            (img.clone(), bin, hu, false)
+            (Rect::new(0, 0, w, h), hu, rgb_histogram(img), false)
         }
     };
-    let hist = rgb_histogram(&crop, bins).expect("bins validated by caller contract"); // taor-lint: allow(panic::expect) — invariant expect: the message states why this cannot fail on valid state
-    Preprocessed { crop, mask, hu, log_hu: LogHu::new(&hu), hist, contour_ok }
+    Preprocessed { rect, hu, log_hu: LogHu::new(&hu), hist, contour_ok }
 }
 
 #[cfg(test)]
@@ -98,26 +93,26 @@ mod tests {
     #[test]
     fn white_background_crop() {
         let img = object_on([255, 255, 255], [120, 60, 40]);
-        let p = preprocess(&img, Background::White, HIST_BINS);
+        let p = preprocess(&img, Background::White);
         assert!(p.contour_ok);
-        assert_eq!(p.crop.dimensions(), (24, 36));
-        assert_eq!(p.crop.pixel(0, 0), [120, 60, 40]);
+        assert_eq!(p.rect, Rect::new(20, 14, 24, 36));
+        assert_eq!(img.crop(p.rect).unwrap().pixel(0, 0), [120, 60, 40]);
     }
 
     #[test]
     fn black_background_crop() {
         let img = object_on([0, 0, 0], [120, 160, 200]);
-        let p = preprocess(&img, Background::Black, HIST_BINS);
+        let p = preprocess(&img, Background::Black);
         assert!(p.contour_ok);
-        assert_eq!(p.crop.dimensions(), (24, 36));
+        assert_eq!(p.rect, Rect::new(20, 14, 24, 36));
     }
 
     #[test]
     fn same_object_same_hu_across_backgrounds() {
         let white = object_on([255, 255, 255], [90, 90, 90]);
         let black = object_on([0, 0, 0], [90, 90, 90]);
-        let pw = preprocess(&white, Background::White, HIST_BINS);
-        let pb = preprocess(&black, Background::Black, HIST_BINS);
+        let pw = preprocess(&white, Background::White);
+        let pb = preprocess(&black, Background::Black);
         for i in 0..7 {
             assert!(
                 (pw.hu[i] - pb.hu[i]).abs() < 1e-9,
@@ -130,15 +125,16 @@ mod tests {
     fn white_object_on_white_background_falls_back() {
         // The Paper-class failure mode: thresholding erases the object.
         let img = object_on([255, 255, 255], [252, 252, 250]);
-        let p = preprocess(&img, Background::White, HIST_BINS);
+        let p = preprocess(&img, Background::White);
         assert!(!p.contour_ok);
-        assert_eq!(p.crop.dimensions(), (64, 64));
+        assert_eq!(p.rect, Rect::new(0, 0, 64, 64));
+        assert_eq!(p.hist, rgb_histogram(&img));
     }
 
     #[test]
     fn empty_black_image_falls_back() {
         let img = RgbImage::new(32, 32);
-        let p = preprocess(&img, Background::Black, HIST_BINS);
+        let p = preprocess(&img, Background::Black);
         assert!(!p.contour_ok);
         assert!(p.hu.iter().all(|v| v.is_finite()));
     }
@@ -146,7 +142,7 @@ mod tests {
     #[test]
     fn histogram_reflects_crop_not_full_image() {
         let img = object_on([255, 255, 255], [200, 30, 30]);
-        let p = preprocess(&img, Background::White, HIST_BINS);
+        let p = preprocess(&img, Background::White);
         // The crop is pure object: the red bin dominates channel 0's top.
         let r_hist = &p.hist.as_slice()[..HIST_BINS];
         let red_bin = (200 * HIST_BINS) / 256;
@@ -156,8 +152,11 @@ mod tests {
     #[test]
     fn mask_matches_crop_dimensions() {
         let img = object_on([255, 255, 255], [10, 120, 220]);
-        let p = preprocess(&img, Background::White, HIST_BINS);
-        assert_eq!(p.mask.dimensions(), p.crop.dimensions());
-        assert!(p.mask.as_raw().contains(&255));
+        let p = preprocess(&img, Background::White);
+        let crop = img.crop(p.rect).unwrap();
+        assert_eq!(p.hist, rgb_histogram(&crop));
+        let mask = binarise(&img, Background::White).crop(p.rect).unwrap();
+        assert_eq!(mask.dimensions(), crop.dimensions());
+        assert!(mask.as_raw().contains(&255));
     }
 }

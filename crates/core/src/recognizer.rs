@@ -11,7 +11,7 @@ use crate::diag::{Diagnostics, DiagnosticsReport};
 use crate::error::{Error, Result};
 use crate::hybrid::HybridConfig;
 use crate::pipeline::{prepare_views, MatchScorer, RefView};
-use crate::preprocess::{preprocess, Background, HIST_BINS};
+use crate::preprocess::{preprocess, Background};
 use crate::shape_only::ShapeScorer;
 use std::sync::Arc;
 use taor_data::{Dataset, ObjectClass};
@@ -115,7 +115,7 @@ impl Recognizer {
     /// winning the argmin) and a crop that matches nothing still yields
     /// a full ranking with uniform confidence, counted as degraded.
     pub fn recognize(&self, crop: &RgbImage) -> Recognition {
-        let q = preprocess(crop, self.query_background, HIST_BINS);
+        let q = preprocess(crop, self.query_background);
         rank_scores(self.refs.iter().map(|v| (v.class, self.distance(&q, v))), &self.diag)
     }
 }

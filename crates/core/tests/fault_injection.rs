@@ -67,7 +67,7 @@ fn query_of(img: &RgbImage) -> RefView {
     RefView {
         class: ObjectClass::Box, // placeholder truth; the harness checks shape, not accuracy
         model_id: 0,
-        feat: preprocess(img, Background::Black, HIST_BINS),
+        feat: preprocess(img, Background::Black),
     }
 }
 

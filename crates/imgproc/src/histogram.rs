@@ -7,15 +7,18 @@
 //! documented formulas. Correlation and Intersection are similarities
 //! (higher = more alike); Chi-square and Hellinger are distances.
 
-use crate::error::{ImgError, Result};
 use crate::image::RgbImage;
 
-/// Per-channel histogram of an RGB image: three channels × `bins` bins,
-/// stored as one flat vector (channel-major) of *normalised* frequencies.
+/// Bins per channel of every histogram in the reproduction.
+pub const HIST_BINS: usize = 32;
+
+/// Per-channel histogram of an RGB image: three channels × [`HIST_BINS`]
+/// bins, stored flat (channel-major) as *normalised* frequencies, with
+/// their sum, the per-histogram half of Correlation and Hellinger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RgbHistogram {
-    bins_per_channel: usize,
-    data: Vec<f64>,
+    data: [f64; 3 * HIST_BINS],
+    sum: f64,
 }
 
 /// Histogram comparison method (OpenCV `HISTCMP_*`).
@@ -60,69 +63,50 @@ impl HistCompare {
 }
 
 impl RgbHistogram {
-    /// Number of bins per channel.
-    pub fn bins_per_channel(&self) -> usize {
-        self.bins_per_channel
-    }
-
-    /// Flat normalised bin frequencies (length `3 * bins_per_channel`).
+    /// Flat normalised bin frequencies (length `3 * HIST_BINS`).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 }
 
-/// Compute the normalised per-channel RGB histogram of `img` with
-/// `bins` bins per channel (1..=256).
-pub fn rgb_histogram(img: &RgbImage, bins: usize) -> Result<RgbHistogram> {
-    if bins == 0 || bins > 256 {
-        return Err(ImgError::InvalidParameter {
-            name: "bins",
-            msg: format!("{bins} not in 1..=256"),
-        });
-    }
+/// Compute the normalised per-channel RGB histogram of `img`.
+pub fn rgb_histogram(img: &RgbImage) -> RgbHistogram {
     // Each channel value's bin, from the float formula, once per value
     // instead of once per sample. Counting in integers and dividing once
     // gives the same bits as summing `1.0`s: every count is exact in f64.
-    let scale = bins as f64 / 256.0;
-    let bin_of: [usize; 256] = std::array::from_fn(|v| ((v as f64 * scale) as usize).min(bins - 1));
-    let mut counts = vec![0u64; bins * 3];
+    let scale = HIST_BINS as f64 / 256.0;
+    let bin_of: [usize; 256] =
+        std::array::from_fn(|v| ((v as f64 * scale) as usize).min(HIST_BINS - 1));
+    let mut counts = [0u64; 3 * HIST_BINS];
     for px in img.as_raw().chunks_exact(3) {
         counts[bin_of[usize::from(px[0])]] += 1;
-        counts[bins + bin_of[usize::from(px[1])]] += 1;
-        counts[2 * bins + bin_of[usize::from(px[2])]] += 1;
+        counts[HIST_BINS + bin_of[usize::from(px[1])]] += 1;
+        counts[2 * HIST_BINS + bin_of[usize::from(px[2])]] += 1;
     }
     let total = (img.width() as f64) * (img.height() as f64);
-    let data = counts.iter().map(|&n| n as f64 / total).collect();
-    Ok(RgbHistogram { bins_per_channel: bins, data })
+    let data = counts.map(|n| n as f64 / total);
+    RgbHistogram { data, sum: data.iter().sum() }
 }
 
 /// Compare two histograms with the given method.
 ///
-/// Returns an error when bin layouts differ.
-///
 /// ```
 /// use taor_imgproc::prelude::*;
 ///
-/// let red = rgb_histogram(&RgbImage::filled(8, 8, [220, 20, 20]), 32).unwrap();
-/// let blue = rgb_histogram(&RgbImage::filled(8, 8, [20, 20, 220]), 32).unwrap();
-/// let d_self = compare_hist(&red, &red, HistCompare::Hellinger).unwrap();
-/// let d_cross = compare_hist(&red, &blue, HistCompare::Hellinger).unwrap();
+/// let red = rgb_histogram(&RgbImage::filled(8, 8, [220, 20, 20]));
+/// let blue = rgb_histogram(&RgbImage::filled(8, 8, [20, 20, 220]));
+/// let d_self = compare_hist(&red, &red, HistCompare::Hellinger);
+/// let d_cross = compare_hist(&red, &blue, HistCompare::Hellinger);
 /// assert!(d_self < 1e-6 && d_cross > 0.5);
 /// ```
-pub fn compare_hist(a: &RgbHistogram, b: &RgbHistogram, method: HistCompare) -> Result<f64> {
-    if a.bins_per_channel != b.bins_per_channel {
-        return Err(ImgError::InvalidParameter {
-            name: "histogram",
-            msg: format!("bin mismatch: {} vs {}", a.bins_per_channel, b.bins_per_channel),
-        });
-    }
+pub fn compare_hist(a: &RgbHistogram, b: &RgbHistogram, method: HistCompare) -> f64 {
     let ha = &a.data;
     let hb = &b.data;
     let n = ha.len() as f64;
-    Ok(match method {
+    match method {
         HistCompare::Correlation => {
-            let mean_a: f64 = ha.iter().sum::<f64>() / n;
-            let mean_b: f64 = hb.iter().sum::<f64>() / n;
+            let mean_a = a.sum / n;
+            let mean_b = b.sum / n;
             let mut num = 0.0;
             let mut da = 0.0;
             let mut db = 0.0;
@@ -145,16 +129,14 @@ pub fn compare_hist(a: &RgbHistogram, b: &RgbHistogram, method: HistCompare) -> 
         HistCompare::Hellinger => {
             // OpenCV HISTCMP_BHATTACHARYYA:
             // sqrt(1 - (1/sqrt(meanA*meanB*N^2)) * Σ sqrt(a_i b_i))
-            let sum_a: f64 = ha.iter().sum();
-            let sum_b: f64 = hb.iter().sum();
-            if sum_a < f64::MIN_POSITIVE || sum_b < f64::MIN_POSITIVE {
-                return Ok(1.0);
+            if a.sum < f64::MIN_POSITIVE || b.sum < f64::MIN_POSITIVE {
+                return 1.0;
             }
             let bc: f64 = ha.iter().zip(hb).map(|(&x, &y)| (x * y).sqrt()).sum();
-            let v = 1.0 - bc / (sum_a * sum_b).sqrt();
+            let v = 1.0 - bc / (a.sum * b.sum).sqrt();
             v.max(0.0).sqrt()
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -162,7 +144,7 @@ mod tests {
     use super::*;
 
     fn solid(rgb: [u8; 3]) -> RgbHistogram {
-        rgb_histogram(&RgbImage::filled(8, 8, rgb), 16).unwrap()
+        rgb_histogram(&RgbImage::filled(8, 8, rgb))
     }
 
     #[test]
@@ -173,45 +155,37 @@ mod tests {
             px[1] = 255 - (i * 16) as u8;
             px[2] = 7;
         }
-        let h = rgb_histogram(&img, 32).unwrap();
+        let h = rgb_histogram(&img);
         for c in 0..3 {
-            let s: f64 = h.as_slice()[c * 32..(c + 1) * 32].iter().sum();
+            let s: f64 = h.as_slice()[c * HIST_BINS..(c + 1) * HIST_BINS].iter().sum();
             assert!((s - 1.0).abs() < 1e-12, "channel {c} sums to {s}");
         }
     }
 
     #[test]
-    fn invalid_bins_rejected() {
-        let img = RgbImage::new(2, 2);
-        assert!(rgb_histogram(&img, 0).is_err());
-        assert!(rgb_histogram(&img, 257).is_err());
-        assert!(rgb_histogram(&img, 256).is_ok());
-    }
-
-    #[test]
     fn self_comparison_identities() {
         let h = solid([120, 30, 200]);
-        assert!((compare_hist(&h, &h, HistCompare::Correlation).unwrap() - 1.0).abs() < 1e-12);
-        assert_eq!(compare_hist(&h, &h, HistCompare::ChiSquare).unwrap(), 0.0);
+        assert!((compare_hist(&h, &h, HistCompare::Correlation) - 1.0).abs() < 1e-12);
+        assert_eq!(compare_hist(&h, &h, HistCompare::ChiSquare), 0.0);
         // Intersection of identical normalised histograms = total mass = 3.
-        assert!((compare_hist(&h, &h, HistCompare::Intersection).unwrap() - 3.0).abs() < 1e-12);
-        assert!(compare_hist(&h, &h, HistCompare::Hellinger).unwrap() < 1e-7);
+        assert!((compare_hist(&h, &h, HistCompare::Intersection) - 3.0).abs() < 1e-12);
+        assert!(compare_hist(&h, &h, HistCompare::Hellinger) < 1e-7);
     }
 
     #[test]
     fn disjoint_histograms_are_maximally_distant() {
         let a = solid([0, 0, 0]);
         let b = solid([255, 255, 255]);
-        assert_eq!(compare_hist(&a, &b, HistCompare::Intersection).unwrap(), 0.0);
-        assert!((compare_hist(&a, &b, HistCompare::Hellinger).unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(compare_hist(&a, &b, HistCompare::Intersection), 0.0);
+        assert!((compare_hist(&a, &b, HistCompare::Hellinger) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn hellinger_is_symmetric_and_bounded() {
         let a = solid([10, 200, 45]);
         let b = solid([200, 10, 99]);
-        let d1 = compare_hist(&a, &b, HistCompare::Hellinger).unwrap();
-        let d2 = compare_hist(&b, &a, HistCompare::Hellinger).unwrap();
+        let d1 = compare_hist(&a, &b, HistCompare::Hellinger);
+        let d2 = compare_hist(&b, &a, HistCompare::Hellinger);
         assert!((d1 - d2).abs() < 1e-12);
         assert!((0.0..=1.0).contains(&d1));
     }
@@ -223,29 +197,21 @@ mod tests {
         let a = solid([10, 10, 10]);
         let mut img = RgbImage::filled(8, 8, [10, 10, 10]);
         img.put_pixel(0, 0, [250, 250, 250]);
-        let b = rgb_histogram(&img, 16).unwrap();
-        let dab = compare_hist(&b, &a, HistCompare::ChiSquare).unwrap();
-        let dba = compare_hist(&a, &b, HistCompare::ChiSquare).unwrap();
+        let b = rgb_histogram(&img);
+        let dab = compare_hist(&b, &a, HistCompare::ChiSquare);
+        let dba = compare_hist(&a, &b, HistCompare::ChiSquare);
         assert!(dab > dba);
     }
 
     #[test]
-    fn bin_mismatch_is_error() {
-        let img = RgbImage::filled(2, 2, [1, 2, 3]);
-        let a = rgb_histogram(&img, 8).unwrap();
-        let b = rgb_histogram(&img, 16).unwrap();
-        assert!(compare_hist(&a, &b, HistCompare::Correlation).is_err());
-    }
-
-    #[test]
     fn similar_colors_score_better_than_dissimilar() {
-        // With 16 bins each channel quantises to v/16: the near pair shares
+        // With 32 bins each channel quantises to v/8: the near pair shares
         // the R and G bins, the far pair only the G bin.
         let red = solid([230, 20, 20]);
-        let dark_red = solid([235, 25, 60]);
+        let dark_red = solid([225, 18, 60]);
         let blue = solid([20, 20, 230]);
-        let near = compare_hist(&red, &dark_red, HistCompare::Hellinger).unwrap();
-        let far = compare_hist(&red, &blue, HistCompare::Hellinger).unwrap();
+        let near = compare_hist(&red, &dark_red, HistCompare::Hellinger);
+        let far = compare_hist(&red, &blue, HistCompare::Hellinger);
         assert!(near < far);
     }
 

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::draw::Canvas;
     pub use crate::error::{ImgError, Result};
     pub use crate::filter::gaussian_blur;
-    pub use crate::histogram::{compare_hist, rgb_histogram, HistCompare, RgbHistogram};
+    pub use crate::histogram::{compare_hist, rgb_histogram, HistCompare, RgbHistogram, HIST_BINS};
     pub use crate::image::{GrayF32, GrayImage, ImageBuf, Rect, RgbImage};
     pub use crate::integral::IntegralImage;
     pub use crate::io::{read_ppm, write_ppm};

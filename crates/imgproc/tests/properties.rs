@@ -288,6 +288,60 @@ fn arb_crop(max_side: u32) -> impl Strategy<Value = RgbImage> {
     })
 }
 
+/// The previous `compare_hist`, kept as the oracle: it re-sums both
+/// histograms for every pair instead of reading their cached sums.
+fn compare_hist_oracle(ha: &[f64], hb: &[f64], method: HistCompare) -> f64 {
+    let (sum_a, sum_b): (f64, f64) = (ha.iter().sum(), hb.iter().sum());
+    let n = ha.len() as f64;
+    let pairs = || ha.iter().zip(hb).map(|(&x, &y)| (x, y));
+    match method {
+        HistCompare::Correlation => {
+            let (mean_a, mean_b) = (sum_a / n, sum_b / n);
+            let (mut num, mut da, mut db) = (0.0, 0.0, 0.0);
+            for (x, y) in pairs() {
+                num += (x - mean_a) * (y - mean_b);
+                da += (x - mean_a).powi(2);
+                db += (y - mean_b).powi(2);
+            }
+            let denom = (da * db).sqrt();
+            if denom < f64::MIN_POSITIVE {
+                1.0
+            } else {
+                num / denom
+            }
+        }
+        HistCompare::ChiSquare => {
+            pairs().filter(|&(x, _)| x > 0.0).map(|(x, y)| (x - y).powi(2) / x).sum()
+        }
+        HistCompare::Intersection => pairs().map(|(x, y)| x.min(y)).sum(),
+        HistCompare::Hellinger if sum_a < f64::MIN_POSITIVE || sum_b < f64::MIN_POSITIVE => 1.0,
+        HistCompare::Hellinger => {
+            let bc: f64 = pairs().map(|(x, y)| (x * y).sqrt()).sum();
+            (1.0 - bc / (sum_a * sum_b).sqrt()).max(0.0).sqrt()
+        }
+    }
+}
+
+/// An image for the histogram metrics: half the time an arbitrary crop,
+/// otherwise one of the degenerate kinds — 1×1, single-colour,
+/// all-black, all-white, and a one-value-per-bin ramp whose histogram is
+/// flat in every channel (the Correlation formula's zero-variance
+/// branch).
+fn arb_hist_image() -> impl Strategy<Value = RgbImage> {
+    (0u8..10, arb_crop(12), any::<u8>()).prop_map(|(kind, img, v)| {
+        let (w, h) = img.dimensions();
+        let ramp = (0..HIST_BINS).flat_map(|i| [(i * 256 / HIST_BINS) as u8 + v % 8; 3]);
+        match kind {
+            0 => RgbImage::filled(1, 1, [v, v / 3, 255 - v]),
+            1 => RgbImage::filled(w, h, [v, 255 - v, v / 7]),
+            2 => RgbImage::new(w, h),
+            3 => RgbImage::filled(w, h, [255, 255, 255]),
+            4 => RgbImage::from_vec(HIST_BINS as u32, 1, ramp.collect()).unwrap(),
+            _ => img,
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -399,23 +453,23 @@ proptest! {
 
     #[test]
     fn histogram_metrics_well_behaved(a in arb_rgb(12), b in arb_rgb(12)) {
-        let ha = rgb_histogram(&a, 16).unwrap();
-        let hb = rgb_histogram(&b, 16).unwrap();
-        let corr = compare_hist(&ha, &hb, HistCompare::Correlation).unwrap();
+        let ha = rgb_histogram(&a);
+        let hb = rgb_histogram(&b);
+        let corr = compare_hist(&ha, &hb, HistCompare::Correlation);
         prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&corr));
-        let hell = compare_hist(&ha, &hb, HistCompare::Hellinger).unwrap();
+        let hell = compare_hist(&ha, &hb, HistCompare::Hellinger);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&hell));
-        let inter = compare_hist(&ha, &hb, HistCompare::Intersection).unwrap();
+        let inter = compare_hist(&ha, &hb, HistCompare::Intersection);
         prop_assert!((0.0..=3.0 + 1e-9).contains(&inter));
-        let chi = compare_hist(&ha, &hb, HistCompare::ChiSquare).unwrap();
+        let chi = compare_hist(&ha, &hb, HistCompare::ChiSquare);
         prop_assert!(chi >= 0.0 && chi.is_finite());
     }
 
     #[test]
     fn hellinger_triangleish_self_identity(a in arb_rgb(10)) {
-        let h = rgb_histogram(&a, 8).unwrap();
-        prop_assert!(compare_hist(&h, &h, HistCompare::Hellinger).unwrap() < 1e-6);
-        prop_assert_eq!(compare_hist(&h, &h, HistCompare::ChiSquare).unwrap(), 0.0);
+        let h = rgb_histogram(&a);
+        prop_assert!(compare_hist(&h, &h, HistCompare::Hellinger) < 1e-6);
+        prop_assert_eq!(compare_hist(&h, &h, HistCompare::ChiSquare), 0.0);
     }
 
     #[test]
@@ -491,6 +545,26 @@ proptest! {
                     "{:?} on {:?} v {:?}: {} (cached) vs {} (oracle)", mode, x, y, got, want
                 );
             }
+        }
+    }
+}
+
+// Histograms of crops up to 12×12: cheap enough for many cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn compare_hist_matches_the_resumming_oracle(a in arb_hist_image(), b in arb_hist_image()) {
+        // The cached per-histogram sums give the same bits as summing
+        // both histograms again for every pair, NaN included.
+        let (ha, hb) = (rgb_histogram(&a), rgb_histogram(&b));
+        for m in HistCompare::ALL {
+            let got = compare_hist(&ha, &hb, m);
+            let want = compare_hist_oracle(ha.as_slice(), hb.as_slice(), m);
+            prop_assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{m:?}: {got} vs oracle {want}"
+            );
         }
     }
 }

@@ -4,8 +4,7 @@
 //! taor-serve [--addr 127.0.0.1:0] [--workers N] [--queue-cap N]
 //!            [--batch N] [--deadline-ms N] [--degrade-margin-ms N]
 //!            [--read-budget-ms N] [--max-body BYTES] [--seed N]
-//!            [--keep-alive true|false] [--max-requests-per-conn N]
-//!            [--idle-timeout-ms N]
+//!            [--max-requests-per-conn N] [--idle-timeout-ms N]
 //!            [--method hybrid|shape|color] [--no-siamese]
 //!            [--chaos-siamese-error] [--allow-test-delay]
 //! ```
@@ -29,7 +28,6 @@ const USAGE: &str = "taor-serve: recognition-as-a-service over the taor pipeline
   --degrade-margin-ms N  skip the expensive pipeline below this remaining budget (default 100)
   --read-budget-ms N     total budget for reading one request (default 2000)
   --max-body BYTES       request body cap (default 2 MiB)
-  --keep-alive B         reuse connections, true|false (default true)
   --max-requests-per-conn N  requests served per connection before rotation (default 128)
   --idle-timeout-ms N    close kept-alive connections idle this long (default 5000)
   --seed N               gallery + network seed (default 2019)
@@ -75,7 +73,6 @@ fn run() -> Result<(), String> {
                     Duration::from_millis(parse("--read-budget-ms", args.next())?)
             }
             "--max-body" => server_cfg.limits.max_body = parse("--max-body", args.next())?,
-            "--keep-alive" => server_cfg.keep_alive = parse("--keep-alive", args.next())?,
             "--max-requests-per-conn" => {
                 server_cfg.max_requests_per_conn =
                     parse::<usize>("--max-requests-per-conn", args.next())?.max(1)

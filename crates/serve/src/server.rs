@@ -57,10 +57,6 @@ pub struct ServerConfig {
     pub degrade_margin: Duration,
     /// Total budget for reading one request off the socket.
     pub read_budget: Duration,
-    /// Reuse connections (HTTP/1.1 keep-alive) instead of closing after
-    /// every response. Clients asking `Connection: close` are honoured
-    /// either way.
-    pub keep_alive: bool,
     /// Requests served on one connection before the server closes it
     /// (a rotation bound so no client monopolises a thread forever).
     pub max_requests_per_conn: usize,
@@ -84,7 +80,6 @@ impl Default for ServerConfig {
             deadline: Duration::from_secs(2),
             degrade_margin: Duration::from_millis(100),
             read_budget: Duration::from_secs(2),
-            keep_alive: true,
             max_requests_per_conn: 128,
             idle_timeout: Duration::from_secs(5),
             limits: HttpLimits::default(),
@@ -287,8 +282,7 @@ fn handle_conn(
                     // thread for the idle timeout would only add to the
                     // overload. A 404 or 405 on sound framing keeps it.
                     let overloaded = response.status == 429 || response.status >= 500;
-                    let reuse = cfg.keep_alive
-                        && req.keep_alive
+                    let reuse = req.keep_alive
                         && !overloaded
                         && served < cfg.max_requests_per_conn
                         && !draining();

@@ -9,6 +9,9 @@
 //! did. The contract under chaos is always the same: the server
 //! answers *something typed* (or observes the disconnect), never
 //! panics, and keeps answering well-formed requests afterwards.
+//! Well-formed traffic goes through the one test client,
+//! [`PersistentClient`], which frames every response by its
+//! `Content-Length`.
 
 // Each test crate that includes this module uses a different subset.
 #![allow(dead_code)]
@@ -61,27 +64,10 @@ fn read_to_end(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     Ok(raw)
 }
 
-/// A well-formed request: write `raw`, half-close, read the response.
-/// Returns `(status, body)`.
-///
-/// The half-close is what makes one-shot clients coexist with the
-/// keep-alive server: after answering, the server's next read sees EOF
-/// and closes, so `read_to_end` terminates without waiting out the
-/// idle timeout.
-pub fn http_roundtrip(addr: SocketAddr, raw: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
-    let mut stream = connect(addr)?;
-    stream.write_all(raw)?;
-    stream.flush()?;
-    stream.shutdown(std::net::Shutdown::Write)?;
-    let response = read_to_end(&mut stream)?;
-    let status = parse_status(&response)
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no status line"))?;
-    Ok((status, parse_body(&response)))
-}
-
 /// A client that keeps one connection open across requests — the
 /// counterpart of the server's keep-alive path, used by the reuse and
-/// pipelining tests.
+/// pipelining tests and, one request per connection, by [`post`] and
+/// [`get`].
 ///
 /// Responses are framed by their `Content-Length` (never by EOF), so
 /// several can be read back-to-back off one socket in order.
@@ -231,15 +217,12 @@ pub fn pipelined_burst(addr: SocketAddr, n: usize) -> std::io::Result<Vec<u16>> 
 /// patient cousin of the slow-loris. The server's read budget must
 /// answer 408 (or close), never leave the connection thread parked.
 pub fn half_request_then_idle(addr: SocketAddr, idle: Duration) -> ChaosOutcome {
-    let run = || -> std::io::Result<(u16, Vec<u8>)> {
+    let run = || -> std::io::Result<Vec<u8>> {
         let mut stream = connect(addr)?;
         stream.write_all(b"POST /recognize HTTP/1.1\r\nHost: taor\r\nContent-Le")?;
         stream.flush()?;
         std::thread::sleep(idle);
-        let response = read_to_end(&mut stream)?;
-        parse_status(&response)
-            .map(|s| (s, parse_body(&response)))
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no status line"))
+        read_to_end(&mut stream)
     };
     outcome_of(run())
 }
@@ -272,22 +255,17 @@ pub fn smuggled_framing(addr: SocketAddr) -> (ChaosOutcome, bool) {
     }
 }
 
-/// POST `body` to `path` with optional extra headers.
+/// POST `body` to `path` with optional extra headers, on a fresh
+/// connection that asks the server to close after answering.
 pub fn post(
     addr: SocketAddr,
     path: &str,
     body: &[u8],
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<(u16, Vec<u8>)> {
-    let mut raw =
-        format!("POST {path} HTTP/1.1\r\nHost: taor\r\nContent-Length: {}\r\n", body.len());
-    for (name, value) in extra_headers {
-        raw.push_str(&format!("{name}: {value}\r\n"));
-    }
-    raw.push_str("\r\n");
-    let mut bytes = raw.into_bytes();
-    bytes.extend_from_slice(body);
-    http_roundtrip(addr, &bytes)
+    let mut client = PersistentClient::connect(addr)?;
+    client.send_raw(&PersistentClient::request_bytes("POST", path, body, extra_headers, true))?;
+    client.read_response()
 }
 
 /// POST a wire crop to `/recognize`.
@@ -295,15 +273,18 @@ pub fn post_crop(addr: SocketAddr, crop: &[u8]) -> std::io::Result<(u16, Vec<u8>
     post(addr, "/recognize", crop, &[])
 }
 
-/// GET a path (for `/healthz`).
+/// GET a path (for `/healthz`) on a fresh connection, as [`post`].
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, Vec<u8>)> {
-    http_roundtrip(addr, format!("GET {path} HTTP/1.1\r\nHost: taor\r\n\r\n").as_bytes())
+    PersistentClient::connect(addr)?.roundtrip("GET", path, &[], true)
 }
 
-fn outcome_of(res: std::io::Result<(u16, Vec<u8>)>) -> ChaosOutcome {
+/// What a raw response (or the socket error in its place) amounts to:
+/// no status line means the server closed without answering.
+fn outcome_of(res: std::io::Result<Vec<u8>>) -> ChaosOutcome {
     match res {
-        Ok((status, _)) => ChaosOutcome::Responded(status),
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => ChaosOutcome::ConnectionClosed,
+        Ok(raw) => {
+            parse_status(&raw).map_or(ChaosOutcome::ConnectionClosed, ChaosOutcome::Responded)
+        }
         Err(e) => ChaosOutcome::IoError(e.to_string()),
     }
 }
@@ -311,7 +292,7 @@ fn outcome_of(res: std::io::Result<(u16, Vec<u8>)>) -> ChaosOutcome {
 /// Declare a large body, deliver a fraction, then half-close. The
 /// server must answer 400 (truncated) rather than hang or panic.
 pub fn truncated_body(addr: SocketAddr) -> ChaosOutcome {
-    let run = || -> std::io::Result<(u16, Vec<u8>)> {
+    let run = || -> std::io::Result<Vec<u8>> {
         let mut stream = connect(addr)?;
         stream
             .write_all(b"POST /recognize HTTP/1.1\r\nHost: taor\r\nContent-Length: 1000\r\n\r\n")?;
@@ -319,10 +300,7 @@ pub fn truncated_body(addr: SocketAddr) -> ChaosOutcome {
         stream.flush()?;
         // Half-close: the server sees EOF mid-body.
         stream.shutdown(std::net::Shutdown::Write)?;
-        let response = read_to_end(&mut stream)?;
-        parse_status(&response)
-            .map(|s| (s, parse_body(&response)))
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no status line"))
+        read_to_end(&mut stream)
     };
     outcome_of(run())
 }
@@ -330,17 +308,14 @@ pub fn truncated_body(addr: SocketAddr) -> ChaosOutcome {
 /// Declare a body over the server's cap. Must be 413 before any body
 /// byte is transferred.
 pub fn oversized_declaration(addr: SocketAddr, over: usize) -> ChaosOutcome {
-    let run = || -> std::io::Result<(u16, Vec<u8>)> {
+    let run = || -> std::io::Result<Vec<u8>> {
         let mut stream = connect(addr)?;
         stream.write_all(
             format!("POST /recognize HTTP/1.1\r\nHost: taor\r\nContent-Length: {over}\r\n\r\n")
                 .as_bytes(),
         )?;
         stream.flush()?;
-        let response = read_to_end(&mut stream)?;
-        parse_status(&response)
-            .map(|s| (s, parse_body(&response)))
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no status line"))
+        read_to_end(&mut stream)
     };
     outcome_of(run())
 }
@@ -349,7 +324,7 @@ pub fn oversized_declaration(addr: SocketAddr, over: usize) -> ChaosOutcome {
 /// the classic slow-loris. The server's read budget must cut it off
 /// with 408 (or a close), never an unbounded stall.
 pub fn slow_loris(addr: SocketAddr, chunks: usize, gap: Duration) -> ChaosOutcome {
-    let run = || -> std::io::Result<(u16, Vec<u8>)> {
+    let run = || -> std::io::Result<Vec<u8>> {
         let mut stream = connect(addr)?;
         for _ in 0..chunks {
             stream.write_all(b"X-Pad: y\r\n")?;
@@ -357,10 +332,7 @@ pub fn slow_loris(addr: SocketAddr, chunks: usize, gap: Duration) -> ChaosOutcom
             std::thread::sleep(gap);
         }
         // Never sends the request line or the blank line.
-        let response = read_to_end(&mut stream)?;
-        parse_status(&response)
-            .map(|s| (s, parse_body(&response)))
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no status line"))
+        read_to_end(&mut stream)
     };
     outcome_of(run())
 }

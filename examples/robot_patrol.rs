@@ -72,11 +72,8 @@ fn main() -> taor::core::Result<()> {
             // lighting, segments it, and classifies the crop.
             let model = sample_model(truth, &mut rng);
             let crop = render_scene_crop(&model, &mut rng);
-            let query = RefView {
-                class: truth,
-                model_id: 0,
-                feat: preprocess(&crop, Background::Black, HIST_BINS),
-            };
+            let query =
+                RefView { class: truth, model_id: 0, feat: preprocess(&crop, Background::Black) };
             let query = std::slice::from_ref(&query);
             let pred =
                 try_classify_hybrid(query, &refs, &hybrid, Aggregation::WeightedSum, &diag)?[0];

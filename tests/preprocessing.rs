@@ -9,8 +9,8 @@ fn every_catalog_view_preprocesses() {
     for seed in [1u64, 2019] {
         for ds in [shapenet_set1(seed), shapenet_set2(seed)] {
             for img in &ds.images {
-                let p = preprocess(&img.image, Background::White, HIST_BINS);
-                assert!(p.crop.width() > 0 && p.crop.height() > 0);
+                let p = preprocess(&img.image, Background::White);
+                assert!(p.rect.width > 0 && p.rect.height > 0);
                 assert!(p.hu.iter().all(|v| v.is_finite()));
                 let mass: f64 = p.hist.as_slice().iter().sum();
                 assert!((mass - 3.0).abs() < 1e-9, "histogram mass {mass}");
@@ -24,7 +24,7 @@ fn every_scene_crop_preprocesses() {
     let ds = nyu_set_subsampled(2019, 15);
     let mut fallbacks = 0usize;
     for img in &ds.images {
-        let p = preprocess(&img.image, Background::Black, HIST_BINS);
+        let p = preprocess(&img.image, Background::Black);
         assert!(p.hu.iter().all(|v| v.is_finite()));
         if !p.contour_ok {
             fallbacks += 1;
@@ -44,8 +44,8 @@ fn catalog_crops_are_tighter_than_the_canvas() {
     let ds = shapenet_set1(7);
     let mut tighter = 0usize;
     for img in &ds.images {
-        let p = preprocess(&img.image, Background::White, HIST_BINS);
-        if p.crop.width() < img.image.width() || p.crop.height() < img.image.height() {
+        let p = preprocess(&img.image, Background::White);
+        if p.rect.width < img.image.width() || p.rect.height < img.image.height() {
             tighter += 1;
         }
     }
@@ -59,10 +59,11 @@ fn catalog_crops_are_tighter_than_the_canvas() {
 #[test]
 fn preprocessing_is_deterministic() {
     let ds = shapenet_set1(11);
-    let a = preprocess(&ds.images[0].image, Background::White, HIST_BINS);
-    let b = preprocess(&ds.images[0].image, Background::White, HIST_BINS);
+    let a = preprocess(&ds.images[0].image, Background::White);
+    let b = preprocess(&ds.images[0].image, Background::White);
     assert_eq!(a.hu, b.hu);
-    assert_eq!(a.crop, b.crop);
+    assert_eq!(a.rect, b.rect);
+    assert_eq!(a.hist, b.hist);
 }
 
 #[test]
@@ -71,7 +72,7 @@ fn wrong_background_convention_degrades_gracefully() {
     // the whole frame as one blob rather than panicking.
     let ds = shapenet_set1(3);
     for img in ds.images.iter().take(10) {
-        let p = preprocess(&img.image, Background::Black, HIST_BINS);
+        let p = preprocess(&img.image, Background::Black);
         assert!(p.hu.iter().all(|v| v.is_finite()));
     }
 }
@@ -84,7 +85,7 @@ fn paper_class_is_the_fragile_one_on_white() {
     let ds = shapenet_set2(2019);
     let mut per_class = [0usize; ObjectClass::COUNT];
     for img in &ds.images {
-        let p = preprocess(&img.image, Background::White, HIST_BINS);
+        let p = preprocess(&img.image, Background::White);
         if !p.contour_ok {
             per_class[img.class.index()] += 1;
         }

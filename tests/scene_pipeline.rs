@@ -35,7 +35,7 @@ fn end_to_end_recognition_beats_chance() -> Result<()> {
         let q = RefView {
             class: ObjectClass::Chair,
             model_id: 0,
-            feat: preprocess(crop, Background::Black, HIST_BINS),
+            feat: preprocess(crop, Background::Black),
         };
         let q = std::slice::from_ref(&q);
         try_classify_hybrid(q, &refs, &hybrid, Aggregation::WeightedSum, &diag)
@@ -68,7 +68,7 @@ fn segmented_crops_feed_the_preprocessing_pipeline() -> Result<()> {
     for seg in try_segment_frame(&scene.image, &SegmentConfig::default())? {
         // Segmenter output is NYU-format (black mask): the §3.2 pipeline
         // must process it without panicking and produce finite features.
-        let p = preprocess(&seg.crop, Background::Black, HIST_BINS);
+        let p = preprocess(&seg.crop, Background::Black);
         assert!(p.hu.iter().all(|v| v.is_finite()));
         let mass: f64 = p.hist.as_slice().iter().sum();
         assert!((mass - 3.0).abs() < 1e-9);
