@@ -12,6 +12,7 @@
 
 use crate::repro::{hybrid_preds, ReproConfig, TableOutput};
 use taor_core::prelude::*;
+use taor_core::siamese::try_evaluate_siamese;
 use taor_data::{
     mixed_training_pairs, nyu_sns1_test_pairs, patrol_frames, shapenet_set1, shapenet_set2,
 };
@@ -116,13 +117,13 @@ pub fn table_e1(cfg: &ReproConfig, n_frames: usize) -> TableOutput {
 /// collapsed.
 pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
     let sns2 = shapenet_set2(cfg.seed);
-    let nyu = cfg_nyu(cfg);
+    let nyu = cfg.nyu();
     let sns1 = shapenet_set1(cfg.seed);
     let test_pairs = nyu_sns1_test_pairs(&nyu, &sns1, cfg.seed);
 
     // Condition (a): the paper's catalog-only training. An undersized
-    // net resolution is a typed error; surface it as a degraded table
-    // rather than a panic.
+    // net resolution or an empty evaluation set is a typed error;
+    // surface it as a degraded table rather than a panic.
     let trained = taor_core::try_train_siamese(&sns2, &cfg.siamese, |s| {
         if verbose {
             eprintln!("  [catalog] epoch {} loss {:.5}", s.epoch, s.mean_loss);
@@ -132,7 +133,10 @@ pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
         Ok(out) => out,
         Err(e) => return degraded_e2(&e),
     };
-    let eval_a = evaluate_siamese(&net_a, &test_pairs, &cfg.siamese.net);
+    let eval_a = match try_evaluate_siamese(&net_a, &test_pairs, &cfg.siamese.net) {
+        Ok(eval) => eval,
+        Err(e) => return degraded_e2(&e),
+    };
 
     // Condition (b): mixed-domain pairs + regularisation.
     let mut net_cfg = cfg.siamese.net.clone();
@@ -153,7 +157,10 @@ pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
     if let Err(e) = trained {
         return degraded_e2(&taor_core::Error::from(e));
     }
-    let eval_b = evaluate_siamese(&net_b, &test_pairs, &net_cfg);
+    let eval_b = match try_evaluate_siamese(&net_b, &test_pairs, &net_cfg) {
+        Ok(eval) => eval,
+        Err(e) => return degraded_e2(&e),
+    };
 
     let mut t = TextTable::new(
         "Extension E2: catalog-only vs heterogeneous training, NYU+SNS1 pairs.",
@@ -207,7 +214,7 @@ fn degraded_e2(e: &taor_core::Error) -> TableOutput {
 /// each class"): hybrid weighted-sum accuracy on the NYU queries as the
 /// catalog grows from the paper's 2 models × ~4 views to larger sets.
 pub fn table_e3(cfg: &ReproConfig) -> TableOutput {
-    let nyu = cfg_nyu(cfg);
+    let nyu = cfg.nyu();
     let queries = prepare_views(&nyu, Background::Black);
     let truth = truth_of(&queries);
     let hybrid = HybridConfig { alpha: cfg.alpha, beta: cfg.beta, ..Default::default() };
@@ -239,13 +246,6 @@ pub fn table_e3(cfg: &ReproConfig) -> TableOutput {
         });
     }
     TableOutput { table: 103, text: t.render(), records }
-}
-
-fn cfg_nyu(cfg: &ReproConfig) -> taor_data::Dataset {
-    match cfg.nyu_per_class {
-        Some(n) => taor_data::nyu_set_subsampled(cfg.seed, n),
-        None => taor_data::nyu_set(cfg.seed),
-    }
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ impl ReproConfig {
         }
     }
 
-    fn nyu(&self) -> Dataset {
+    pub(crate) fn nyu(&self) -> Dataset {
         match self.nyu_per_class {
             Some(n) => nyu_set_subsampled(self.seed, n),
             None => nyu_set(self.seed),

@@ -129,9 +129,6 @@ pub fn compare_hist(a: &RgbHistogram, b: &RgbHistogram, method: HistCompare) -> 
         HistCompare::Hellinger => {
             // OpenCV HISTCMP_BHATTACHARYYA:
             // sqrt(1 - (1/sqrt(meanA*meanB*N^2)) * Σ sqrt(a_i b_i))
-            if a.sum < f64::MIN_POSITIVE || b.sum < f64::MIN_POSITIVE {
-                return 1.0;
-            }
             let bc: f64 = ha.iter().zip(hb).map(|(&x, &y)| (x * y).sqrt()).sum();
             let v = 1.0 - bc / (a.sum * b.sum).sqrt();
             v.max(0.0).sqrt()

@@ -126,13 +126,13 @@ macro_rules! protocol_impl {
         }
 
         /// A bounded multi-producer multi-consumer queue with explicit
-        /// load-shedding and batched consumption.
+        /// load-shedding, one item per wakeup.
         ///
         /// Producers never block: a full queue is an
         /// [`AdmitError::Shed`](crate::proto::AdmitError) and the caller
         /// turns it into backpressure the client can see. Consumers
-        /// block (bounded by a poll interval) and drain up to a
-        /// micro-batch per wakeup.
+        /// block (bounded by a poll interval) and take one item per
+        /// wakeup.
         pub struct AdmissionQueue<T> {
             state: sync_api::Mutex<QueueState<T>>,
             cv: sync_api::Condvar,
@@ -193,12 +193,12 @@ macro_rules! protocol_impl {
                 Ok(())
             }
 
-            /// Wait up to `wait` for work, then drain up to `max` items.
+            /// Wait up to `wait` for work, then take one item.
             ///
-            /// `Some(batch)` may be empty (timeout: poll again); `None`
+            /// `Some(None)` means the wait timed out (poll again); `None`
             /// means the queue is closed *and* drained — the consumer
             /// should exit.
-            pub fn pop_batch(&self, max: usize, wait: std::time::Duration) -> Option<Vec<T>> {
+            pub fn pop(&self, wait: std::time::Duration) -> Option<Option<T>> {
                 let mut st = relock(self.state.lock());
                 if st.items.is_empty() {
                     if st.closed {
@@ -207,11 +207,11 @@ macro_rules! protocol_impl {
                     let (g, _timeout) = relock2(self.cv.wait_timeout(st, wait));
                     st = g;
                 }
-                if st.items.is_empty() {
-                    return if st.closed { None } else { Some(Vec::new()) };
+                match st.items.pop_front() {
+                    Some(item) => Some(Some(item)),
+                    None if st.closed => None,
+                    None => Some(None),
                 }
-                let take = max.max(1).min(st.items.len());
-                Some(st.items.drain(..take).collect())
             }
 
             /// Items currently queued.

@@ -9,9 +9,10 @@
 //!   how pops race the rejection (the depth is a locked snapshot).
 //! * **SIGTERM drain** — after `close()`, racing producers are refused
 //!   with `Closed`, consumers drain the remainder and terminate via
-//!   `None`, and nothing is lost or duplicated. Termination is checked
-//!   implicitly: a consumer that never exits is a deadlock or an op-
-//!   budget violation, both of which fail the exploration.
+//!   `None`, and nothing is lost or duplicated — also with two
+//!   consumers, as the server runs two workers by default. Termination
+//!   is checked implicitly: a consumer that never exits is a deadlock
+//!   or an op-budget violation, both of which fail the exploration.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,16 +22,14 @@ use taor_model::invariants::{assert_conserved, assert_sheds_at_capacity};
 use taor_model::proto::on_model::AdmissionQueue;
 use taor_model::proto::AdmitError;
 
-/// Drain the queue until `close()` lands: the worker_loop shape from
-/// crates/serve/src/server.rs.
+/// Drain the queue one item per wakeup until `close()` lands: the
+/// worker_loop shape from crates/serve/src/server.rs.
 fn consume(q: &AdmissionQueue<usize>) -> Vec<usize> {
     let mut got = Vec::new();
-    loop {
-        match q.pop_batch(2, Duration::from_millis(1)) {
-            None => return got,
-            Some(batch) => got.extend(batch),
-        }
+    while let Some(item) = q.pop(Duration::from_millis(1)) {
+        got.extend(item);
     }
+    got
 }
 
 #[test]
@@ -96,6 +95,33 @@ fn close_drains_and_terminates_with_a_racing_producer() {
     });
     println!(
         "admission drain (racing producer/close, cap 2): {} interleavings explored",
+        report.executions
+    );
+    assert!(report.violation.is_none(), "violation: {:?}", report.violation);
+    assert!(report.complete, "exploration hit a bound before exhausting the tree");
+}
+
+#[test]
+fn two_workers_drain_against_close_without_loss_or_duplication() {
+    let report = explore(Options::default(), || {
+        let q = Arc::new(AdmissionQueue::new(2));
+        for i in 0..2 {
+            q.try_push(i).unwrap();
+        }
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                spawn(move || consume(&q))
+            })
+            .collect();
+        // Both workers race each other for the two items and race the
+        // close: each item must reach exactly one of them.
+        q.close();
+        let popped = workers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+        assert_conserved(vec![0, 1], popped);
+    });
+    println!(
+        "admission drain (2 pushes, 2 workers, close, cap 2): {} interleavings explored",
         report.executions
     );
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);

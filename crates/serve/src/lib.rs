@@ -14,19 +14,18 @@
 //! 2. **Deadline** — every request carries a wall-clock budget; work
 //!    whose budget expired is answered with a typed `504`, never
 //!    silently stale ([`robust::Deadline`]).
-//! 3. **Batch** — concurrent requests that reach the workers together
-//!    are micro-batched into one `[B,3,H,W]` tower forward; per-item
-//!    results are bit-identical regardless of grouping, so batching is
-//!    invisible in the responses ([`service::RecognizerService`]). Each
-//!    query is then swept across every view of the gallery, prepared
-//!    once at start: at 82 views brute force is the paper's matcher and
-//!    no index pays (DESIGN.md §12.2).
-//! 4. **Degrade** — when the Siamese pipeline fails typed or the
+//! 3. **Degrade** — when the Siamese pipeline fails typed or the
 //!    remaining budget is too small for it, the service falls back to
 //!    the cheap histogram/Hu pipelines and labels the response
 //!    `degraded: true`; every fallback is counted in the
 //!    [`Diagnostics`](taor_core::Diagnostics) ledger surfaced at
 //!    `/healthz`.
+//!
+//! A worker takes one job per wakeup and recognises it alone
+//! ([`service::RecognizerService::recognize`]): one tower forward, then
+//! one sweep of the query across every view of the gallery, prepared
+//! once at start. At 82 views brute force is the paper's matcher and no
+//! index pays (DESIGN.md §12.2).
 //!
 //! Each request is additionally isolated under `catch_unwind`
 //! ([`robust::isolate`]): a panic in one request is that request's

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! taor-serve [--addr 127.0.0.1:0] [--workers N] [--queue-cap N]
-//!            [--batch N] [--deadline-ms N] [--degrade-margin-ms N]
+//!            [--deadline-ms N] [--degrade-margin-ms N]
 //!            [--read-budget-ms N] [--max-body BYTES] [--seed N]
 //!            [--max-requests-per-conn N] [--idle-timeout-ms N]
 //!            [--method hybrid|shape|color] [--no-siamese]
@@ -23,7 +23,6 @@ const USAGE: &str = "taor-serve: recognition-as-a-service over the taor pipeline
   --addr A               bind address (default 127.0.0.1:0)
   --workers N            recognition worker threads (default 2)
   --queue-cap N          admission queue capacity (default 64)
-  --batch N              micro-batch cap per worker wakeup (default 4)
   --deadline-ms N        per-request deadline (default 2000)
   --degrade-margin-ms N  skip the expensive pipeline below this remaining budget (default 100)
   --read-budget-ms N     total budget for reading one request (default 2000)
@@ -60,7 +59,6 @@ fn run() -> Result<(), String> {
             "--addr" => server_cfg.addr = parse("--addr", args.next())?,
             "--workers" => server_cfg.workers = parse("--workers", args.next())?,
             "--queue-cap" => server_cfg.queue_cap = parse("--queue-cap", args.next())?,
-            "--batch" => server_cfg.batch = parse("--batch", args.next())?,
             "--deadline-ms" => {
                 server_cfg.deadline = Duration::from_millis(parse("--deadline-ms", args.next())?)
             }

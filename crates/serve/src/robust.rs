@@ -6,13 +6,12 @@
 //!
 //! * [`Deadline`] — a wall-clock budget carried by each request.
 //! * [`AdmissionQueue`] — a bounded MPMC queue whose `try_push` *sheds*
-//!   instead of blocking, and whose `pop_batch` hands workers up to a
-//!   micro-batch of items at once. The implementation lives in
-//!   taor-model's protocol core (`proto::on_shim`), where `cargo test
-//!   -p taor-model` exhaustively model-checks the shed and
-//!   close-and-drain paths; this module re-exports it unchanged and
-//!   keeps the behavioural tests below as the std-flavor regression
-//!   suite.
+//!   instead of blocking, and whose `pop` hands a worker one item per
+//!   wakeup. The implementation lives in taor-model's protocol core
+//!   (`proto::on_shim`), where `cargo test -p taor-model` exhaustively
+//!   model-checks the shed and close-and-drain paths; this module
+//!   re-exports it unchanged and keeps the behavioural tests below as
+//!   the std-flavor regression suite.
 //! * [`isolate`] — `catch_unwind` with the panic payload rendered to a
 //!   string, so one poisoned request cannot take the process down.
 
@@ -89,8 +88,7 @@ mod tests {
             other => panic!("expected a shed, got {other:?}"),
         }
         assert_eq!(q.depth(), 2);
-        let batch = q.pop_batch(8, Duration::ZERO).unwrap();
-        assert_eq!(batch, vec![1, 2]);
+        assert_eq!(q.pop(Duration::ZERO), Some(Some(1)));
         assert!(q.try_push(3).is_ok());
     }
 
@@ -108,7 +106,7 @@ mod tests {
                 // Ordering::Relaxed — a test stop flag; no data is
                 // published through it.
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let _ = q.pop_batch(1, Duration::ZERO);
+                    let _ = q.pop(Duration::ZERO);
                 }
             })
         };
@@ -125,24 +123,13 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_respects_the_micro_batch_cap() {
-        let q = AdmissionQueue::new(8);
-        for i in 0..6 {
-            q.try_push(i).unwrap();
-        }
-        assert_eq!(q.pop_batch(4, Duration::ZERO).unwrap().len(), 4);
-        assert_eq!(q.pop_batch(4, Duration::ZERO).unwrap().len(), 2);
-        assert!(q.pop_batch(4, Duration::from_millis(5)).unwrap().is_empty());
-    }
-
-    #[test]
     fn close_rejects_producers_and_drains_consumers() {
         let q = AdmissionQueue::new(4);
         q.try_push("job").unwrap();
         q.close();
         assert_eq!(q.try_push("late"), Err(AdmitError::Closed));
-        assert_eq!(q.pop_batch(4, Duration::ZERO), Some(vec!["job"]));
-        assert_eq!(q.pop_batch(4, Duration::ZERO), None);
+        assert_eq!(q.pop(Duration::ZERO), Some(Some("job")));
+        assert_eq!(q.pop(Duration::ZERO), None);
     }
 
     #[test]
@@ -151,7 +138,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let h = std::thread::spawn(move || {
             // Long wait: only the close() should end it promptly.
-            q2.pop_batch(4, Duration::from_secs(10))
+            q2.pop(Duration::from_secs(10))
         });
         std::thread::sleep(Duration::from_millis(20));
         q.close();
@@ -178,12 +165,10 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    loop {
-                        match q.pop_batch(16, Duration::from_millis(20)) {
-                            None => break got,
-                            Some(batch) => got.extend(batch),
-                        }
+                    while let Some(item) = q.pop(Duration::from_millis(20)) {
+                        got.extend(item);
                     }
+                    got
                 })
             })
             .collect();

@@ -16,9 +16,9 @@
 //! | deadline missed | 504 |
 //!
 //! Connection threads only parse, enqueue and respond; recognition
-//! happens on a fixed pool of workers that drain the queue in
-//! micro-batches. Connections persist (HTTP/1.1 keep-alive, pipelining
-//! included) under explicit per-connection limits: an idle timeout, a
+//! happens on a fixed pool of workers that take one job per wakeup.
+//! Connections persist (HTTP/1.1 keep-alive, pipelining included) under
+//! explicit per-connection limits: an idle timeout, a
 //! max-requests-per-connection cap, and the per-request header/body/
 //! read budgets. Shutdown is graceful: the accept loop stops, kept-
 //! alive sockets refuse new requests while in-flight responses finish
@@ -47,9 +47,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission queue capacity; beyond it requests are shed (429).
     pub queue_cap: usize,
-    /// Micro-batch cap: how many queued requests one worker wakeup may
-    /// drain into a single batched forward.
-    pub batch: usize,
     /// Per-request deadline from admission to answer.
     pub deadline: Duration,
     /// When less than this budget remains at recognition time, skip the
@@ -76,7 +73,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_cap: 64,
-            batch: 4,
             deadline: Duration::from_secs(2),
             degrade_margin: Duration::from_millis(100),
             read_budget: Duration::from_secs(2),
@@ -403,74 +399,34 @@ fn recognize(
     }
 }
 
-/// Worker: drain micro-batches, enforce deadlines, isolate panics.
+/// Worker: one job per wakeup, deadline checked before and after
+/// recognition, panics isolated to the job that raised them.
 fn worker_loop(
     service: &Arc<RecognizerService>,
     queue: &Arc<AdmissionQueue<Job>>,
     cfg: &ServerConfig,
 ) {
-    while let Some(batch) = queue.pop_batch(cfg.batch, Duration::from_millis(50)) {
-        if batch.is_empty() {
-            continue;
-        }
+    while let Some(popped) = queue.pop(Duration::from_millis(50)) {
+        let Some(job) = popped else { continue };
         // Deterministic-test hook: the configured delay simulates slow
         // recognition while this worker holds the slot.
-        let delay = batch.iter().map(|j| j.test_delay).max().unwrap_or(Duration::ZERO);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
+        if !job.test_delay.is_zero() {
+            std::thread::sleep(job.test_delay);
         }
-
-        let mut live = Vec::new();
-        for job in batch {
-            if job.deadline.expired() {
-                service.record_timeout();
-                job.respond(WorkOutcome::TimedOut);
-            } else {
-                live.push(job);
-            }
-        }
-        if live.is_empty() {
+        if job.deadline.expired() {
+            service.record_timeout();
+            job.respond(WorkOutcome::TimedOut);
             continue;
         }
-
-        let items: Vec<(RgbImage, DecodeStats, bool)> = live
-            .iter()
-            .map(|j| (j.image.clone(), j.stats, j.deadline.remaining() >= cfg.degrade_margin))
-            .collect();
-        match isolate(|| service.recognize_batch(&items)) {
-            Ok(responses) if responses.len() == live.len() => {
-                for (job, resp) in live.into_iter().zip(responses) {
-                    if job.deadline.expired() {
-                        service.record_timeout();
-                        job.respond(WorkOutcome::TimedOut);
-                    } else {
-                        job.respond(WorkOutcome::Answered(Box::new(resp)));
-                    }
-                }
+        let allow_expensive = job.deadline.remaining() >= cfg.degrade_margin;
+        let outcome = match isolate(|| service.recognize(&job.image, job.stats, allow_expensive)) {
+            Err(msg) => WorkOutcome::Panicked(msg),
+            Ok(_) if job.deadline.expired() => {
+                service.record_timeout();
+                WorkOutcome::TimedOut
             }
-            _ => {
-                // The batch panicked (or answered short): retry each
-                // job alone behind its own wall so only the poisoned
-                // request fails.
-                for job in live {
-                    let item = [(
-                        job.image.clone(),
-                        job.stats,
-                        job.deadline.remaining() >= cfg.degrade_margin,
-                    )];
-                    match isolate(|| service.recognize_batch(&item).into_iter().next()) {
-                        Ok(Some(resp)) => {
-                            job.respond(WorkOutcome::Answered(Box::new(resp)));
-                        }
-                        Ok(None) => {
-                            job.respond(WorkOutcome::Panicked("empty batch result".to_string()));
-                        }
-                        Err(msg) => {
-                            job.respond(WorkOutcome::Panicked(msg));
-                        }
-                    }
-                }
-            }
-        }
+            Ok(resp) => WorkOutcome::Answered(Box::new(resp)),
+        };
+        job.respond(outcome);
     }
 }

@@ -6,9 +6,9 @@
 //! contours) inside the fallback [`Recognizer`], the seeded
 //! Normalized-X-Corr network, and the gallery's prepared NCC panels
 //! ([`PreparedGallery`], built from the views' tower embeddings). A
-//! request therefore costs one crop decode, one (optionally
-//! micro-batched) tower forward and one head sweep of the query across
-//! the gallery — never a re-preparation of the reference set.
+//! request therefore costs one crop decode, one tower forward and one
+//! head sweep of the query across the gallery — never a re-preparation
+//! of the reference set.
 //!
 //! The degrade ladder: the Siamese pipeline is the primary answer;
 //! when it fails with a typed error (or is deliberately skipped
@@ -193,77 +193,50 @@ impl RecognizerService {
         self.diag.record_timeouts(1);
     }
 
-    /// Recognise a micro-batch. All crops that may use the Siamese
-    /// pipeline share one batched tower forward; per-item results are
-    /// bit-identical regardless of how requests were grouped, so
-    /// batching never shows in the bodies.
-    pub fn recognize_batch(&self, items: &[(RgbImage, DecodeStats, bool)]) -> Vec<ServiceResponse> {
-        // Embed the expensive-path crops in one batched tower forward.
-        let mut embeds: Vec<Option<Tensor>> = vec![None; items.len()];
-        if let Some((net, _)) = &self.siamese {
-            let expensive: Vec<usize> = items
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, _, allow))| *allow && !self.cfg.chaos_siamese_error)
-                .map(|(i, _)| i)
-                .collect();
-            if !expensive.is_empty() {
-                let tensors: Vec<Tensor> = expensive
-                    .iter()
-                    .filter_map(|&i| items.get(i))
-                    .map(|(img, _, _)| image_to_tensor(img, &net.config))
-                    .collect();
-                let views: Vec<&Tensor> = tensors.iter().collect();
-                if let Ok(batch_embed) = Tensor::stack_batch(&views).and_then(|b| {
-                    let e = net.tower_embed(&b)?;
-                    e.split_batch()
-                }) {
-                    for (&i, e) in expensive.iter().zip(batch_embed) {
-                        if let Some(slot) = embeds.get_mut(i) {
-                            *slot = Some(e);
-                        }
-                    }
-                }
-            }
+    /// Recognise one decoded crop. `allow_expensive` gates the Siamese
+    /// pipeline: overload control passes `false` to drop straight to
+    /// the cheap pipelines.
+    pub fn recognize(
+        &self,
+        crop: &RgbImage,
+        stats: DecodeStats,
+        allow_expensive: bool,
+    ) -> ServiceResponse {
+        if !allow_expensive {
+            // Overload control skipped the expensive pipeline.
+            self.diag.record_degraded(1);
+            return self.fallback_response(crop, stats, true);
         }
-
-        items
-            .iter()
-            .zip(embeds)
-            .map(|((img, stats, allow), embed)| {
-                if self.siamese.is_some() && *allow {
-                    match self.siamese_answer(embed, *stats) {
-                        Ok(resp) => resp,
-                        Err(_) => {
-                            // Typed pipeline failure: degrade to the
-                            // cheap pipelines, labelled and counted.
-                            self.diag.record_degraded(1);
-                            self.fallback_response(img, *stats, true)
-                        }
-                    }
-                } else if *allow {
-                    // The cheap pipeline IS the configured primary: a
-                    // normal answer, not a degradation.
-                    self.fallback_response(img, *stats, false)
-                } else {
-                    // Overload control skipped the expensive pipeline.
-                    self.diag.record_degraded(1);
-                    self.fallback_response(img, *stats, true)
-                }
-            })
-            .collect()
+        if self.siamese.is_none() {
+            // The cheap pipeline IS the configured primary: a normal
+            // answer, not a degradation.
+            return self.fallback_response(crop, stats, false);
+        }
+        self.siamese_answer(crop, stats).unwrap_or_else(|_| {
+            // Typed pipeline failure: degrade to the cheap pipelines,
+            // labelled and counted.
+            self.diag.record_degraded(1);
+            self.fallback_response(crop, stats, true)
+        })
     }
 
-    /// Score one embedded query against every gallery view and rank
-    /// per-class minima.
-    fn siamese_answer(&self, embed: Option<Tensor>, stats: DecodeStats) -> Result<ServiceResponse> {
+    /// [`Self::recognize`] for each item, in order. Kept because the
+    /// benchmark (`perfbench/`) calls it by name; the server recognises
+    /// one crop per call.
+    pub fn recognize_batch(&self, items: &[(RgbImage, DecodeStats, bool)]) -> Vec<ServiceResponse> {
+        items.iter().map(|(crop, stats, allow)| self.recognize(crop, *stats, *allow)).collect()
+    }
+
+    /// Embed `crop` as a batch of one, score it against every gallery
+    /// view and rank per-class minima.
+    fn siamese_answer(&self, crop: &RgbImage, stats: DecodeStats) -> Result<ServiceResponse> {
         if self.cfg.chaos_siamese_error {
             return Err(Error::Nn(TensorError::EmptyTrainingSet));
         }
         let Some((net, gallery)) = &self.siamese else {
             return Err(Error::EmptyReference("siamese gallery is not built"));
         };
-        let embed = embed.ok_or(Error::Nn(TensorError::EmptyTrainingSet))?;
+        let embed = net.tower_embed(&image_to_tensor(crop, &net.config))?;
         let probs = net.predict_similar_gallery(&embed, gallery)?;
         Ok(self.rank_answer(&probs, stats))
     }
@@ -323,26 +296,12 @@ mod tests {
         nyu_set_subsampled(2019, 1).images[0].image.clone()
     }
 
-    /// Recognise one decoded crop as a batch of one. `allow_expensive`
-    /// gates the Siamese pipeline: overload control passes `false` to
-    /// drop straight to the cheap pipelines.
-    fn recognize_image(
-        s: &RecognizerService,
-        img: &RgbImage,
-        stats: DecodeStats,
-        allow_expensive: bool,
-    ) -> ServiceResponse {
-        let mut out = s.recognize_batch(&[(img.clone(), stats, allow_expensive)]);
-        assert_eq!(out.len(), 1, "one response per crop");
-        out.remove(0)
-    }
-
     #[test]
     fn siamese_answer_is_full_and_deterministic() {
         let s = service(true);
         let (img, stats) = s.decode(&encode_rgb8(&crop())).unwrap();
-        let a = recognize_image(&s, &img, stats, true);
-        let b = recognize_image(&s, &img, stats, true);
+        let a = s.recognize(&img, stats, true);
+        let b = s.recognize(&img, stats, true);
         assert_eq!(a.pipeline, "siamese");
         assert!(!a.degraded);
         assert_eq!(a.ranking.len(), ObjectClass::COUNT);
@@ -361,11 +320,11 @@ mod tests {
             .collect();
         let batched = s.recognize_batch(&items);
         for (item, batched_resp) in items.iter().zip(&batched) {
-            let single = recognize_image(&s, &item.0, item.1, true);
+            let single = s.recognize(&item.0, item.1, true);
             assert_eq!(
                 serde_json::to_string(&single).unwrap(),
                 serde_json::to_string(batched_resp).unwrap(),
-                "micro-batching must not change the answer"
+                "recognize_batch must answer like single calls"
             );
         }
     }
@@ -377,7 +336,7 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        let resp = recognize_image(&s, &crop(), DecodeStats::default(), true);
+        let resp = s.recognize(&crop(), DecodeStats::default(), true);
         assert!(resp.degraded, "forced siamese failure must be labelled");
         assert_eq!(resp.pipeline, "hybrid");
         assert!(s.diagnostics().degraded >= 1);
@@ -386,7 +345,7 @@ mod tests {
     #[test]
     fn overload_skip_degrades_with_a_label() {
         let s = service(true);
-        let resp = recognize_image(&s, &crop(), DecodeStats::default(), false);
+        let resp = s.recognize(&crop(), DecodeStats::default(), false);
         assert!(resp.degraded);
         assert_eq!(resp.pipeline, "hybrid");
     }
@@ -394,7 +353,7 @@ mod tests {
     #[test]
     fn no_siamese_config_answers_with_the_cheap_pipeline() {
         let s = service(false);
-        let resp = recognize_image(&s, &crop(), DecodeStats::default(), true);
+        let resp = s.recognize(&crop(), DecodeStats::default(), true);
         assert_eq!(resp.pipeline, "hybrid");
         assert!(!resp.degraded, "the configured primary pipeline is not a degradation");
         assert_eq!(s.gallery_size(), s.reference_count());
@@ -414,7 +373,7 @@ mod tests {
             let query = Tensor::stack_batch(&vec![&embed; views]).unwrap();
             let probs = net.predict_similar_features(&query, &embeds).unwrap();
             let want = s.rank_answer(&probs, stats);
-            let got = recognize_image(&s, &li.image, stats, true);
+            let got = s.recognize(&li.image, stats, true);
             assert_eq!(
                 serde_json::to_string(&got).unwrap(),
                 serde_json::to_string(&want).unwrap(),

@@ -135,6 +135,13 @@ impl PersistentClient {
     /// Read exactly one `Content-Length`-framed response; surplus bytes
     /// (the next pipelined response) stay buffered.
     pub fn read_response(&mut self) -> std::io::Result<(u16, Vec<u8>)> {
+        let (status, _, body) = self.read_response_head()?;
+        Ok((status, body))
+    }
+
+    /// [`Self::read_response`] that also returns the response head: the
+    /// status line and header lines, without the blank line.
+    pub fn read_response_head(&mut self) -> std::io::Result<(u16, String, Vec<u8>)> {
         let bad =
             |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
         // Head: accumulate until the blank line.
@@ -150,9 +157,9 @@ impl PersistentClient {
             self.buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
         };
         let rest = self.buf.split_off(head_end + 4);
-        let head = std::mem::replace(&mut self.buf, rest);
-        let head_text = std::str::from_utf8(head.get(..head_end).unwrap_or(&[]))
-            .map_err(|_| bad("non-UTF-8 head"))?;
+        let mut head = std::mem::replace(&mut self.buf, rest);
+        head.truncate(head_end);
+        let head_text = String::from_utf8(head).map_err(|_| bad("non-UTF-8 head"))?;
         let status = parse_status(head_text.as_bytes()).ok_or_else(|| bad("no status line"))?;
         let content_length: usize = head_text
             .lines()
@@ -173,7 +180,7 @@ impl PersistentClient {
         }
         let mut body = std::mem::take(&mut self.buf);
         self.buf = body.split_off(content_length.min(body.len()));
-        Ok((status, body))
+        Ok((status, head_text, body))
     }
 
     /// Has the server closed the connection? Waits up to two seconds

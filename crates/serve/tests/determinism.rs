@@ -1,8 +1,8 @@
 //! Response determinism: identical crop bytes must yield byte-identical
 //! response bodies — across repeated requests, across worker-pool widths
 //! (`TAOR_THREADS=1` vs `4`), and across two separate spawns of the
-//! `taor-serve` binary. Micro-batching, thread scheduling and process
-//! restarts may change *when* an answer is computed, never *what* it is.
+//! `taor-serve` binary. Thread scheduling and process restarts may
+//! change *when* an answer is computed, never *what* it is.
 
 #[path = "common/chaos.rs"]
 mod chaos;
@@ -156,22 +156,21 @@ fn pipelined_and_one_shot_bodies_are_byte_identical() {
 
 /// In-process: two independent `Server`s over independently built
 /// services (same seed) answer identically through the full siamese
-/// path, including micro-batch grouping differences.
+/// path.
 #[test]
 fn two_in_process_servers_agree_through_the_siamese_path() {
-    let spawn = |batch: usize| {
+    let spawn = || {
         let service =
             Arc::new(RecognizerService::new(ServiceConfig::default()).expect("service builds"));
-        Server::spawn(service, ServerConfig { batch, ..ServerConfig::default() })
-            .expect("server binds")
+        Server::spawn(service, ServerConfig::default()).expect("server binds")
     };
-    let a = spawn(1);
-    let b = spawn(4);
+    let a = spawn();
+    let b = spawn();
     let crop = encode_rgb8(&gradient_crop());
     let (sa, body_a) = chaos::post_crop(a.local_addr(), &crop).unwrap();
     let (sb, body_b) = chaos::post_crop(b.local_addr(), &crop).unwrap();
     assert_eq!((sa, sb), (200, 200));
-    assert_eq!(body_a, body_b, "siamese bodies differ across servers/batch shapes");
+    assert_eq!(body_a, body_b, "siamese bodies differ across servers");
     let text = String::from_utf8(body_a).unwrap();
     assert!(text.contains("\"pipeline\":\"siamese\""), "body: {text}");
     a.shutdown();

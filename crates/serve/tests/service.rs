@@ -91,13 +91,12 @@ fn oversized_body_declaration_is_413_before_transfer() {
 
 #[test]
 fn saturated_queue_sheds_with_429_and_retry_after() {
-    // One worker, one queue slot, batch of one: the first request (held
-    // in the worker by the test delay) plus one queued request saturate
-    // the service; everything after that must shed.
+    // One worker, one queue slot: the first request (held in the worker
+    // by the test delay) plus one queued request saturate the service;
+    // everything after that must shed.
     let cfg = ServerConfig {
         workers: 1,
         queue_cap: 1,
-        batch: 1,
         allow_test_delay: true,
         deadline: Duration::from_secs(10),
         ..ServerConfig::default()
@@ -118,31 +117,19 @@ fn saturated_queue_sheds_with_429_and_retry_after() {
     }
 
     let mut shed = 0;
-    let mut retry_after_seen = false;
     for _ in 0..6 {
-        // Raw keep-alive roundtrip so the headers are visible; the
-        // server must close after a 429, or `read_to_end` waits out the
-        // idle timeout.
-        let raw = {
-            let mut req = format!(
-                "POST /recognize HTTP/1.1\r\nHost: taor\r\nContent-Length: {}\r\n\r\n",
-                crop.len()
-            )
-            .into_bytes();
-            req.extend_from_slice(&crop);
-            req
-        };
-        use std::io::{Read, Write};
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream.write_all(&raw).unwrap();
-        let mut resp = Vec::new();
-        let _ = stream.read_to_end(&mut resp);
-        let text = String::from_utf8_lossy(&resp);
-        if text.starts_with("HTTP/1.1 429") {
+        // A keep-alive request, so only the server can end the
+        // connection: a 429 must say so in its head and then close.
+        let mut client = chaos::PersistentClient::connect(addr).unwrap();
+        let request =
+            chaos::PersistentClient::request_bytes("POST", "/recognize", &crop, &[], false);
+        client.send_raw(&request).unwrap();
+        let (status, head, _) = client.read_response_head().unwrap();
+        if status == 429 {
             shed += 1;
-            retry_after_seen |= text.contains("Retry-After: 1");
-            let head = text.split("\r\n\r\n").next().unwrap_or("");
+            assert!(head.contains("\r\nRetry-After: 1"), "a 429 must carry Retry-After: {head}");
             assert!(head.contains("\r\nConnection: close"), "a 429 must close: {head}");
+            assert!(client.server_closed(), "the server must close the connection after a 429");
         }
     }
     for h in slow {
@@ -150,7 +137,6 @@ fn saturated_queue_sheds_with_429_and_retry_after() {
         assert_eq!(status, 200, "the admitted slow requests must still be answered");
     }
     assert!(shed > 0, "a saturated queue must shed load with 429");
-    assert!(retry_after_seen, "429 responses must carry Retry-After");
     // The shed counter made it to the health snapshot.
     let (status, body) = chaos::get(addr, "/healthz").unwrap();
     assert_eq!(status, 200);
@@ -163,7 +149,6 @@ fn saturated_queue_sheds_with_429_and_retry_after() {
 fn missed_deadline_answers_504_and_counts_a_timeout() {
     let cfg = ServerConfig {
         workers: 1,
-        batch: 1,
         allow_test_delay: true,
         deadline: Duration::from_millis(100),
         ..ServerConfig::default()

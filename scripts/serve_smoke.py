@@ -118,7 +118,6 @@ def main():
         [
             "--workers", "1",
             "--queue-cap", "1",
-            "--batch", "1",
             "--no-siamese",
             "--allow-test-delay",
             "--deadline-ms", "15000",
