@@ -7,12 +7,14 @@
 
 use std::cell::OnceCell;
 
+use rayon::prelude::*;
 use taor_core::prelude::*;
 use taor_core::siamese::try_evaluate_siamese;
 use taor_data::{
-    nyu_set, nyu_set_subsampled, nyu_sns1_test_pairs, shapenet_set1, shapenet_set2,
-    sns1_test_pairs, Dataset, ObjectClass,
+    nyu_class_crops, nyu_sns1_test_pairs, shapenet_set1, shapenet_set2, sns1_test_pairs, Dataset,
+    DatasetKind, ObjectClass, CANVAS,
 };
+use taor_imgproc::image::RgbImage;
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -81,11 +83,27 @@ impl ReproConfig {
         }
     }
 
+    /// The NYUSet this configuration names: `nyu_set(seed)`, or
+    /// `nyu_set_subsampled(seed, n)` for `nyu_per_class = Some(n)`, image
+    /// for image. Each class's crops come from that class's own RNG
+    /// stream, so the ten streams render on the pool and the bytes do not
+    /// depend on its width. Every crop buffer is allocated here, on the
+    /// calling thread, and only drawn on the pool: crops allocated by the
+    /// workers would land in their malloc arenas, which keep the freed
+    /// memory of one run after another (DESIGN.md §6.6).
     pub(crate) fn nyu(&self) -> Dataset {
-        match self.nyu_per_class {
-            Some(n) => nyu_set_subsampled(self.seed, n),
-            None => nyu_set(self.seed),
-        }
+        let streams: Vec<(ObjectClass, Vec<RgbImage>)> = ObjectClass::ALL
+            .into_iter()
+            .map(|class| {
+                let n = self.nyu_per_class.unwrap_or(class.nyu_count());
+                (class, vec![RgbImage::new(CANVAS, CANVAS); n])
+            })
+            .collect();
+        let crops: Vec<_> = streams
+            .into_par_iter()
+            .map(|(class, buffers)| nyu_class_crops(self.seed, class, buffers))
+            .collect();
+        Dataset { kind: DatasetKind::NyuSet, images: crops.into_iter().flatten().collect() }
     }
 }
 
@@ -720,6 +738,20 @@ mod tests {
         cfg.siamese.n_train_pairs = 40;
         cfg.siamese.train.max_epochs = 1;
         cfg
+    }
+
+    #[test]
+    fn pooled_nyu_equals_the_serial_builders() {
+        let same = |a: &Dataset, b: &Dataset| {
+            assert_eq!(a.kind, b.kind);
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.images.iter().zip(&b.images) {
+                assert_eq!((x.class, x.model_id, x.view_id), (y.class, y.model_id, y.view_id));
+                assert!(x.image == y.image, "{:?} crop {} differs", x.class, x.model_id);
+            }
+        };
+        same(&ReproConfig::quick(2019).nyu(), &taor_data::nyu_set_subsampled(2019, 50));
+        same(&ReproConfig::medium(2019).nyu(), &taor_data::nyu_set(2019));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Everything is deterministic in the builder seed.
 
 use crate::classes::ObjectClass;
-use crate::render::{render_catalog_view, render_scene_crop};
+use crate::render::{draw_scene_crop, render_catalog_view, CANVAS};
 use crate::shapes::sample_model;
 use rand::{Rng, SeedableRng};
 use taor_imgproc::image::RgbImage;
@@ -212,20 +212,34 @@ pub fn nyu_set_subsampled(seed: u64, per_class: usize) -> Dataset {
 }
 
 fn nyu_set_with(seed: u64, count_of: impl Fn(ObjectClass) -> usize) -> Dataset {
-    let mut images = Vec::new();
-    for class in ObjectClass::ALL {
-        let mut rng = substream(seed, 0xA7 ^ (class.index() as u64) << 8);
-        for i in 0..count_of(class) {
-            let model = sample_model(class, &mut rng);
-            images.push(LabeledImage {
-                image: render_scene_crop(&model, &mut rng),
-                class,
-                model_id: i,
-                view_id: 0,
-            });
-        }
-    }
+    let images = ObjectClass::ALL
+        .into_iter()
+        .flat_map(|class| {
+            nyu_class_crops(seed, class, vec![RgbImage::new(CANVAS, CANVAS); count_of(class)])
+        })
+        .collect();
     Dataset { kind: DatasetKind::NyuSet, images }
+}
+
+/// One class's NYUSet crops, drawn into `buffers` (`CANVAS × CANVAS`
+/// images, whatever their pixels) in stream order: the first
+/// `buffers.len()` crops of that class in [`nyu_set`] or
+/// [`nyu_set_subsampled`] at this seed.
+///
+/// Each class owns its RNG stream, so the ten classes can be rendered in
+/// any order or at once. Within a class the stream is serial: crop
+/// `i + 1`'s draws start where crop `i`'s sensor noise ended.
+pub fn nyu_class_crops(seed: u64, class: ObjectClass, buffers: Vec<RgbImage>) -> Vec<LabeledImage> {
+    let mut rng = substream(seed, 0xA7 ^ (class.index() as u64) << 8);
+    buffers
+        .into_iter()
+        .enumerate()
+        .map(|(model_id, buffer)| {
+            let model = sample_model(class, &mut rng);
+            let image = draw_scene_crop(buffer, &model, &mut rng);
+            LabeledImage { image, class, model_id, view_id: 0 }
+        })
+        .collect()
 }
 
 /// Pick `per_class` random images of every class (used for the 100-image
@@ -366,7 +380,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "builds the full 6,934-image corpus; run with --ignored"]
     fn full_nyu_matches_table1() {
         let d = nyu_set(2019);
         assert_eq!(d.len(), 6934);

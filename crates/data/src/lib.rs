@@ -36,8 +36,8 @@ pub mod shapes;
 
 pub use classes::{ObjectClass, Synset};
 pub use dataset::{
-    catalog_custom, gallery_grid, nyu_set, nyu_set_subsampled, sample_per_class, shapenet_set1,
-    shapenet_set2, Dataset, DatasetKind, LabeledImage,
+    catalog_custom, gallery_grid, nyu_class_crops, nyu_set, nyu_set_subsampled, sample_per_class,
+    shapenet_set1, shapenet_set2, Dataset, DatasetKind, LabeledImage,
 };
 pub use pairs::{
     mixed_training_pairs, nyu_sns1_test_pairs, sns1_test_pairs, training_pairs, ImagePair,

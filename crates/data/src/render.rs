@@ -120,7 +120,14 @@ pub fn render_grid_view(
 
 /// Render one scene crop: black background, strong jitter, degradations.
 pub fn render_scene_crop(m: &ModelParams, rng: &mut impl Rng) -> RgbImage {
-    let mut canvas = Canvas::new(CANVAS, CANVAS, [0, 0, 0]);
+    draw_scene_crop(RgbImage::new(CANVAS, CANVAS), m, rng)
+}
+
+/// [`render_scene_crop`] into a caller's `CANVAS × CANVAS` buffer, which
+/// is cleared to black first: the same draws from `rng`, the same crop.
+pub(crate) fn draw_scene_crop(mut img: RgbImage, m: &ModelParams, rng: &mut impl Rng) -> RgbImage {
+    img.as_raw_mut().fill(0);
+    let mut canvas = Canvas::from_image(img);
     let view = ViewParams {
         rotation: rng.gen_range(-0.5..0.5),
         scale: CANVAS as f32 * rng.gen_range(0.26..0.40),
@@ -160,58 +167,46 @@ pub fn render_scene_crop(m: &ModelParams, rng: &mut impl Rng) -> RgbImage {
     let mut mv = m.clone();
     mv.detail = (m.detail + rng.gen_range(-0.2..0.2)).clamp(0.0, 1.0);
     draw_object(&mut canvas, &mv, view);
-    let mut img = canvas.into_image();
 
     // Lighting: global value gain + slight hue drift, applied to the
     // non-mask pixels (the black mask stays black).
     let gain = rng.gen_range(0.75..1.15f32);
     let hue_shift = rng.gen_range(-6.0..6.0f32);
-    for px in img.as_raw_mut().chunks_exact_mut(3) {
-        if px == [0, 0, 0] {
-            continue;
-        }
-        let mut hsv = pixel_to_hsv(px[0], px[1], px[2]);
-        hsv.v = (hsv.v * gain).clamp(0.0, 1.0);
-        hsv.h += hue_shift;
-        let rgb = hsv_to_pixel(hsv);
-        px.copy_from_slice(&rgb);
-    }
+    let mut img = canvas.into_image();
+    light(img.as_raw_mut(), gain, hue_shift);
+    let mut canvas = Canvas::from_image(img);
 
-    // Occlusion: with some probability, bite one or two black rectangles
-    // out of the object (another object in front of it was masked away).
+    // Occlusion: with some probability, bite one to three black
+    // rectangles out of the object (another object in front of it was
+    // masked away).
     if rng.gen_bool(0.5) {
         let bites = rng.gen_range(1..=3);
-        let mut c = Canvas::new(CANVAS, CANVAS, [0, 0, 0]);
-        std::mem::swap(c.image_mut(), &mut img);
         for _ in 0..bites {
             let w = rng.gen_range(10.0..30.0f32);
             let h = rng.gen_range(10.0..30.0f32);
             let x = rng.gen_range(0.0..CANVAS as f32 - w);
             let y = rng.gen_range(0.0..CANVAS as f32 - h);
-            c.fill_rect(x, y, w, h, [0, 0, 0]);
+            canvas.fill_rect(x, y, w, h, [0, 0, 0]);
         }
-        img = c.into_image();
     }
 
     // Sloppy segmentation: occasionally a sliver of some *other* surface
     // survives at a border of the mask.
     if rng.gen_bool(0.25) {
-        let mut c = Canvas::new(CANVAS, CANVAS, [0, 0, 0]);
-        std::mem::swap(c.image_mut(), &mut img);
         let color = [rng.gen_range(60..220u8), rng.gen_range(60..220u8), rng.gen_range(60..220u8)];
         let along_x = rng.gen_bool(0.5);
         let thickness = rng.gen_range(3.0..8.0f32);
         if along_x {
             let y = if rng.gen_bool(0.5) { 0.0 } else { CANVAS as f32 - thickness };
-            c.fill_rect(0.0, y, CANVAS as f32, thickness, color);
+            canvas.fill_rect(0.0, y, CANVAS as f32, thickness, color);
         } else {
             let x = if rng.gen_bool(0.5) { 0.0 } else { CANVAS as f32 - thickness };
-            c.fill_rect(x, 0.0, thickness, CANVAS as f32, color);
+            canvas.fill_rect(x, 0.0, thickness, CANVAS as f32, color);
         }
-        img = c.into_image();
     }
 
     // Sensor noise on object pixels.
+    let mut img = canvas.into_image();
     for px in img.as_raw_mut().chunks_exact_mut(3) {
         if px == [0, 0, 0] {
             continue;
@@ -224,16 +219,115 @@ pub fn render_scene_crop(m: &ModelParams, rng: &mut impl Rng) -> RgbImage {
     img
 }
 
+/// Scale the value and drift the hue of every non-black pixel of an
+/// interleaved RGB buffer through the HSV round trip.
+///
+/// Before noise, a scene crop holds at most four distinct non-black
+/// colours (the flat fills of surface, primary, secondary and door
+/// panel) over thousands of pixels, and the round trip is a pure
+/// function of `(rgb, gain, hue_shift)`. So each distinct colour is
+/// converted once and its result copied to the rest: a small table
+/// remembers the first eight conversions, the last colour seen is
+/// checked before the table, and a colour missing from a full table is
+/// converted afresh. No path skips the conversion of an unseen colour,
+/// so the output equals the per-pixel round trip for any input.
+fn light(raw: &mut [u8], gain: f32, hue_shift: f32) {
+    let convert = |rgb: [u8; 3]| {
+        let mut hsv = pixel_to_hsv(rgb[0], rgb[1], rgb[2]);
+        hsv.v = (hsv.v * gain).clamp(0.0, 1.0);
+        hsv.h += hue_shift;
+        hsv_to_pixel(hsv)
+    };
+    let mut table = [([0u8; 3], [0u8; 3]); 8];
+    let mut filled = 0;
+    // Black pixels are skipped before any lookup, so black can stand for
+    // "no colour seen yet".
+    let mut last = ([0u8; 3], [0u8; 3]);
+    for px in raw.chunks_exact_mut(3) {
+        let rgb = [px[0], px[1], px[2]];
+        if rgb == [0, 0, 0] {
+            continue;
+        }
+        if rgb != last.0 {
+            last = match table[..filled].iter().find(|(from, _)| *from == rgb) {
+                Some(&hit) => hit,
+                None => {
+                    let miss = (rgb, convert(rgb));
+                    if filled < table.len() {
+                        table[filled] = miss;
+                        filled += 1;
+                    }
+                    miss
+                }
+            };
+        }
+        px.copy_from_slice(&last.1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classes::ObjectClass;
     use crate::shapes::sample_model;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn model(seed: u64) -> ModelParams {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         sample_model(ObjectClass::Chair, &mut rng)
+    }
+
+    /// The lighting pass as it was written before the memo: the HSV round
+    /// trip on every non-black pixel.
+    fn light_per_pixel(raw: &mut [u8], gain: f32, hue_shift: f32) {
+        for px in raw.chunks_exact_mut(3) {
+            if px == [0, 0, 0] {
+                continue;
+            }
+            let mut hsv = pixel_to_hsv(px[0], px[1], px[2]);
+            hsv.v = (hsv.v * gain).clamp(0.0, 1.0);
+            hsv.h += hue_shift;
+            px.copy_from_slice(&hsv_to_pixel(hsv));
+        }
+    }
+
+    /// The pixels of a 1×1 to 16×16 image, 1 to 256 of them, painted
+    /// from a palette of 1 to 20 colours (more than the memo's table
+    /// holds) whose entry 0 is black.
+    fn arb_paletted() -> impl Strategy<Value = Vec<u8>> {
+        (1usize..=20, 1usize..=256).prop_flat_map(|(colours, pixels)| {
+            (
+                proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), colours),
+                proptest::collection::vec(0..colours, pixels),
+            )
+                .prop_map(|(palette, picks)| {
+                    picks
+                        .into_iter()
+                        .flat_map(|i| match i {
+                            0 => [0, 0, 0],
+                            _ => [palette[i].0, palette[i].1, palette[i].2],
+                        })
+                        .collect()
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn memoised_lighting_equals_the_per_pixel_round_trip(
+            raw in arb_paletted(),
+            gain in 0.0f32..2.0,
+            hue_shift in -400.0f32..400.0,
+        ) {
+            let mut got = raw.clone();
+            light(&mut got, gain, hue_shift);
+            let mut want = raw;
+            light_per_pixel(&mut want, gain, hue_shift);
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

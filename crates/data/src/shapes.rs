@@ -210,7 +210,6 @@ impl Frame {
 }
 
 /// Draw one view of a model onto the canvas.
-/// Draw one view of a model onto the canvas.
 ///
 /// Every class has several *structural* style variants (selected by
 /// `style`), mirroring the heterogeneity of real ShapeNet categories —

@@ -5,6 +5,10 @@
 //! composition of filled polygons, ellipses and strokes on a [`Canvas`].
 //! Rasterisation is deliberately simple (no anti-aliasing): the paper's
 //! pipelines all start by thresholding to a hard silhouette anyway.
+//!
+//! Every fill reduces to horizontal spans `x0..x1` on row `y`, which
+//! [`Canvas`] clips to the canvas once and writes as one row slice: the
+//! pixels set are exactly those of the span that lie on the canvas.
 
 use crate::image::RgbImage;
 
@@ -42,6 +46,11 @@ impl Canvas {
         Canvas { img: RgbImage::filled(width, height, background) }
     }
 
+    /// Continue drawing on an existing image.
+    pub fn from_image(img: RgbImage) -> Self {
+        Canvas { img }
+    }
+
     /// Finish drawing, returning the image.
     pub fn into_image(self) -> RgbImage {
         self.img
@@ -50,12 +59,6 @@ impl Canvas {
     /// Borrow the image being drawn.
     pub fn image(&self) -> &RgbImage {
         &self.img
-    }
-
-    /// Mutably borrow the image being drawn (e.g. to continue drawing on
-    /// an existing image).
-    pub fn image_mut(&mut self) -> &mut RgbImage {
-        &mut self.img
     }
 
     /// Canvas width.
@@ -68,11 +71,19 @@ impl Canvas {
         self.img.height()
     }
 
-    /// Set one pixel, silently ignoring out-of-bounds coordinates.
+    /// Set pixels `x0..x1` of row `y` to `color`, dropping whatever lies
+    /// off the canvas.
     #[inline]
-    pub fn plot(&mut self, x: i64, y: i64, color: [u8; 3]) {
-        if self.img.in_bounds(x, y) {
-            self.img.put_pixel(x as u32, y as u32, color);
+    fn fill_span(&mut self, y: i64, x0: i64, x1: i64, color: [u8; 3]) {
+        let (w, h) = (self.width() as i64, self.height() as i64);
+        let (x0, x1) = (x0.max(0), x1.min(w));
+        if !(0..h).contains(&y) || x0 >= x1 {
+            return;
+        }
+        let row = y as usize * w as usize;
+        let span = (row + x0 as usize) * 3..(row + x1 as usize) * 3;
+        for px in self.img.as_raw_mut()[span].chunks_exact_mut(3) {
+            px.copy_from_slice(&color);
         }
     }
 
@@ -82,10 +93,8 @@ impl Canvas {
         let y0 = y.round() as i64;
         let x1 = (x + w).round() as i64;
         let y1 = (y + h).round() as i64;
-        for yy in y0..y1 {
-            for xx in x0..x1 {
-                self.plot(xx, yy, color);
-            }
+        for yy in y0.max(0)..y1.min(self.height() as i64) {
+            self.fill_span(yy, x0, x1, color);
         }
     }
 
@@ -111,11 +120,7 @@ impl Canvas {
             }
             xs.sort_by(|p, q| crate::cmp::nan_last_f32(*p, *q));
             for pair in xs.chunks_exact(2) {
-                let x0 = pair[0].round() as i64;
-                let x1 = pair[1].round() as i64;
-                for xx in x0..x1 {
-                    self.plot(xx, yy, color);
-                }
+                self.fill_span(yy, pair[0].round() as i64, pair[1].round() as i64, color);
             }
         }
     }
@@ -134,11 +139,7 @@ impl Canvas {
                 continue;
             }
             let half = rx * rem.sqrt();
-            let x0 = (cx - half).round() as i64;
-            let x1 = (cx + half).round() as i64;
-            for xx in x0..x1 {
-                self.plot(xx, yy, color);
-            }
+            self.fill_span(yy, (cx - half).round() as i64, (cx + half).round() as i64, color);
         }
     }
 

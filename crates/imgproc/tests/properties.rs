@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use taor_imgproc::contour::Point;
+use taor_imgproc::draw::{p2, P2};
 use taor_imgproc::prelude::*;
 use taor_imgproc::resize::{resize_bilinear_f32, sample_bilinear};
 
@@ -566,5 +567,136 @@ proptest! {
                 "{m:?}: {got} vs oracle {want}"
             );
         }
+    }
+}
+
+/// The per-pixel rasteriser the span fills replaced: every pixel of every
+/// span goes through a bounds-checked `plot`. Its loops stop two pixels
+/// past the canvas so infinite spans end; `plot` drops the rest.
+struct PlotReference(RgbImage);
+
+impl PlotReference {
+    fn plot(&mut self, x: i64, y: i64, color: [u8; 3]) {
+        let (w, h) = (self.0.width() as i64, self.0.height() as i64);
+        if (0..w).contains(&x) && (0..h).contains(&y) {
+            self.0.put_pixel(x as u32, y as u32, color);
+        }
+    }
+
+    fn span(&mut self, y: i64, x0: i64, x1: i64, color: [u8; 3]) {
+        for x in x0.max(-2)..x1.min(self.0.width() as i64 + 2) {
+            self.plot(x, y, color);
+        }
+    }
+
+    fn rows(&self) -> std::ops::Range<i64> {
+        -2..self.0.height() as i64 + 2
+    }
+
+    fn fill_rect(&mut self, x: f32, y: f32, w: f32, h: f32, color: [u8; 3]) {
+        let rows = self.rows();
+        let (y0, y1) = (y.round() as i64, (y + h).round() as i64);
+        for yy in y0.max(rows.start)..y1.min(rows.end) {
+            self.span(yy, x.round() as i64, (x + w).round() as i64, color);
+        }
+    }
+
+    /// Even-odd scanline fill over every row of the canvas and its
+    /// margin: a row outside the vertices' span crosses no edge.
+    fn fill_polygon(&mut self, pts: &[P2], color: [u8; 3]) {
+        if pts.len() < 3 {
+            return;
+        }
+        for yy in self.rows() {
+            let scan = yy as f32 + 0.5;
+            let mut xs = Vec::new();
+            for (i, &a) in pts.iter().enumerate() {
+                let b = pts[(i + 1) % pts.len()];
+                if (a.y <= scan && b.y > scan) || (b.y <= scan && a.y > scan) {
+                    xs.push(a.x + (scan - a.y) / (b.y - a.y) * (b.x - a.x));
+                }
+            }
+            xs.sort_by(|p, q| nan_last_f32(*p, *q));
+            for pair in xs.chunks_exact(2) {
+                self.span(yy, pair[0].round() as i64, pair[1].round() as i64, color);
+            }
+        }
+    }
+
+    fn fill_ellipse(&mut self, cx: f32, cy: f32, rx: f32, ry: f32, color: [u8; 3]) {
+        if rx <= 0.0 || ry <= 0.0 {
+            return;
+        }
+        let rows = self.rows();
+        let (y0, y1) = ((cy - ry).floor() as i64, (cy + ry).ceil() as i64);
+        for yy in y0.max(rows.start)..=y1.min(rows.end) {
+            let dy = (yy as f32 + 0.5 - cy) / ry;
+            let rem = 1.0 - dy * dy;
+            if rem > 0.0 {
+                let half = rx * rem.sqrt();
+                self.span(yy, (cx - half).round() as i64, (cx + half).round() as i64, color);
+            }
+        }
+    }
+}
+
+/// A coordinate or extent around a canvas of up to 12 pixels a side: on
+/// it, partly or wholly off it, negative, zero, on a rounding half, or
+/// NaN or ±∞.
+fn arb_coord() -> impl Strategy<Value = f32> {
+    (0u32..20, -30.0f32..42.0).prop_map(|(pick, v)| match pick {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        3 => 0.0,
+        4 => v.trunc() + 0.5,
+        _ => v,
+    })
+}
+
+fn arb_canvas() -> impl Strategy<Value = (u32, u32, [u8; 3])> {
+    (1u32..=12, 1u32..=12, any::<u8>()).prop_map(|(w, h, g)| (w, h, [g, g / 2, 255 - g]))
+}
+
+const INK: [u8; 3] = [7, 200, 31];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn fill_rect_sets_the_plotted_pixels(
+        (w, h, bg) in arb_canvas(),
+        (x, y, rw, rh) in (arb_coord(), arb_coord(), arb_coord(), arb_coord()),
+    ) {
+        let mut canvas = Canvas::new(w, h, bg);
+        canvas.fill_rect(x, y, rw, rh, INK);
+        let mut want = PlotReference(RgbImage::filled(w, h, bg));
+        want.fill_rect(x, y, rw, rh, INK);
+        prop_assert_eq!(canvas.image(), &want.0);
+    }
+
+    #[test]
+    fn fill_polygon_sets_the_plotted_pixels(
+        (w, h, bg) in arb_canvas(),
+        coords in proptest::collection::vec((arb_coord(), arb_coord()), 0..8),
+    ) {
+        let pts: Vec<P2> = coords.into_iter().map(|(x, y)| p2(x, y)).collect();
+        let mut canvas = Canvas::new(w, h, bg);
+        canvas.fill_polygon(&pts, INK);
+        let mut want = PlotReference(RgbImage::filled(w, h, bg));
+        want.fill_polygon(&pts, INK);
+        prop_assert_eq!(canvas.image(), &want.0);
+    }
+
+    #[test]
+    fn fill_ellipse_sets_the_plotted_pixels(
+        (w, h, bg) in arb_canvas(),
+        (cx, cy, rx, ry) in (arb_coord(), arb_coord(), arb_coord(), arb_coord()),
+    ) {
+        let mut canvas = Canvas::new(w, h, bg);
+        canvas.fill_ellipse(cx, cy, rx, ry, INK);
+        let mut want = PlotReference(RgbImage::filled(w, h, bg));
+        want.fill_ellipse(cx, cy, rx, ry, INK);
+        prop_assert_eq!(canvas.image(), &want.0);
     }
 }
