@@ -246,14 +246,10 @@ impl CosineSiamese {
     /// range for maximum training accuracy; a zero `grid` is a typed
     /// error.
     ///
-    /// Scores are sorted once and walked in lockstep with the ascending
-    /// threshold grid, maintaining `accuracy(t) = (label-1 pairs with
-    /// s > t) + (label-0 pairs with s ≤ t)` incrementally —
-    /// `O((P + G) log P)` instead of the naive `O(P · G)` rescan, with
-    /// integer-identical accuracy counts and the same earliest-maximum
-    /// tie-break, so the fitted threshold is bit-identical. NaN scores
-    /// sort first: a NaN never satisfies `s > t`, i.e. it predicts 0 at
-    /// every threshold, exactly like a score below the whole grid.
+    /// Each of the 41 grid thresholds `t` counts the pairs it classifies
+    /// correctly (`s > t` predicts 1; a NaN score predicts 0 everywhere)
+    /// and the earliest maximum wins. The sweep is `41 · P` comparisons
+    /// against two image embeddings per pair.
     pub fn try_fit(pairs: &[ImagePair<'_>], grid: usize) -> crate::error::Result<Self> {
         if grid < 1 {
             return Err(crate::error::Error::InvalidParameter {
@@ -262,30 +258,13 @@ impl CosineSiamese {
             });
         }
         let model = CosineSiamese { threshold: 0.0, grid };
-        let mut scores: Vec<(f32, usize)> =
+        let scores: Vec<(f32, usize)> =
             pairs.par_iter().map(|p| (model.score(&p.a.image, &p.b.image), p.label)).collect();
-        scores.sort_by(|a, b| match (a.0.is_nan(), b.0.is_nan()) {
-            (true, false) => std::cmp::Ordering::Less,
-            (false, true) => std::cmp::Ordering::Greater,
-            _ => a.0.total_cmp(&b.0),
-        });
-        let total1 = scores.iter().filter(|&&(_, l)| l == 1).count();
-        let mut idx = 0usize; // scores consumed into the `s ≤ t` prefix
-        let mut ones_le = 0usize; // label-1 pairs within that prefix
         let mut best_t = 0.0f32;
         let mut best_acc = 0usize;
         for i in 0..=40 {
             let t = -1.0 + i as f32 * 0.05;
-            // `s ≤ t` *or NaN*: NaN sorts first and must be consumed
-            // into the predict-0 prefix, exactly like a score below the
-            // whole grid (`!(s > t)` in the naive sweep).
-            while idx < scores.len() && (scores[idx].0.is_nan() || scores[idx].0 <= t) {
-                if scores[idx].1 == 1 {
-                    ones_le += 1;
-                }
-                idx += 1;
-            }
-            let acc = (total1 - ones_le) + (idx - ones_le);
+            let acc = scores.iter().filter(|&&(s, l)| usize::from(s > t) == l).count();
             if acc > best_acc {
                 best_acc = acc;
                 best_t = t;
@@ -419,30 +398,6 @@ mod tests {
             CosineSiamese::try_fit(&pairs, 0),
             Err(crate::error::Error::InvalidParameter { name: "grid", .. })
         ));
-    }
-
-    /// Regression pin for the sort-based fit: the fitted threshold must
-    /// be bit-identical to the naive 41-point rescan it replaced.
-    #[test]
-    fn sorted_fit_matches_naive_sweep_bitwise() {
-        let sns2 = shapenet_set2(5);
-        let pairs = training_pairs(&sns2, 300, 7);
-        let fitted = CosineSiamese::try_fit(&pairs, 4).unwrap();
-
-        let probe = CosineSiamese { threshold: 0.0, grid: 4 };
-        let scores: Vec<(f32, usize)> =
-            pairs.iter().map(|p| (probe.score(&p.a.image, &p.b.image), p.label)).collect();
-        let mut best_t = 0.0f32;
-        let mut best_acc = 0usize;
-        for i in 0..=40 {
-            let t = -1.0 + i as f32 * 0.05;
-            let acc = scores.iter().filter(|&&(s, l)| usize::from(s > t) == l).count();
-            if acc > best_acc {
-                best_acc = acc;
-                best_t = t;
-            }
-        }
-        assert_eq!(fitted.threshold.to_bits(), best_t.to_bits());
     }
 
     /// The dedup + precomputed-feature evaluation path must agree exactly

@@ -184,26 +184,6 @@ pub fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
     a.iter().zip(b).map(|(&x, &y)| (x ^ y).count_ones()).sum()
 }
 
-/// [`hamming_words`] with early abandon: exact whenever the result is
-/// `< bound`; once the running count reaches `bound` the remaining words
-/// may be skipped and any value `≥ bound` returned. Short descriptors
-/// (≤ 4 words, e.g. ORB's 256 bits) are always computed in full — the
-/// branch would cost more than it saves.
-#[inline]
-pub fn hamming_words_bounded(a: &[u64], b: &[u64], bound: u32) -> u32 {
-    if a.len() <= 4 {
-        return hamming_words(a, b);
-    }
-    let mut acc = 0u32;
-    for (ca, cb) in a.chunks(4).zip(b.chunks(4)) {
-        acc += hamming_words(ca, cb);
-        if acc >= bound {
-            return acc;
-        }
-    }
-    acc
-}
-
 /// Squared Euclidean distance between two equal-length float vectors.
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {

@@ -11,7 +11,7 @@
 //!
 //! * **L2:** [`knn_match_float`] rewrites the distance matrix as
 //!   `‖q−t‖² = ‖q‖² + ‖t‖² − 2q·t` and computes the `q·t` cross terms
-//!   with `taor-nn`'s blocked GEMM (query-block × trainᵀ), using cached
+//!   with `taor-nn`'s GEMM (query-block × trainᵀ), using cached
 //!   row norms. The approximate distances only *select* a candidate set
 //!   (with a rounding-error slack wide enough to be provably inclusive);
 //!   every returned distance comes from an exact [`l2_sq`] rescore that
@@ -21,8 +21,7 @@
 //!   containing non-finite (or overflow-prone) rows fall back to the
 //!   naive loop outright.
 //! * **Hamming:** [`knn_match_binary`] runs over cached `u64` repacked
-//!   rows with `count_ones`, early-abandoning a candidate once its
-//!   partial distance reaches the current second-best bound.
+//!   rows with `count_ones`.
 //!
 //! The original scalar double loops are retained as
 //! [`knn_match_float_naive`] / [`knn_match_binary_naive`]: they are the
@@ -30,7 +29,7 @@
 //! criterion pins measure against.
 
 use crate::error::{FeatureError, Result};
-use crate::keypoint::{hamming, hamming_words_bounded, l2_sq, BinaryDescriptors, FloatDescriptors};
+use crate::keypoint::{hamming, hamming_words, l2_sq, BinaryDescriptors, FloatDescriptors};
 use rayon::prelude::*;
 
 /// One query→train match: indices plus distance.
@@ -196,7 +195,9 @@ fn knn_match_float_gemm(
                 t,
                 d,
                 &qdata[q0 * d..(q0 + qlen) * d],
+                d,
                 tdata,
+                d,
                 &mut prod,
                 false,
             );
@@ -242,8 +243,8 @@ fn knn_match_float_gemm(
 }
 
 /// For each query descriptor, find its two nearest train descriptors under
-/// Hamming distance. Word-packed popcount kernel with an early-abandon
-/// bound; output is bit-identical to [`knn_match_binary_naive`].
+/// Hamming distance. Word-packed popcount kernel; output is
+/// bit-identical to [`knn_match_binary_naive`].
 pub fn knn_match_binary(
     query: &BinaryDescriptors,
     train: &BinaryDescriptors,
@@ -268,15 +269,7 @@ pub fn knn_match_binary(
             let mut best = DMatch { query_idx: qi, train_idx: 0, distance: f32::INFINITY };
             let mut second: Option<DMatch> = None;
             for ti in 0..t {
-                // Once `second` is finite, a candidate whose partial count
-                // reaches it can no longer change state (best ≤ second and
-                // both updates compare with strict `<`), so the distance
-                // may be left unfinished.
-                let bound = match second {
-                    Some(s) if s.distance.is_finite() => s.distance as u32,
-                    _ => u32::MAX,
-                };
-                let d = hamming_words_bounded(q, &tw[ti * wpr..(ti + 1) * wpr], bound) as f32;
+                let d = hamming_words(q, &tw[ti * wpr..(ti + 1) * wpr]) as f32;
                 if d < best.distance {
                     second = Some(best);
                     best = DMatch { query_idx: qi, train_idx: ti, distance: d };

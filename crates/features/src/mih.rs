@@ -13,10 +13,7 @@
 //! [`knn_match_binary_naive`], just reached sub-linearly.
 //!
 //! Candidate verification rides the cached `u64` packings of
-//! [`BinaryDescriptors::packed_words`] with a popcount kernel and an
-//! early-abandon bound one past the current second-best (a bound hit
-//! cannot displace either slot, so the unfinished count is safe to
-//! discard).
+//! [`BinaryDescriptors::packed_words`] with a popcount kernel.
 //!
 //! **Determinism.** Buckets are sorted `(key, row)` arrays probed by
 //! binary search — no hash-map iteration anywhere — and the lexicographic
@@ -29,7 +26,7 @@
 use rayon::prelude::*;
 
 use crate::error::{FeatureError, Result};
-use crate::keypoint::{hamming_words_bounded, BinaryDescriptors};
+use crate::keypoint::{hamming_words, BinaryDescriptors};
 use crate::matcher::{DMatch, RatioMatch};
 
 /// MIH build knobs.
@@ -195,16 +192,9 @@ impl MihIndex {
                         }
                         checked[word] |= bit;
                         seen += 1;
-                        // One past the current worst kept distance: a
-                        // candidate abandoned at the bound cannot enter.
-                        let bound = match top.last() {
-                            Some(&(d, _)) if top.len() >= k => d + 1,
-                            _ => u32::MAX,
-                        };
-                        let d = hamming_words_bounded(
+                        let d = hamming_words(
                             qwords,
                             &packed[row as usize * wpr..(row as usize + 1) * wpr],
-                            bound,
                         );
                         let cand = (d, row);
                         if top.len() < k || cand < top[k - 1] {

@@ -191,8 +191,9 @@ proptest! {
 
     #[test]
     fn binary_matcher_is_identical_to_naive(
-        // 40-byte rows = 5 packed words per row, exercising the early-abandon
-        // path of `hamming_words_bounded` (taken only above 4 words).
+        // 40-byte rows = 5 packed words per row: a width past ORB's four
+        // words, so the word-packed kernel is checked beyond one 256-bit
+        // row.
         qflat in proptest::collection::vec(any::<u8>(), 48 * 40),
         tflat in proptest::collection::vec(any::<u8>(), 40 * 40),
     ) {
@@ -208,7 +209,7 @@ proptest! {
         qflat in proptest::collection::vec(any::<u8>(), 24 * 32),
         tflat in proptest::collection::vec(any::<u8>(), 20 * 32),
     ) {
-        // ORB's 32-byte rows pack to exactly 4 words: the full-compute path.
+        // ORB's 32-byte rows pack to exactly 4 words.
         let q = bdescs_flat(32, &qflat);
         let t = bdescs_flat(32, &tflat);
         let fast = knn_match_binary(&q, &t).unwrap();

@@ -1,7 +1,7 @@
 //! `unsafe::*` — a small, audited unsafe surface.
 //!
 //! The workspace's entire unsafe budget lives in two places: the AVX2
-//! GEMM microkernel (`taor-nn`) and the vendored thread pool
+//! GEMM loops (`taor-nn`) and the vendored thread pool
 //! (`vendor/rayon`). These rules keep that surface audited and prevent
 //! it from growing silently:
 //!

@@ -145,5 +145,7 @@ fn main() {
     let a2 = vec![0.3f32; 8 * 560];
     let b2 = vec![0.2f32; 75 * 560];
     let mut c2buf = vec![0.0f32; 8 * 75];
-    time("gemm_nt 8x75x560 (dW item)", iters, || gemm_nt(8, 75, 560, &a2, &b2, &mut c2buf, true));
+    time("gemm_nt 8x75x560 (dW item)", iters, || {
+        gemm_nt(8, 75, 560, &a2, 560, &b2, 560, &mut c2buf, true)
+    });
 }

@@ -1,67 +1,28 @@
 // taor-lint: allow(panic::index) — dense numeric kernel: indices are derived from dimensions validated at the public boundary and bounded by the enclosing loops.
-//! Cache-blocked, register-tiled GEMM for `f32` — the single hot kernel
-//! under every conv/dense forward and backward pass.
+//! `f32` GEMM for every conv/dense forward and backward pass and for the
+//! SIFT/SURF matcher: one kernel per operand layout, none of which packs
+//! B or hands work to the thread pool.
 //!
-//! Classic BLIS-style structure: the operand matrices are cut into
-//! `KC × NC` panels of B and `MC × KC` blocks of A, packed into
-//! contiguous scratch so the innermost microkernel streams both with
-//! unit stride, then an `MR × NR` register tile is accumulated per
-//! `(i, j)` position. On x86-64 with AVX2+FMA the microkernel uses
-//! twelve 256-bit accumulators (6 rows × 2 vectors of 8 lanes);
-//! elsewhere a portable unrolled tile that LLVM auto-vectorises.
+//! **Fold contract.** Every output element is a `KC`-chunked,
+//! ascending-`k` chain from zero per chunk: an FMA per step on x86-64
+//! hosts with AVX2+FMA, a multiply then an add elsewhere (and under
+//! Miri). The first chunk is stored into `C`, or added with
+//! `accumulate`; every later chunk is added. No element's chain depends
+//! on its row, its column or the other rows and columns of the call, so
+//! splitting a product by rows or columns never moves a bit — the
+//! batched trainer's per-sample equivalence rests on this.
 //!
-//! Row blocks of C are distributed with rayon (`par_chunks_mut`): each
-//! task packs its own A block into a thread-local scratch while the B
-//! panel is packed once and shared read-only. On a single-core host the
-//! adapters degrade to the caller's thread with zero overhead.
-//!
-//! The `nt`/`tn` entry points fold operand transposition into the pack
-//! step, so backward passes never materialise a transposed matrix.
+//! The `nt`/`tn` entry points read the transposed operand in place, so
+//! backward passes never materialise a transpose.
 
-use rayon::prelude::*;
-use std::cell::RefCell;
-
-/// Microkernel tile rows.
-pub const MR: usize = 6;
-/// Microkernel tile columns (two 8-lane AVX2 vectors).
-pub const NR: usize = 16;
-/// Small-`m` microkernel tile rows. Conv layers in this workspace have
-/// 8–25 output channels, so a 6-row tile wastes up to half its row slots
-/// on the `m`-edge; a 4×24 tile keeps the same twelve accumulators fully
-/// utilised for `m ∈ {4, 8, 12, 16}` and much closer for the rest.
-pub const MR_S: usize = 4;
-/// Small-`m` microkernel tile columns (three 8-lane AVX2 vectors).
-pub const NR_S: usize = 24;
-/// `m` at or below which the small-`m` tile shape is selected. Tile
-/// shape only changes which output elements share registers — each
-/// element's k-fold is the same sequential FMA chain either way, so the
-/// switch is bit-invisible.
-const SMALL_M: usize = 16;
-/// Rows of C per parallel task (multiple of `MR`).
-pub const MC: usize = 72;
-/// Depth of one packed slice of A/B (L1-resident panel depth).
+/// Depth of one chunk of the fold. Every table and served body depends
+/// on this value: changing it regroups each long product's additions.
 pub const KC: usize = 256;
-/// Columns of B packed per outer iteration (multiple of `NR`).
-pub const NC: usize = 1024;
-
-/// How the logical `A[m,k]`/`B[k,n]` operands are stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Layout {
-    /// `a` is `[m,k]`, `b` is `[k,n]` — plain product.
-    Nn,
-    /// `a` is `[m,k]`, `b` is `[n,k]` — product with Bᵀ.
-    Nt,
-    /// `a` is `[k,m]`, `b` is `[k,n]` — product with Aᵀ.
-    Tn,
-}
-
-thread_local! {
-    /// Per-thread packed-A scratch (`MC × KC` worst case).
-    static PACKED_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
 
 /// `C = A·B` (or `+=` with `accumulate`): `a` is `[m,k]`, `b` is
-/// `[k,n]`, `c` is `[m,n]`, all row-major and contiguous.
+/// `[k,n]`, `c` is `[m,n]`, all row-major and contiguous. B's rows are
+/// contiguous in `j`, so the inner loop vectorises over output columns
+/// and streams B once per pair of A rows.
 pub fn gemm_nn(
     m: usize,
     n: usize,
@@ -74,51 +35,14 @@ pub fn gemm_nn(
     check_len("a", a.len(), m, k);
     check_len("b", b.len(), k, n);
     check_len("c", c.len(), m, n);
-    // Skinny products skip packing entirely; the fold per output
-    // element is identical, so the dispatch is bit-invisible.
-    if m <= SMALL_M {
-        return gemm_nn_kseq(m, n, k, a, b, c, accumulate);
-    }
-    gemm(m, n, k, a, b, c, accumulate, Layout::Nn)
+    fold_a_rows(m, n, k, k, 1, a, b, c, accumulate);
 }
 
-/// Skinny-`m` `C = A·B` (or `+=`) with **no packing**, bit-identical to
-/// the packed path: every output element is the same `KC`-chunked
-/// ascending-`k` fold (FMA chain from zero per chunk on AVX2, mul-then-
-/// add on the portable path). B's rows are contiguous in `j`, so the
-/// inner loop vectorises over output columns and streams B once per
-/// pair of A rows.
-fn gemm_nn_kseq(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    accumulate: bool,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        if !accumulate {
-            c.fill(0.0);
-        }
-        return;
-    }
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        let acc_this = accumulate || pc > 0;
-        kseq_nn_block(m, n, kc, k, pc, 1, a, b, pc, c, acc_this);
-    }
-}
-
-/// `C = Aᵀ·B` (or `+=`) without packing — the dcol (`k = OC`) and
-/// per-row dense-dW (`k = 1`) shapes, where packing and tile overhead
-/// dwarf the short folds. Same `KC`-chunked per-element chain as the
-/// packed path; `at` is `[k, m]`, so the only difference from the NN
-/// variant is the A addressing (per-row stride 1, per-k step `m`).
-pub fn gemm_tn_kseq(
+/// `C = Aᵀ·B` (or `+=`): `at` is `[k,m]`, `b` is `[k,n]` — the
+/// weight-gradient `dW = xᵀ·g` and conv `dcol = Wᵀ·gy` shapes, without
+/// materialising the transpose. The same loop as [`gemm_nn`]; only A's
+/// addressing differs (per-row stride 1, per-k step `m`).
+pub fn gemm_tn(
     m: usize,
     n: usize,
     k: usize,
@@ -130,6 +54,25 @@ pub fn gemm_tn_kseq(
     check_len("at", at.len(), k, m);
     check_len("b", b.len(), k, n);
     check_len("c", c.len(), m, n);
+    fold_a_rows(m, n, k, 1, m, at, b, c, accumulate);
+}
+
+/// The chunked fold behind [`gemm_nn`] and [`gemm_tn`]. A's element for
+/// logical `(i, p)` sits at `i·ars + p·astep`: `(k, 1)` for row-major A,
+/// `(1, m)` for `[k, m]` transposed A. Callers have checked every
+/// operand's length.
+#[allow(clippy::too_many_arguments)]
+fn fold_a_rows(
+    m: usize,
+    n: usize,
+    k: usize,
+    ars: usize,
+    astep: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    accumulate: bool,
+) {
     if m == 0 || n == 0 {
         return;
     }
@@ -141,24 +84,20 @@ pub fn gemm_tn_kseq(
     }
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
+        // First chunk honours the caller's flag; later chunks always add.
         let acc_this = accumulate || pc > 0;
-        kseq_nn_block(m, n, kc, 1, pc * m, m, at, b, pc, c, acc_this);
+        nn_block(m, n, kc, ars, astep, a, b, pc, c, acc_this);
     }
 }
 
-/// One KC block of [`gemm_nn_kseq`]: dispatches to the FMA or portable
-/// inner loop so the chunk fold matches whichever packed microkernel
-/// this host runs.
-/// A's element for logical `(i, p)` sits at `i·ars + aoff + p·astep`:
-/// `(k, pc, 1)` for row-major A (NN), `(1, pc·m, m)` for `[k, m]`
-/// transposed A (TN).
+/// One `KC` chunk of [`fold_a_rows`]: the FMA inner loop on AVX2+FMA
+/// hosts, the mul-then-add loop elsewhere.
 #[allow(clippy::too_many_arguments)]
-fn kseq_nn_block(
+fn nn_block(
     m: usize,
     n: usize,
     kc: usize,
     ars: usize,
-    aoff: usize,
     astep: usize,
     a: &[f32],
     b: &[f32],
@@ -170,15 +109,15 @@ fn kseq_nn_block(
     if have_avx2_fma() {
         // SAFETY: AVX2+FMA presence was runtime-checked above.
         unsafe {
-            kseq_nn_block_avx2(m, n, kc, ars, aoff, astep, a, b, pc, c, accumulate);
+            nn_block_avx2(m, n, kc, ars, astep, a, b, pc, c, accumulate);
         }
         return;
     }
+    let aoff = pc * astep;
     for i in 0..m {
         let abase = i * ars + aoff;
         for j in 0..n {
             let mut acc = 0.0f32;
-            // Mul-then-add per step: the portable microkernel's fold.
             for p in 0..kc {
                 acc += a[abase + p * astep] * b[(pc + p) * n + j];
             }
@@ -192,22 +131,21 @@ fn kseq_nn_block(
     }
 }
 
-/// AVX2+FMA inner loop of [`gemm_nn_kseq`]: 2 A-rows × 32 output
-/// columns in eight independent accumulator chains; each element's fold
-/// is the same ascending-`k` FMA chain from zero as the packed
-/// microkernels'.
+/// AVX2+FMA inner loop of [`nn_block`]: 2 A-rows × 32 output columns in
+/// eight independent accumulator chains, each element's fold the
+/// ascending-`k` FMA chain from zero of the fold contract.
 ///
 /// # Safety
-/// Caller must ensure AVX2 and FMA are available.
+/// Caller must ensure AVX2 and FMA are available, and that `a`, `b` and
+/// `c` hold the operands [`fold_a_rows`] describes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn kseq_nn_block_avx2(
+unsafe fn nn_block_avx2(
     m: usize,
     n: usize,
     kc: usize,
     ars: usize,
-    aoff: usize,
     astep: usize,
     a: &[f32],
     b: &[f32],
@@ -234,10 +172,12 @@ unsafe fn kseq_nn_block_avx2(
             }
         }
     }
+    let aoff = pc * astep;
     // SAFETY: the caller guarantees AVX2+FMA; every pointer stays inside
-    // `a`/`b`/`c`: full 32-column blocks read `b[(pc+p)·n + jb .. +32]`
-    // and write `c[i·n + jb .. +32]` with `jb + 32 <= n`, and the column
-    // tail uses safe indexing.
+    // `a`/`b`/`c`: A reads `a[i·ars + (pc + p)·astep]` for `i < m`,
+    // `p < kc`, full 32-column blocks read `b[(pc+p)·n + jb .. +32]` and
+    // write `c[i·n + jb .. +32]` with `jb + 32 <= n`, and the column tail
+    // masks its loads and uses safe indexing.
     unsafe {
         let nb = n - n % 32;
         let mut jb = 0;
@@ -332,62 +272,15 @@ unsafe fn kseq_nn_block_avx2(
     }
 }
 
-/// `C = A·Bᵀ`: `a` is `[m,k]`, `bt` is `[n,k]` — the dense backward
-/// `dx = g · Wᵀ` shape, without materialising `Wᵀ`.
-pub fn gemm_nt(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    bt: &[f32],
-    c: &mut [f32],
-    accumulate: bool,
-) {
-    check_len("a", a.len(), m, k);
-    check_len("bt", bt.len(), n, k);
-    check_len("c", c.len(), m, n);
-    // Skinny products skip packing entirely; the fold per output
-    // element is identical, so the dispatch is bit-invisible.
-    if m <= SMALL_M {
-        return gemm_nt_kseq(m, n, k, a, k, bt, k, c, accumulate);
-    }
-    gemm(m, n, k, a, bt, c, accumulate, Layout::Nt)
-}
-
-/// `C = Aᵀ·B`: `at` is `[k,m]`, `b` is `[k,n]` — the weight-gradient
-/// `dW = xᵀ · g` shape, without materialising `xᵀ`.
-pub fn gemm_tn(
-    m: usize,
-    n: usize,
-    k: usize,
-    at: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    accumulate: bool,
-) {
-    check_len("at", at.len(), k, m);
-    check_len("b", b.len(), k, n);
-    check_len("c", c.len(), m, n);
-    // Skinny or short-fold products (dcol's k = OC, dense-dW's k = 1)
-    // skip packing; the fold per element is identical either way.
-    if m <= SMALL_M || k <= SMALL_M {
-        return gemm_tn_kseq(m, n, k, at, b, c, accumulate);
-    }
-    gemm(m, n, k, at, b, c, accumulate, Layout::Tn)
-}
-
-/// Skinny-`m` `C = A·Bᵀ` (or `+=`) with **strided operands and no
-/// packing**, bit-identical to the packed kernels: rows of `a` start at
-/// `i·lda`, rows of `bt` at `j·ldb` (so conv's per-item dW products can
-/// read the batched `gy`/im2col buffers in place), and each output
-/// element is the same `KC`-chunked ascending-`k` fold — an FMA chain
-/// from zero per chunk on AVX2, a mul-then-add chain on the portable
-/// path — that the packed microkernels compute, so swapping kernels
-/// never moves a bit. Packing dominates the packed path at these shapes
-/// (a per-item dW product spends ~90% of its time in `pack_b`); this
-/// entry point exists purely to delete that cost.
+/// `C = A·Bᵀ` (or `+=`): `a` holds `m` rows of `k` floats starting at
+/// `i·lda`, `bt` holds `n` rows of `k` starting at `j·ldb`, and `c` is
+/// `[m,n]` contiguous. Contiguous operands pass `k` for both strides;
+/// conv's per-item dW products read the batched `gy`/im2col buffers in
+/// place at their batch stride. Used for the dense backward `dx = g·Wᵀ`
+/// and the matcher's `q·tᵀ` cross terms without materialising a
+/// transpose.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_kseq(
+pub fn gemm_nt(
     m: usize,
     n: usize,
     k: usize,
@@ -416,8 +309,7 @@ pub fn gemm_nt_kseq(
     let mut at = crate::scratch::Scratch::take(KC.min(k) * lanes);
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
-        // First chunk honours the caller's flag; later chunks always
-        // accumulate — the same chunk fold the packed path produces.
+        // First chunk honours the caller's flag; later chunks always add.
         let acc_this = accumulate || pc > 0;
         for i in 0..lanes {
             if i < m {
@@ -431,15 +323,14 @@ pub fn gemm_nt_kseq(
                 }
             }
         }
-        kseq_nt_block(m, n, kc, lanes, &at, bt, ldb, pc, c, acc_this);
+        nt_block(m, n, kc, lanes, &at, bt, ldb, pc, c, acc_this);
     }
 }
 
-/// One KC block of [`gemm_nt_kseq`]: dispatches to the FMA or portable
-/// inner loop so the chunk fold matches whichever packed microkernel
-/// this host runs.
+/// One `KC` chunk of [`gemm_nt`]: the FMA inner loop on AVX2+FMA hosts,
+/// the mul-then-add loop elsewhere.
 #[allow(clippy::too_many_arguments)]
-fn kseq_nt_block(
+fn nt_block(
     m: usize,
     n: usize,
     kc: usize,
@@ -455,7 +346,7 @@ fn kseq_nt_block(
     if have_avx2_fma() {
         // SAFETY: AVX2+FMA presence was runtime-checked above.
         unsafe {
-            kseq_nt_block_avx2(m, n, kc, lanes, at, bt, ldb, pc, c, accumulate);
+            nt_block_avx2(m, n, kc, lanes, at, bt, ldb, pc, c, accumulate);
         }
         return;
     }
@@ -463,7 +354,6 @@ fn kseq_nt_block(
         let brow = &bt[j * ldb + pc..j * ldb + pc + kc];
         for i in 0..m {
             let mut acc = 0.0f32;
-            // Mul-then-add per step: the portable microkernel's fold.
             for (p, &bv) in brow.iter().enumerate() {
                 acc += at[p * lanes + i] * bv;
             }
@@ -477,16 +367,16 @@ fn kseq_nt_block(
     }
 }
 
-/// AVX2+FMA inner loop of [`gemm_nt_kseq`]: eight output rows share one
-/// accumulator vector; each lane's fold is the same ascending-`k` FMA
-/// chain from zero as the packed microkernels'.
+/// AVX2+FMA inner loop of [`nt_block`]: eight output rows share one
+/// accumulator vector; each lane's fold is the ascending-`k` FMA chain
+/// from zero of the fold contract.
 ///
 /// # Safety
 /// Caller must ensure AVX2 and FMA are available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn kseq_nt_block_avx2(
+unsafe fn nt_block_avx2(
     m: usize,
     n: usize,
     kc: usize,
@@ -590,7 +480,7 @@ fn check_strided(name: &str, len: usize, rows: usize, cols: usize, ld: usize) {
 }
 
 /// Reference kernel: the seed's naive ikj loop, kept for property tests
-/// and as the bench baseline the blocked kernel is measured against.
+/// and as the bench baseline the GEMM kernels are measured against.
 pub fn matmul_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     c[..m * n].fill(0.0);
     for i in 0..m {
@@ -624,424 +514,6 @@ fn have_avx2_fma() -> bool {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    accumulate: bool,
-    layout: Layout,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        if !accumulate {
-            c.fill(0.0);
-        }
-        return;
-    }
-    // Tile shape: small-`m` products (conv forward/dW with few output
-    // channels) use the 4×24 kernel, everything else the 6×16 one.
-    let (mr, nr) = if m <= SMALL_M { (MR_S, NR_S) } else { (MR, NR) };
-    // Shared packed-B panel for the current (jc, pc) iteration, recycled
-    // through the arena — the batched trainer issues many small dW
-    // products per step and a heap allocation each would dominate them.
-    // Sized for the widest panel, rounded up to whole `nr` tiles (NC is
-    // a multiple of NR but not of NR_S).
-    let mut packed_b = crate::scratch::Scratch::take(KC.min(k) * NC.min(n).next_multiple_of(nr));
-
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let nc_tiles = nc.div_ceil(nr);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            pack_b(&mut packed_b, b, n, k, jc, pc, nc, kc, nr, layout);
-            // First k-slice either overwrites or accumulates depending
-            // on the caller's flag; later slices always accumulate.
-            let acc_this = accumulate || pc > 0;
-            let pb: &[f32] = &packed_b;
-            c.par_chunks_mut(MC * n).enumerate().for_each(|(bi, cblock)| {
-                let ic = bi * MC;
-                let mc = MC.min(m - ic);
-                PACKED_A.with(|pa_cell| {
-                    let mut pa = pa_cell.borrow_mut();
-                    pa.resize(MC * KC, 0.0);
-                    pack_a(&mut pa, a, m, k, ic, pc, mc, kc, mr, layout);
-                    for it in 0..mc.div_ceil(mr) {
-                        let rows = mr.min(mc - it * mr);
-                        for jt in 0..nc_tiles {
-                            let cols = nr.min(nc - jt * nr);
-                            microkernel(
-                                &pa[it * mr * kc..],
-                                &pb[jt * nr * kc..],
-                                kc,
-                                cblock,
-                                it * mr,
-                                jc + jt * nr,
-                                n,
-                                rows,
-                                cols,
-                                acc_this,
-                                mr,
-                            );
-                        }
-                    }
-                });
-            });
-        }
-    }
-}
-
-/// Pack the `mc × kc` block of A at `(ic, pc)` as `ceil(mc/mr)` tiles,
-/// each stored k-major with `mr` consecutive row entries per k step
-/// (zero-padded past `mc`).
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    pa: &mut [f32],
-    a: &[f32],
-    m: usize,
-    k: usize,
-    ic: usize,
-    pc: usize,
-    mc: usize,
-    kc: usize,
-    mr: usize,
-    layout: Layout,
-) {
-    let _ = m;
-    for it in 0..mc.div_ceil(mr) {
-        let tile = &mut pa[it * mr * kc..(it + 1) * mr * kc];
-        let rows = mr.min(mc - it * mr);
-        match layout {
-            Layout::Nn | Layout::Nt => {
-                // Row-outer traversal: each source row is one contiguous
-                // run of `kc` floats, scattered into the tile at stride
-                // `mr` (the tile itself is L1-resident). The per-element
-                // row-inner order read A at stride `k` per element and
-                // thrashed on long rows; same packed bytes either way.
-                for r in 0..mr {
-                    if r < rows {
-                        let src = &a[(ic + it * mr + r) * k + pc..][..kc];
-                        for (p, &v) in src.iter().enumerate() {
-                            tile[p * mr + r] = v;
-                        }
-                    } else {
-                        for p in 0..kc {
-                            tile[p * mr + r] = 0.0;
-                        }
-                    }
-                }
-            }
-            Layout::Tn => {
-                // A is stored `[k,m]`: rows of the logical block are
-                // contiguous per k step.
-                for p in 0..kc {
-                    let src = &a[(pc + p) * m + ic + it * mr..];
-                    for r in 0..mr {
-                        tile[p * mr + r] = if r < rows { src[r] } else { 0.0 };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Pack the `kc × nc` panel of B at `(pc, jc)` as `ceil(nc/nr)` tiles,
-/// each stored k-major with `nr` consecutive column entries per k step
-/// (zero-padded past `nc`).
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    pb: &mut [f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    jc: usize,
-    pc: usize,
-    nc: usize,
-    kc: usize,
-    nr: usize,
-    layout: Layout,
-) {
-    match layout {
-        Layout::Nn | Layout::Tn => {
-            // p-outer traversal: each source row of B is one contiguous
-            // `nc`-float run, cut into `nr`-wide memcpys — the dominant
-            // cost of every skinny-`m` product is this pack, and the old
-            // jt-outer order re-walked B at a `n`-float stride per
-            // element. Same packed bytes either way.
-            let n_tiles = nc.div_ceil(nr);
-            for p in 0..kc {
-                let src = &b[(pc + p) * n + jc..(pc + p) * n + jc + nc];
-                for jt in 0..n_tiles {
-                    let cols = nr.min(nc - jt * nr);
-                    let dst = &mut pb[jt * nr * kc + p * nr..jt * nr * kc + (p + 1) * nr];
-                    dst[..cols].copy_from_slice(&src[jt * nr..jt * nr + cols]);
-                    dst[cols..].fill(0.0);
-                }
-            }
-        }
-        Layout::Nt => {
-            // B is stored `[n,k]`: each packed column is one contiguous
-            // source row, scattered into the (L1-resident) tile at
-            // stride `nr`.
-            for jt in 0..nc.div_ceil(nr) {
-                let tile = &mut pb[jt * nr * kc..(jt + 1) * nr * kc];
-                let cols = nr.min(nc - jt * nr);
-                for cc in 0..nr {
-                    if cc < cols {
-                        let src = &b[(jc + jt * nr + cc) * k + pc..][..kc];
-                        for (p, &v) in src.iter().enumerate() {
-                            tile[p * nr + cc] = v;
-                        }
-                    } else {
-                        for p in 0..kc {
-                            tile[p * nr + cc] = 0.0;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Accumulate one `rows × cols` tile of C at `(row0, col0)` from packed
-/// operand tiles (`pa`: `kc × mr`, `pb`: `kc × nr` with `nr` implied by
-/// `mr`: 6×16 or 4×24).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn microkernel(
-    pa: &[f32],
-    pb: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    row0: usize,
-    col0: usize,
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-    accumulate: bool,
-    mr: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if have_avx2_fma() {
-        // SAFETY: AVX2+FMA presence was runtime-checked above.
-        unsafe {
-            if mr == MR_S {
-                microkernel_avx2_s(pa, pb, kc, c, row0, col0, ldc, rows, cols, accumulate);
-            } else {
-                microkernel_avx2(pa, pb, kc, c, row0, col0, ldc, rows, cols, accumulate);
-            }
-        }
-        return;
-    }
-    if mr == MR_S {
-        microkernel_portable::<MR_S, NR_S>(pa, pb, kc, c, row0, col0, ldc, rows, cols, accumulate);
-    } else {
-        microkernel_portable::<MR, NR>(pa, pb, kc, c, row0, col0, ldc, rows, cols, accumulate);
-    }
-}
-
-/// Portable `TM × TN` register tile; the fixed-size inner loops
-/// auto-vectorise on any SIMD target.
-#[allow(clippy::too_many_arguments)]
-fn microkernel_portable<const TM: usize, const TN: usize>(
-    pa: &[f32],
-    pb: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    row0: usize,
-    col0: usize,
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-    accumulate: bool,
-) {
-    let mut acc = [[0.0f32; TN]; TM];
-    for p in 0..kc {
-        let bp = &pb[p * TN..(p + 1) * TN];
-        let ap = &pa[p * TM..(p + 1) * TM];
-        for r in 0..TM {
-            let av = ap[r];
-            let dst = &mut acc[r];
-            for (d, &bv) in dst.iter_mut().zip(bp) {
-                *d += av * bv;
-            }
-        }
-    }
-    store_tile(&acc, c, row0, col0, ldc, rows, cols, accumulate);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn store_tile<const TM: usize, const TN: usize>(
-    acc: &[[f32; TN]; TM],
-    c: &mut [f32],
-    row0: usize,
-    col0: usize,
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-    accumulate: bool,
-) {
-    for r in 0..rows {
-        let dst = &mut c[(row0 + r) * ldc + col0..(row0 + r) * ldc + col0 + cols];
-        if accumulate {
-            for (d, &v) in dst.iter_mut().zip(&acc[r][..cols]) {
-                *d += v;
-            }
-        } else {
-            dst.copy_from_slice(&acc[r][..cols]);
-        }
-    }
-}
-
-/// AVX2+FMA microkernel: 6×16 tile in twelve ymm accumulators.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn microkernel_avx2(
-    pa: &[f32],
-    pb: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    row0: usize,
-    col0: usize,
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-    accumulate: bool,
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: the caller guarantees AVX2+FMA (the only contract of this
-    // fn); every pointer below stays inside `pa`/`pb`/`c`: the packed
-    // panels hold `kc * MR` and `kc * NR` floats, and full tiles write
-    // `MR x NR` in-bounds elements of `c` (edge tiles spill to a stack
-    // buffer and copy through the safe `store_tile`).
-    unsafe {
-        let mut acc0 = [_mm256_setzero_ps(); MR];
-        let mut acc1 = [_mm256_setzero_ps(); MR];
-        let mut ap = pa.as_ptr();
-        let mut bp = pb.as_ptr();
-        for _ in 0..kc {
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(8));
-            // Fully unrolled over the six rows: one broadcast feeds two FMAs.
-            for r in 0..MR {
-                let av = _mm256_broadcast_ss(&*ap.add(r));
-                acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
-                acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        if rows == MR && cols == NR {
-            for r in 0..MR {
-                let dst = c.as_mut_ptr().add((row0 + r) * ldc + col0);
-                if accumulate {
-                    let cur0 = _mm256_loadu_ps(dst);
-                    let cur1 = _mm256_loadu_ps(dst.add(8));
-                    _mm256_storeu_ps(dst, _mm256_add_ps(cur0, acc0[r]));
-                    _mm256_storeu_ps(dst.add(8), _mm256_add_ps(cur1, acc1[r]));
-                } else {
-                    _mm256_storeu_ps(dst, acc0[r]);
-                    _mm256_storeu_ps(dst.add(8), acc1[r]);
-                }
-            }
-        } else {
-            // Edge tile: spill to a stack buffer, then copy the valid part.
-            let mut tile = [[0.0f32; NR]; MR];
-            for r in 0..MR {
-                _mm256_storeu_ps(tile[r].as_mut_ptr(), acc0[r]);
-                _mm256_storeu_ps(tile[r].as_mut_ptr().add(8), acc1[r]);
-            }
-            store_tile(&tile, c, row0, col0, ldc, rows, cols, accumulate);
-        }
-    }
-}
-
-/// AVX2+FMA small-`m` microkernel: 4×24 tile in twelve ymm accumulators
-/// (4 rows × 3 vectors). Same per-element sequential k-fold as the 6×16
-/// kernel, so both tile shapes produce bit-identical products.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn microkernel_avx2_s(
-    pa: &[f32],
-    pb: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    row0: usize,
-    col0: usize,
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-    accumulate: bool,
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: the caller guarantees AVX2+FMA; every pointer below stays
-    // inside `pa`/`pb`/`c`: the packed panels hold `kc * MR_S` and
-    // `kc * NR_S` floats, and full tiles write `MR_S x NR_S` in-bounds
-    // elements of `c` (edge tiles spill to a stack buffer and copy
-    // through the safe `store_tile`).
-    unsafe {
-        let mut acc0 = [_mm256_setzero_ps(); MR_S];
-        let mut acc1 = [_mm256_setzero_ps(); MR_S];
-        let mut acc2 = [_mm256_setzero_ps(); MR_S];
-        let mut ap = pa.as_ptr();
-        let mut bp = pb.as_ptr();
-        for _ in 0..kc {
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(8));
-            let b2 = _mm256_loadu_ps(bp.add(16));
-            // Fully unrolled over the four rows: one broadcast feeds
-            // three FMAs.
-            for r in 0..MR_S {
-                let av = _mm256_broadcast_ss(&*ap.add(r));
-                acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
-                acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
-                acc2[r] = _mm256_fmadd_ps(av, b2, acc2[r]);
-            }
-            ap = ap.add(MR_S);
-            bp = bp.add(NR_S);
-        }
-        if rows == MR_S && cols == NR_S {
-            for r in 0..MR_S {
-                let dst = c.as_mut_ptr().add((row0 + r) * ldc + col0);
-                if accumulate {
-                    let cur0 = _mm256_loadu_ps(dst);
-                    let cur1 = _mm256_loadu_ps(dst.add(8));
-                    let cur2 = _mm256_loadu_ps(dst.add(16));
-                    _mm256_storeu_ps(dst, _mm256_add_ps(cur0, acc0[r]));
-                    _mm256_storeu_ps(dst.add(8), _mm256_add_ps(cur1, acc1[r]));
-                    _mm256_storeu_ps(dst.add(16), _mm256_add_ps(cur2, acc2[r]));
-                } else {
-                    _mm256_storeu_ps(dst, acc0[r]);
-                    _mm256_storeu_ps(dst.add(8), acc1[r]);
-                    _mm256_storeu_ps(dst.add(16), acc2[r]);
-                }
-            }
-        } else {
-            // Edge tile: spill to a stack buffer, then copy the valid part.
-            let mut tile = [[0.0f32; NR_S]; MR_S];
-            for r in 0..MR_S {
-                _mm256_storeu_ps(tile[r].as_mut_ptr(), acc0[r]);
-                _mm256_storeu_ps(tile[r].as_mut_ptr().add(8), acc1[r]);
-                _mm256_storeu_ps(tile[r].as_mut_ptr().add(16), acc2[r]);
-            }
-            store_tile(&tile, c, row0, col0, ldc, rows, cols, accumulate);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1064,10 +536,153 @@ mod tests {
         }
     }
 
+    /// `[rows, cols]` row-major → `[cols, rows]` row-major.
+    fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+        t
+    }
+
+    /// The fold contract, one output element at a time: `a` is `[m,k]`
+    /// and `b` is `[k,n]`, and each element is a `KC`-chunked,
+    /// ascending-`k` chain from zero per chunk — `a.mul_add(b, s)` on
+    /// hosts whose kernels use FMA, `s + a * b` elsewhere and under
+    /// Miri — whose first chunk is stored into `c` unless `accumulate`
+    /// and whose later chunks are added.
+    fn fold_oracle(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        accumulate: bool,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        let fma = have_avx2_fma();
+        #[cfg(not(target_arch = "x86_64"))]
+        let fma = false;
+        for i in 0..m {
+            for j in 0..n {
+                let idx = i * n + j;
+                if k == 0 && !accumulate {
+                    c[idx] = 0.0;
+                }
+                for pc in (0..k).step_by(KC) {
+                    let mut s = 0.0f32;
+                    for p in pc..k.min(pc + KC) {
+                        let (x, y) = (a[i * k + p], b[p * n + j]);
+                        s = if fma { x.mul_add(y, s) } else { s + x * y };
+                    }
+                    if accumulate || pc > 0 {
+                        c[idx] += s;
+                    } else {
+                        c[idx] = s;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs every entry point on the logical product `A[m,k]·B[k,n]`,
+    /// accumulating onto a patterned `C` and overwriting it, and asserts
+    /// each matches [`fold_oracle`] bit for bit. The strided `nt` call
+    /// embeds its operands at offsets inside wider, NaN-padded rows, so
+    /// a read outside the logical rows shows.
+    fn assert_fold_contract(m: usize, n: usize, k: usize) {
+        let a = fill_pattern(m * k, (m * 31 + k) as u32);
+        let b = fill_pattern(k * n, (n * 17 + k) as u32);
+        let at = transpose(&a, m, k);
+        let bt = transpose(&b, k, n);
+        let (lda, ldb, aoff, boff) = (k + 3, k + 5, 1, 2);
+        let mut a_wide = vec![f32::NAN; m * lda + aoff];
+        for i in 0..m {
+            a_wide[aoff + i * lda..][..k].copy_from_slice(&a[i * k..(i + 1) * k]);
+        }
+        let mut bt_wide = vec![f32::NAN; n * ldb + boff];
+        for j in 0..n {
+            bt_wide[boff + j * ldb..][..k].copy_from_slice(&bt[j * k..(j + 1) * k]);
+        }
+        for accumulate in [false, true] {
+            let base = fill_pattern(m * n, (m + n + k) as u32);
+            let mut want = base.clone();
+            fold_oracle(m, n, k, &a, &b, &mut want, accumulate);
+            type Entry<'a> = (&'a str, &'a dyn Fn(&mut [f32]));
+            let entries: [Entry; 4] = [
+                ("nn", &|c| gemm_nn(m, n, k, &a, &b, c, accumulate)),
+                ("nt", &|c| gemm_nt(m, n, k, &a, k, &bt, k, c, accumulate)),
+                ("nt strided", &|c| {
+                    gemm_nt(m, n, k, &a_wide[aoff..], lda, &bt_wide[boff..], ldb, c, accumulate)
+                }),
+                ("tn", &|c| gemm_tn(m, n, k, &at, &b, c, accumulate)),
+            ];
+            for (name, entry) in entries {
+                let mut got = base.clone();
+                entry(&mut got);
+                for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{name} {m}x{n}x{k} accumulate={accumulate} [{idx}]: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_entry_matches_the_fold_contract_at_small_shapes() {
+        // Small enough for Miri, which checks the portable fold: shapes
+        // straddle one and two `KC` chunks, the 32-column blocks and the
+        // 8-column tails of the `nn` loop, the 8-row lane groups of the
+        // `nt` loop, odd row counts, and `k = 0` and empty products.
+        for (m, n, k) in [
+            (1, 1, 1),
+            (2, 8, 3),
+            (3, 9, KC),
+            (2, 33, KC + 1),
+            (3, 41, 2 * KC + 3),
+            (9, 31, 7),
+            (17, 40, 12),
+            (2, 7, 0),
+            (0, 5, 3),
+            (4, 0, 3),
+        ] {
+            assert_fold_contract(m, n, k);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "full-size products; the small-shape test covers the scalar path")]
+    fn every_entry_matches_the_fold_contract_at_traced_shapes() {
+        // Every product shape the workloads run on more than 16 rows:
+        // the SURF query block of Tables 3 and 9, `taor-serve`'s dense
+        // head over the 82-view gallery, and the paper-recipe network's
+        // forward (`nn`) and input-gradient (`tn`) products.
+        for (m, n, k) in [
+            (19, 721, 64),
+            (82, 8, 8),
+            (82, 2, 8),
+            (20, 9600, 75),
+            (25, 1248, 500),
+            (25, 156, 2025),
+            (25, 156, 225),
+            (500, 1248, 25),
+            (2025, 156, 25),
+            (225, 156, 25),
+        ] {
+            assert_fold_contract(m, n, k);
+        }
+    }
+
     #[test]
     fn blocked_matches_naive_across_shapes() {
-        // Shapes straddle every blocking boundary: below MR/NR, exact
-        // multiples, one past a boundary, and > KC depth.
+        // Shapes straddle every loop boundary: the 2-row pairs, the
+        // 32-column blocks and 8-column tails, and > KC depth.
         for &(m, n, k) in &[
             (1, 1, 1),
             (3, 5, 2),
@@ -1095,24 +710,12 @@ mod tests {
         let mut want = vec![0.0; m * n];
         matmul_naive(m, n, k, &a, &b, &mut want);
 
-        // bt[j*k + l] = b[l*n + j]
-        let mut bt = vec![0.0; n * k];
-        for l in 0..k {
-            for j in 0..n {
-                bt[j * k + l] = b[l * n + j];
-            }
-        }
+        let bt = transpose(&b, k, n);
         let mut got = vec![0.0; m * n];
-        gemm_nt(m, n, k, &a, &bt, &mut got, false);
+        gemm_nt(m, n, k, &a, k, &bt, k, &mut got, false);
         assert_close(&got, &want, 1e-4);
 
-        // at[l*m + i] = a[i*k + l]
-        let mut at = vec![0.0; k * m];
-        for i in 0..m {
-            for l in 0..k {
-                at[l * m + i] = a[i * k + l];
-            }
-        }
+        let at = transpose(&a, m, k);
         let mut got_tn = vec![0.0; m * n];
         gemm_tn(m, n, k, &at, &b, &mut got_tn, false);
         assert_close(&got_tn, &want, 1e-4);
@@ -1134,20 +737,40 @@ mod tests {
     }
 
     #[test]
-    fn tile_shape_is_bit_invisible() {
-        // The same logical product computed through the 6×16 path (m=20)
-        // and the 4×24 path (two m=10 calls over row halves) must agree
-        // bitwise: every output element is the same sequential k-fold
-        // regardless of tile shape. The batched trainer's per-sample /
-        // batched equivalence rests on exactly this property.
+    fn rows_are_independent() {
+        // A 20-row product equals its two 10-row halves computed alone,
+        // bitwise, in every layout: each output element is its own
+        // k-fold whatever rows share the call. The batched trainer's
+        // per-sample / batched equivalence rests on exactly this.
         let (m, n, k) = (20, 100, 300);
+        let h = m / 2;
         let a = fill_pattern(m * k, 11);
         let b = fill_pattern(k * n, 12);
         let mut whole = vec![0.0; m * n];
         gemm_nn(m, n, k, &a, &b, &mut whole, false);
         let mut halves = vec![0.0; m * n];
-        gemm_nn(10, n, k, &a[..10 * k], &b, &mut halves[..10 * n], false);
-        gemm_nn(10, n, k, &a[10 * k..], &b, &mut halves[10 * n..], false);
+        gemm_nn(h, n, k, &a[..h * k], &b, &mut halves[..h * n], false);
+        gemm_nn(h, n, k, &a[h * k..], &b, &mut halves[h * n..], false);
+        assert_eq!(whole, halves);
+
+        let bt = transpose(&b, k, n);
+        let mut whole = vec![0.0; m * n];
+        gemm_nt(m, n, k, &a, k, &bt, k, &mut whole, false);
+        let mut halves = vec![0.0; m * n];
+        gemm_nt(h, n, k, &a[..h * k], k, &bt, k, &mut halves[..h * n], false);
+        gemm_nt(h, n, k, &a[h * k..], k, &bt, k, &mut halves[h * n..], false);
+        assert_eq!(whole, halves);
+
+        // `tn` reads A as `[k, m]`: row halves are column halves of `at`.
+        let at = transpose(&a, m, k);
+        let half_at = |lo: usize| -> Vec<f32> {
+            (0..k).flat_map(|p| at[p * m + lo..p * m + lo + h].to_vec()).collect()
+        };
+        let mut whole = vec![0.0; m * n];
+        gemm_tn(m, n, k, &at, &b, &mut whole, false);
+        let mut halves = vec![0.0; m * n];
+        gemm_tn(h, n, k, &half_at(0), &b, &mut halves[..h * n], false);
+        gemm_tn(h, n, k, &half_at(h), &b, &mut halves[h * n..], false);
         assert_eq!(whole, halves);
     }
 
@@ -1175,89 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn nt_kseq_matches_packed_kernel_bitwise() {
-        // Embed the skinny A into a matrix tall enough to force the
-        // packed path (m > SMALL_M), then compare its leading rows
-        // against the no-pack kernel bit-for-bit: per-element folds are
-        // row-independent, so both must produce identical chains. Shapes
-        // cover k ≤ KC, k > KC (chunked fold), and accumulate.
-        for &(m, n, k) in &[(8, 75, 560), (10, 200, 480), (4, 20, 32), (16, 33, 300), (3, 5, 7)] {
-            let a = fill_pattern(m * k, (m * 7 + k) as u32);
-            let bt = fill_pattern(n * k, (n * 13 + k) as u32);
-            let mbig = SMALL_M + 1;
-            let mut abig = a.clone();
-            for r in 0..mbig - m {
-                abig.extend_from_slice(&a[(r % m) * k..(r % m + 1) * k]);
-            }
-            for &acc in &[false, true] {
-                let base = fill_pattern(m * n, 99);
-                let mut want_big = {
-                    let mut cb = fill_pattern(mbig * n, 99);
-                    cb[..m * n].copy_from_slice(&base);
-                    cb
-                };
-                gemm(mbig, n, k, &abig, &bt, &mut want_big, acc, Layout::Nt);
-                let mut got = base.clone();
-                gemm_nt_kseq(m, n, k, &a, k, &bt, k, &mut got, acc);
-                for (i, (g, w)) in got.iter().zip(&want_big[..m * n]).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "m={m} n={n} k={k} acc={acc} [{i}]");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn nn_kseq_matches_packed_kernel_bitwise() {
-        // Same row-embedding pin as the NT variant: the packed path
-        // (forced via m > SMALL_M) and the no-pack kernel must agree
-        // bit-for-bit. Shapes cover the conv forward products (n ≫ 32
-        // with a 32-column tail), k > KC chunking, and accumulate.
-        for &(m, n, k) in &[(8, 4480, 75), (10, 60, 810), (4, 33, 32), (16, 100, 300), (3, 5, 7)] {
-            let a = fill_pattern(m * k, (m * 3 + k) as u32);
-            let b = fill_pattern(k * n, (n * 5 + k) as u32);
-            let mbig = SMALL_M + 1;
-            let mut abig = a.clone();
-            for r in 0..mbig - m {
-                abig.extend_from_slice(&a[(r % m) * k..(r % m + 1) * k]);
-            }
-            for &acc in &[false, true] {
-                let base = fill_pattern(m * n, 98);
-                let mut want_big = {
-                    let mut cb = fill_pattern(mbig * n, 98);
-                    cb[..m * n].copy_from_slice(&base);
-                    cb
-                };
-                gemm(mbig, n, k, &abig, &b, &mut want_big, acc, Layout::Nn);
-                let mut got = base.clone();
-                gemm_nn_kseq(m, n, k, &a, &b, &mut got, acc);
-                for (i, (g, w)) in got.iter().zip(&want_big[..m * n]).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "m={m} n={n} k={k} acc={acc} [{i}]");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tn_kseq_matches_packed_kernel_bitwise() {
-        // Direct pin against the packed TN path across the dcol shape
-        // (short k), the per-row dense-dW shape (k = 1), and a chunked
-        // k > KC shape.
-        for &(m, n, k) in &[(75, 4480, 8), (20, 32, 1), (810, 60, 10), (16, 33, 300)] {
-            let at = fill_pattern(k * m, (m * 11 + k) as u32);
-            let b = fill_pattern(k * n, (n * 29 + k) as u32);
-            for &acc in &[false, true] {
-                let mut want = fill_pattern(m * n, 97);
-                let mut got = want.clone();
-                gemm(m, n, k, &at, &b, &mut want, acc, Layout::Tn);
-                gemm_tn_kseq(m, n, k, &at, &b, &mut got, acc);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "m={m} n={n} k={k} acc={acc} [{i}]");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn nt_kseq_strided_views_match_contiguous() {
         // Operands embedded in wider row strides (the batched gy/im2col
         // buffers) must give the same bits as contiguous copies.
@@ -1275,9 +815,9 @@ mod tests {
             bt.extend_from_slice(&btbig[j * ldb + off..j * ldb + off + k]);
         }
         let mut want = vec![0.1f32; m * n];
-        gemm_nt_kseq(m, n, k, &a, k, &bt, k, &mut want, true);
+        gemm_nt(m, n, k, &a, k, &bt, k, &mut want, true);
         let mut got = vec![0.1f32; m * n];
-        gemm_nt_kseq(m, n, k, &abig[off..], lda, &btbig[off..], ldb, &mut got, true);
+        gemm_nt(m, n, k, &abig[off..], lda, &btbig[off..], ldb, &mut got, true);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "[{i}]");
         }
@@ -1309,12 +849,11 @@ mod tests {
     #[test]
     fn every_entry_rejects_a_short_c() {
         type Entry = fn(&mut [f32]);
-        let entries: [(&str, Entry); 5] = [
-            ("nn packed", |c| gemm_nn(20, 64, 3, &[1.0; 60], &[1.0; 192], c, false)),
-            ("nt", |c| gemm_nt(2, 64, 3, &[1.0; 6], &[1.0; 192], c, false)),
+        let entries: [(&str, Entry); 4] = [
+            ("nn", |c| gemm_nn(20, 64, 3, &[1.0; 60], &[1.0; 192], c, false)),
+            ("nt", |c| gemm_nt(2, 64, 3, &[1.0; 6], 3, &[1.0; 192], 3, c, false)),
+            ("nt strided", |c| gemm_nt(2, 64, 3, &[1.0; 8], 5, &[1.0; 320], 5, c, false)),
             ("tn", |c| gemm_tn(2, 64, 3, &[1.0; 6], &[1.0; 192], c, false)),
-            ("tn kseq", |c| gemm_tn_kseq(2, 64, 3, &[1.0; 6], &[1.0; 192], c, false)),
-            ("nt kseq", |c| gemm_nt_kseq(2, 64, 3, &[1.0; 6], 3, &[1.0; 192], 3, c, false)),
         ];
         for (name, entry) in entries {
             let mut big = vec![0.0f32; 2048];
@@ -1326,9 +865,9 @@ mod tests {
         }
         let caught = std::panic::catch_unwind(|| {
             let mut c = vec![0.0f32; 128];
-            gemm_nt_kseq(2, 64, 3, &[1.0; 6], 3, &[1.0; 191], 3, &mut c, false);
+            gemm_nt(2, 64, 3, &[1.0; 6], 3, &[1.0; 191], 3, &mut c, false);
         });
-        assert!(caught.is_err(), "nt kseq: a short strided `bt` must panic");
+        assert!(caught.is_err(), "nt: a short strided `bt` must panic");
     }
 
     #[test]

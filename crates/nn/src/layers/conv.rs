@@ -297,7 +297,17 @@ impl Conv2D {
 
         // dW += gy · colᵀ, accumulated straight into the gradient store
         // (no temporary product or add_assign pass).
-        gemm_nt(self.out_channels, ckk, cols_n, &gy, &cache.col, grads.weight.data_mut(), true);
+        gemm_nt(
+            self.out_channels,
+            ckk,
+            cols_n,
+            &gy,
+            cols_n,
+            &cache.col,
+            cols_n,
+            grads.weight.data_mut(),
+            true,
+        );
         // db += row sums of gy.
         for oc in 0..self.out_channels {
             let s: f32 = gy[oc * cols_n..(oc + 1) * cols_n].iter().sum();
@@ -362,7 +372,7 @@ impl Conv2D {
                 // the strided kernel reads them in place with the exact
                 // per-sample fold (same m, n, k → same chain per
                 // element), so no per-item copies are needed.
-                crate::gemm::gemm_nt_kseq(
+                gemm_nt(
                     self.out_channels,
                     ckk,
                     plane,

@@ -99,7 +99,9 @@ impl Dense {
             self.in_features,
             self.out_features,
             grad_out.data(),
+            self.out_features,
             self.weight.data(),
+            self.out_features,
             dx.data_mut(),
             false,
         );
@@ -146,7 +148,17 @@ impl Dense {
         }
 
         let mut dx = Tensor::zeros(&[n, fi]);
-        crate::gemm::gemm_nt(n, fi, fo, grad_out.data(), self.weight.data(), dx.data_mut(), false);
+        crate::gemm::gemm_nt(
+            n,
+            fi,
+            fo,
+            grad_out.data(),
+            fo,
+            self.weight.data(),
+            fo,
+            dx.data_mut(),
+            false,
+        );
         Ok(dx)
     }
 }

@@ -7,8 +7,8 @@ use taor_nn::layers::{
 };
 use taor_nn::{Adam, NormXCorr, Tensor};
 
-/// Random GEMM problem: shapes crossing the micro/macro tile boundaries
-/// (MR=6, NR=16) plus matching operand data.
+/// Random GEMM problem: shapes crossing the kernels' 2-row, 8-row and
+/// 8-/32-column loop boundaries plus matching operand data.
 fn arb_gemm() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>)> {
     (1usize..80, 1usize..60, 1usize..80).prop_flat_map(|(m, n, k)| {
         (
@@ -163,9 +163,9 @@ proptest! {
 
     #[test]
     fn blocked_gemm_matches_naive_on_random_shapes((m, n, k, a, b) in arb_gemm()) {
-        // The blocked kernel (packed panels, AVX2 microkernel when
-        // available) must agree with the seed's ikj reference loop; the
-        // tolerance scales with k because summation order differs.
+        // The GEMM kernels (AVX2+FMA loops when available) must agree
+        // with the seed's ikj reference loop; the tolerance scales with k
+        // because summation order differs.
         let tol = 1e-4 * k as f32;
         let mut reference = vec![0.0f32; m * n];
         matmul_naive(m, n, k, &a, &b, &mut reference);
@@ -180,7 +180,7 @@ proptest! {
         // reference when fed explicit transposes.
         let bt = transpose(k, n, &b);
         c.fill(0.0);
-        gemm_nt(m, n, k, &a, &bt, &mut c, false);
+        gemm_nt(m, n, k, &a, k, &bt, k, &mut c, false);
         for (i, (x, y)) in c.iter().zip(&reference).enumerate() {
             prop_assert!((x - y).abs() <= tol, "nt ({m},{n},{k}) at {}: {} vs {}", i, x, y);
         }

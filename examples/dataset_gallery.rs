@@ -5,17 +5,10 @@
 //! cargo run --release --example dataset_gallery [-- out_dir]
 //! ```
 
-use std::io::Write;
 use std::path::Path;
 use taor::data::{nyu_set_subsampled, shapenet_set1, ObjectClass};
+use taor::imgproc::io::write_ppm;
 use taor::imgproc::RgbImage;
-
-/// Write a binary PPM (P6) — viewable with any image tool, zero deps.
-fn write_ppm(path: &Path, img: &RgbImage) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    write!(f, "P6\n{} {}\n255\n", img.width(), img.height())?;
-    f.write_all(img.as_raw())
-}
 
 /// Coarse ASCII preview (luma ramp) for the terminal.
 fn ascii_preview(img: &RgbImage, cols: u32) -> String {
