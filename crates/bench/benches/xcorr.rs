@@ -1,5 +1,7 @@
 //! Bench: the Normalized-X-Corr layer — forward, backward, and the full
-//! network pass, across displacement radii (the layer's cost knob).
+//! network pass, across displacement radii (the layer's cost knob), then
+//! pinned at the lane shapes the training, evaluation and paper-recipe
+//! workloads run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use taor_nn::{NetConfig, NormXCorr, NormXCorrNet, Tensor};
@@ -42,26 +44,32 @@ fn bench_xcorr(c: &mut Criterion) {
         bch.iter(|| net.forward(black_box(&x), black_box(&x)).unwrap())
     });
 
-    // Perf pin for the PR-6 batching work: the panel-formulation forward
-    // at the medium tower's post-conv2 shape (B=4, 10 channels, 5×3).
-    let len = 4 * 10 * 5 * 3;
-    let fa = Tensor::from_vec(&[4, 10, 5, 3], (0..len).map(|i| (i as f32 * 0.11).sin()).collect())
-        .unwrap();
-    let fb = Tensor::from_vec(&[4, 10, 5, 3], (0..len).map(|i| (i as f32 * 0.29).cos()).collect())
-        .unwrap();
+    // Perf pins at the lane shapes the workloads run, forward and then
+    // backward from the forward's cache with a dense gradient (no
+    // `g == 0` skips): medium training's micro-batch (B = 4, 10 channels,
+    // 5×3 planes, 40 lanes; unsuffixed), evaluation's batch of 16 (160
+    // lanes) and the paper recipe's micro-batch (25 channels, 13×3
+    // planes, 100 lanes).
     let pin = NormXCorr::new(3, 1).expect("odd patch");
-    c.bench_function("pin_xcorr_forward", |bch| {
-        bch.iter(|| pin.forward(black_box(&fa), black_box(&fb)).unwrap())
-    });
-    // The backward at the same shape, from the forward's cache, with a
-    // dense gradient (no `g == 0` skips).
-    let (y, pin_cache) = pin.forward(&fa, &fb).unwrap();
-    let pin_grad =
-        Tensor::from_vec(y.shape(), (0..y.len()).map(|i| (i as f32 * 0.07).cos()).collect())
-            .unwrap();
-    c.bench_function("pin_xcorr_backward", |bch| {
-        bch.iter(|| pin.backward(black_box(&pin_cache), black_box(&pin_grad)).unwrap())
-    });
+    for (shape, suffix) in
+        [([4usize, 10, 5, 3], ""), ([16, 10, 5, 3], "_16x10x5x3"), ([4, 25, 13, 3], "_4x25x13x3")]
+    {
+        let len = shape.iter().product::<usize>();
+        let fa =
+            Tensor::from_vec(&shape, (0..len).map(|i| (i as f32 * 0.11).sin()).collect()).unwrap();
+        let fb =
+            Tensor::from_vec(&shape, (0..len).map(|i| (i as f32 * 0.29).cos()).collect()).unwrap();
+        c.bench_function(&format!("pin_xcorr_forward{suffix}"), |bch| {
+            bch.iter(|| pin.forward(black_box(&fa), black_box(&fb)).unwrap())
+        });
+        let (y, pin_cache) = pin.forward(&fa, &fb).unwrap();
+        let pin_grad =
+            Tensor::from_vec(y.shape(), (0..y.len()).map(|i| (i as f32 * 0.07).cos()).collect())
+                .unwrap();
+        c.bench_function(&format!("pin_xcorr_backward{suffix}"), |bch| {
+            bch.iter(|| pin.backward(black_box(&pin_cache), black_box(&pin_grad)).unwrap())
+        });
+    }
 
     // One query against an 82-view gallery at the taor-serve network
     // shape (tower features [4, 5, 3]): the pairwise head on the query

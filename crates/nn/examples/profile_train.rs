@@ -94,17 +94,21 @@ fn main() {
         net.conv1.backward_params_grouped(&c1, &g1, &mut g, 2).unwrap();
         g
     });
-    let (p1, _) = taor_nn::MaxPool2D::new(2, 2).forward(&y1).unwrap();
-    let (r1, _) = taor_nn::layers::Relu.forward(&p1);
-    let (y2, c2) = net.conv2.forward(&r1).unwrap();
-    time("conv2.forward", iters, || net.conv2.forward(&r1).unwrap());
+    // The tower's order: conv → ReLU → pool.
+    let relu = taor_nn::layers::Relu;
+    let (r1, rc1) = relu.forward(&y1);
+    time("relu after conv1, forward", iters, || relu.forward(&y1));
+    time("relu after conv1, backward", iters, || relu.backward(&rc1, &g1));
+    let (p1, _) = taor_nn::MaxPool2D::new(2, 2).forward(&r1).unwrap();
+    let (y2, c2) = net.conv2.forward(&p1).unwrap();
+    time("conv2.forward", iters, || net.conv2.forward(&p1).unwrap());
     let g2 = Tensor::full(y2.shape(), 0.01);
     time("conv2.backward_grouped", iters, || {
         let mut g = net.conv2.zero_grads();
         net.conv2.backward_grouped(&c2, &g2, &mut g, 2).unwrap()
     });
-    let (p2, _) = taor_nn::MaxPool2D::new(2, 2).forward(&y2).unwrap();
-    let (f, _) = taor_nn::layers::Relu.forward(&p2);
+    let (r2, _) = relu.forward(&y2);
+    let (f, _) = taor_nn::MaxPool2D::new(2, 2).forward(&r2).unwrap();
     // Split even/odd.
     let s = f.shape();
     let item = s[1] * s[2] * s[3];

@@ -52,7 +52,9 @@ impl MaxPool2D {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
+                        // A window with nothing above −∞ (all NaN, say)
+                        // keeps its own first tap.
+                        let mut best_idx = plane + oy * self.stride * w + ox * self.stride;
                         for ky in 0..self.size {
                             for kx in 0..self.size {
                                 let idx =
@@ -129,6 +131,23 @@ mod tests {
         assert_eq!(y.data(), &[9.0]);
         let g = pool.backward(&cache, &Tensor::full(&[1, 1, 1, 1], 2.5));
         assert_eq!(g.data(), &[0.0, 2.5, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn all_nan_window_keeps_its_gradient_in_its_own_item() {
+        let pool = MaxPool2D::new(2, 2);
+        let items = [vec![1.0, 2.0, 3.0, 4.0], vec![f32::NAN; 4]];
+        let grads = [10.0f32, 0.5];
+        let x = Tensor::from_vec(&[2, 1, 2, 2], items.concat()).unwrap();
+        let (_, cache) = pool.forward(&x).unwrap();
+        let batched =
+            pool.backward(&cache, &Tensor::from_vec(&[2, 1, 1, 1], grads.to_vec()).unwrap());
+        for (i, item) in items.iter().enumerate() {
+            let alone = Tensor::from_vec(&[1, 1, 2, 2], item.clone()).unwrap();
+            let (_, cache) = pool.forward(&alone).unwrap();
+            let want = pool.backward(&cache, &Tensor::full(&[1, 1, 1, 1], grads[i]));
+            assert_eq!(&batched.data()[i * 4..(i + 1) * 4], want.data(), "item {i}");
+        }
     }
 
     #[test]

@@ -29,6 +29,15 @@ pub fn softmax_probs(logits: &Tensor) -> Result<Tensor, TensorError> {
     Ok(out)
 }
 
+/// Every target must name one of the `classes` logit columns
+/// ([`TensorError::InvalidLabel`]).
+fn check_labels(targets: &[usize], classes: usize) -> Result<(), TensorError> {
+    match targets.iter().find(|&&t| t >= classes) {
+        Some(&label) => Err(TensorError::InvalidLabel { label, classes }),
+        None => Ok(()),
+    }
+}
+
 /// Fused softmax + categorical cross-entropy.
 ///
 /// Returns `(mean loss, dL/dlogits)`; the gradient is the classic
@@ -45,11 +54,11 @@ pub fn softmax_cross_entropy(
         });
     }
     let (n, k) = (s[0], s[1]);
+    check_labels(targets, k)?;
     let probs = softmax_probs(logits)?;
     let mut loss = 0.0f64;
     let mut grad = probs.clone();
     for (i, &t) in targets.iter().enumerate() {
-        assert!(t < k, "target {t} out of range for {k} classes");
         let p = probs.data()[i * k + t].max(1e-12);
         loss -= (p as f64).ln();
         grad.data_mut()[i * k + t] -= 1.0;
@@ -80,11 +89,11 @@ pub fn softmax_cross_entropy_rows(
         });
     }
     let (n, k) = (s[0], s[1]);
+    check_labels(targets, k)?;
     let probs = softmax_probs(logits)?;
     let mut losses = Vec::with_capacity(n);
     let mut grad = probs;
     for (i, &t) in targets.iter().enumerate() {
-        assert!(t < k, "target {t} out of range for {k} classes");
         let p = grad.data()[i * k + t].max(1e-12);
         losses.push((0.0 - (p as f64).ln()) as f32);
         grad.data_mut()[i * k + t] -= 1.0;
@@ -153,6 +162,14 @@ mod tests {
                 grad.data()[idx]
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_label_is_a_typed_error() {
+        let logits = Tensor::from_vec(&[2, 2], vec![0.5, -0.2, 1.5, 0.3]).unwrap();
+        let want = TensorError::InvalidLabel { label: 2, classes: 2 };
+        assert_eq!(softmax_cross_entropy(&logits, &[0, 2]).err(), Some(want.clone()));
+        assert_eq!(softmax_cross_entropy_rows(&logits, &[2, 1]).err(), Some(want));
     }
 
     #[test]

@@ -27,6 +27,8 @@ pub enum TensorError {
     InvalidBatchSize { batch_size: usize },
     /// A Normalized-X-Corr patch side that is even or zero.
     InvalidPatch { patch: usize },
+    /// A training label that names no class of the classifier.
+    InvalidLabel { label: usize, classes: usize },
     /// A network config or serialised model that describes no network
     /// this crate builds: unparsable JSON, a dropout rate outside
     /// `[0, 1)`, a layer whose geometry differs from what the config
@@ -57,6 +59,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::InvalidPatch { patch } => {
                 write!(f, "NCC patch side must be odd and >= 1 (got {patch})")
+            }
+            TensorError::InvalidLabel { label, classes } => {
+                write!(f, "label {label} out of range for {classes} classes")
             }
             TensorError::InvalidModel { reason } => write!(f, "invalid model: {reason}"),
         }

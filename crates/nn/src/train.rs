@@ -112,7 +112,8 @@ pub fn sample_pass(
 /// forward/backward, and return per-row losses/correctness plus the
 /// micro's gradient store (per-sample contributions accumulated in row
 /// order, bit-identical to the [`sample_pass`] oracle). Pairs of unequal
-/// shapes are a [`TensorError::ShapeMismatch`].
+/// shapes are a [`TensorError::ShapeMismatch`], and a label outside the
+/// two classes a [`TensorError::InvalidLabel`].
 fn micro_pass(
     net: &NormXCorrNet,
     samples: &[PairSample],
@@ -142,7 +143,8 @@ fn micro_pass(
 
 /// Train `net` on `samples`. `on_epoch` is called after every epoch with
 /// the stats so far (the repro harness uses it for progress logging).
-/// An empty training set and a zero batch size are typed errors.
+/// An empty training set, a zero batch size and a label other than 0 or
+/// 1 are typed errors.
 pub fn try_train(
     net: &mut NormXCorrNet,
     samples: &[PairSample],
@@ -373,6 +375,17 @@ mod tests {
             try_train(&mut net, &[], &cfg, |_| {}),
             Err(TensorError::EmptyTrainingSet)
         ));
+    }
+
+    #[test]
+    fn out_of_range_label_is_a_typed_error() {
+        let mut samples = separable_samples(6, 24, 20, 21);
+        samples[3].label = 2;
+        let want = Some(TensorError::InvalidLabel { label: 2, classes: 2 });
+        assert_eq!(sample_pass(&tiny_net(), &samples[3], 1).err(), want);
+        let mut net = tiny_net();
+        let cfg = TrainConfig { max_epochs: 1, batch_size: 4, ..Default::default() };
+        assert_eq!(try_train(&mut net, &samples, &cfg, |_| {}).err(), want);
     }
 
     #[test]

@@ -20,16 +20,19 @@
 //!
 //! Patches are square (`patch` side) with zero padding outside the map.
 //!
-//! Two implementations live here. [`NormXCorr::forward`] expands each
-//! `(n, c)` plane once into mean-centred *patch panels* held in the
-//! [`Scratch`] arena and turns every displacement cell into a banded
-//! row-product between the A panel and a shifted view of the B panel —
-//! the layout the PR-3 norm-trick matcher uses for its GEMM panels.
-//! [`NormXCorr::backward`] reads those panels and dots back from the
-//! forward's [`XCorrCache`]. Each output dot keeps the exact
-//! sequential `j = 0..psz` fold of the scalar path, so the results are
-//! bit-identical to `NormXCorr::forward_naive` / `backward_naive`, which
-//! are retained, test-only, as the bit-exactness oracles. (Bit-identical up to NaN payloads: IEEE 754
+//! Two implementations live here. [`NormXCorr::forward`] runs the `N·C`
+//! feature planes as contiguous *lanes*: every plane does the same
+//! arithmetic on the same geometry, so with the plane index innermost
+//! each scalar step is one auto-vectorised loop across the planes. One
+//! panel builder (`NormXCorr::build_panel`) expands the lanes into
+//! mean-centred *patch panels* held in the [`Scratch`] arena, and every
+//! output dot is a sequential `j = 0..psz` fold per lane.
+//! [`NormXCorr::backward`] reads those panels, norms and dots back from
+//! the forward's [`XCorrCache`] and scatters into lane-major padded
+//! planes. Each lane keeps the scalar path's operation order, so the
+//! results are bit-identical to `NormXCorr::forward_naive` /
+//! `backward_naive`, which are retained, test-only, as the bit-exactness
+//! oracles. (Bit-identical up to NaN payloads: IEEE 754
 //! leaves NaN sign/payload propagation unspecified and the compiler may
 //! commute `fmul`/`fadd` operands, so on NaN-quarantine inputs only the
 //! NaN *positions* are pinned, not their payload bits.) (a full `taor_nn::gemm` call is deliberately
@@ -39,7 +42,7 @@
 //!
 //! A gallery that every query is compared against is prepared once
 //! ([`NormXCorr::prepare`]): its B panels and norms are built by the same
-//! `build_panel` and stored view-innermost, and
+//! `build_panel` with the views as lanes, and
 //! [`PreparedGallery::correlate`] sweeps one query across every view with
 //! the views as contiguous lanes — the same per-element folds as
 //! [`NormXCorr::forward`] on the query repeated once per view.
@@ -62,24 +65,24 @@ pub struct NormXCorr {
 }
 
 /// What [`NormXCorr::forward`] built, kept for [`NormXCorr::backward`]:
-/// per `(n, c)` plane `p`, the mean-centred A and B patch panels, their
-/// patch norms and the NCC numerators. The buffers come from the
-/// [`Scratch`] arena, so a caller that drops the cache returns them for
-/// the next forward.
+/// the mean-centred A and B patch panels, their patch norms and the NCC
+/// numerators, all lane-major: lane `l` is the `(n, c)` plane
+/// `l = n·C + c`, innermost. The buffers come from the [`Scratch`] arena,
+/// so a caller that drops the cache returns them for the next forward.
 pub struct XCorrCache {
     /// `[N, C, H, W]` of each input.
     shape: [usize; 4],
-    /// `pa[(p·psz + j)·H·W + pos]`: element `j` of the centred A patch
-    /// around `pos` (`build_panel` with no padding).
+    /// `pa[(j·H·W + pos)·L + l]`: element `j` of lane `l`'s centred A
+    /// patch around `pos` (`build_panel` with no padding).
     pa: ScratchBuf,
-    /// `pb[(p·psz + j)·next + e]`: the same for B around extended-grid
+    /// `pb[(j·next + e)·L + l]`: the same for B around extended-grid
     /// cell `e` (`build_panel` padded by the radius).
     pb: ScratchBuf,
-    /// `norms_a[p·H·W + pos]`, `norms_b[p·next + e]`: the patch norms.
+    /// `norms_a[pos·L + l]`, `norms_b[e·L + l]`: the patch norms.
     norms_a: ScratchBuf,
     norms_b: ScratchBuf,
-    /// `dots[i]`: the numerator `⟨â, b̂⟩` of output element `i`, in the
-    /// output's `[N, C·K, H, W]` layout.
+    /// `dots[(k·H·W + pos)·L + l]`: the numerator `⟨â, b̂⟩` of lane `l`'s
+    /// output at displacement cell `k` and position `pos`.
     dots: ScratchBuf,
 }
 
@@ -175,18 +178,22 @@ impl NormXCorr {
         norm_sq.sqrt()
     }
 
-    /// Expand one `h × w` plane into a mean-centred patch panel.
+    /// Expand `lanes` planes of `h × w`, stored lane-innermost
+    /// (`x[pos·lanes + l]`), into mean-centred patch panels.
     ///
-    /// Column `ey·(w+2·pad) + ex` holds the centred patch around centre
-    /// `(ex − pad, ey − pad)`; row `j` is patch element `j` (row-major
-    /// `(dy, dx)` order), i.e. the panel is stored transposed so the
-    /// displacement kernels read contiguous rows. `norms[col]` is the
-    /// centred patch's Euclidean norm. Per column this replays
-    /// [`Self::centred_patch`]'s fill/sum/centre order exactly, so every
-    /// stored value and norm is bit-identical to the scalar path.
+    /// Column `col = ey·(w+2·pad) + ex` is the patch centred at
+    /// `(ex − pad, ey − pad)`: `panel[(j·ncols + col)·lanes + l]` holds
+    /// element `j` (row-major `(dy, dx)` order) of lane `l`'s centred
+    /// patch and `norms[col·lanes + l]` its Euclidean norm. Each lane
+    /// repeats [`Self::centred_patch`]'s steps in its order — fill (zero
+    /// outside the map), sum from zero, mean, centre, sum of squares,
+    /// `sqrt` — so every stored value and norm is bit-identical to the
+    /// scalar path's.
+    #[allow(clippy::too_many_arguments)]
     fn build_panel(
         &self,
-        plane: &[f32],
+        x: &[f32],
+        lanes: usize,
         h: usize,
         w: usize,
         pad: usize,
@@ -197,47 +204,63 @@ impl NormXCorr {
         let psz = self.patch * self.patch;
         let (gh, gw) = (h + 2 * pad, w + 2 * pad);
         let ncols = gh * gw;
-        let mut col = 0usize;
         for ey in 0..gh {
             let cy = ey as i64 - pad as i64;
             for ex in 0..gw {
                 let cx = ex as i64 - pad as i64;
-                let mut sum = 0.0f32;
-                let mut i = 0usize;
+                let col = ey * gw + ex;
+                // The norm slot holds the patch sum, then its mean, until
+                // the centring is done.
+                let norm = &mut norms[col * lanes..][..lanes];
+                norm.fill(0.0);
+                let mut j = 0usize;
                 for dy in -r..=r {
                     for dx in -r..=r {
-                        let x = cx + dx;
-                        let y = cy + dy;
-                        let v = if x >= 0 && x < w as i64 && y >= 0 && y < h as i64 {
-                            plane[y as usize * w + x as usize]
+                        let (tx, ty) = (cx + dx, cy + dy);
+                        let dst = &mut panel[(j * ncols + col) * lanes..][..lanes];
+                        if tx >= 0 && tx < w as i64 && ty >= 0 && ty < h as i64 {
+                            let tap = ty as usize * w + tx as usize;
+                            dst.copy_from_slice(&x[tap * lanes..][..lanes]);
                         } else {
-                            0.0
-                        };
-                        panel[i * ncols + col] = v;
-                        sum += v;
-                        i += 1;
+                            dst.fill(0.0);
+                        }
+                        for (s, &v) in norm.iter_mut().zip(dst.iter()) {
+                            *s += v;
+                        }
+                        j += 1;
                     }
                 }
-                let mean = sum / psz as f32;
-                let mut norm_sq = 0.0f32;
-                for j in 0..psz {
-                    let p = &mut panel[j * ncols + col];
-                    *p -= mean;
-                    norm_sq += *p * *p;
+                for s in norm.iter_mut() {
+                    *s /= psz as f32;
                 }
-                norms[col] = norm_sq.sqrt();
-                col += 1;
+                for j in 0..psz {
+                    let row = &mut panel[(j * ncols + col) * lanes..][..lanes];
+                    for (p, &mean) in row.iter_mut().zip(norm.iter()) {
+                        *p -= mean;
+                    }
+                }
+                norm.fill(0.0);
+                for j in 0..psz {
+                    let row = &panel[(j * ncols + col) * lanes..][..lanes];
+                    for (s, &p) in norm.iter_mut().zip(row) {
+                        *s += p * p;
+                    }
+                }
+                for s in norm.iter_mut() {
+                    *s = s.sqrt();
+                }
             }
         }
     }
 
     /// Forward: `(A, B)` of shape `[N, C, H, W]` → `[N, C·K, H, W]`.
     ///
-    /// Panel formulation: both planes are centred once ([`Self::build_panel`]),
-    /// then each displacement cell is a banded row-product between the A
-    /// panel and a shifted window of the B panel. Bit-identical to
-    /// the test-only `forward_naive` (pinned by the `*_matches_naive` tests).
-    /// The panels, norms and numerators stay in the returned cache.
+    /// Both inputs are transposed into `N·C` lanes and centred once
+    /// ([`Self::build_panel`]); every `(displacement, position)` output
+    /// is then a `j = 0..psz` fold of `acc += pa·pb` from zero in each
+    /// lane, and `acc / (na·nb + ε)`. Bit-identical to the test-only
+    /// `forward_naive` (pinned by the `*_matches_naive` tests). The
+    /// panels, norms and numerators stay in the returned cache.
     pub fn forward(&self, a: &Tensor, b: &Tensor) -> Result<(Tensor, XCorrCache), TensorError> {
         let [n, c, h, w] = self.check(a, b)?;
         let k_side = 2 * self.radius + 1;
@@ -245,52 +268,46 @@ impl NormXCorr {
         let psz = self.patch * self.patch;
         let rad = self.radius;
         let npos = h * w;
-        let (gh, gw) = (h + 2 * rad, w + 2 * rad);
-        let next = gh * gw;
-        let planes = n * c;
-        let mut out = Tensor::zeros(&[n, c * koff, h, w]);
-        let out_data = out.data_mut();
+        let gw = w + 2 * rad;
+        let next = (h + 2 * rad) * gw;
+        let lanes = n * c;
         let mut cache = XCorrCache {
             shape: [n, c, h, w],
-            pa: Scratch::take(planes * psz * npos),
-            pb: Scratch::take(planes * psz * next),
-            norms_a: Scratch::take(planes * npos),
-            norms_b: Scratch::take(planes * next),
-            dots: Scratch::take(planes * koff * npos),
+            pa: Scratch::take(psz * npos * lanes),
+            pb: Scratch::take(psz * next * lanes),
+            norms_a: Scratch::take(npos * lanes),
+            norms_b: Scratch::take(next * lanes),
+            dots: Scratch::take(koff * npos * lanes),
         };
-        let mut acc = Scratch::take(w);
-        let a_data = a.data();
-        let b_data = b.data();
-        for p in 0..planes {
-            let plane = p * npos;
-            let pa = &mut cache.pa[p * psz * npos..(p + 1) * psz * npos];
-            let pb = &mut cache.pb[p * psz * next..(p + 1) * psz * next];
-            let norms_a = &mut cache.norms_a[plane..plane + npos];
-            let norms_b = &mut cache.norms_b[p * next..(p + 1) * next];
-            self.build_panel(&a_data[plane..plane + npos], h, w, 0, pa, norms_a);
-            self.build_panel(&b_data[plane..plane + npos], h, w, rad, pb, norms_b);
-            for ky in 0..k_side {
-                for kx in 0..k_side {
-                    let ochan = (p * koff + ky * k_side + kx) * npos;
-                    for y in 0..h {
+        let mut planes = Scratch::take(npos * lanes);
+        to_lanes(a.data(), 0, npos, npos, lanes, &mut planes);
+        self.build_panel(&planes, lanes, h, w, 0, &mut cache.pa, &mut cache.norms_a);
+        to_lanes(b.data(), 0, npos, npos, lanes, &mut planes);
+        self.build_panel(&planes, lanes, h, w, rad, &mut cache.pb, &mut cache.norms_b);
+        let mut out = Tensor::zeros(&[n, c * koff, h, w]);
+        let out_data = out.data_mut();
+        for ky in 0..k_side {
+            for kx in 0..k_side {
+                let k = ky * k_side + kx;
+                for y in 0..h {
+                    for x in 0..w {
+                        let pos = y * w + x;
                         // B centre for output (y, x) at this offset is
                         // extended-grid cell (y + ky, x + kx).
-                        let bbase = (y + ky) * gw + kx;
-                        let arow = y * w;
-                        acc[..w].fill(0.0);
-                        // j-outer so each acc[x] is the same sequential
-                        // j-fold as the scalar dot product.
+                        let e = (y + ky) * gw + x + kx;
+                        let acc = &mut cache.dots[(k * npos + pos) * lanes..][..lanes];
+                        acc.fill(0.0);
                         for j in 0..psz {
-                            let pa_row = &pa[j * npos + arow..j * npos + arow + w];
-                            let pb_row = &pb[j * next + bbase..j * next + bbase + w];
-                            for x in 0..w {
-                                acc[x] += pa_row[x] * pb_row[x];
+                            let ra = &cache.pa[(j * npos + pos) * lanes..][..lanes];
+                            let rb = &cache.pb[(j * next + e) * lanes..][..lanes];
+                            for ((s, &u), &v) in acc.iter_mut().zip(ra).zip(rb) {
+                                *s += u * v;
                             }
                         }
-                        cache.dots[ochan + arow..ochan + arow + w].copy_from_slice(&acc[..w]);
-                        for x in 0..w {
-                            out_data[ochan + arow + x] =
-                                acc[x] / (norms_a[arow + x] * norms_b[bbase + x] + EPS);
+                        let na = &cache.norms_a[pos * lanes..][..lanes];
+                        let nb = &cache.norms_b[e * lanes..][..lanes];
+                        for (l, ((&d, &u), &v)) in acc.iter().zip(na).zip(nb).enumerate() {
+                            out_data[(l * koff + k) * npos + pos] = d / (u * v + EPS);
                         }
                     }
                 }
@@ -301,8 +318,8 @@ impl NormXCorr {
 
     /// Prepare `b` (`[V, C, H, W]`, one feature stack per gallery view)
     /// as the B side of every later [`PreparedGallery::correlate`]: each
-    /// `(view, channel)` plane goes through `build_panel` once,
-    /// exactly as [`Self::forward`] builds it per pair.
+    /// channel's `V` view planes go through `build_panel` once as lanes,
+    /// exactly as [`Self::forward`] builds them per pair.
     pub fn prepare(&self, b: &Tensor) -> Result<PreparedGallery, TensorError> {
         if b.shape().len() != 4 {
             return Err(TensorError::ShapeMismatch {
@@ -317,19 +334,18 @@ impl NormXCorr {
         let next = (h + 2 * rad) * (w + 2 * rad);
         let mut panels = vec![0.0f32; c * psz * next * views];
         let mut norms = vec![0.0f32; c * next * views];
-        let mut pb = Scratch::take(psz * next);
-        let mut norms_b = Scratch::take(next);
-        for v in 0..views {
-            for ci in 0..c {
-                let plane = (v * c + ci) * npos;
-                self.build_panel(&b.data()[plane..plane + npos], h, w, rad, &mut pb, &mut norms_b);
-                for (row, &p) in pb.iter().enumerate() {
-                    panels[(ci * psz * next + row) * views + v] = p;
-                }
-                for (e, &n) in norms_b.iter().enumerate() {
-                    norms[(ci * next + e) * views + v] = n;
-                }
-            }
+        let mut planes = Scratch::take(npos * views);
+        for ci in 0..c {
+            to_lanes(b.data(), ci * npos, c * npos, npos, views, &mut planes);
+            self.build_panel(
+                &planes,
+                views,
+                h,
+                w,
+                rad,
+                &mut panels[ci * psz * next * views..(ci + 1) * psz * next * views],
+                &mut norms[ci * next * views..(ci + 1) * next * views],
+            );
         }
         Ok(PreparedGallery { layer: *self, views, shape: [c, h, w], panels, norms })
     }
@@ -424,36 +440,17 @@ impl NormXCorr {
         }
     }
 
-    /// [`Self::scatter_patch_grad`] into a zero-padded plane of row
-    /// length `stride`, for the patch whose top-left tap is cell
-    /// `(top, left)`: every tap is in the plane, so there is no bounds
-    /// test. Taps the oracle drops land in the margin, and every interior
-    /// cell gets the same terms in the same order.
-    fn scatter_padded(
-        &self,
-        plane: &mut [f32],
-        stride: usize,
-        top: usize,
-        left: usize,
-        dvals: &[f32],
-    ) {
-        let mean_d: f32 = dvals.iter().sum::<f32>() / dvals.len() as f32;
-        for (dy, row) in dvals.chunks_exact(self.patch).enumerate() {
-            let start = (top + dy) * stride + left;
-            for (g, &d) in plane[start..start + self.patch].iter_mut().zip(row) {
-                *g += d - mean_d;
-            }
-        }
-    }
-
     /// Backward: returns `(grad_a, grad_b)`.
     ///
-    /// Reads the centred panels, norms and dot products the forward left
-    /// in `cache`, then replays the oracle's exact `(y, x, ky, kx)`
-    /// scatter order — including the `g == 0` sparsity skip and the
-    /// `FLAT`-gated norm coefficients — into zero-padded planes (margin
-    /// `patch / 2` for A, `radius + patch / 2` for B) whose interiors are
-    /// the gradients. Bit-identical to the test-only `backward_naive`.
+    /// Reads the lane-major panels, norms and dot products the forward
+    /// left in `cache`, then replays the oracle's `(y, x, ky, kx, i)`
+    /// scatter order in every lane into lane-major zero-padded planes
+    /// (margin `patch / 2` for A, `radius + patch / 2` for B) whose
+    /// interiors are the gradients. The oracle's `g == 0` skip is a
+    /// per-lane select that writes `+0` into the patch gradient: a padded
+    /// cell starts at `+0` and never holds `−0`, so adding `+0 − mean(+0…)`
+    /// leaves it unchanged. The norm coefficients keep their `FLAT` gate
+    /// per lane. Bit-identical to the test-only `backward_naive`.
     pub fn backward(
         &self,
         cache: &XCorrCache,
@@ -468,72 +465,82 @@ impl NormXCorr {
         let npos = h * w;
         let gw = w + 2 * rad;
         let next = (h + 2 * rad) * gw;
+        let lanes = n * c;
         // Padded gradient planes: A patch taps reach `patch / 2` past the
         // map, B patch taps `radius` further.
         let (ma, mb) = (self.patch / 2, rad + self.patch / 2);
         let (aw, bw) = (w + 2 * ma, w + 2 * mb);
-        let mut ga_pad = Scratch::take((h + 2 * ma) * aw);
-        let mut gb_pad = Scratch::take((h + 2 * mb) * bw);
-        let mut grad_a = Tensor::zeros(&cache.shape);
-        let mut grad_b = Tensor::zeros(&cache.shape);
-        let mut da = Scratch::take(psz);
-        let mut db = Scratch::take(psz);
-        let mut pa_patch = Scratch::take(psz);
-        let go_data = grad_out.data();
-        let ga_data = grad_a.data_mut();
-        let gb_data = grad_b.data_mut();
-        for p in 0..n * c {
-            let pa = &cache.pa[p * psz * npos..(p + 1) * psz * npos];
-            let pb = &cache.pb[p * psz * next..(p + 1) * psz * next];
-            let norms_a = &cache.norms_a[p * npos..(p + 1) * npos];
-            let norms_b = &cache.norms_b[p * next..(p + 1) * next];
-            let dots = &cache.dots[p * koff * npos..(p + 1) * koff * npos];
-            let go = &go_data[p * koff * npos..(p + 1) * koff * npos];
-            ga_pad.fill(0.0);
-            gb_pad.fill(0.0);
-            for y in 0..h {
-                for x in 0..w {
-                    let pos = y * w + x;
-                    let na = norms_a[pos];
-                    for (i, v) in pa_patch.iter_mut().enumerate() {
-                        *v = pa[i * npos + pos];
-                    }
-                    for ky in 0..k_side {
-                        for kx in 0..k_side {
-                            let off = ky * k_side + kx;
-                            let g = go[off * npos + pos];
-                            // taor-lint: allow(float::eq) — sparsity skip: only a bit-exact zero may be elided
-                            if g == 0.0 {
-                                continue;
+        let mut ga = Scratch::take_zeroed((h + 2 * ma) * aw * lanes);
+        let mut gb = Scratch::take_zeroed((h + 2 * mb) * bw * lanes);
+        // `go[(k·H·W + pos)·L + l]`: the output gradient in the dots' layout.
+        let mut go = Scratch::take(koff * npos * lanes);
+        to_lanes(grad_out.data(), 0, koff * npos, koff * npos, lanes, &mut go);
+        // The patch gradients `da`, `db` (`psz` rows of lanes), then one
+        // row each for `1/denom`, the two norm coefficients and the two
+        // patch-gradient sums.
+        let mut work = Scratch::take((2 * psz + 5) * lanes);
+        let (da, rest) = work.split_at_mut(psz * lanes);
+        let (db, rest) = rest.split_at_mut(psz * lanes);
+        let (inv, rest) = rest.split_at_mut(lanes);
+        let (coef_a, rest) = rest.split_at_mut(lanes);
+        let (coef_b, rest) = rest.split_at_mut(lanes);
+        let (mean_a, rest) = rest.split_at_mut(lanes);
+        let mean_b = &mut rest[..lanes];
+        for y in 0..h {
+            for x in 0..w {
+                let pos = y * w + x;
+                let na = &cache.norms_a[pos * lanes..][..lanes];
+                for ky in 0..k_side {
+                    for kx in 0..k_side {
+                        let at = ((ky * k_side + kx) * npos + pos) * lanes;
+                        let g = &go[at..][..lanes];
+                        let dot = &cache.dots[at..][..lanes];
+                        let epos = (y + ky) * gw + (x + kx);
+                        let nb = &cache.norms_b[epos * lanes..][..lanes];
+                        lane_coefficients(na, nb, dot, inv, coef_a, coef_b);
+                        // `Iterator::sum`'s start, as the oracle's mean.
+                        mean_a.fill(-0.0);
+                        mean_b.fill(-0.0);
+                        for i in 0..psz {
+                            let u = &cache.pa[(i * npos + pos) * lanes..][..lanes];
+                            let v = &cache.pb[(i * next + epos) * lanes..][..lanes];
+                            let dai = &mut da[i * lanes..][..lanes];
+                            lane_patch_grad(g, u, v, inv, coef_a, dai, mean_a);
+                            let dbi = &mut db[i * lanes..][..lanes];
+                            lane_patch_grad(g, v, u, inv, coef_b, dbi, mean_b);
+                        }
+                        for s in mean_a.iter_mut().chain(mean_b.iter_mut()) {
+                            *s /= psz as f32;
+                        }
+                        // The A patch centred at (x, y) starts at padded
+                        // cell (y, x); the B patch centred at
+                        // (x + kx − radius, y + ky − radius) at
+                        // (y + ky, x + kx).
+                        for dy in 0..self.patch {
+                            for dx in 0..self.patch {
+                                let i = (dy * self.patch + dx) * lanes;
+                                let cell = ((y + dy) * aw + x + dx) * lanes;
+                                lane_scatter(&mut ga[cell..][..lanes], &da[i..][..lanes], mean_a);
+                                let cell = ((y + ky + dy) * bw + x + kx + dx) * lanes;
+                                lane_scatter(&mut gb[cell..][..lanes], &db[i..][..lanes], mean_b);
                             }
-                            let epos = (y + ky) * gw + (x + kx);
-                            let nb = norms_b[epos];
-                            let dot = dots[off * npos + pos];
-                            let denom = na * nb + EPS;
-                            let inv = 1.0 / denom;
-                            let coef_a =
-                                if na > FLAT { dot * nb / (na * denom * denom) } else { 0.0 };
-                            let coef_b =
-                                if nb > FLAT { dot * na / (nb * denom * denom) } else { 0.0 };
-                            for i in 0..psz {
-                                let (u, v) = (pa_patch[i], pb[i * next + epos]);
-                                da[i] = g * (v * inv - coef_a * u);
-                                db[i] = g * (u * inv - coef_b * v);
-                            }
-                            // The A patch centred at (x, y) starts at padded
-                            // cell (y, x); the B patch centred at
-                            // (x + kx − radius, y + ky − radius) at
-                            // (y + ky, x + kx).
-                            self.scatter_padded(&mut ga_pad, aw, y, x, &da);
-                            self.scatter_padded(&mut gb_pad, bw, y + ky, x + kx, &db);
                         }
                     }
                 }
             }
-            for y in 0..h {
-                let dst = p * npos + y * w;
-                ga_data[dst..dst + w].copy_from_slice(&ga_pad[(y + ma) * aw + ma..][..w]);
-                gb_data[dst..dst + w].copy_from_slice(&gb_pad[(y + mb) * bw + mb..][..w]);
+        }
+        let mut grad_a = Tensor::zeros(&cache.shape);
+        let mut grad_b = Tensor::zeros(&cache.shape);
+        let (out_a, out_b) = (grad_a.data_mut(), grad_b.data_mut());
+        for y in 0..h {
+            for x in 0..w {
+                let pos = y * w + x;
+                let ra = &ga[((y + ma) * aw + x + ma) * lanes..][..lanes];
+                let rb = &gb[((y + mb) * bw + x + mb) * lanes..][..lanes];
+                for (l, (&u, &v)) in ra.iter().zip(rb).enumerate() {
+                    out_a[l * npos + pos] = u;
+                    out_b[l * npos + pos] = v;
+                }
             }
         }
         Ok((grad_a, grad_b))
@@ -624,8 +631,8 @@ impl PreparedGallery {
     /// `a` repeated once per view against the prepared views, stored
     /// view-innermost as `out[((oc·H + y)·W + x)·V + v]`.
     ///
-    /// The query panel is built once per channel instead of once per
-    /// view. Each dot is the same sequential `j`-fold from zero
+    /// The query panel is built once per channel (one lane) instead of
+    /// once per view. Each dot is the same sequential `j`-fold from zero
     /// (`acc += a·b`) with the same denominator `na·nb + EPS`, so every
     /// value is bit-identical to the pairwise forward (up to NaN payloads,
     /// as in the module docs).
@@ -650,14 +657,9 @@ impl PreparedGallery {
         let mut norms_a = Scratch::take(npos);
         let mut acc = Scratch::take(views);
         for ci in 0..c {
-            layer.build_panel(
-                &a.data()[ci * npos..(ci + 1) * npos],
-                h,
-                w,
-                0,
-                &mut pa,
-                &mut norms_a,
-            );
+            // One channel is one lane, so its plane is already lane-major.
+            let plane = &a.data()[ci * npos..(ci + 1) * npos];
+            layer.build_panel(plane, 1, h, w, 0, &mut pa, &mut norms_a);
             let panel = &self.panels[ci * psz * next * views..(ci + 1) * psz * next * views];
             let norms = &self.norms[ci * next * views..(ci + 1) * next * views];
             for ky in 0..k_side {
@@ -689,6 +691,80 @@ impl PreparedGallery {
             }
         }
         Ok(out)
+    }
+}
+
+// The per-lane steps of `NormXCorr::backward`, each a function of its
+// own so that its slices are distinct arguments the compiler may
+// vectorise across without aliasing checks.
+
+/// Per lane: `inv = 1/denom` with `denom = na·nb + ε`, and the norm
+/// coefficients `dot·nb/(na·denom²)` and `dot·na/(nb·denom²)`, each `0`
+/// where its own norm is at most `FLAT`.
+fn lane_coefficients(
+    na: &[f32],
+    nb: &[f32],
+    dot: &[f32],
+    inv: &mut [f32],
+    coef_a: &mut [f32],
+    coef_b: &mut [f32],
+) {
+    let lanes = inv.len();
+    let (na, nb, dot) = (&na[..lanes], &nb[..lanes], &dot[..lanes]);
+    let (coef_a, coef_b) = (&mut coef_a[..lanes], &mut coef_b[..lanes]);
+    // Both coefficients are computed in every lane and then selected, so
+    // the loop has no branch to keep it from vectorising.
+    for l in 0..lanes {
+        let denom = na[l] * nb[l] + EPS;
+        inv[l] = 1.0 / denom;
+        let ca = dot[l] * nb[l] / (na[l] * denom * denom);
+        let cb = dot[l] * na[l] / (nb[l] * denom * denom);
+        coef_a[l] = if na[l] > FLAT { ca } else { 0.0 };
+        coef_b[l] = if nb[l] > FLAT { cb } else { 0.0 };
+    }
+}
+
+/// Per lane: one patch element's gradient `g·(o·inv − coef·t)` for the
+/// centred patch `t` against the other patch `o`, added to `sum`. Where
+/// `g == 0` it is `+0`, not the product, which is NaN when a panel holds
+/// NaN or ∞; the product is still computed there, so the select has no
+/// branch.
+fn lane_patch_grad(
+    g: &[f32],
+    t: &[f32],
+    o: &[f32],
+    inv: &[f32],
+    coef: &[f32],
+    d: &mut [f32],
+    sum: &mut [f32],
+) {
+    let lanes = d.len();
+    let (g, t, o, inv, coef) =
+        (&g[..lanes], &t[..lanes], &o[..lanes], &inv[..lanes], &coef[..lanes]);
+    let sum = &mut sum[..lanes];
+    for l in 0..lanes {
+        let v = g[l] * (o[l] * inv[l] - coef[l] * t[l]);
+        // taor-lint: allow(float::eq) — sparsity skip: only a bit-exact zero may be elided
+        let v = if g[l] == 0.0 { 0.0 } else { v };
+        d[l] = v;
+        sum[l] += v;
+    }
+}
+
+/// Per lane: `cell += d − mean`.
+fn lane_scatter(cell: &mut [f32], d: &[f32], mean: &[f32]) {
+    for ((c, &d), &m) in cell.iter_mut().zip(d).zip(mean) {
+        *c += d - m;
+    }
+}
+
+/// Copy `lanes` planes of `len` elements, plane `l` starting at
+/// `src[first + l·stride]`, into `dst` lane-innermost: `dst[i·lanes + l]`.
+fn to_lanes(src: &[f32], first: usize, stride: usize, len: usize, lanes: usize, dst: &mut [f32]) {
+    for l in 0..lanes {
+        for (i, &v) in src[first + l * stride..][..len].iter().enumerate() {
+            dst[i * lanes + l] = v;
+        }
     }
 }
 
@@ -838,11 +914,53 @@ mod tests {
         }
     }
 
+    /// The lane shapes the workloads run — medium training `[4,10,5,3]`,
+    /// evaluation `[16,10,5,3]` and the paper recipe `[4,25,13,3]` — plus
+    /// one plane and nine planes, a count that is not a multiple of any
+    /// vector width.
+    const LANE_SHAPES: [[usize; 4]; 5] =
+        [[4, 10, 5, 3], [16, 10, 5, 3], [4, 25, 13, 3], [1, 1, 5, 3], [3, 3, 5, 3]];
+
+    /// A gradient for output `y` that is zero at every seventh element,
+    /// at every other zero output (a flat A or B patch) and at each NaN
+    /// output (a NaN or ∞ tap in either patch) whose index `zero_nan`
+    /// picks, and dense elsewhere, so the `g == 0` skip meets flat panels
+    /// and, as `zero_nan` picks, poisoned ones.
+    fn grad_for(y: &Tensor, zero_nan: impl Fn(usize) -> bool) -> Tensor {
+        let g = |(i, &v): (usize, &f32)| {
+            if i % 7 == 0 || (v.is_nan() && zero_nan(i)) || (v == 0.0 && i % 2 == 0) {
+                0.0
+            } else {
+                (i as f32 * 0.13).sin()
+            }
+        };
+        Tensor::from_vec(y.shape(), y.data().iter().enumerate().map(g).collect()).unwrap()
+    }
+
+    /// Smooth inputs at `shape` whose first A plane is flat, with NaN and
+    /// ∞ taps in both inputs when `poison` is set.
+    fn pin_inputs(shape: &[usize; 4], poison: bool) -> (Tensor, Tensor) {
+        let npos = shape[2] * shape[3];
+        let mut a =
+            tensor_from(shape, |i| if i < npos { 0.75 } else { (i as f32 * 0.41).sin() + 0.2 });
+        let mut b = tensor_from(shape, |i| (i as f32 * 0.77).cos() - 0.1);
+        if poison {
+            let len = a.len();
+            a.data_mut()[len / 3] = f32::NAN;
+            a.data_mut()[len - 2] = f32::INFINITY;
+            b.data_mut()[len / 2] = f32::NAN;
+            b.data_mut()[npos / 2] = f32::NEG_INFINITY;
+        }
+        (a, b)
+    }
+
     #[test]
     fn panel_forward_matches_naive_bitwise() {
-        for (patch, radius, shape) in
+        let cases =
             [(3usize, 1usize, [2usize, 3, 6, 5]), (5, 2, [1, 2, 5, 7]), (3, 0, [2, 1, 4, 3])]
-        {
+                .into_iter()
+                .chain(LANE_SHAPES.map(|s| (3, 1, s)));
+        for (patch, radius, shape) in cases {
             let layer = NormXCorr::new(patch, radius).unwrap();
             let a = tensor_from(&shape, |i| (i as f32 * 0.37).sin() * 2.0 - 0.4);
             let b = tensor_from(&shape, |i| (i as f32 * 0.73).cos() * 1.5 + 0.1);
@@ -854,21 +972,21 @@ mod tests {
 
     #[test]
     fn panel_backward_matches_naive_bitwise() {
-        // The last two planes are narrower than the patch, so most taps
-        // land in the padded margins.
-        for (patch, radius, shape) in [
+        // The [1,2,4,1] and [1,1,3,2] planes are narrower than the patch,
+        // so most taps land in the padded margins.
+        let cases = [
             (3usize, 1usize, [2usize, 3, 6, 5]),
             (5, 2, [1, 2, 5, 7]),
             (3, 1, [1, 2, 4, 1]),
             (5, 2, [1, 1, 3, 2]),
-        ] {
+        ]
+        .into_iter()
+        .chain(LANE_SHAPES.map(|s| (3, 1, s)));
+        for (patch, radius, shape) in cases {
             let layer = NormXCorr::new(patch, radius).unwrap();
-            let a = tensor_from(&shape, |i| (i as f32 * 0.41).sin() + 0.2);
-            let b = tensor_from(&shape, |i| (i as f32 * 0.77).cos() - 0.1);
+            let (a, b) = pin_inputs(&shape, false);
             let (y, cache) = layer.forward(&a, &b).unwrap();
-            // Exercise the g == 0 sparsity skip alongside dense entries.
-            let g =
-                tensor_from(y.shape(), |i| if i % 7 == 0 { 0.0 } else { (i as f32 * 0.13).sin() });
+            let g = grad_for(&y, |_| true);
             let (fa, fb) = layer.backward(&cache, &g).unwrap();
             let (sa, sb) = layer.backward_naive(&a, &b, &g).unwrap();
             assert_bits_eq(&fa, &sa);
@@ -910,6 +1028,41 @@ mod tests {
         let (sa, sb) = layer.backward_naive(&a, &b, &g).unwrap();
         assert_bits_eq(&fa, &sa);
         assert_bits_eq(&fb, &sb);
+
+        for shape in LANE_SHAPES {
+            let (a, b) = pin_inputs(&shape, true);
+            let (fast, cache) = layer.forward(&a, &b).unwrap();
+            let slow = layer.forward_naive(&a, &b).unwrap();
+            assert_bits_eq(&fast, &slow);
+            assert!(fast.data().iter().any(|v| v.is_nan()), "{shape:?} has poisoned panels");
+            // With a zero gradient at every NaN output the skip keeps the
+            // poison out of the input gradients; with zeros at only every
+            // other one, the dense NaN outputs carry it in.
+            for every_nan in [true, false] {
+                let g = grad_for(&fast, |i| every_nan || i % 2 == 0);
+                let (fa, fb) = layer.backward(&cache, &g).unwrap();
+                let (sa, sb) = layer.backward_naive(&a, &b, &g).unwrap();
+                assert_bits_eq(&fa, &sa);
+                assert_bits_eq(&fb, &sb);
+                let poisoned = fa.data().iter().chain(fb.data()).any(|v| !v.is_finite());
+                assert_eq!(poisoned, !every_nan, "{shape:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_planes_give_empty_outputs() {
+        let layer = NormXCorr::new(3, 1).unwrap();
+        for shape in [[2usize, 3, 0, 4], [2, 3, 4, 0]] {
+            let a = Tensor::zeros(&shape);
+            let (y, cache) = layer.forward(&a, &a).unwrap();
+            assert_eq!(y.shape(), &[2, 27, shape[2], shape[3]]);
+            let (ga, gb) = layer.backward(&cache, &y).unwrap();
+            assert_eq!((ga.shape(), gb.shape()), (&shape[..], &shape[..]));
+            let prepared = layer.prepare(&a).unwrap();
+            let q = Tensor::zeros(&[1, 3, shape[2], shape[3]]);
+            assert!(prepared.correlate(&q).unwrap().is_empty());
+        }
     }
 
     #[test]

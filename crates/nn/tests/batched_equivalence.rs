@@ -154,12 +154,14 @@ fn batched_pass_matches_oracle_on_nan_quarantine_inputs() {
     check_batch_against_oracle(&net, &samples, 99);
 }
 
-/// Table 4's own network (`--quick` and `--medium`) at the trainer's
-/// micro-batch of four pairs: its 32×24 inputs reach 5×3 xcorr planes,
-/// where the tiny config's reach 3×2.
+/// Table 4's own networks at the trainer's micro-batch of four pairs:
+/// `--quick` and `--medium`, whose 32×24 inputs reach 5×3 xcorr planes
+/// (40 lanes), where the tiny config's reach 3×2; and the paper recipe
+/// (`--full`, the default config), whose 64×24 inputs and 20/25/25
+/// channels reach 13×3 planes (100 lanes).
 #[test]
 fn batched_pass_matches_oracle_at_table4_shapes() {
-    let cfg = NetConfig {
+    let medium = NetConfig {
         height: 32,
         width: 24,
         c1: 8,
@@ -168,17 +170,20 @@ fn batched_pass_matches_oracle_at_table4_shapes() {
         dense: 32,
         ..NetConfig::default()
     };
-    let net = NormXCorrNet::new(cfg.clone()).unwrap();
-    let len = 3 * cfg.height * cfg.width;
-    let samples: Vec<PairSample> = (0..4)
-        .map(|i| {
-            let a: Vec<f32> = (0..len).map(|v| ((v + i * 97) as f32 * 0.013).sin() * 0.5).collect();
-            let mut b = a.clone();
-            b.rotate_left(29);
-            pair_from(cfg.height, cfg.width, a, b, i % 2)
-        })
-        .collect();
-    check_batch_against_oracle(&net, &samples, 2019);
+    for cfg in [medium, NetConfig::default()] {
+        let net = NormXCorrNet::new(cfg.clone()).unwrap();
+        let len = 3 * cfg.height * cfg.width;
+        let samples: Vec<PairSample> = (0..4)
+            .map(|i| {
+                let a: Vec<f32> =
+                    (0..len).map(|v| ((v + i * 97) as f32 * 0.013).sin() * 0.5).collect();
+                let mut b = a.clone();
+                b.rotate_left(29);
+                pair_from(cfg.height, cfg.width, a, b, i % 2)
+            })
+            .collect();
+        check_batch_against_oracle(&net, &samples, 2019);
+    }
 }
 
 /// `tree_sum` is a *fixed* pairwise reduction: its result must equal the
