@@ -8,7 +8,9 @@
 //! * **E2** — Normalized-X-Corr trained on heterogeneous (mixed-domain)
 //!   pairs ("increasing the heterogeneity of our datasets"), with
 //!   dropout + weight decay as the overfitting countermeasures the
-//!   discussion motivates.
+//!   discussion motivates;
+//! * **E3** — hybrid accuracy as the reference catalog grows
+//!   ("augmenting the cardinality of each class").
 
 use crate::repro::{hybrid_preds, ReproConfig, TableOutput};
 use taor_core::prelude::*;
@@ -16,7 +18,6 @@ use taor_core::siamese::try_evaluate_siamese;
 use taor_data::{
     mixed_training_pairs, nyu_sns1_test_pairs, patrol_frames, shapenet_set1, shapenet_set2,
 };
-use taor_nn::{try_train, NormXCorrNet};
 
 /// E1: end-to-end scene recognition.
 ///
@@ -114,29 +115,27 @@ pub fn table_e1(cfg: &ReproConfig, n_frames: usize) -> TableOutput {
 /// Trains the identical architecture twice — catalog-only (the paper's
 /// §3.4 recipe) vs. mixed-domain pairs with dropout + weight decay — and
 /// evaluates both on the NYU+SNS1 test pairs where the paper's model
-/// collapsed.
+/// collapsed. Too few NYU crops per class, an undersized net resolution
+/// or an empty evaluation set is a typed error, surfaced as a degraded
+/// table rather than a panic.
 pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
+    try_table_e2(cfg, verbose).unwrap_or_else(|e| degraded_e2(&e))
+}
+
+fn try_table_e2(cfg: &ReproConfig, verbose: bool) -> Result<TableOutput, taor_core::Error> {
+    cfg.check_nyu_test_pairs()?;
     let sns2 = shapenet_set2(cfg.seed);
     let nyu = cfg.nyu();
     let sns1 = shapenet_set1(cfg.seed);
     let test_pairs = nyu_sns1_test_pairs(&nyu, &sns1, cfg.seed);
 
-    // Condition (a): the paper's catalog-only training. An undersized
-    // net resolution or an empty evaluation set is a typed error;
-    // surface it as a degraded table rather than a panic.
-    let trained = taor_core::try_train_siamese(&sns2, &cfg.siamese, |s| {
+    // Condition (a): the paper's catalog-only training.
+    let (net_a, _) = taor_core::try_train_siamese(&sns2, &cfg.siamese, |s| {
         if verbose {
             eprintln!("  [catalog] epoch {} loss {:.5}", s.epoch, s.mean_loss);
         }
-    });
-    let (net_a, _) = match trained {
-        Ok(out) => out,
-        Err(e) => return degraded_e2(&e),
-    };
-    let eval_a = match try_evaluate_siamese(&net_a, &test_pairs, &cfg.siamese.net) {
-        Ok(eval) => eval,
-        Err(e) => return degraded_e2(&e),
-    };
+    })?;
+    let eval_a = try_evaluate_siamese(&net_a, &test_pairs, &cfg.siamese.net)?;
 
     // Condition (b): mixed-domain pairs + regularisation.
     let mut net_cfg = cfg.siamese.net.clone();
@@ -144,23 +143,12 @@ pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
     let mut train_cfg = cfg.siamese.train.clone();
     train_cfg.weight_decay = 1e-4;
     let pairs = mixed_training_pairs(&sns2, &nyu, cfg.siamese.n_train_pairs, cfg.seed);
-    let samples = pairs_to_samples(&pairs, &net_cfg);
-    let mut net_b = match NormXCorrNet::new(net_cfg.clone()) {
-        Ok(net) => net,
-        Err(e) => return degraded_e2(&taor_core::Error::from(e)),
-    };
-    let trained = try_train(&mut net_b, &samples, &train_cfg, |s| {
+    let (net_b, _) = train_on_pairs(&pairs, net_cfg, &train_cfg, |s| {
         if verbose {
             eprintln!("  [mixed]   epoch {} loss {:.5}", s.epoch, s.mean_loss);
         }
-    });
-    if let Err(e) = trained {
-        return degraded_e2(&taor_core::Error::from(e));
-    }
-    let eval_b = match try_evaluate_siamese(&net_b, &test_pairs, &net_cfg) {
-        Ok(eval) => eval,
-        Err(e) => return degraded_e2(&e),
-    };
+    })?;
+    let eval_b = try_evaluate_siamese(&net_b, &test_pairs, &net_b.config)?;
 
     let mut t = TextTable::new(
         "Extension E2: catalog-only vs heterogeneous training, NYU+SNS1 pairs.",
@@ -196,7 +184,7 @@ pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
             binary: Some(eval_b),
         },
     ];
-    TableOutput { table: 102, text: t.render(), records }
+    Ok(TableOutput { table: 102, text: t.render(), records })
 }
 
 /// A degraded E2 table: the typed error in place of results, so a bad
@@ -254,8 +242,7 @@ mod tests {
 
     fn tiny() -> ReproConfig {
         let mut cfg = ReproConfig::quick(2019);
-        // nyu_sns1_test_pairs samples 10 crops per class, so keep >= 10.
-        cfg.nyu_per_class = Some(10);
+        cfg.nyu_per_class = Some(taor_data::NYU_TEST_PER_CLASS);
         cfg.siamese = SiameseConfig::quick();
         cfg.siamese.n_train_pairs = 60;
         cfg.siamese.train.max_epochs = 1;
@@ -286,6 +273,16 @@ mod tests {
         assert!(out.text.contains("Catalog-only"));
         assert!(out.text.contains("Mixed-domain"));
         assert_eq!(out.records.len(), 2);
+    }
+
+    #[test]
+    fn e2_with_too_few_nyu_crops_is_a_degraded_row() {
+        let mut cfg = tiny();
+        cfg.nyu_per_class = Some(taor_data::NYU_TEST_PER_CLASS - 1);
+        let out = table_e2(&cfg, false);
+        assert!(out.text.contains("(degraded)"), "{}", out.text);
+        assert!(out.text.contains("`--nyu-per-class`"), "{}", out.text);
+        assert!(out.records.is_empty());
     }
 
     #[test]

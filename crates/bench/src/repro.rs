@@ -12,7 +12,7 @@ use taor_core::prelude::*;
 use taor_core::siamese::try_evaluate_siamese;
 use taor_data::{
     nyu_class_crops, nyu_sns1_test_pairs, shapenet_set1, shapenet_set2, sns1_test_pairs, Dataset,
-    DatasetKind, ObjectClass, CANVAS,
+    DatasetKind, ObjectClass, CANVAS, NYU_TEST_PER_CLASS,
 };
 use taor_imgproc::image::RgbImage;
 
@@ -104,6 +104,17 @@ impl ReproConfig {
             .map(|(class, buffers)| nyu_class_crops(self.seed, class, buffers))
             .collect();
         Dataset { kind: DatasetKind::NyuSet, images: crops.into_iter().flatten().collect() }
+    }
+
+    /// Table 4 and E2 test on [`NYU_TEST_PER_CLASS`] NYU crops per class; fewer is an error.
+    pub(crate) fn check_nyu_test_pairs(&self) -> Result<(), taor_core::Error> {
+        match self.nyu_per_class {
+            Some(n) if n < NYU_TEST_PER_CLASS => Err(taor_core::Error::InvalidParameter {
+                name: "--nyu-per-class",
+                msg: format!("the NYU+SNS1 test pairs draw {NYU_TEST_PER_CLASS} crops per class"),
+            }),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -511,15 +522,16 @@ pub fn table3_ex_with(prep: &PreparedRepro, ablate: bool) -> TableOutput {
 /// Table 4: Normalized-X-Corr binary evaluation on both pair test sets.
 /// With `ablate`, also reports the cosine "exact matching" baseline.
 ///
-/// Fallible: an input resolution too small for the architecture, an
-/// empty training set or an empty evaluation set is a typed
-/// [`taor_core::Error`] instead of a panic.
+/// Fallible: too few NYU crops per class, an input resolution too small
+/// for the architecture, an empty training set or an empty evaluation set
+/// is a typed [`taor_core::Error`] instead of a panic.
 pub fn table4_with(
     prep: &PreparedRepro,
     ablate: bool,
     verbose: bool,
 ) -> Result<TableOutput, taor_core::Error> {
     let cfg = prep.cfg();
+    cfg.check_nyu_test_pairs()?;
     let sns1 = prep.sns1();
     let sns2 = prep.sns2();
     let nyu = prep.nyu();
@@ -602,7 +614,8 @@ pub fn table4_with(
 
     if ablate {
         // Cosine exact-matching baseline trained on the same pairs.
-        let train_pairs = taor_data::training_pairs(sns2, cfg.siamese.n_train_pairs, cfg.seed);
+        let train_pairs =
+            taor_data::training_pairs(sns2, cfg.siamese.n_train_pairs, cfg.siamese.seed);
         let cosine = CosineSiamese::try_fit(&train_pairs, 6)?;
         let mut t2 = TextTable::new(
             format!(
@@ -810,6 +823,7 @@ mod tests {
     #[test]
     fn table4_undersized_net_is_a_typed_error() {
         let mut cfg = tiny();
+        cfg.nyu_per_class = Some(NYU_TEST_PER_CLASS);
         cfg.siamese.net.height = 6;
         cfg.siamese.net.width = 6;
         match table4_with(&PreparedRepro::new(cfg), false, false) {
@@ -822,6 +836,7 @@ mod tests {
     #[test]
     fn table4_without_training_pairs_is_a_typed_error() {
         let mut cfg = tiny();
+        cfg.nyu_per_class = Some(NYU_TEST_PER_CLASS);
         cfg.siamese.n_train_pairs = 0;
         match table4_with(&PreparedRepro::new(cfg), false, false) {
             Err(taor_core::Error::Nn(taor_nn::TensorError::EmptyTrainingSet)) => {}

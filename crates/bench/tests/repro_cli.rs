@@ -45,6 +45,34 @@ fn empty_table4_evaluation_exits_1_without_a_panic() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// The NYU+SNS1 test pairs draw 10 crops per class. The check comes
+/// before training: with no training pairs it still names the flag.
+#[test]
+fn table4_with_too_few_nyu_crops_exits_1_naming_the_flag() {
+    for train_pairs in ["16", "0"] {
+        let out = repro(&[
+            "--quick",
+            "--table",
+            "4",
+            "--nyu-per-class",
+            "5",
+            "--train-pairs",
+            train_pairs,
+            "--train-epochs",
+            "1",
+            "--eval-pairs",
+            "16",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        assert!(
+            stderr.contains("error: table 4 failed: invalid parameter `--nyu-per-class`"),
+            "stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    }
+}
+
 /// `/dev/full` accepts the open and fails every write with `ENOSPC`.
 #[cfg(target_os = "linux")]
 #[test]

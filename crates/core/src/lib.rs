@@ -92,7 +92,7 @@ pub mod prelude {
     };
     pub use crate::shape_only::ShapeScorer;
     pub use crate::siamese::{
-        evaluate_siamese, image_to_tensor, pairs_to_samples, try_train_siamese, CosineSiamese,
+        evaluate_siamese, image_to_tensor, train_on_pairs, try_train_siamese, CosineSiamese,
         SiameseConfig,
     };
     pub use crate::wire::{

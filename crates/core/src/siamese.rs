@@ -10,7 +10,7 @@
 use crate::eval::{evaluate_binary, BinaryEvaluation};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use taor_data::{Dataset, ImagePair};
+use taor_data::{Dataset, ImagePair, LabeledImage};
 use taor_nn::{try_train, NetConfig, NormXCorrNet, PairSample, Tensor, TrainConfig, TrainReport};
 
 /// Pairs scored per batched head pass (and images per batched tower
@@ -64,28 +64,15 @@ impl SiameseConfig {
         }
     }
 
-    /// A single-CPU-feasible middle ground (≈ 2 min): 2,000 pairs and a
-    /// dozen epochs — enough for the in-domain signal to emerge while the
-    /// cross-domain failure persists.
+    /// A single-CPU-feasible middle ground (≈ 2 min): the quick network on
+    /// 2,000 pairs for a dozen epochs — enough for the in-domain signal to
+    /// emerge while the cross-domain failure persists.
     pub fn medium() -> Self {
+        let quick = SiameseConfig::quick();
         SiameseConfig {
-            net: NetConfig {
-                height: 32,
-                width: 24,
-                c1: 8,
-                c2: 10,
-                c3: 10,
-                dense: 32,
-                ..NetConfig::default()
-            },
-            train: TrainConfig {
-                max_epochs: 12,
-                batch_size: 16,
-                learning_rate: 1e-4,
-                ..TrainConfig::default()
-            },
+            train: TrainConfig { max_epochs: 12, ..quick.train },
             n_train_pairs: 2_000,
-            seed: 2019,
+            ..quick
         }
     }
 }
@@ -107,33 +94,58 @@ pub fn image_to_tensor(img: &taor_imgproc::RgbImage, cfg: &NetConfig) -> Tensor 
     Tensor::from_vec(&[1, 3, h, w], data).expect("length matches by construction")
 }
 
-/// Convert labelled image pairs to network samples (parallel).
-pub fn pairs_to_samples(pairs: &[ImagePair<'_>], cfg: &NetConfig) -> Vec<PairSample> {
-    pairs
-        .par_iter()
-        .map(|p| PairSample {
-            a: image_to_tensor(&p.a.image, cfg),
-            b: image_to_tensor(&p.b.image, cfg),
-            label: p.label,
+/// The network inputs of a pair set: one tensor per distinct image, in
+/// first-seen order, and each pair's two rows in that table. Pairs borrow
+/// their images from shared datasets, so the address is the identity;
+/// this is the one place that keys images by it.
+fn input_table(pairs: &[ImagePair<'_>], cfg: &NetConfig) -> (Vec<Tensor>, Vec<[usize; 2]>) {
+    let mut row_of: BTreeMap<*const LabeledImage, usize> = BTreeMap::new();
+    let mut unique: Vec<&LabeledImage> = Vec::new();
+    let rows: Vec<[usize; 2]> = pairs
+        .iter()
+        .map(|p| {
+            [p.a, p.b].map(|img| {
+                *row_of.entry(std::ptr::from_ref(img)).or_insert_with(|| {
+                    unique.push(img);
+                    unique.len() - 1
+                })
+            })
         })
-        .collect()
+        .collect();
+    let tensors = unique.par_iter().map(|img| image_to_tensor(&img.image, cfg)).collect();
+    (tensors, rows)
 }
 
-/// Train the Normalized-X-Corr net on SNS2 pairs per the paper's recipe.
-///
-/// An undersized network input resolution, an empty training set and a
-/// zero batch size are typed [`crate::Error::Nn`] values
-/// ([`taor_nn::TensorError`]).
+/// Train a Normalized-X-Corr net of shape `net` on `pairs`, every pair
+/// borrowing its two tensors from one `input_table`. An undersized input
+/// resolution, an empty pair list and a zero batch size are typed
+/// [`crate::Error::Nn`] values ([`taor_nn::TensorError`]).
+pub fn train_on_pairs(
+    pairs: &[ImagePair<'_>],
+    net: NetConfig,
+    train: &TrainConfig,
+    on_epoch: impl FnMut(&taor_nn::EpochStats),
+) -> crate::error::Result<(NormXCorrNet, TrainReport)> {
+    let mut net = NormXCorrNet::new(net)?;
+    let (tensors, rows) = input_table(pairs, &net.config);
+    let samples: Vec<PairSample<'_>> = pairs
+        .iter()
+        .zip(&rows)
+        .map(|(p, &[a, b])| PairSample { a: &tensors[a], b: &tensors[b], label: p.label })
+        .collect();
+    let report = try_train(&mut net, &samples, train, on_epoch)?;
+    Ok((net, report))
+}
+
+/// Train the Normalized-X-Corr net on SNS2 pairs per the paper's recipe:
+/// [`taor_data::training_pairs`], then [`train_on_pairs`].
 pub fn try_train_siamese(
     sns2: &Dataset,
     cfg: &SiameseConfig,
     on_epoch: impl FnMut(&taor_nn::EpochStats),
 ) -> crate::error::Result<(NormXCorrNet, TrainReport)> {
-    let mut net = NormXCorrNet::new(cfg.net.clone())?;
     let pairs = taor_data::training_pairs(sns2, cfg.n_train_pairs, cfg.seed);
-    let samples = pairs_to_samples(&pairs, &cfg.net);
-    let report = try_train(&mut net, &samples, &cfg.train, on_epoch)?;
-    Ok((net, report))
+    train_on_pairs(&pairs, cfg.net.clone(), &cfg.train, on_epoch)
 }
 
 /// Evaluate a trained net on labelled pairs, producing Table-4-style
@@ -156,7 +168,7 @@ pub fn evaluate_siamese(
 ///
 /// The re-identification protocol reuses every catalog image in many
 /// pairs, so the expensive half of the network — the shared conv tower —
-/// is run **once per distinct image** (identity-keyed, in pool-parallel
+/// is run **once per distinct image** (`input_table`, in pool-parallel
 /// batches) and each pair is then scored through the light NormXCorr
 /// head from the precomputed features, also in pool-parallel batches.
 /// Predictions are bit-identical to the naive pair-at-a-time path:
@@ -170,23 +182,9 @@ pub fn try_evaluate_siamese(
     if pairs.is_empty() {
         return Err(crate::error::Error::EmptyInput("evaluation pairs"));
     }
-    // Identity-keyed image dedup (pairs borrow from a shared catalog, so
-    // the address is the identity; first-seen order keeps this
-    // deterministic).
-    let mut index: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut unique: Vec<&taor_data::LabeledImage> = Vec::new();
-    for p in pairs {
-        for img in [p.a, p.b] {
-            let key = img as *const taor_data::LabeledImage as usize;
-            index.entry(key).or_insert_with(|| {
-                unique.push(img);
-                unique.len() - 1
-            });
-        }
-    }
+    let (tensors, rows) = input_table(pairs, cfg);
 
     // Each distinct image through the tower exactly once.
-    let tensors: Vec<Tensor> = unique.par_iter().map(|e| image_to_tensor(&e.image, cfg)).collect();
     let embedded: Vec<crate::error::Result<Vec<Tensor>>> = tensors
         .par_chunks(EVAL_BATCH)
         .map(|chunk| {
@@ -195,23 +193,17 @@ pub fn try_evaluate_siamese(
             Ok(feats.split_batch()?)
         })
         .collect();
-    let mut features = Vec::with_capacity(unique.len());
+    let mut features = Vec::with_capacity(tensors.len());
     for r in embedded {
         features.extend(r?);
     }
 
     // Score the pairs through the head from the precomputed features.
-    let scored: Vec<crate::error::Result<Vec<usize>>> = pairs
+    let scored: Vec<crate::error::Result<Vec<usize>>> = rows
         .par_chunks(EVAL_BATCH)
         .map(|chunk| {
-            let fa: Vec<&Tensor> = chunk
-                .iter()
-                .map(|p| &features[index[&(p.a as *const taor_data::LabeledImage as usize)]])
-                .collect();
-            let fb: Vec<&Tensor> = chunk
-                .iter()
-                .map(|p| &features[index[&(p.b as *const taor_data::LabeledImage as usize)]])
-                .collect();
+            let fa: Vec<&Tensor> = chunk.iter().map(|&[a, _]| &features[a]).collect();
+            let fb: Vec<&Tensor> = chunk.iter().map(|&[_, b]| &features[b]).collect();
             let probs = net
                 .predict_similar_features(&Tensor::stack_batch(&fa)?, &Tensor::stack_batch(&fb)?)?;
             Ok(probs.into_iter().map(|p| usize::from(p > 0.5)).collect::<Vec<_>>())
@@ -324,7 +316,16 @@ impl CosineSiamese {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use taor_data::{shapenet_set1, shapenet_set2, sns1_test_pairs, training_pairs};
+
+    /// Every field of a binary evaluation, the floats as bits.
+    fn eval_bits(e: &BinaryEvaluation) -> Vec<u64> {
+        let class = |m: &crate::eval::BinaryClassMetrics| {
+            [m.precision.to_bits(), m.recall.to_bits(), m.f1.to_bits(), m.support as u64]
+        };
+        [&[e.accuracy.to_bits()][..], &class(&e.similar), &class(&e.dissimilar)].concat()
+    }
 
     #[test]
     fn image_to_tensor_has_net_shape() {
@@ -415,14 +416,37 @@ mod tests {
 
         let deduped = try_evaluate_siamese(&net, subset, &cfg.net).unwrap();
 
-        let samples = pairs_to_samples(subset, &cfg.net);
+        let to_tensor = |img: &taor_data::LabeledImage| image_to_tensor(&img.image, &cfg.net);
+        let copies: Vec<_> =
+            subset.iter().map(|p| (to_tensor(p.a), to_tensor(p.b), p.label)).collect();
+        let samples: Vec<_> =
+            copies.iter().map(|(a, b, l)| PairSample { a, b, label: *l }).collect();
         let preds = taor_nn::try_predict_labels(&net, &samples).unwrap();
         let truth: Vec<usize> = subset.iter().map(|p| p.label).collect();
         let naive = evaluate_binary(&truth, &preds);
 
-        assert_eq!(deduped.accuracy.to_bits(), naive.accuracy.to_bits());
-        assert_eq!(deduped.similar.precision.to_bits(), naive.similar.precision.to_bits());
-        assert_eq!(deduped.similar.recall.to_bits(), naive.similar.recall.to_bits());
-        assert_eq!(deduped.dissimilar.recall.to_bits(), naive.dissimilar.recall.to_bits());
+        assert_eq!(eval_bits(&deduped), eval_bits(&naive));
+    }
+
+    /// The table holds each distinct image once, and each pair's two rows
+    /// hold that pair's own images.
+    #[test]
+    fn input_table_holds_each_distinct_image_once() {
+        let sns2 = shapenet_set2(2019);
+        let pairs = training_pairs(&sns2, 2_000, 2019);
+        let cfg = SiameseConfig::quick().net;
+        let (tensors, rows) = input_table(&pairs, &cfg);
+        let images: BTreeSet<_> = pairs
+            .iter()
+            .flat_map(|p| [p.a, p.b])
+            .map(|i| (i.class, i.model_id, i.view_id))
+            .collect();
+        assert_eq!(tensors.len(), images.len());
+        assert!(tensors.len() <= 100, "{} rows for SNS2's 100 views", tensors.len());
+        assert_eq!(rows.len(), pairs.len());
+        for (p, &[a, b]) in pairs.iter().zip(&rows) {
+            assert_eq!(tensors[a].data(), image_to_tensor(&p.a.image, &cfg).data());
+            assert_eq!(tensors[b].data(), image_to_tensor(&p.b.image, &cfg).data());
+        }
     }
 }

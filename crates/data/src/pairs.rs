@@ -37,6 +37,7 @@ pub const TRAIN_SIMILAR_FRACTION: f64 = 0.52;
 pub const SNS1_TEST_PAIRS: usize = 3_321;
 pub const NYU_TEST_SIMILAR: usize = 4_160;
 pub const NYU_TEST_DISSIMILAR: usize = 4_040;
+pub const NYU_TEST_PER_CLASS: usize = 10;
 
 /// Build the SNS2 training pairs (9,450; 52% similar).
 ///
@@ -98,7 +99,7 @@ pub fn nyu_sns1_test_pairs<'a>(
     sns1: &'a Dataset,
     seed: u64,
 ) -> Vec<ImagePair<'a>> {
-    let nyu_subset = sample_per_class(nyu, 10, seed ^ 0x9A);
+    let nyu_subset = sample_per_class(nyu, NYU_TEST_PER_CLASS, seed ^ 0x9A);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0x9B);
 
     let sns1_by_class: Vec<Vec<&LabeledImage>> =

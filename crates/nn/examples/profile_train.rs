@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 use taor_nn::layers::softmax_cross_entropy_rows;
-use taor_nn::{NetConfig, NormXCorrNet, PairSample, Tensor};
+use taor_nn::{NetConfig, NormXCorrNet, Tensor};
 
 fn time<T>(label: &str, iters: usize, mut f: impl FnMut() -> T) -> f64 {
     // Warm-up.
@@ -35,27 +35,22 @@ fn main() {
     let net = NormXCorrNet::new(cfg).unwrap();
     let b = 4usize;
     let len = 3 * 32 * 24;
-    let samples: Vec<PairSample> = (0..b)
+    let images: Vec<(Tensor, Tensor)> = (0..b)
         .map(|i| {
             let a: Vec<f32> = (0..len).map(|v| ((v + i * 97) as f32 * 0.013).sin() * 0.5).collect();
             let mut bb = a.clone();
             bb.rotate_left(29);
-            PairSample {
-                a: Tensor::from_vec(&[1, 3, 32, 24], a).unwrap(),
-                b: Tensor::from_vec(&[1, 3, 32, 24], bb).unwrap(),
-                label: i % 2,
-            }
+            (
+                Tensor::from_vec(&[1, 3, 32, 24], a).unwrap(),
+                Tensor::from_vec(&[1, 3, 32, 24], bb).unwrap(),
+            )
         })
         .collect();
-    let mut a = Vec::new();
-    let mut bb = Vec::new();
-    for s in &samples {
-        a.extend_from_slice(s.a.data());
-        bb.extend_from_slice(s.b.data());
-    }
-    let a = Tensor::from_vec(&[b, 3, 32, 24], a).unwrap();
-    let bt = Tensor::from_vec(&[b, 3, 32, 24], bb).unwrap();
-    let labels: Vec<usize> = samples.iter().map(|s| s.label).collect();
+    let a: Vec<&Tensor> = images.iter().map(|(a, _)| a).collect();
+    let bb: Vec<&Tensor> = images.iter().map(|(_, b)| b).collect();
+    let a = Tensor::stack_batch(&a).unwrap();
+    let bt = Tensor::stack_batch(&bb).unwrap();
+    let labels: Vec<usize> = (0..b).map(|i| i % 2).collect();
     let seeds: Vec<u64> = (0..b as u64).collect();
 
     let iters = 200;

@@ -23,11 +23,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
-/// One labelled image pair: tensors are `[1, 3, H, W]`, label 1 = similar.
-#[derive(Debug, Clone)]
-pub struct PairSample {
-    pub a: Tensor,
-    pub b: Tensor,
+/// One labelled image pair: borrowed `[1, 3, H, W]` tensors (pairs that
+/// share an image share one tensor), label 1 = similar.
+#[derive(Debug, Clone, Copy)]
+pub struct PairSample<'t> {
+    pub a: &'t Tensor,
+    pub b: &'t Tensor,
     pub label: usize,
 }
 
@@ -97,10 +98,10 @@ type MicroPassResult = Result<(Vec<f32>, Vec<bool>, NetGrads), TensorError>;
 /// grads)`; a pair the network cannot take is a typed error.
 pub fn sample_pass(
     net: &NormXCorrNet,
-    sample: &PairSample,
+    sample: &PairSample<'_>,
     dropout_seed: u64,
 ) -> Result<(f32, bool, NetGrads), TensorError> {
-    let (logits, cache) = net.forward_ex(&sample.a, &sample.b, Some(dropout_seed))?;
+    let (logits, cache) = net.forward_ex(sample.a, sample.b, Some(dropout_seed))?;
     let (loss, grad) = softmax_cross_entropy(&logits, &[sample.label])?;
     let pred = if logits.at2(0, 1) > logits.at2(0, 0) { 1 } else { 0 };
     let mut grads = net.zero_grads();
@@ -116,13 +117,13 @@ pub fn sample_pass(
 /// two classes a [`TensorError::InvalidLabel`].
 fn micro_pass(
     net: &NormXCorrNet,
-    samples: &[PairSample],
+    samples: &[PairSample<'_>],
     idxs: &[usize],
     epoch: usize,
     seed: u64,
 ) -> Result<(Vec<f32>, Vec<bool>, NetGrads), TensorError> {
-    let a: Vec<&Tensor> = idxs.iter().map(|&i| &samples[i].a).collect();
-    let b: Vec<&Tensor> = idxs.iter().map(|&i| &samples[i].b).collect();
+    let a: Vec<&Tensor> = idxs.iter().map(|&i| samples[i].a).collect();
+    let b: Vec<&Tensor> = idxs.iter().map(|&i| samples[i].b).collect();
     let (a, b) = (Tensor::stack_batch(&a)?, Tensor::stack_batch(&b)?);
     let labels: Vec<usize> = idxs.iter().map(|&i| samples[i].label).collect();
     // Per-sample, per-epoch dropout stream — a function of the sample
@@ -147,7 +148,7 @@ fn micro_pass(
 /// 1 are typed errors.
 pub fn try_train(
     net: &mut NormXCorrNet,
-    samples: &[PairSample],
+    samples: &[PairSample<'_>],
     cfg: &TrainConfig,
     mut on_epoch: impl FnMut(&EpochStats),
 ) -> Result<TrainReport, TensorError> {
@@ -230,13 +231,13 @@ const EVAL_BATCH: usize = 16;
 /// [`TensorError::ShapeMismatch`].
 pub fn try_predict_labels(
     net: &NormXCorrNet,
-    samples: &[PairSample],
+    samples: &[PairSample<'_>],
 ) -> Result<Vec<usize>, TensorError> {
     let results: Vec<Result<Vec<usize>, TensorError>> = samples
         .par_chunks(EVAL_BATCH)
         .map(|chunk| {
-            let a: Vec<&Tensor> = chunk.iter().map(|p| &p.a).collect();
-            let b: Vec<&Tensor> = chunk.iter().map(|p| &p.b).collect();
+            let a: Vec<&Tensor> = chunk.iter().map(|p| p.a).collect();
+            let b: Vec<&Tensor> = chunk.iter().map(|p| p.b).collect();
             let probs =
                 net.predict_similar(&Tensor::stack_batch(&a)?, &Tensor::stack_batch(&b)?)?;
             Ok(probs.into_iter().map(|p| usize::from(p > 0.5)).collect::<Vec<_>>())
@@ -269,8 +270,9 @@ mod tests {
     }
 
     /// Trivially separable data: "similar" pairs are both bright, others
-    /// are bright-vs-dark.
-    fn separable_samples(n: usize, h: usize, w: usize, seed: u64) -> Vec<PairSample> {
+    /// are bright-vs-dark. Each pair's two tensors and label; [`borrowed`]
+    /// makes the samples.
+    fn separable_pairs(n: usize, h: usize, w: usize, seed: u64) -> Vec<(Tensor, Tensor, usize)> {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         (0..n)
             .map(|i| {
@@ -282,22 +284,26 @@ mod tests {
                 } else {
                     (0..len).map(|_| -0.8 + rng.gen_range(-0.1..0.1)).collect()
                 };
-                PairSample {
-                    a: Tensor::from_vec(&[1, 3, h, w], bright).unwrap(),
-                    b: Tensor::from_vec(&[1, 3, h, w], other).unwrap(),
+                (
+                    Tensor::from_vec(&[1, 3, h, w], bright).unwrap(),
+                    Tensor::from_vec(&[1, 3, h, w], other).unwrap(),
                     label,
-                }
+                )
             })
             .collect()
+    }
+
+    fn borrowed(pairs: &[(Tensor, Tensor, usize)]) -> Vec<PairSample<'_>> {
+        pairs.iter().map(|(a, b, label)| PairSample { a, b, label: *label }).collect()
     }
 
     #[test]
     fn loss_decreases_on_separable_data() {
         let mut net = tiny_net();
-        let samples = separable_samples(24, 24, 20, 7);
+        let pairs = separable_pairs(24, 24, 20, 7);
         let cfg =
             TrainConfig { learning_rate: 1e-3, max_epochs: 6, batch_size: 8, ..Default::default() };
-        let report = try_train(&mut net, &samples, &cfg, |_| {}).unwrap();
+        let report = try_train(&mut net, &borrowed(&pairs), &cfg, |_| {}).unwrap();
         let first = report.epochs.first().unwrap().mean_loss;
         let last = report.epochs.last().unwrap().mean_loss;
         assert!(last < first, "loss {first} -> {last} should decrease");
@@ -306,7 +312,7 @@ mod tests {
     #[test]
     fn early_stopping_fires_on_plateau() {
         let mut net = tiny_net();
-        let samples = separable_samples(8, 24, 20, 9);
+        let pairs = separable_pairs(8, 24, 20, 9);
         // Zero learning rate: loss cannot decrease, so the plateau rule
         // must fire after `patience + 1` epochs.
         let cfg = TrainConfig {
@@ -316,7 +322,7 @@ mod tests {
             early_stop_patience: 3,
             ..Default::default()
         };
-        let report = try_train(&mut net, &samples, &cfg, |_| {}).unwrap();
+        let report = try_train(&mut net, &borrowed(&pairs), &cfg, |_| {}).unwrap();
         assert!(report.early_stopped);
         assert!(report.epochs.len() <= 6, "stopped after {} epochs", report.epochs.len());
     }
@@ -324,18 +330,18 @@ mod tests {
     #[test]
     fn epoch_callback_sees_every_epoch() {
         let mut net = tiny_net();
-        let samples = separable_samples(8, 24, 20, 11);
+        let pairs = separable_pairs(8, 24, 20, 11);
         let cfg = TrainConfig { max_epochs: 3, batch_size: 4, ..Default::default() };
         let mut seen = Vec::new();
-        let report = try_train(&mut net, &samples, &cfg, |s| seen.push(s.epoch)).unwrap();
+        let report = try_train(&mut net, &borrowed(&pairs), &cfg, |s| seen.push(s.epoch)).unwrap();
         assert_eq!(seen.len(), report.epochs.len());
     }
 
     #[test]
     fn predict_labels_shape() {
         let net = tiny_net();
-        let samples = separable_samples(6, 24, 20, 13);
-        let labels = try_predict_labels(&net, &samples).unwrap();
+        let pairs = separable_pairs(6, 24, 20, 13);
+        let labels = try_predict_labels(&net, &borrowed(&pairs)).unwrap();
         assert_eq!(labels.len(), 6);
         assert!(labels.iter().all(|&l| l == 0 || l == 1));
     }
@@ -345,8 +351,9 @@ mod tests {
         // A 24×20 pair, then a taller one, or one with the same element
         // count under transposed sides that must not be silently reshaped.
         for (h, w) in [(26, 20), (20, 24)] {
-            let mut samples = separable_samples(1, 24, 20, 17);
-            samples.extend(separable_samples(1, h, w, 19));
+            let mut pairs = separable_pairs(1, 24, 20, 17);
+            pairs.extend(separable_pairs(1, h, w, 19));
+            let samples = borrowed(&pairs);
             let net = tiny_net();
             assert!(
                 matches!(
@@ -379,7 +386,8 @@ mod tests {
 
     #[test]
     fn out_of_range_label_is_a_typed_error() {
-        let mut samples = separable_samples(6, 24, 20, 21);
+        let pairs = separable_pairs(6, 24, 20, 21);
+        let mut samples = borrowed(&pairs);
         samples[3].label = 2;
         let want = Some(TensorError::InvalidLabel { label: 2, classes: 2 });
         assert_eq!(sample_pass(&tiny_net(), &samples[3], 1).err(), want);
@@ -391,10 +399,10 @@ mod tests {
     #[test]
     fn zero_batch_size_is_a_typed_error() {
         let mut net = tiny_net();
-        let samples = separable_samples(4, 24, 20, 15);
+        let pairs = separable_pairs(4, 24, 20, 15);
         let cfg = TrainConfig { batch_size: 0, ..Default::default() };
         assert!(matches!(
-            try_train(&mut net, &samples, &cfg, |_| {}),
+            try_train(&mut net, &borrowed(&pairs), &cfg, |_| {}),
             Err(TensorError::InvalidBatchSize { batch_size: 0 })
         ));
     }

@@ -25,17 +25,31 @@ fn tiny_cfg(dropout: f32) -> NetConfig {
     }
 }
 
-fn pair_from(h: usize, w: usize, data_a: Vec<f32>, data_b: Vec<f32>, label: usize) -> PairSample {
-    PairSample {
+/// A pair that owns its tensors; [`Pair::sample`] borrows them as the
+/// trainer's samples do.
+struct Pair {
+    a: Tensor,
+    b: Tensor,
+    label: usize,
+}
+
+impl Pair {
+    fn sample(&self) -> PairSample<'_> {
+        PairSample { a: &self.a, b: &self.b, label: self.label }
+    }
+}
+
+fn pair_from(h: usize, w: usize, data_a: Vec<f32>, data_b: Vec<f32>, label: usize) -> Pair {
+    Pair {
         a: Tensor::from_vec(&[1, 3, h, w], data_a).unwrap(),
         b: Tensor::from_vec(&[1, 3, h, w], data_b).unwrap(),
         label,
     }
 }
 
-fn stack(samples: &[PairSample]) -> (Tensor, Tensor) {
-    let a: Vec<&Tensor> = samples.iter().map(|s| &s.a).collect();
-    let b: Vec<&Tensor> = samples.iter().map(|s| &s.b).collect();
+fn stack(samples: &[PairSample<'_>]) -> (Tensor, Tensor) {
+    let a: Vec<&Tensor> = samples.iter().map(|s| s.a).collect();
+    let b: Vec<&Tensor> = samples.iter().map(|s| s.b).collect();
     (Tensor::stack_batch(&a).unwrap(), Tensor::stack_batch(&b).unwrap())
 }
 
@@ -62,11 +76,12 @@ fn assert_grads_eq(batched: &NetGrads, oracle: &NetGrads, what: &str) {
     }
 }
 
-/// Run the batched pass over `samples` with the trainer's seed formula
+/// Run the batched pass over `pairs` with the trainer's seed formula
 /// and pin logits, losses, correctness, and gradients against the
 /// per-sample oracle accumulated in row order.
-fn check_batch_against_oracle(net: &NormXCorrNet, samples: &[PairSample], seed: u64) {
-    let (a, b) = stack(samples);
+fn check_batch_against_oracle(net: &NormXCorrNet, pairs: &[Pair], seed: u64) {
+    let samples: Vec<PairSample<'_>> = pairs.iter().map(Pair::sample).collect();
+    let (a, b) = stack(&samples);
     let seeds: Vec<u64> = (0..samples.len()).map(|i| seed ^ (i as u64)).collect();
     let labels: Vec<usize> = samples.iter().map(|s| s.label).collect();
 
@@ -78,7 +93,7 @@ fn check_batch_against_oracle(net: &NormXCorrNet, samples: &[PairSample], seed: 
     let mut oracle = net.zero_grads();
     for (i, s) in samples.iter().enumerate() {
         let (loss, _, g) = sample_pass(net, s, seeds[i]).unwrap();
-        let (l1, _) = net.forward_ex(&s.a, &s.b, Some(seeds[i])).unwrap();
+        let (l1, _) = net.forward_ex(s.a, s.b, Some(seeds[i])).unwrap();
         assert_bits_eq(&logits.data()[i * 2..(i + 1) * 2], l1.data(), &format!("row {i} logits"));
         if !(losses[i].is_nan() && loss.is_nan()) {
             assert_eq!(losses[i].to_bits(), loss.to_bits(), "row {i} loss");
@@ -101,7 +116,7 @@ proptest! {
     ) {
         let net = NormXCorrNet::new(tiny_cfg(0.0)).unwrap();
         let len = 3 * 24 * 20;
-        let samples: Vec<PairSample> = (0..n)
+        let pairs: Vec<Pair> = (0..n)
             .map(|i| {
                 let a = raw[i * len..(i + 1) * len].to_vec();
                 let mut b = a.clone();
@@ -109,7 +124,7 @@ proptest! {
                 pair_from(24, 20, a, b, i % 2)
             })
             .collect();
-        check_batch_against_oracle(&net, &samples, seed);
+        check_batch_against_oracle(&net, &pairs, seed);
     }
 
     /// Same pin with dropout enabled: per-row seeded masks must make the
@@ -121,7 +136,7 @@ proptest! {
     ) {
         let net = NormXCorrNet::new(tiny_cfg(0.4)).unwrap();
         let len = 3 * 24 * 20;
-        let samples: Vec<PairSample> = (0..4)
+        let pairs: Vec<Pair> = (0..4)
             .map(|i| {
                 let a = raw[i * len..(i + 1) * len].to_vec();
                 let mut b = a.clone();
@@ -129,7 +144,7 @@ proptest! {
                 pair_from(24, 20, a, b, 1 - i % 2)
             })
             .collect();
-        check_batch_against_oracle(&net, &samples, seed);
+        check_batch_against_oracle(&net, &pairs, seed);
     }
 }
 
@@ -140,7 +155,7 @@ proptest! {
 fn batched_pass_matches_oracle_on_nan_quarantine_inputs() {
     let net = NormXCorrNet::new(tiny_cfg(0.0)).unwrap();
     let len = 3 * 24 * 20;
-    let mut samples: Vec<PairSample> = (0..3)
+    let mut pairs: Vec<Pair> = (0..3)
         .map(|i| {
             let a: Vec<f32> = (0..len).map(|v| ((v + i * 31) as f32 * 0.11).sin()).collect();
             let mut b = a.clone();
@@ -149,9 +164,9 @@ fn batched_pass_matches_oracle_on_nan_quarantine_inputs() {
         })
         .collect();
     // Poison the middle pair.
-    samples[1].a.data_mut()[17] = f32::NAN;
-    samples[1].b.data_mut()[200] = f32::INFINITY;
-    check_batch_against_oracle(&net, &samples, 99);
+    pairs[1].a.data_mut()[17] = f32::NAN;
+    pairs[1].b.data_mut()[200] = f32::INFINITY;
+    check_batch_against_oracle(&net, &pairs, 99);
 }
 
 /// Table 4's own networks at the trainer's micro-batch of four pairs:
@@ -173,7 +188,7 @@ fn batched_pass_matches_oracle_at_table4_shapes() {
     for cfg in [medium, NetConfig::default()] {
         let net = NormXCorrNet::new(cfg.clone()).unwrap();
         let len = 3 * cfg.height * cfg.width;
-        let samples: Vec<PairSample> = (0..4)
+        let pairs: Vec<Pair> = (0..4)
             .map(|i| {
                 let a: Vec<f32> =
                     (0..len).map(|v| ((v + i * 97) as f32 * 0.013).sin() * 0.5).collect();
@@ -182,7 +197,7 @@ fn batched_pass_matches_oracle_at_table4_shapes() {
                 pair_from(cfg.height, cfg.width, a, b, i % 2)
             })
             .collect();
-        check_batch_against_oracle(&net, &samples, 2019);
+        check_batch_against_oracle(&net, &pairs, 2019);
     }
 }
 

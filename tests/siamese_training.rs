@@ -3,8 +3,8 @@
 
 use taor::core::prelude::*;
 use taor::core::Result;
-use taor::data::shapenet_set2;
-use taor::nn::{NetConfig, NormXCorrNet, TrainConfig};
+use taor::data::{shapenet_set2, ImagePair};
+use taor::nn::{try_train, NetConfig, NormXCorrNet, PairSample, TrainConfig};
 
 #[test]
 fn paper_hyperparameters_are_the_defaults() {
@@ -44,11 +44,11 @@ fn model_roundtrips_through_json() -> Result<()> {
     let json = net.to_json();
     let restored = NormXCorrNet::from_json(&json).expect("valid model json");
 
-    let pairs = taor::data::training_pairs(&sns2, 20, 7);
-    let samples = pairs_to_samples(&pairs, &cfg.net);
-    for s in &samples {
-        let p1 = net.predict_similar(&s.a, &s.b).unwrap();
-        let p2 = restored.predict_similar(&s.a, &s.b).unwrap();
+    for p in taor::data::training_pairs(&sns2, 20, 7) {
+        let a = image_to_tensor(&p.a.image, &cfg.net);
+        let b = image_to_tensor(&p.b.image, &cfg.net);
+        let p1 = net.predict_similar(&a, &b).unwrap();
+        let p2 = restored.predict_similar(&a, &b).unwrap();
         assert_eq!(p1, p2);
     }
     Ok(())
@@ -76,4 +76,41 @@ fn net_config_controls_input_resolution() {
     assert_eq!(t.shape(), &[1, 3, 48, 32]);
     let (logits, _) = net.forward(&t, &t).unwrap();
     assert_eq!(logits.shape(), &[1, 2]);
+}
+
+/// `net`, trained on one shared input table, serialises to the same bytes
+/// as a net trained on per-pair `image_to_tensor` copies of `pairs`.
+fn assert_trained_like_per_pair_copies(
+    net: &NormXCorrNet,
+    pairs: &[ImagePair<'_>],
+    train: &TrainConfig,
+) {
+    let to_tensor = |img: &taor::data::LabeledImage| image_to_tensor(&img.image, &net.config);
+    let copies: Vec<_> = pairs.iter().map(|p| (to_tensor(p.a), to_tensor(p.b), p.label)).collect();
+    let samples: Vec<_> = copies.iter().map(|(a, b, l)| PairSample { a, b, label: *l }).collect();
+    let mut reference = NormXCorrNet::new(net.config.clone()).unwrap();
+    try_train(&mut reference, &samples, train, |_| {}).unwrap();
+    assert!(net.to_json() == reference.to_json(), "the nets differ");
+}
+
+/// Table 4's catalog pairs through `try_train_siamese`, and E2's
+/// mixed-domain pairs with dropout and weight decay through
+/// `train_on_pairs`.
+#[test]
+fn training_on_one_input_table_matches_per_pair_copies() -> Result<()> {
+    let sns2 = shapenet_set2(2019);
+    let mut cfg = SiameseConfig::quick();
+    cfg.n_train_pairs = 60;
+    cfg.train.max_epochs = 1;
+    let (net, _) = try_train_siamese(&sns2, &cfg, |_| {})?;
+    let pairs = taor::data::training_pairs(&sns2, 60, cfg.seed);
+    assert_trained_like_per_pair_copies(&net, &pairs, &cfg.train);
+
+    let nyu = taor::data::nyu_set_subsampled(2019, 10);
+    let pairs = taor::data::mixed_training_pairs(&sns2, &nyu, 60, cfg.seed);
+    let net_cfg = NetConfig { dropout: 0.3, ..cfg.net };
+    let train = TrainConfig { weight_decay: 1e-4, ..cfg.train };
+    let (net, _) = train_on_pairs(&pairs, net_cfg, &train, |_| {})?;
+    assert_trained_like_per_pair_copies(&net, &pairs, &train);
+    Ok(())
 }
