@@ -164,7 +164,7 @@ fn main() {
 
     // One shared cache: datasets and preprocessed view sets are built
     // once and reused by every table generated in this run.
-    let prep = PreparedRepro::new(cfg.clone());
+    let prep = PreparedRepro::new(cfg);
     let mut records = Vec::new();
     for t in wanted {
         let started = std::time::Instant::now();
@@ -213,7 +213,7 @@ fn main() {
     }
 
     if args.extensions {
-        for out in [table_e1(&cfg, 12), table_e2(&cfg, args.verbose), table_e3(&cfg)] {
+        for out in [table_e1(&prep, 12), table_e2(&prep, args.verbose), table_e3(&prep)] {
             println!("{}", out.text);
             records.extend(out.records);
         }

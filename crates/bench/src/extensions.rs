@@ -11,22 +11,24 @@
 //!   discussion motivates;
 //! * **E3** — hybrid accuracy as the reference catalog grows
 //!   ("augmenting the cardinality of each class").
+//!
+//! Each reads the datasets and preprocessed view sets of the run's
+//! [`PreparedRepro`], so a run with the nine tables and the extensions
+//! renders each dataset once.
 
-use crate::repro::{hybrid_preds, ReproConfig, TableOutput};
+use crate::repro::{hybrid_preds, PreparedRepro, TableOutput};
 use taor_core::prelude::*;
 use taor_core::siamese::try_evaluate_siamese;
-use taor_data::{
-    mixed_training_pairs, nyu_sns1_test_pairs, patrol_frames, shapenet_set1, shapenet_set2,
-};
+use taor_data::{mixed_training_pairs, nyu_sns1_test_pairs, patrol_frames};
 
 /// E1: end-to-end scene recognition.
 ///
 /// Classifies (a) ground-truth crops (the paper's controlled condition)
 /// and (b) automatically segmented crops of the same frames, quantifying
-/// how much accuracy the segmentation stage costs.
-pub fn table_e1(cfg: &ReproConfig, n_frames: usize) -> TableOutput {
-    let sns1 = shapenet_set1(cfg.seed);
-    let refs = prepare_views(&sns1, Background::White);
+/// how much accuracy the segmentation stage costs. It scores against its
+/// own ledger, not the run's.
+pub fn table_e1(prep: &PreparedRepro, n_frames: usize) -> TableOutput {
+    let (cfg, refs) = (prep.cfg(), prep.refs_sns1());
     let hybrid = HybridConfig { alpha: cfg.alpha, beta: cfg.beta, ..Default::default() };
     let diag = Diagnostics::new();
     let classify = |crop: &taor_imgproc::RgbImage| {
@@ -35,7 +37,7 @@ pub fn table_e1(cfg: &ReproConfig, n_frames: usize) -> TableOutput {
             model_id: 0,
             feat: preprocess(crop, Background::Black),
         };
-        hybrid_preds(std::slice::from_ref(&q), &refs, &hybrid, Aggregation::WeightedSum, &diag)[0]
+        hybrid_preds(std::slice::from_ref(&q), refs, &hybrid, Aggregation::WeightedSum, &diag)[0]
     };
 
     let frames = patrol_frames(cfg.seed, n_frames);
@@ -118,19 +120,18 @@ pub fn table_e1(cfg: &ReproConfig, n_frames: usize) -> TableOutput {
 /// collapsed. Too few NYU crops per class, an undersized net resolution
 /// or an empty evaluation set is a typed error, surfaced as a degraded
 /// table rather than a panic.
-pub fn table_e2(cfg: &ReproConfig, verbose: bool) -> TableOutput {
-    try_table_e2(cfg, verbose).unwrap_or_else(|e| degraded_e2(&e))
+pub fn table_e2(prep: &PreparedRepro, verbose: bool) -> TableOutput {
+    try_table_e2(prep, verbose).unwrap_or_else(|e| degraded_e2(&e))
 }
 
-fn try_table_e2(cfg: &ReproConfig, verbose: bool) -> Result<TableOutput, taor_core::Error> {
+fn try_table_e2(prep: &PreparedRepro, verbose: bool) -> Result<TableOutput, taor_core::Error> {
+    let cfg = prep.cfg();
     cfg.check_nyu_test_pairs()?;
-    let sns2 = shapenet_set2(cfg.seed);
-    let nyu = cfg.nyu();
-    let sns1 = shapenet_set1(cfg.seed);
-    let test_pairs = nyu_sns1_test_pairs(&nyu, &sns1, cfg.seed);
+    let (sns1, sns2, nyu) = (prep.sns1(), prep.sns2(), prep.nyu());
+    let test_pairs = nyu_sns1_test_pairs(nyu, sns1, cfg.seed);
 
     // Condition (a): the paper's catalog-only training.
-    let (net_a, _) = taor_core::try_train_siamese(&sns2, &cfg.siamese, |s| {
+    let (net_a, _) = taor_core::try_train_siamese(sns2, &cfg.siamese, |s| {
         if verbose {
             eprintln!("  [catalog] epoch {} loss {:.5}", s.epoch, s.mean_loss);
         }
@@ -142,7 +143,7 @@ fn try_table_e2(cfg: &ReproConfig, verbose: bool) -> Result<TableOutput, taor_co
     net_cfg.dropout = 0.3;
     let mut train_cfg = cfg.siamese.train.clone();
     train_cfg.weight_decay = 1e-4;
-    let pairs = mixed_training_pairs(&sns2, &nyu, cfg.siamese.n_train_pairs, cfg.seed);
+    let pairs = mixed_training_pairs(sns2, nyu, cfg.siamese.n_train_pairs, cfg.seed);
     let (net_b, _) = train_on_pairs(&pairs, net_cfg, &train_cfg, |s| {
         if verbose {
             eprintln!("  [mixed]   epoch {} loss {:.5}", s.epoch, s.mean_loss);
@@ -201,10 +202,11 @@ fn degraded_e2(e: &taor_core::Error) -> TableOutput {
 /// E3: reference-set cardinality scaling ("augmenting the cardinality of
 /// each class"): hybrid weighted-sum accuracy on the NYU queries as the
 /// catalog grows from the paper's 2 models × ~4 views to larger sets.
-pub fn table_e3(cfg: &ReproConfig) -> TableOutput {
-    let nyu = cfg.nyu();
-    let queries = prepare_views(&nyu, Background::Black);
-    let truth = truth_of(&queries);
+/// The queries are the run's NYU crops on black; it scores against its
+/// own ledger, not the run's.
+pub fn table_e3(prep: &PreparedRepro) -> TableOutput {
+    let (cfg, queries) = (prep.cfg(), prep.q_nyu());
+    let truth = truth_of(queries);
     let hybrid = HybridConfig { alpha: cfg.alpha, beta: cfg.beta, ..Default::default() };
     let diag = Diagnostics::new();
 
@@ -216,7 +218,7 @@ pub fn table_e3(cfg: &ReproConfig) -> TableOutput {
     for &(models, views) in &[(2usize, 4usize), (2, 8), (4, 8), (8, 8)] {
         let catalog = taor_data::catalog_custom(cfg.seed, models, views);
         let refs = prepare_views(&catalog, Background::White);
-        let preds = hybrid_preds(&queries, &refs, &hybrid, Aggregation::WeightedSum, &diag);
+        let preds = hybrid_preds(queries, &refs, &hybrid, Aggregation::WeightedSum, &diag);
         let e = evaluate(&truth, &preds);
         t.row(vec![
             models.to_string(),
@@ -239,14 +241,19 @@ pub fn table_e3(cfg: &ReproConfig) -> TableOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repro::ReproConfig;
 
-    fn tiny() -> ReproConfig {
+    fn tiny_config() -> ReproConfig {
         let mut cfg = ReproConfig::quick(2019);
         cfg.nyu_per_class = Some(taor_data::NYU_TEST_PER_CLASS);
         cfg.siamese = SiameseConfig::quick();
         cfg.siamese.n_train_pairs = 60;
         cfg.siamese.train.max_epochs = 1;
         cfg
+    }
+
+    fn tiny() -> PreparedRepro {
+        PreparedRepro::new(tiny_config())
     }
 
     #[test]
@@ -277,9 +284,9 @@ mod tests {
 
     #[test]
     fn e2_with_too_few_nyu_crops_is_a_degraded_row() {
-        let mut cfg = tiny();
+        let mut cfg = tiny_config();
         cfg.nyu_per_class = Some(taor_data::NYU_TEST_PER_CLASS - 1);
-        let out = table_e2(&cfg, false);
+        let out = table_e2(&PreparedRepro::new(cfg), false);
         assert!(out.text.contains("(degraded)"), "{}", out.text);
         assert!(out.text.contains("`--nyu-per-class`"), "{}", out.text);
         assert!(out.records.is_empty());

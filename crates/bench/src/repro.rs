@@ -90,8 +90,9 @@ impl ReproConfig {
     /// depend on its width. Every crop buffer is allocated here, on the
     /// calling thread, and only drawn on the pool: crops allocated by the
     /// workers would land in their malloc arenas, which keep the freed
-    /// memory of one run after another (DESIGN.md §6.6).
-    pub(crate) fn nyu(&self) -> Dataset {
+    /// memory of one run after another (DESIGN.md §6.6). Only
+    /// [`PreparedRepro::nyu`] calls it, so a run renders the set once.
+    fn nyu(&self) -> Dataset {
         let streams: Vec<(ObjectClass, Vec<RgbImage>)> = ObjectClass::ALL
             .into_iter()
             .map(|class| {

@@ -65,21 +65,47 @@ const FAST_CIRCLE: [(i32, i32); 16] = [
     (-1, -3),
 ];
 
+/// FAST-9 with the compass pre-test: `None` unless two neighbouring
+/// compass points (circle indices 0, 4, 8 and 12, neighbours cyclically)
+/// are both brighter or both darker, otherwise [`fast_segment_score`].
+///
+/// Any arc of 9 contiguous circle pixels contains two neighbouring
+/// compass points, and every pixel of a qualifying arc has the arc's
+/// state, so the pre-test rejects only pixels the full test would reject.
+fn fast_score(img: &GrayImage, x: u32, y: u32, t: i16) -> Option<f32> {
+    let p = img.get(x, y) as i16;
+    let compass = [0, 4, 8, 12].map(|i| {
+        let (dx, dy) = FAST_CIRCLE[i];
+        fast_state(img.get((x as i32 + dx) as u32, (y as i32 + dy) as u32) as i16, p, t)
+    });
+    let paired = (0..4).any(|i| compass[i] != 0 && compass[i] == compass[(i + 1) % 4]);
+    if !paired {
+        return None;
+    }
+    fast_segment_score(img, x, y, t)
+}
+
+/// A circle pixel's FAST state against centre `p`: 1 if at least `p + t`,
+/// −1 if at most `p − t`, else 0.
+fn fast_state(v: i16, p: i16, t: i16) -> i8 {
+    if v >= p + t {
+        1
+    } else if v <= p - t {
+        -1
+    } else {
+        0
+    }
+}
+
 /// FAST-9: is there an arc of ≥ 9 contiguous circle pixels all brighter
 /// than `p + t` or all darker than `p − t`? Returns the corner "score"
 /// (sum of absolute differences over the arc) or `None`.
-fn fast_score(img: &GrayImage, x: u32, y: u32, t: i16) -> Option<f32> {
+fn fast_segment_score(img: &GrayImage, x: u32, y: u32, t: i16) -> Option<f32> {
     let p = img.get(x, y) as i16;
     let mut states = [0i8; 32];
     for (i, &(dx, dy)) in FAST_CIRCLE.iter().enumerate() {
         let v = img.get((x as i32 + dx) as u32, (y as i32 + dy) as u32) as i16;
-        let s = if v >= p + t {
-            1
-        } else if v <= p - t {
-            -1
-        } else {
-            0
-        };
+        let s = fast_state(v, p, t);
         states[i] = s;
         states[i + 16] = s; // duplicated to handle wraparound runs
     }
@@ -286,6 +312,65 @@ pub fn orb_detect_and_compute(
 mod tests {
     use super::*;
     use crate::keypoint::hamming;
+    use proptest::prelude::*;
+
+    /// A 7×7 patch: centre `p`, circle pixel `i` at `p + offsets[i]`
+    /// (clamped to `u8`), then `arc_len` contiguous circle pixels from
+    /// `arc_start` (cyclically) forced to `p + arc_offset`; the other
+    /// pixels hold `fill`.
+    fn patch(
+        p: u8,
+        offsets: &[i16],
+        arc_start: usize,
+        arc_len: usize,
+        arc_offset: i16,
+        fill: u8,
+    ) -> GrayImage {
+        let mut img = GrayImage::filled(7, 7, [fill]);
+        img.put(3, 3, p);
+        let level = |d: i16| (p as i16 + d).clamp(0, 255) as u8;
+        for (i, (&(dx, dy), &d)) in FAST_CIRCLE.iter().zip(offsets).enumerate() {
+            let in_arc = (i + 16 - arc_start) % 16 < arc_len;
+            img.put((3 + dx) as u32, (3 + dy) as u32, level(if in_arc { arc_offset } else { d }));
+        }
+        img
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Circle offsets straddle both thresholds, and a forced arc of
+        /// 0–16 pixels at any start, wrapping arcs included, makes corners
+        /// of both polarities common.
+        #[test]
+        fn compass_pretest_agrees_with_the_full_segment_test(
+            p in any::<u8>(),
+            t in 1i16..60,
+            offsets in proptest::collection::vec(-70i16..70, 16),
+            arc_start in 0usize..16,
+            arc_len in 0usize..17,
+            arc_offset in -90i16..90,
+            fill in any::<u8>(),
+        ) {
+            let img = patch(p, &offsets, arc_start, arc_len, arc_offset, fill);
+            prop_assert_eq!(fast_score(&img, 3, 3, t), fast_segment_score(&img, 3, 3, t));
+        }
+    }
+
+    /// Each 9-pixel arc, starting at every circle index and of each
+    /// polarity, is a corner under both forms.
+    #[test]
+    fn every_nine_pixel_arc_passes_the_pretest() {
+        let offsets = [0i16; 16];
+        for arc_start in 0..16 {
+            for arc_offset in [-40, 40] {
+                let img = patch(100, &offsets, arc_start, 9, arc_offset, 100);
+                let full = fast_segment_score(&img, 3, 3, 20);
+                assert!(full.is_some(), "arc from {arc_start} ({arc_offset})");
+                assert_eq!(fast_score(&img, 3, 3, 20), full, "arc from {arc_start}");
+            }
+        }
+    }
 
     /// A high-contrast test card with corners: dark background, bright
     /// rotated square plus a triangle.

@@ -36,36 +36,72 @@ impl Default for SurfParams {
     }
 }
 
-/// Box-filter approximations of the second-order Gaussian derivatives at
-/// filter size `s` (s = 9, 15, 21, … per Bay et al.), evaluated at `(x, y)`.
-/// Returns `(dxx, dyy, dxy)` normalised by the filter area.
-fn hessian_boxes(ii: &IntegralImage, x: i64, y: i64, s: i64) -> (f64, f64, f64) {
+/// The ten boxes of the filter of size `s` (s = 9, 15, 21, … per Bay et
+/// al.), as `(dx, dy, w, h)` from the filter centre: Dyy's three stacked
+/// horizontal lobes (white, black with weight 2, white), Dxx's transpose,
+/// then Dxy's four diagonal lobes (two added, two subtracted).
+fn filter_boxes(s: i64) -> [(i64, i64, i64, i64); 10] {
     let l = s / 3; // lobe size
-    let norm = 1.0 / (s * s) as f64;
-
-    // Dyy: three stacked horizontal lobes (white, black(x2 weight), white)
     let w = 2 * l - 1;
-    let dyy = ii.box_sum(x - w / 2, y - l - l / 2, w, l)
-        - 2.0 * ii.box_sum(x - w / 2, y - l / 2, w, l)
-        + ii.box_sum(x - w / 2, y + l - l / 2, w, l);
-
-    // Dxx: transpose of Dyy.
-    let dxx = ii.box_sum(x - l - l / 2, y - w / 2, l, w)
-        - 2.0 * ii.box_sum(x - l / 2, y - w / 2, l, w)
-        + ii.box_sum(x + l - l / 2, y - w / 2, l, w);
-
-    // Dxy: four diagonal lobes.
-    let dxy = ii.box_sum(x - l, y - l, l, l) + ii.box_sum(x + 1, y + 1, l, l)
-        - ii.box_sum(x + 1, y - l, l, l)
-        - ii.box_sum(x - l, y + 1, l, l);
-
-    (dxx * norm, dyy * norm, dxy * norm)
+    [
+        (-w / 2, -l - l / 2, w, l),
+        (-w / 2, -l / 2, w, l),
+        (-w / 2, l - l / 2, w, l),
+        (-l - l / 2, -w / 2, l, w),
+        (-l / 2, -w / 2, l, w),
+        (l - l / 2, -w / 2, l, w),
+        (-l, -l, l, l),
+        (1, 1, l, l),
+        (1, -l, l, l),
+        (-l, 1, l, l),
+    ]
 }
 
-/// Hessian determinant with Bay's 0.9 weight on the Dxy term.
-fn det_hessian(ii: &IntegralImage, x: i64, y: i64, s: i64) -> f64 {
-    let (dxx, dyy, dxy) = hessian_boxes(ii, x, y, s);
-    dxx * dyy - (0.9 * dxy) * (0.9 * dxy)
+/// The determinant-of-Hessian map of filter size `s` on the grid of
+/// stride `step` (`gw × gh` points at `(gx·step, gy·step)`), or
+/// `NEG_INFINITY` where the point lies within `s/2 + 1` of a border.
+///
+/// Inside that margin no box reaches past the image, so each grid row
+/// folds its ten box sums as whole runs at fixed offsets
+/// ([`IntegralImage::fold_box_run`]) in the order of the per-point form:
+/// `(b0 − 2·b1) + b2`, `(b3 − 2·b4) + b5`, `((b6 + b7) − b8) − b9`, each
+/// times `1/s²`, then the determinant with Bay's 0.9 weight on Dxy.
+fn response_map(ii: &IntegralImage, gw: usize, gh: usize, step: i64, s: i64) -> Vec<f64> {
+    let (w, h) = (ii.width() as i64, ii.height() as i64);
+    let margin = s / 2 + 1;
+    let norm = 1.0 / (s * s) as f64;
+    let mut map = vec![f64::NEG_INFINITY; gw * gh];
+    // Grid columns whose x = gx·step lies in [margin, w − margin).
+    let gx0 = (margin + step - 1) / step;
+    let gx1 = ((w - margin + step - 1).max(0) / step).min(gw as i64);
+    if gx1 <= gx0 {
+        return map;
+    }
+    let (x, n) = (gx0 * step, (gx1 - gx0) as usize);
+    let (b, stride) = (filter_boxes(s), step as usize);
+    let (mut dyy, mut dxx, mut dxy) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    for (y, map_row) in (0..).step_by(stride).zip(map.chunks_exact_mut(gw)) {
+        if y < margin || y >= h - margin {
+            continue;
+        }
+        let run = |(dx, dy, bw, bh): (i64, i64, i64, i64)| (x + dx, y + dy, bw, bh);
+        ii.fold_box_run(run(b[0]), stride, &mut dyy, |_, v| v);
+        ii.fold_box_run(run(b[1]), stride, &mut dyy, |a, v| a - 2.0 * v);
+        ii.fold_box_run(run(b[2]), stride, &mut dyy, |a, v| a + v);
+        ii.fold_box_run(run(b[3]), stride, &mut dxx, |_, v| v);
+        ii.fold_box_run(run(b[4]), stride, &mut dxx, |a, v| a - 2.0 * v);
+        ii.fold_box_run(run(b[5]), stride, &mut dxx, |a, v| a + v);
+        ii.fold_box_run(run(b[6]), stride, &mut dxy, |_, v| v);
+        ii.fold_box_run(run(b[7]), stride, &mut dxy, |a, v| a + v);
+        ii.fold_box_run(run(b[8]), stride, &mut dxy, |a, v| a - v);
+        ii.fold_box_run(run(b[9]), stride, &mut dxy, |a, v| a - v);
+        let cells = map_row.iter_mut().skip(gx0 as usize);
+        for (((out, &dxx), &dyy), &dxy) in cells.zip(&dxx).zip(&dyy).zip(&dxy) {
+            let (dxx, dyy, dxy) = (dxx * norm, dyy * norm, dxy * norm);
+            *out = dxx * dyy - (0.9 * dxy) * (0.9 * dxy);
+        }
+    }
+    map
 }
 
 /// Haar wavelet responses (dx, dy) of size `2r x 2r` at `(x, y)`.
@@ -207,25 +243,8 @@ pub fn surf_detect_and_compute(
         // Response maps for the 4 scales of this octave.
         let gw = (w / step) as usize;
         let gh = (h / step) as usize;
-        let mut maps: Vec<Vec<f64>> = Vec::with_capacity(4);
-        for &s in &sizes {
-            let margin = s / 2 + 1;
-            let mut map = vec![f64::NEG_INFINITY; gw * gh];
-            for gy in 0..gh as i64 {
-                let y = gy * step;
-                if y < margin || y >= h - margin {
-                    continue;
-                }
-                for gx in 0..gw as i64 {
-                    let x = gx * step;
-                    if x < margin || x >= w - margin {
-                        continue;
-                    }
-                    map[(gy as usize) * gw + gx as usize] = det_hessian(&ii, x, y, s);
-                }
-            }
-            maps.push(map);
-        }
+        let maps: Vec<Vec<f64>> =
+            sizes.iter().map(|&s| response_map(&ii, gw, gh, step, s)).collect();
 
         // 3x3x3 non-maximum suppression over the two interior scales.
         for k in 1..3usize {
@@ -286,6 +305,117 @@ pub fn surf_detect_and_compute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Box-filter approximations of the second-order Gaussian derivatives
+    /// at filter size `s`, evaluated at `(x, y)` through the clamped
+    /// `box_sum`; returns `(dxx, dyy, dxy)` normalised by the filter area.
+    /// The per-point oracle [`response_map`] is pinned against.
+    fn hessian_boxes(ii: &IntegralImage, x: i64, y: i64, s: i64) -> (f64, f64, f64) {
+        let l = s / 3; // lobe size
+        let norm = 1.0 / (s * s) as f64;
+
+        // Dyy: three stacked horizontal lobes (white, black(x2 weight), white)
+        let w = 2 * l - 1;
+        let dyy = ii.box_sum(x - w / 2, y - l - l / 2, w, l)
+            - 2.0 * ii.box_sum(x - w / 2, y - l / 2, w, l)
+            + ii.box_sum(x - w / 2, y + l - l / 2, w, l);
+
+        // Dxx: transpose of Dyy.
+        let dxx = ii.box_sum(x - l - l / 2, y - w / 2, l, w)
+            - 2.0 * ii.box_sum(x - l / 2, y - w / 2, l, w)
+            + ii.box_sum(x + l - l / 2, y - w / 2, l, w);
+
+        // Dxy: four diagonal lobes.
+        let dxy = ii.box_sum(x - l, y - l, l, l) + ii.box_sum(x + 1, y + 1, l, l)
+            - ii.box_sum(x + 1, y - l, l, l)
+            - ii.box_sum(x - l, y + 1, l, l);
+
+        (dxx * norm, dyy * norm, dxy * norm)
+    }
+
+    /// Hessian determinant with Bay's 0.9 weight on the Dxy term.
+    fn det_hessian(ii: &IntegralImage, x: i64, y: i64, s: i64) -> f64 {
+        let (dxx, dyy, dxy) = hessian_boxes(ii, x, y, s);
+        dxx * dyy - (0.9 * dxy) * (0.9 * dxy)
+    }
+
+    /// The per-point map: [`det_hessian`] at every grid point inside the
+    /// `s/2 + 1` margin, `NEG_INFINITY` elsewhere.
+    fn response_map_per_point(
+        ii: &IntegralImage,
+        gw: usize,
+        gh: usize,
+        step: i64,
+        s: i64,
+    ) -> Vec<f64> {
+        let (w, h) = (ii.width() as i64, ii.height() as i64);
+        let margin = s / 2 + 1;
+        let mut map = vec![f64::NEG_INFINITY; gw * gh];
+        for gy in 0..gh as i64 {
+            let y = gy * step;
+            if y < margin || y >= h - margin {
+                continue;
+            }
+            for gx in 0..gw as i64 {
+                let x = gx * step;
+                if x < margin || x >= w - margin {
+                    continue;
+                }
+                map[(gy as usize) * gw + gx as usize] = det_hessian(ii, x, y, s);
+            }
+        }
+        map
+    }
+
+    /// Every entry of every octave's four maps, against the per-point
+    /// oracle, bit for bit (`NEG_INFINITY` borders included).
+    fn assert_maps_match_the_oracle(img: &GrayImage) {
+        let ii = IntegralImage::from_gray(img);
+        let (w, h) = (img.width() as i64, img.height() as i64);
+        for octave in 0..5 {
+            let step = 1i64 << octave;
+            let (gw, gh) = ((w / step) as usize, (h / step) as usize);
+            for k in 0..4 {
+                let s = 3 * ((1i64 << (octave + 1)) * (k + 1) + 1);
+                let got = response_map(&ii, gw, gh, step, s);
+                let want = response_map_per_point(&ii, gw, gh, step, s);
+                assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{}x{} octave {octave} size {s} entry {i}: {g} vs {w}",
+                        img.width(),
+                        img.height()
+                    );
+                }
+            }
+        }
+    }
+
+    fn arb_image() -> impl Strategy<Value = GrayImage> {
+        (1u32..=90, 1u32..=90).prop_flat_map(|(w, h)| {
+            proptest::collection::vec(any::<u8>(), (w * h) as usize)
+                .prop_map(move |data| GrayImage::from_vec(w, h, data).unwrap())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Noise images of every size from 1×1 to 90×90, so each
+        /// octave's grid meets odd widths and margins wider than the image.
+        #[test]
+        fn response_maps_match_the_per_point_oracle(img in arb_image()) {
+            assert_maps_match_the_oracle(&img);
+        }
+    }
+
+    #[test]
+    fn blob_image_maps_match_the_per_point_oracle() {
+        assert_maps_match_the_oracle(&blob_image());
+    }
 
     /// Blob test image: bright discs on dark ground.
     fn blob_image() -> GrayImage {

@@ -62,6 +62,44 @@ impl IntegralImage {
         self.sums[y1 * w1 + x1] - self.sums[y0 * w1 + x1] - self.sums[y1 * w1 + x0]
             + self.sums[y0 * w1 + x0]
     }
+
+    /// Folds the sums of a run of boxes into `acc`: `acc[i] = fold(acc[i],
+    /// box_sum(x + i·step, y, w, h))` for every `i`, with the same bits.
+    ///
+    /// When every box of the run lies inside the image, as SURF's Hessian
+    /// boxes do inside its `s/2 + 1` margin, the clamps are idle: each sum
+    /// reads its four corners at fixed offsets along the table rows `y`
+    /// and `y + h`, in `box_sum`'s `((a − b) − c) + d` order. Otherwise
+    /// each entry falls back to `box_sum` itself.
+    pub fn fold_box_run(
+        &self,
+        (x, y, w, h): (i64, i64, i64, i64),
+        step: usize,
+        acc: &mut [f64],
+        fold: impl Fn(f64, f64) -> f64,
+    ) {
+        let n = acc.len();
+        let inside = w > 0
+            && h > 0
+            && x >= 0
+            && y >= 0
+            && x + (n.saturating_sub(1) * step) as i64 + w <= self.width as i64
+            && y + h <= self.height as i64;
+        if !inside {
+            for (i, a) in (0i64..).zip(acc.iter_mut()) {
+                *a = fold(*a, self.box_sum(x + i * step as i64, y, w, h));
+            }
+            return;
+        }
+        let w1 = self.width as usize + 1;
+        let (x0, y0, w, h) = (x as usize, y as usize, w as usize, h as usize);
+        let top = &self.sums[y0 * w1..][..w1];
+        let bottom = &self.sums[(y0 + h) * w1..][..w1];
+        for (i, a) in acc.iter_mut().enumerate() {
+            let (x0, x1) = (x0 + i * step, x0 + i * step + w);
+            *a = fold(*a, bottom[x1] - top[x1] - bottom[x0] + top[x0]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -105,6 +143,35 @@ mod tests {
         assert_eq!(ii.box_sum(-3, -3, 5, 5), brute_sum(&img, -3, -3, 5, 5));
         assert_eq!(ii.box_sum(6, 6, 10, 10), brute_sum(&img, 6, 6, 10, 10));
         assert_eq!(ii.box_sum(100, 100, 5, 5), 0.0);
+    }
+
+    /// Runs of every shape against `box_sum` itself: inside the image,
+    /// overhanging each border, degenerate, and empty.
+    #[test]
+    fn box_runs_fold_box_sum() {
+        let img = counting_image(13, 9);
+        let ii = IntegralImage::from_gray(&img);
+        for y in -3..11 {
+            for x in -3..15 {
+                for (w, h) in [(1, 1), (3, 2), (2, 5), (5, 3), (0, 2), (2, -1), (13, 9)] {
+                    for step in 1..4 {
+                        for n in 0..7 {
+                            let mut out = (0..n).map(|i| i as f64 + 0.5).collect::<Vec<_>>();
+                            ii.fold_box_run((x, y, w, h), step, &mut out, |a, s| a - 2.0 * s);
+                            for (i, got) in (0i64..).zip(&out) {
+                                let want =
+                                    i as f64 + 0.5 - 2.0 * ii.box_sum(x + i * step as i64, y, w, h);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "x={x} y={y} {w}x{h} step={step} n={n} i={i}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
