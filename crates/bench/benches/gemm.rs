@@ -9,7 +9,8 @@
 //! 500×1248×25, 2025×156×25) products, each run once per micro-batch.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use taor_nn::gemm::{gemm_nn, gemm_nt, gemm_tn, matmul_naive};
+use taor_nn::gemm::{gemm_nn, gemm_nt, gemm_tn};
+use taor_testkit::oracle::matmul_naive;
 
 fn fill(len: usize, seed: u32) -> Vec<f32> {
     let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);

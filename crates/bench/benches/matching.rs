@@ -11,9 +11,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use taor_features::{
-    knn_match_binary, knn_match_binary_naive, knn_match_float, knn_match_float_naive,
-    BinaryDescriptors, FloatDescriptors,
+    knn_match_binary, knn_match_float, knn_match_float_naive, BinaryDescriptors, FloatDescriptors,
 };
+use taor_testkit::oracle::knn_match_binary_naive;
 
 fn random_descs(n: usize, w: usize, seed: u64) -> FloatDescriptors {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);

@@ -14,10 +14,10 @@
 //! | (iv) SIFT / SURF / ORB descriptors | [`descriptors`] | §3.3 |
 //! | (v) Normalized-X-Corr Siamese net | [`siamese`] | §3.4 |
 //!
-//! All pipelines share the 4-step preprocessing of [`preprocess`] and the
-//! metric conventions of [`eval`] (including the paper's idiosyncratic
-//! per-class precision, `TP/N_total`, reverse-engineered from its
-//! baseline rows).
+//! All pipelines share the 4-step preprocessing of
+//! [`preprocess`](mod@preprocess) and the metric conventions of [`eval`]
+//! (including the paper's idiosyncratic per-class precision,
+//! `TP/N_total`, reverse-engineered from its baseline rows).
 //!
 //! Every operation has one entry point, and it returns a [`Result`]: an
 //! empty reference set, a descriptor-kind mismatch or an undersized

@@ -1,7 +1,7 @@
 //! Pipeline (i): shape-only matching (paper §3.2).
 //!
 //! "Contours extracted from input samples were matched through the OpenCV
-//! built-in similarity function based on Hu moments [15] … We tested
+//! built-in similarity function based on Hu moments \[15\] … We tested
 //! three different variants of this method, with distance metric between
 //! image moments set to be the L1, L2, or L3 norm respectively."
 

@@ -416,12 +416,17 @@ mod tests {
 
         let deduped = try_evaluate_siamese(&net, subset, &cfg.net).unwrap();
 
-        let to_tensor = |img: &taor_data::LabeledImage| image_to_tensor(&img.image, &cfg.net);
-        let copies: Vec<_> =
-            subset.iter().map(|p| (to_tensor(p.a), to_tensor(p.b), p.label)).collect();
-        let samples: Vec<_> =
-            copies.iter().map(|(a, b, l)| PairSample { a, b, label: *l }).collect();
-        let preds = taor_nn::try_predict_labels(&net, &samples).unwrap();
+        // Each pair scored alone from its own copies of its two images.
+        let embed = |img: &taor_data::LabeledImage| {
+            net.tower_embed(&image_to_tensor(&img.image, &cfg.net)).unwrap()
+        };
+        let preds: Vec<usize> = subset
+            .iter()
+            .map(|p| {
+                let prob = net.predict_similar_features(&embed(p.a), &embed(p.b)).unwrap();
+                usize::from(prob[0] > 0.5)
+            })
+            .collect();
         let truth: Vec<usize> = subset.iter().map(|p| p.label).collect();
         let naive = evaluate_binary(&truth, &preds);
 

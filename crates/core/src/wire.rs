@@ -138,6 +138,7 @@ pub fn encode_rgb8(img: &RgbImage) -> Vec<u8> {
 /// `width*height*3`) as an RGBF32 wire crop. The samples are written
 /// verbatim — including NaNs — which is exactly what the fault corpus
 /// needs.
+// taor-lint: allow(dead::unreached-pub) — the encoder half of the RGBF32 format that `decode_crop` accepts on every request; only tests and the fault corpus send RGBF32, but moving it would put the header layout in two crates
 pub fn encode_f32(width: u32, height: u32, samples: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(WIRE_HEADER_LEN + samples.len() * 4);
     out.extend_from_slice(&WIRE_MAGIC);

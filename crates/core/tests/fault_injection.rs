@@ -107,7 +107,7 @@ fn service_corpus_decodables_run_every_pipeline_individually() {
     // hand, through shape, colour, hybrid, descriptors and siamese.
     let diag = Diagnostics::new();
     let (net, cfg) = untrained_net();
-    let reference = image_to_tensor(&ref_catalog().images[0].image, cfg);
+    let reference = net.tower_embed(&image_to_tensor(&ref_catalog().images[0].image, cfg)).unwrap();
     for case in service_corpus() {
         let Ok((img, stats)) = decode_crop(&case.bytes) else { continue };
         if case.name == "nan_pixels_f32" {
@@ -149,7 +149,8 @@ fn service_corpus_decodables_run_every_pipeline_individually() {
                 .unwrap();
         assert_eq!(preds.len(), 1, "{}: descriptors", case.name);
         let t = image_to_tensor(&img, cfg);
-        assert!(net.predict_similar(&t, &reference).is_ok(), "{}: siamese", case.name);
+        let scored = net.tower_embed(&t).and_then(|f| net.predict_similar_features(&f, &reference));
+        assert!(scored.is_ok(), "{}: siamese", case.name);
     }
 }
 
@@ -314,7 +315,9 @@ proptest! {
         let (net, cfg) = untrained_net();
         let a = image_to_tensor(&constant_img(w, h, [r, g, b]), cfg);
         let b = image_to_tensor(&ref_catalog().images[0].image, cfg);
-        let out = net.predict_similar(&a, &b);
+        let out = net
+            .tower_embed(&a)
+            .and_then(|fa| net.predict_similar_features(&fa, &net.tower_embed(&b)?));
         prop_assert!(out.is_ok(), "forward pass failed: {:?}", out.err());
     }
 

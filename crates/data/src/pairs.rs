@@ -81,7 +81,7 @@ pub fn training_pairs(sns2: &Dataset, total: usize, seed: u64) -> Vec<ImagePair<
 /// All C(82, 2) unordered pairs of SNS1 views (the 3,321-pair test set).
 pub fn sns1_test_pairs(sns1: &Dataset) -> Vec<ImagePair<'_>> {
     let n = sns1.len();
-    let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
+    let mut pairs = Vec::with_capacity(n * n.saturating_sub(1) / 2);
     for i in 0..n {
         for j in i + 1..n {
             let a = &sns1.images[i];
@@ -174,7 +174,7 @@ fn shuffle<T>(items: &mut [T], rng: &mut impl Rng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{nyu_set_subsampled, shapenet_set1, shapenet_set2};
+    use crate::dataset::{nyu_set_subsampled, shapenet_set1, shapenet_set2, DatasetKind};
 
     #[test]
     fn training_pairs_match_paper_ratio() {
@@ -198,6 +198,12 @@ mod tests {
         let similar = pairs.iter().filter(|p| p.label == 1).count();
         // Σ_c C(n_c, 2) for Table 1 SNS1 counts.
         assert_eq!(similar, 333);
+    }
+
+    #[test]
+    fn empty_set_has_no_sns1_pairs() {
+        let empty = Dataset { kind: DatasetKind::ShapeNetSet1, images: Vec::new() };
+        assert!(sns1_test_pairs(&empty).is_empty());
     }
 
     #[test]

@@ -170,13 +170,6 @@ impl BinaryDescriptors {
     }
 }
 
-/// Hamming distance between two equal-length byte strings.
-#[inline]
-pub fn hamming(a: &[u8], b: &[u8]) -> u32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| (x ^ y).count_ones()).sum()
-}
-
 /// Hamming distance between two equal-length `u64`-packed descriptors.
 #[inline]
 pub fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
@@ -219,13 +212,6 @@ mod tests {
         d.push(&[0x0F, 0xF0]);
         assert_eq!(d.len(), 2);
         assert_eq!(d.row(0), &[0xFF, 0x00]);
-    }
-
-    #[test]
-    fn hamming_distance_counts_bits() {
-        assert_eq!(hamming(&[0xFF], &[0x00]), 8);
-        assert_eq!(hamming(&[0b1010], &[0b0101]), 4);
-        assert_eq!(hamming(&[1, 2, 3], &[1, 2, 3]), 0);
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub mod surf;
 pub use error::{FeatureError, Result};
 pub use keypoint::{BinaryDescriptors, FloatDescriptors, KeyPoint};
 pub use matcher::{
-    knn_match_binary, knn_match_binary_naive, knn_match_float, knn_match_float_naive,
-    ratio_test_matches, DMatch, RatioMatch,
+    knn_match_binary, knn_match_float, knn_match_float_naive, ratio_test_matches, DMatch,
+    RatioMatch,
 };
 pub use mih::{MihIndex, MihParams};
 pub use orb::{orb_detect_and_compute, OrbParams};

@@ -23,13 +23,15 @@
 //! * **Hamming:** [`knn_match_binary`] runs over cached `u64` repacked
 //!   rows with `count_ones`.
 //!
-//! The original scalar double loops are retained as
-//! [`knn_match_float_naive`] / [`knn_match_binary_naive`]: they are the
+//! The original scalar L2 double loop is retained as
+//! [`knn_match_float_naive`]: the fallback for non-finite rows, the
 //! equivalence oracle for the property tests and the baseline the
-//! criterion pins measure against.
+//! criterion pins measure against. Its Hamming twin,
+//! `knn_match_binary_naive`, is a test oracle only and lives in
+//! `taor_testkit::oracle`.
 
 use crate::error::{FeatureError, Result};
-use crate::keypoint::{hamming, hamming_words, l2_sq, BinaryDescriptors, FloatDescriptors};
+use crate::keypoint::{hamming_words, l2_sq, BinaryDescriptors, FloatDescriptors};
 use rayon::prelude::*;
 
 /// One query→train match: indices plus distance.
@@ -244,7 +246,8 @@ fn knn_match_float_gemm(
 
 /// For each query descriptor, find its two nearest train descriptors under
 /// Hamming distance. Word-packed popcount kernel; output is
-/// bit-identical to [`knn_match_binary_naive`].
+/// bit-identical to the byte-wise scalar loop
+/// (`taor_testkit::oracle::knn_match_binary_naive`).
 pub fn knn_match_binary(
     query: &BinaryDescriptors,
     train: &BinaryDescriptors,
@@ -281,41 +284,6 @@ pub fn knn_match_binary(
             RatioMatch { best, second }
         })
         .collect())
-}
-
-/// The scalar byte-wise Hamming reference loop, retained as the
-/// equivalence oracle and criterion-pin baseline.
-pub fn knn_match_binary_naive(
-    query: &BinaryDescriptors,
-    train: &BinaryDescriptors,
-) -> Result<Vec<RatioMatch>> {
-    if query.is_empty() || train.is_empty() {
-        return Ok(Vec::new());
-    }
-    if query.width_bytes() != train.width_bytes() {
-        return Err(FeatureError::DescriptorWidthMismatch {
-            left: query.width_bytes(),
-            right: train.width_bytes(),
-        });
-    }
-    let mut out = Vec::with_capacity(query.len());
-    for qi in 0..query.len() {
-        let q = query.row(qi);
-        let mut best = DMatch { query_idx: qi, train_idx: 0, distance: f32::INFINITY };
-        let mut second: Option<DMatch> = None;
-        for ti in 0..train.len() {
-            let d = hamming(q, train.row(ti)) as f32;
-            if d < best.distance {
-                second = Some(best);
-                best = DMatch { query_idx: qi, train_idx: ti, distance: d };
-            } else if second.is_none_or(|s| d < s.distance) {
-                second = Some(DMatch { query_idx: qi, train_idx: ti, distance: d });
-            }
-        }
-        let second = second.filter(|s| s.distance.is_finite());
-        out.push(RatioMatch { best, second });
-    }
-    Ok(out)
 }
 
 /// Filter kNN matches with Lowe's ratio test, returning the surviving best

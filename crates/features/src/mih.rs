@@ -9,8 +9,8 @@
 //! bits in *some* substring, so once the radius-`r` sweep finishes, every
 //! unseen code is at distance `≥ m·(r+1)`. The search stops as soon as
 //! that bound exceeds the current second-best — which makes MIH an
-//! **exact** kNN algorithm: results are bit-identical to
-//! [`knn_match_binary_naive`], just reached sub-linearly.
+//! **exact** kNN algorithm: results are bit-identical to the brute-force
+//! [`knn_match_binary`], just reached sub-linearly.
 //!
 //! Candidate verification rides the cached `u64` packings of
 //! [`BinaryDescriptors::packed_words`] with a popcount kernel.
@@ -21,7 +21,7 @@
 //! the order the naive ascending scan produces, so results are identical
 //! across `TAOR_THREADS` widths and repeated spawns.
 //!
-//! [`knn_match_binary_naive`]: crate::matcher::knn_match_binary_naive
+//! [`knn_match_binary`]: crate::matcher::knn_match_binary
 
 use rayon::prelude::*;
 
@@ -224,7 +224,7 @@ impl MihIndex {
 
     /// 2-NN match every query row against the index, mirroring
     /// [`crate::matcher::knn_match_binary`]'s output shape. Exact: output
-    /// is bit-identical to [`crate::matcher::knn_match_binary_naive`].
+    /// is bit-identical to it.
     /// Queries run in parallel with an ordered collect.
     pub fn knn_match(&self, query: &BinaryDescriptors) -> Result<Vec<RatioMatch>> {
         if query.is_empty() || self.descs.is_empty() {
@@ -263,9 +263,9 @@ impl MihIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::knn_match_binary_naive;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use taor_testkit::oracle::hamming;
 
     fn random_bdescs(n: usize, wb: usize, seed: u64) -> BinaryDescriptors {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -291,105 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn exact_equivalence_with_naive_oracle() {
-        let train = random_bdescs(300, 32, 1);
-        let query = random_bdescs(40, 32, 2);
-        let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
-        let got = index.knn_match(&query).unwrap();
-        let want = knn_match_binary_naive(&query, &train).unwrap();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn exact_equivalence_on_clustered_codes() {
-        // Near-duplicate clusters: the regime where MIH actually stops at
-        // tiny radii.
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut train = BinaryDescriptors::new(32);
-        let mut centers = Vec::new();
-        for _ in 0..20 {
-            let mut c = [0u8; 32];
-            for b in &mut c {
-                *b = rng.gen();
-            }
-            centers.push(c);
-        }
-        for _ in 0..400 {
-            let mut row = centers[rng.gen_range(0..centers.len())];
-            for _ in 0..rng.gen_range(0..4) {
-                let bit = rng.gen_range(0..256);
-                row[bit / 8] ^= 1 << (bit % 8);
-            }
-            train.push(&row);
-        }
-        let mut query = BinaryDescriptors::new(32);
-        for _ in 0..50 {
-            let mut row = centers[rng.gen_range(0..centers.len())];
-            let bit = rng.gen_range(0..256);
-            row[bit / 8] ^= 1 << (bit % 8);
-            query.push(&row);
-        }
-        let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
-        assert_eq!(
-            index.knn_match(&query).unwrap(),
-            knn_match_binary_naive(&query, &train).unwrap()
-        );
-    }
-
-    #[test]
-    fn tie_behaviour_matches_oracle() {
-        // Duplicated rows force distance ties; the oracle keeps the
-        // earliest index.
-        let mut train = BinaryDescriptors::new(2);
-        for _ in 0..5 {
-            train.push(&[0xAB, 0xCD]);
-        }
-        train.push(&[0xAB, 0xCC]);
-        let mut query = BinaryDescriptors::new(2);
-        query.push(&[0xAB, 0xCD]);
-        let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
-        let got = index.knn_match(&query).unwrap();
-        let want = knn_match_binary_naive(&query, &train).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(got[0].best.train_idx, 0);
-        assert_eq!(got[0].second.map(|s| s.train_idx), Some(1));
-    }
-
-    #[test]
-    fn single_row_gallery_has_no_second() {
-        let train = random_bdescs(1, 32, 5);
-        let query = random_bdescs(3, 32, 6);
-        let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
-        let got = index.knn_match(&query).unwrap();
-        assert_eq!(got, knn_match_binary_naive(&query, &train).unwrap());
-        assert!(got.iter().all(|m| m.second.is_none()));
-    }
-
-    #[test]
-    fn odd_widths_and_substring_sizes() {
-        // 7-byte rows (56 bits) with b = 12: last substring is 8 bits.
-        for wb in [1usize, 3, 7, 20] {
-            let train = random_bdescs(60, wb, 7 + wb as u64);
-            let query = random_bdescs(15, wb, 8 + wb as u64);
-            let index = MihIndex::build(train.clone(), MihParams { substring_bits: 12 }).unwrap();
-            assert_eq!(
-                index.knn_match(&query).unwrap(),
-                knn_match_binary_naive(&query, &train).unwrap(),
-                "width_bytes={wb}"
-            );
-        }
-    }
-
-    #[test]
     fn search_k_is_exact_topk() {
         let train = random_bdescs(200, 32, 9);
         let query = random_bdescs(1, 32, 10);
         let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
         let got = index.search_words(query.packed_words(), 10);
         // Brute-force oracle.
-        let mut all: Vec<(u32, usize)> = (0..train.len())
-            .map(|i| (crate::keypoint::hamming(query.row(0), train.row(i)), i))
-            .collect();
+        let mut all: Vec<(u32, usize)> =
+            (0..train.len()).map(|i| (hamming(query.row(0), train.row(i)), i)).collect();
         all.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let want: Vec<(usize, u32)> = all.iter().take(10).map(|&(d, i)| (i, d)).collect();
         assert_eq!(got, want);

@@ -1,8 +1,8 @@
 // taor-lint: allow(panic::index) — dense numeric kernel: indices are derived from dimensions validated at the public boundary and bounded by the enclosing loops.
 //! ORB: Oriented FAST and Rotated BRIEF (Rublee et al., ICCV 2011).
 //!
-//! "ORB combines FAST for corner-based keypoint detection [27] with
-//! improved feature descriptors derived from BRIEF [7], to accommodate for
+//! "ORB combines FAST for corner-based keypoint detection \[27\] with
+//! improved feature descriptors derived from BRIEF \[7\], to accommodate for
 //! rotation invariance. Since in BRIEF descriptors are parsed to binary
 //! strings to reduce their dimensionality, we used the Hamming distance
 //! instead of the L2 norm" (paper §3.3).
@@ -311,8 +311,9 @@ pub fn orb_detect_and_compute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keypoint::hamming;
     use proptest::prelude::*;
+    use taor_testkit::draw::fill_rot_rect;
+    use taor_testkit::oracle::hamming;
 
     /// A 7×7 patch: centre `p`, circle pixel `i` at `p + offsets[i]`
     /// (clamped to `u8`), then `arc_len` contiguous circle pixels from
@@ -377,7 +378,7 @@ mod tests {
     fn test_card(rot: f32) -> GrayImage {
         use taor_imgproc::draw::{p2, Canvas};
         let mut c = Canvas::new(96, 96, [10, 10, 10]);
-        c.fill_rot_rect(48.0, 48.0, 40.0, 24.0, rot, [230, 230, 230]);
+        fill_rot_rect(&mut c, 48.0, 48.0, 40.0, 24.0, rot, [230, 230, 230]);
         c.fill_polygon(&[p2(20.0, 70.0), p2(38.0, 88.0), p2(20.0, 88.0)], [180, 180, 180]);
         taor_imgproc::color::rgb_to_gray(c.image())
     }
@@ -439,9 +440,9 @@ mod tests {
         let other = {
             use taor_imgproc::draw::Canvas;
             let mut c = Canvas::new(96, 96, [200, 200, 200]);
-            c.fill_rot_rect(25.0, 25.0, 14.0, 14.0, 0.8, [20, 20, 20]);
-            c.fill_rot_rect(70.0, 30.0, 18.0, 10.0, 2.1, [40, 40, 40]);
-            c.fill_rot_rect(40.0, 70.0, 12.0, 20.0, 1.3, [10, 10, 10]);
+            fill_rot_rect(&mut c, 25.0, 25.0, 14.0, 14.0, 0.8, [20, 20, 20]);
+            fill_rot_rect(&mut c, 70.0, 30.0, 18.0, 10.0, 2.1, [40, 40, 40]);
+            fill_rot_rect(&mut c, 40.0, 70.0, 12.0, 20.0, 1.3, [10, 10, 10]);
             taor_imgproc::color::rgb_to_gray(c.image())
         };
         let p = OrbParams::default();

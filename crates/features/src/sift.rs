@@ -24,7 +24,7 @@ use taor_imgproc::resize::resize_bilinear_f32;
 pub struct SiftParams {
     /// Scales per octave (Lowe's `s`; 3 is standard).
     pub n_octave_layers: usize,
-    /// DoG contrast threshold (on images scaled to [0,1]).
+    /// DoG contrast threshold (on images scaled to \[0,1\]).
     pub contrast_threshold: f32,
     /// Edge-response threshold on the principal-curvature ratio.
     pub edge_threshold: f32,
@@ -454,13 +454,14 @@ pub fn sift_detect_and_compute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taor_testkit::draw::{fill_ellipse, fill_rot_rect};
 
     fn corner_card() -> GrayImage {
         use taor_imgproc::draw::{p2, Canvas};
         let mut c = Canvas::new(128, 128, [20, 20, 20]);
-        c.fill_rot_rect(50.0, 46.0, 44.0, 30.0, 0.4, [230, 230, 230]);
+        fill_rot_rect(&mut c, 50.0, 46.0, 44.0, 30.0, 0.4, [230, 230, 230]);
         c.fill_polygon(&[p2(80.0, 90.0), p2(114.0, 96.0), p2(88.0, 118.0)], [160, 160, 160]);
-        c.fill_ellipse(30.0, 96.0, 11.0, 7.0, [200, 200, 200]);
+        fill_ellipse(&mut c, 30.0, 96.0, 11.0, 7.0, [200, 200, 200]);
         taor_imgproc::color::rgb_to_gray(c.image())
     }
 
@@ -539,8 +540,8 @@ mod tests {
         let big = {
             use taor_imgproc::draw::Canvas;
             let mut c = Canvas::new(160, 160, [20, 20, 20]);
-            c.fill_rot_rect(70.0, 66.0, 44.0, 30.0, 0.4, [230, 230, 230]);
-            c.fill_ellipse(50.0, 116.0, 11.0, 7.0, [200, 200, 200]);
+            fill_rot_rect(&mut c, 70.0, 66.0, 44.0, 30.0, 0.4, [230, 230, 230]);
+            fill_ellipse(&mut c, 50.0, 116.0, 11.0, 7.0, [200, 200, 200]);
             taor_imgproc::color::rgb_to_gray(c.image())
         };
         let w1 = big.crop(taor_imgproc::Rect::new(0, 0, 128, 128)).unwrap();

@@ -306,6 +306,7 @@ pub fn surf_detect_and_compute(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use taor_testkit::draw::fill_ellipse;
 
     /// Box-filter approximations of the second-order Gaussian derivatives
     /// at filter size `s`, evaluated at `(x, y)` through the clamped
@@ -421,9 +422,9 @@ mod tests {
     fn blob_image() -> GrayImage {
         use taor_imgproc::draw::Canvas;
         let mut c = Canvas::new(128, 128, [15, 15, 15]);
-        c.fill_ellipse(40.0, 40.0, 9.0, 9.0, [240, 240, 240]);
-        c.fill_ellipse(90.0, 70.0, 14.0, 14.0, [220, 220, 220]);
-        c.fill_ellipse(50.0, 100.0, 6.0, 6.0, [250, 250, 250]);
+        fill_ellipse(&mut c, 40.0, 40.0, 9.0, 9.0, [240, 240, 240]);
+        fill_ellipse(&mut c, 90.0, 70.0, 14.0, 14.0, [220, 220, 220]);
+        fill_ellipse(&mut c, 50.0, 100.0, 6.0, 6.0, [250, 250, 250]);
         taor_imgproc::color::rgb_to_gray(c.image())
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for descriptors and matching.
 
 use proptest::prelude::*;
-use taor_features::keypoint::{hamming, l2_sq};
+use taor_features::keypoint::l2_sq;
 use taor_features::matcher::{knn_match_float, ratio_test_matches};
 use taor_features::ransac::Similarity;
 use taor_features::FloatDescriptors;
@@ -107,8 +107,9 @@ proptest! {
 // NaN-quarantine and tie behaviour.
 // ---------------------------------------------------------------------------
 
-use taor_features::matcher::{knn_match_binary, knn_match_binary_naive, knn_match_float_naive};
+use taor_features::matcher::{knn_match_binary, knn_match_float_naive};
 use taor_features::BinaryDescriptors;
+use taor_testkit::oracle::{hamming, knn_match_binary_naive};
 
 /// Build a `FloatDescriptors` from a flat row-major buffer.
 fn descs_flat(width: usize, flat: &[f32]) -> FloatDescriptors {
@@ -287,5 +288,103 @@ proptest! {
         let index = MihIndex::build(t.clone(), MihParams::default()).unwrap();
         let naive = knn_match_binary_naive(&q, &t).unwrap();
         prop_assert_eq!(index.knn_match(&q).unwrap(), naive);
+    }
+}
+
+// The MIH unit cases against the same oracle: random, clustered, tied,
+// single-row and odd-width galleries.
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+fn random_bdescs(n: usize, wb: usize, seed: u64) -> BinaryDescriptors {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    bdescs_flat(wb, &(0..n * wb).map(|_| rng.gen()).collect::<Vec<u8>>())
+}
+
+#[test]
+fn exact_equivalence_with_naive_oracle() {
+    let train = random_bdescs(300, 32, 1);
+    let query = random_bdescs(40, 32, 2);
+    let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
+    let got = index.knn_match(&query).unwrap();
+    let want = knn_match_binary_naive(&query, &train).unwrap();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn exact_equivalence_on_clustered_codes() {
+    // Near-duplicate clusters: the regime where MIH actually stops at
+    // tiny radii.
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut train = BinaryDescriptors::new(32);
+    let mut centers = Vec::new();
+    for _ in 0..20 {
+        let mut c = [0u8; 32];
+        for b in &mut c {
+            *b = rng.gen();
+        }
+        centers.push(c);
+    }
+    for _ in 0..400 {
+        let mut row = centers[rng.gen_range(0..centers.len())];
+        for _ in 0..rng.gen_range(0..4) {
+            let bit = rng.gen_range(0..256);
+            row[bit / 8] ^= 1 << (bit % 8);
+        }
+        train.push(&row);
+    }
+    let mut query = BinaryDescriptors::new(32);
+    for _ in 0..50 {
+        let mut row = centers[rng.gen_range(0..centers.len())];
+        let bit = rng.gen_range(0..256);
+        row[bit / 8] ^= 1 << (bit % 8);
+        query.push(&row);
+    }
+    let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
+    assert_eq!(index.knn_match(&query).unwrap(), knn_match_binary_naive(&query, &train).unwrap());
+}
+
+#[test]
+fn tie_behaviour_matches_oracle() {
+    // Duplicated rows force distance ties; the oracle keeps the
+    // earliest index.
+    let mut train = BinaryDescriptors::new(2);
+    for _ in 0..5 {
+        train.push(&[0xAB, 0xCD]);
+    }
+    train.push(&[0xAB, 0xCC]);
+    let mut query = BinaryDescriptors::new(2);
+    query.push(&[0xAB, 0xCD]);
+    let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
+    let got = index.knn_match(&query).unwrap();
+    let want = knn_match_binary_naive(&query, &train).unwrap();
+    assert_eq!(got, want);
+    assert_eq!(got[0].best.train_idx, 0);
+    assert_eq!(got[0].second.map(|s| s.train_idx), Some(1));
+}
+
+#[test]
+fn single_row_gallery_has_no_second() {
+    let train = random_bdescs(1, 32, 5);
+    let query = random_bdescs(3, 32, 6);
+    let index = MihIndex::build(train.clone(), MihParams::default()).unwrap();
+    let got = index.knn_match(&query).unwrap();
+    assert_eq!(got, knn_match_binary_naive(&query, &train).unwrap());
+    assert!(got.iter().all(|m| m.second.is_none()));
+}
+
+#[test]
+fn odd_widths_and_substring_sizes() {
+    // 7-byte rows (56 bits) with b = 12: last substring is 8 bits.
+    for wb in [1usize, 3, 7, 20] {
+        let train = random_bdescs(60, wb, 7 + wb as u64);
+        let query = random_bdescs(15, wb, 8 + wb as u64);
+        let index = MihIndex::build(train.clone(), MihParams { substring_bits: 12 }).unwrap();
+        assert_eq!(
+            index.knn_match(&query).unwrap(),
+            knn_match_binary_naive(&query, &train).unwrap(),
+            "width_bytes={wb}"
+        );
     }
 }

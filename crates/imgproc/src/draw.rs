@@ -2,7 +2,7 @@
 //! Minimal rasterisation used by the synthetic dataset renderer.
 //!
 //! The ShapeNet/NYU stand-in in `taor-data` draws each object class as a
-//! composition of filled polygons, ellipses and strokes on a [`Canvas`].
+//! composition of filled polygons and rectangles on a [`Canvas`].
 //! Rasterisation is deliberately simple (no anti-aliasing): the paper's
 //! pipelines all start by thresholding to a hard silhouette anyway.
 //!
@@ -124,39 +124,6 @@ impl Canvas {
             }
         }
     }
-
-    /// Fill an axis-aligned ellipse centred at `(cx, cy)`.
-    pub fn fill_ellipse(&mut self, cx: f32, cy: f32, rx: f32, ry: f32, color: [u8; 3]) {
-        if rx <= 0.0 || ry <= 0.0 {
-            return;
-        }
-        let y0 = (cy - ry).floor() as i64;
-        let y1 = (cy + ry).ceil() as i64;
-        for yy in y0.max(0)..=y1.min(self.height() as i64 - 1) {
-            let dy = (yy as f32 + 0.5 - cy) / ry;
-            let rem = 1.0 - dy * dy;
-            if rem <= 0.0 {
-                continue;
-            }
-            let half = rx * rem.sqrt();
-            self.fill_span(yy, (cx - half).round() as i64, (cx + half).round() as i64, color);
-        }
-    }
-
-    /// Fill a rotated rectangle: center `(cx, cy)`, size `w × h`, rotation
-    /// `angle` radians.
-    pub fn fill_rot_rect(&mut self, cx: f32, cy: f32, w: f32, h: f32, angle: f32, color: [u8; 3]) {
-        let c = p2(cx, cy);
-        let hw = w / 2.0;
-        let hh = h / 2.0;
-        let pts = [
-            p2(cx - hw, cy - hh).rotated(c, angle),
-            p2(cx + hw, cy - hh).rotated(c, angle),
-            p2(cx + hw, cy + hh).rotated(c, angle),
-            p2(cx - hw, cy + hh).rotated(c, angle),
-        ];
-        self.fill_polygon(&pts, color);
-    }
 }
 
 #[cfg(test)]
@@ -195,23 +162,6 @@ mod tests {
         let mut c = Canvas::new(8, 8, [0, 0, 0]);
         c.fill_polygon(&[p2(1.0, 1.0), p2(5.0, 5.0)], [9, 9, 9]);
         assert_eq!(count_color(c.image(), [9, 9, 9]), 0);
-    }
-
-    #[test]
-    fn ellipse_area_close_to_pi_ab() {
-        let mut c = Canvas::new(40, 40, [0, 0, 0]);
-        c.fill_ellipse(20.0, 20.0, 10.0, 6.0, [7, 7, 7]);
-        let n = count_color(c.image(), [7, 7, 7]) as f32;
-        let ideal = std::f32::consts::PI * 10.0 * 6.0;
-        assert!((n - ideal).abs() / ideal < 0.15, "area {n} vs {ideal}");
-    }
-
-    #[test]
-    fn rotated_rect_45_deg_has_same_area() {
-        let mut c = Canvas::new(40, 40, [0, 0, 0]);
-        c.fill_rot_rect(20.0, 20.0, 12.0, 8.0, std::f32::consts::FRAC_PI_4, [5, 5, 5]);
-        let n = count_color(c.image(), [5, 5, 5]) as f32;
-        assert!((n - 96.0).abs() / 96.0 < 0.2, "area {n}");
     }
 
     #[test]

@@ -145,8 +145,8 @@ impl<T: Copy + Default, const C: usize> ImageBuf<T, C> {
     /// Read the pixel at `(x, y)`.
     ///
     /// # Panics
-    /// Panics when out of bounds (debug-friendly; hot loops use
-    /// [`ImageBuf::pixel_unchecked_math`]-style accessors on validated
+    /// Panics when out of bounds (debug-friendly; hot loops read whole
+    /// rows through [`ImageBuf::row`] or [`ImageBuf::as_raw`] on validated
     /// coordinates).
     #[inline]
     pub fn pixel(&self, x: u32, y: u32) -> [T; C] {

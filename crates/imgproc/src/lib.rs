@@ -11,7 +11,7 @@
 //!   ([`threshold`]),
 //! * Suzuki–Abe border following and contour geometry ([`contour`]),
 //! * raw/central/normalised image moments and the seven Hu invariants,
-//!   plus the three `matchShapes` distances ([`moments`]),
+//!   plus the three `matchShapes` distances ([`moments`](mod@moments)),
 //! * per-channel RGB histograms with the four OpenCV comparison metrics
 //!   ([`histogram`]),
 //! * bilinear resizing and separable Gaussian smoothing ([`resize`],
@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::histogram::{compare_hist, rgb_histogram, HistCompare, RgbHistogram, HIST_BINS};
     pub use crate::image::{GrayF32, GrayImage, ImageBuf, Rect, RgbImage};
     pub use crate::integral::IntegralImage;
-    pub use crate::io::{read_ppm, write_ppm};
+    pub use crate::io::write_ppm;
     pub use crate::label::{label_components, Component, Labels};
     pub use crate::moments::{
         hu_moments, match_shapes, moments, moments_of_contour, HuMoments, LogHu, MatchShapesMode,

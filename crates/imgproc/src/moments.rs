@@ -2,7 +2,7 @@
 //! Image and contour moments, Hu invariants, and `matchShapes`.
 //!
 //! The shape-only pipeline of the paper matches contours "through the
-//! OpenCV built-in similarity function based on Hu moments [15], i.e.
+//! OpenCV built-in similarity function based on Hu moments \[15\], i.e.
 //! moments invariant to translation, rotation and scale", with "distance
 //! metric between image moments set to be the L1, L2, or L3 norm". Those
 //! are OpenCV's `CONTOURS_MATCH_I1/I2/I3` modes, reproduced here bit-for-

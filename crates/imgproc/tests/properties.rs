@@ -5,6 +5,7 @@ use taor_imgproc::contour::Point;
 use taor_imgproc::draw::{p2, P2};
 use taor_imgproc::prelude::*;
 use taor_imgproc::resize::{resize_bilinear_f32, sample_bilinear};
+use taor_testkit::draw::fill_ellipse;
 
 /// Arbitrary small grayscale image with at least one foreground pixel.
 fn arb_gray(max_side: u32) -> impl Strategy<Value = GrayImage> {
@@ -694,7 +695,7 @@ proptest! {
         (cx, cy, rx, ry) in (arb_coord(), arb_coord(), arb_coord(), arb_coord()),
     ) {
         let mut canvas = Canvas::new(w, h, bg);
-        canvas.fill_ellipse(cx, cy, rx, ry, INK);
+        fill_ellipse(&mut canvas, cx, cy, rx, ry, INK);
         let mut want = PlotReference(RgbImage::filled(w, h, bg));
         want.fill_ellipse(cx, cy, rx, ry, INK);
         prop_assert_eq!(canvas.image(), &want.0);

@@ -31,7 +31,8 @@ const STRICT_CRATES: &[&str] = &[
 const WALK_ROOTS: &[&str] = &["src", "tests", "examples", "crates", "vendor"];
 
 /// Directories read for references only, never linted: the frozen
-/// benchmark package calls library functions by name.
+/// benchmark package calls library functions by name, and those calls
+/// are shipping callers for `dead::unreached-pub`.
 const REFERENCE_ROOTS: &[&str] = &["perfbench/src"];
 
 /// Directory names never descended into. `fixtures` holds the lint's
@@ -139,7 +140,8 @@ struct CrateInfo {
 /// identifier references, and the per-crate facts; pass 2 runs the
 /// rules with those tables in scope, so `err::swallowed-result` knows
 /// the project's own fallible functions and `dead::unreached-pub` sees
-/// every caller, regardless of file order.
+/// every shipping caller ([`dead::is_shipping_file`]), regardless of
+/// file order.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
     for top in WALK_ROOTS {

@@ -14,8 +14,8 @@
 //! statement-level parse ([`stmt`]), a rule engine ([`rules`]) and a
 //! justification-carrying allow-list ([`allow`]); [`engine`] walks the
 //! workspace (two passes, so `err::swallowed-result` sees every crate's
-//! `Result`-returning functions and `dead::unreached-pub` every caller)
-//! and adds the crate-level unsafe gates.
+//! `Result`-returning functions and `dead::unreached-pub` every shipping
+//! caller) and adds the crate-level unsafe gates.
 //!
 //! See DESIGN.md §9 for the architecture and how to add a rule.
 

@@ -10,7 +10,7 @@
 //! | `atomics` | `undocumented`, `relaxed-handoff` | whole workspace, non-test |
 //! | `concurrency` | `naked-atomic` | whole workspace, non-test |
 //! | `err` | `swallowed-result` | whole workspace, non-test |
-//! | `dead` | `unreached-pub` | strict library code, workspace runs only |
+//! | `dead` | `unreached-pub` | strict library code, shipping callers only, workspace runs only |
 //!
 //! "Strict library code" is the non-test portion of
 //! `crates/{core,data,features,imgproc,nn,serve}/src`: the result-producing
@@ -47,9 +47,10 @@ pub struct RuleCtx<'a> {
     /// workspace (engine pass 1); `err::swallowed-result` unions this
     /// with its std built-ins.
     pub result_fns: &'a BTreeSet<String>,
-    /// Identifier references across every file the engine reads
-    /// (engine pass 1); `None` when a single file is linted on its own,
-    /// which cannot see its callers, so `dead::unreached-pub` is off.
+    /// Identifier references across every file the engine reads, each
+    /// marked shipping or not (engine pass 1); `None` when a single file
+    /// is linted on its own, which cannot see its callers, so
+    /// `dead::unreached-pub` is off.
     pub refs: Option<&'a dead::RefTable>,
 }
 

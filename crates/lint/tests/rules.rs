@@ -182,6 +182,38 @@ fn dead_unreached_pub_fires_on_test_only_and_reexport_only_fns() {
     assert!(!fixture(name).iter().any(|d| d.rule == "dead::unreached-pub"));
 }
 
+#[test]
+fn dead_unreached_pub_counts_only_shipping_callers() {
+    // A strict library file declares four functions; each of the other
+    // files mentions one of them outside any test region. Only shipping
+    // files (examples, perfbench) keep a function alive; an integration
+    // test and the dev-only testkit do not.
+    let lib = "pub fn by_test() {}\npub fn by_testkit() {}\n\
+               pub fn by_example() {}\npub fn by_perfbench() {}\n";
+    let files = [
+        ("crates/x/src/lib.rs", lib),
+        ("crates/x/tests/t.rs", "fn helper() { x::by_test(); }"),
+        ("crates/testkit/src/lib.rs", "pub fn harness() { x::by_testkit(); }"),
+        ("examples/e.rs", "fn main() { x::by_example(); }"),
+        ("perfbench/src/main.rs", "fn main() { x::by_perfbench(); }"),
+    ];
+    let mut refs = taor_lint::RefTable::new();
+    for (path, src) in files {
+        let out = taor_lint::lexer::lex(src);
+        let mask = taor_lint::regions::test_mask(&out.tokens);
+        taor_lint::rules::dead::record_references(&mut refs, path, &out.tokens, &mask);
+    }
+    let (path, lib) = files[0];
+    let diags = taor_lint::lint_source_with(path, lib, true, false, &Default::default(), &refs);
+    let dead: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.rule == "dead::unreached-pub")
+        .map(|d| d.message.as_str())
+        .collect();
+    assert_eq!(dead.len(), 2, "{dead:?}");
+    assert!(dead[0].contains("by_test`") && dead[1].contains("by_testkit`"), "{dead:?}");
+}
+
 // ---- allow grammar ---------------------------------------------------
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The pool's chunk hand-off and the serve stack's admission queue are
 //! written here exactly once, against a `sync_api` module alias, and
-//! stamped out by [`protocol_impl!`] into two flavors:
+//! stamped out by `protocol_impl!` into two flavors:
 //!
 //! * [`on_shim`] — `sync_api = crate::sync`: the production flavor.
 //!   `vendor/rayon`'s pool and `crates/serve`'s robustness layer use

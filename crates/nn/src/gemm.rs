@@ -479,26 +479,6 @@ fn check_strided(name: &str, len: usize, rows: usize, cols: usize, ld: usize) {
     );
 }
 
-/// Reference kernel: the seed's naive ikj loop, kept for property tests
-/// and as the bench baseline the GEMM kernels are measured against.
-pub fn matmul_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    c[..m * n].fill(0.0);
-    for i in 0..m {
-        for kk in 0..k {
-            let av = a[i * k + kk];
-            // taor-lint: allow(float::eq) — sparsity skip: only a bit-exact zero may be elided
-            if av == 0.0 {
-                continue;
-            }
-            let row = &b[kk * n..(kk + 1) * n];
-            let dst = &mut c[i * n..(i + 1) * n];
-            for (d, &bv) in dst.iter_mut().zip(row) {
-                *d += av * bv;
-            }
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 fn have_avx2_fma() -> bool {
     // Miri interprets portable Rust, not vendor intrinsics: force the
@@ -517,6 +497,7 @@ fn have_avx2_fma() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taor_testkit::oracle::matmul_naive;
 
     fn fill_pattern(len: usize, seed: u32) -> Vec<f32> {
         // Cheap deterministic pseudo-random values in [-1, 1].

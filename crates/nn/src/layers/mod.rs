@@ -23,4 +23,4 @@ pub use dense::Dense;
 pub use dropout::Dropout;
 pub use flatten::flatten;
 pub use pool::MaxPool2D;
-pub use softmax::{softmax_cross_entropy, softmax_cross_entropy_rows, softmax_probs};
+pub use softmax::{softmax_cross_entropy_rows, softmax_probs};

@@ -38,14 +38,13 @@ fn check_labels(targets: &[usize], classes: usize) -> Result<(), TensorError> {
     }
 }
 
-/// Fused softmax + categorical cross-entropy.
+/// Fused softmax + categorical cross-entropy, the batch-mean reference
+/// for [`softmax_cross_entropy_rows`].
 ///
 /// Returns `(mean loss, dL/dlogits)`; the gradient is the classic
 /// `(p − onehot) / N`.
-pub fn softmax_cross_entropy(
-    logits: &Tensor,
-    targets: &[usize],
-) -> Result<(f32, Tensor), TensorError> {
+#[cfg(test)]
+fn softmax_cross_entropy(logits: &Tensor, targets: &[usize]) -> Result<(f32, Tensor), TensorError> {
     let s = logits.shape();
     if s.len() != 2 || s[0] != targets.len() {
         return Err(TensorError::ShapeMismatch {
@@ -70,8 +69,8 @@ pub fn softmax_cross_entropy(
 /// Fused softmax + categorical cross-entropy, reported per row.
 ///
 /// Returns `(per-row losses, dL/dlogits)` where the gradient is the
-/// **unscaled** `p − onehot` and `losses[i]` is exactly the value
-/// [`softmax_cross_entropy`] returns for row `i` alone at batch size 1
+/// **unscaled** `p − onehot` and `losses[i]` is exactly the batch-mean
+/// loss of row `i` alone at batch size 1, where dividing by one is exact
 /// (softmax rows are independent, and the loss is written as the same
 /// `0.0 − ln p` fold so even the sign of a zero loss matches). This is
 /// the building block for batched training passes that must stay
@@ -104,6 +103,26 @@ pub fn softmax_cross_entropy_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn cross_entropy_nonnegative_and_finite(
+            data in proptest::collection::vec(-2.0f32..2.0, 15),
+            targets in proptest::collection::vec(0usize..5, 3),
+        ) {
+            let t = Tensor::from_vec(&[3, 5], data).unwrap();
+            let (loss, grad) = softmax_cross_entropy(&t, &targets).unwrap();
+            prop_assert!(loss >= 0.0 && loss.is_finite());
+            // Gradient rows sum to ~0 (softmax minus one-hot, scaled).
+            for i in 0..3 {
+                let s: f32 = grad.data()[i * 5..(i + 1) * 5].iter().sum();
+                prop_assert!(s.abs() < 1e-5, "row {} sums to {}", i, s);
+            }
+        }
+    }
 
     #[test]
     fn probs_sum_to_one() {

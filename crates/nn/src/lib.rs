@@ -36,13 +36,10 @@ pub mod tensor;
 pub mod train;
 pub mod xcorr;
 
-pub use layers::{softmax_cross_entropy, softmax_probs, Conv2D, Dense, MaxPool2D, Relu};
+pub use layers::{softmax_probs, Conv2D, Dense, MaxPool2D, Relu};
 pub use model::{NetConfig, NetGrads, NormXCorrNet};
 pub use optim::Adam;
 pub use scratch::{Scratch, ScratchBuf};
 pub use tensor::{Tensor, TensorError};
-pub use train::{
-    sample_pass, try_predict_labels, try_train, EpochStats, PairSample, TrainConfig, TrainReport,
-    MICRO_BATCH,
-};
+pub use train::{try_train, EpochStats, PairSample, TrainConfig, TrainReport, MICRO_BATCH};
 pub use xcorr::{NormXCorr, PreparedGallery};

@@ -559,12 +559,6 @@ impl NormXCorrNet {
         Ok(logits)
     }
 
-    /// Predicted "similar" probability per pair (class 1).
-    pub fn predict_similar(&self, a: &Tensor, b: &Tensor) -> Result<Vec<f32>, TensorError> {
-        let (logits, _) = self.forward(a, b)?;
-        similar_column(&logits)
-    }
-
     /// Predicted "similar" probability per pair from precomputed tower
     /// features — the pairwise head, and the bit-exact reference for
     /// [`Self::predict_similar_gallery`].
@@ -662,6 +656,7 @@ impl NormXCorrNet {
     /// geometry `new(config)` builds ([`TensorError::ShapeMismatch`] for
     /// a weight or bias, [`TensorError::InvalidModel`] for the layer
     /// fields or unparsable JSON).
+    // taor-lint: allow(dead::unreached-pub) — reads the model file that `to_json` writes (examples/train_siamese.rs); its shipping caller is ROADMAP item 2 step 1 (`taor-serve --model`), and this allow goes when that lands
     pub fn from_json(s: &str) -> Result<Self, TensorError> {
         let net: NormXCorrNet = serde_json::from_str(s)
             .map_err(|e| TensorError::InvalidModel { reason: e.to_string() })?;
@@ -714,7 +709,7 @@ fn similar_column(logits: &Tensor) -> Result<Vec<f32>, TensorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::softmax::softmax_cross_entropy;
+    use crate::layers::softmax::softmax_cross_entropy_rows;
 
     fn tiny_config() -> NetConfig {
         NetConfig { height: 24, width: 20, c1: 4, c2: 5, c3: 6, dense: 16, ..Default::default() }
@@ -753,7 +748,7 @@ mod tests {
         let net = NormXCorrNet::new(cfg.clone()).expect("test config is large enough");
         let (a, b) = random_pair(&cfg, 2);
         let (logits, cache) = net.forward(&a, &b).unwrap();
-        let (_, grad) = softmax_cross_entropy(&logits, &[1]).unwrap();
+        let (_, grad) = softmax_cross_entropy_rows(&logits, &[1]).unwrap();
         let mut grads = net.zero_grads();
         net.backward(&cache, &grad, &mut grads).unwrap();
         for t in NormXCorrNet::grads_vec(&grads) {
@@ -772,7 +767,8 @@ mod tests {
         let mut last = f32::INFINITY;
         for step in 0..8 {
             let (logits, cache) = net.forward(&a, &b).unwrap();
-            let (loss, grad) = softmax_cross_entropy(&logits, &[0]).unwrap();
+            let (losses, grad) = softmax_cross_entropy_rows(&logits, &[0]).unwrap();
+            let loss = losses[0];
             if step == 7 {
                 assert!(loss < last, "loss should decrease: {last} -> {loss}");
             }
@@ -793,7 +789,7 @@ mod tests {
         let net = NormXCorrNet::new(cfg.clone()).expect("test config is large enough");
         let (a, _) = random_pair(&cfg, 4);
         let (logits, cache) = net.forward(&a, &a).unwrap();
-        let (_, grad) = softmax_cross_entropy(&logits, &[1]).unwrap();
+        let (_, grad) = softmax_cross_entropy_rows(&logits, &[1]).unwrap();
         let mut grads = net.zero_grads();
         net.backward(&cache, &grad, &mut grads).unwrap();
         assert!(grads.conv1.weight.data().iter().all(|v| v.is_finite()));
@@ -804,11 +800,12 @@ mod tests {
         let cfg = tiny_config();
         let net = NormXCorrNet::new(cfg.clone()).expect("test config is large enough");
         let (a, b) = random_pair(&cfg, 5);
-        let p1 = net.predict_similar(&a, &b).unwrap();
-        let json = net.to_json();
-        let restored = NormXCorrNet::from_json(&json).unwrap();
-        let p2 = restored.predict_similar(&a, &b).unwrap();
-        assert_eq!(p1, p2);
+        let predict = |net: &NormXCorrNet| {
+            let (fa, fb) = (net.tower_embed(&a).unwrap(), net.tower_embed(&b).unwrap());
+            net.predict_similar_features(&fa, &fb).unwrap()
+        };
+        let restored = NormXCorrNet::from_json(&net.to_json()).unwrap();
+        assert_eq!(predict(&net), predict(&restored));
     }
 
     #[test]
@@ -830,7 +827,7 @@ mod tests {
         let net = NormXCorrNet::new(cfg.clone()).expect("test config is large enough");
         let (a, b) = random_pair(&cfg, 10);
         let (logits, cache) = net.forward_ex(&a, &b, Some(5)).unwrap();
-        let (_, grad) = softmax_cross_entropy(&logits, &[0]).unwrap();
+        let (_, grad) = softmax_cross_entropy_rows(&logits, &[0]).unwrap();
         let mut grads = net.zero_grads();
         net.backward(&cache, &grad, &mut grads).unwrap();
         assert!(grads.dense1.weight.data().iter().all(|v| v.is_finite()));

@@ -13,7 +13,7 @@
 //! * buffers return to the pool of the thread that drops them, not the
 //!   one that took them — both are correct, the pool is only a reuse
 //!   heuristic;
-//! * the pool is bounded ([`MAX_POOLED`] buffers) so pathological bursts
+//! * the pool is bounded (`MAX_POOLED` buffers) so pathological bursts
 //!   cannot pin unbounded memory.
 
 use std::cell::RefCell;

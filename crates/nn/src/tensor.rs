@@ -151,8 +151,8 @@ impl Tensor {
     }
 
     /// 4-D index (NCHW convention). Debug-checked.
-    #[inline]
-    pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
         debug_assert_eq!(self.shape.len(), 4);
         let [_, cs, hs, ws] = [self.shape[0], self.shape[1], self.shape[2], self.shape[3]];
         self.data[((n * cs + c) * hs + h) * ws + w]

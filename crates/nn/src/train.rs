@@ -12,10 +12,11 @@
 //! with a fixed-order tree sum ([`NetGrads::tree_sum`]). Both the micro
 //! partitioning and the tree shape depend only on the batch size — never
 //! on `TAOR_THREADS` — so the training trajectory is byte-identical at
-//! any pool width. The retained per-sample oracle ([`sample_pass`]) pins
-//! the batched pass bit-for-bit in the equivalence tests.
+//! any pool width. The per-sample network path (`forward_ex` and
+//! `backward` at batch 1, as `taor_testkit::oracle::sample_pass` runs
+//! it) pins the batched pass bit-for-bit in the equivalence tests.
 
-use crate::layers::softmax::{softmax_cross_entropy, softmax_cross_entropy_rows};
+use crate::layers::softmax::softmax_cross_entropy_rows;
 use crate::model::{NetGrads, NormXCorrNet};
 use crate::optim::Adam;
 use crate::tensor::{Tensor, TensorError};
@@ -90,29 +91,10 @@ pub const MICRO_BATCH: usize = 4;
 /// Per-micro-batch result: (per-row losses, per-row correctness, grads).
 type MicroPassResult = Result<(Vec<f32>, Vec<bool>, NetGrads), TensorError>;
 
-/// Per-sample loss/gradient oracle: one pair through a batch-1
-/// forward/backward. The training loop no longer calls this — it runs
-/// batched micro-passes — but it is retained as the bit-exactness
-/// reference the batched path is pinned against (see the
-/// `batched_equivalence` integration tests). Returns `(loss, correct,
-/// grads)`; a pair the network cannot take is a typed error.
-pub fn sample_pass(
-    net: &NormXCorrNet,
-    sample: &PairSample<'_>,
-    dropout_seed: u64,
-) -> Result<(f32, bool, NetGrads), TensorError> {
-    let (logits, cache) = net.forward_ex(sample.a, sample.b, Some(dropout_seed))?;
-    let (loss, grad) = softmax_cross_entropy(&logits, &[sample.label])?;
-    let pred = if logits.at2(0, 1) > logits.at2(0, 0) { 1 } else { 0 };
-    let mut grads = net.zero_grads();
-    net.backward(&cache, &grad, &mut grads)?;
-    Ok((loss, pred == sample.label, grads))
-}
-
 /// One micro-batch: stack the selected pairs, run the batched
 /// forward/backward, and return per-row losses/correctness plus the
 /// micro's gradient store (per-sample contributions accumulated in row
-/// order, bit-identical to the [`sample_pass`] oracle). Pairs of unequal
+/// order, bit-identical to one batch-1 pass per pair). Pairs of unequal
 /// shapes are a [`TensorError::ShapeMismatch`], and a label outside the
 /// two classes a [`TensorError::InvalidLabel`].
 fn micro_pass(
@@ -221,35 +203,6 @@ pub fn try_train(
     Ok(TrainReport { epochs, early_stopped })
 }
 
-/// Pairs stacked per forward pass during evaluation. The whole chunk
-/// moves through the network as one `[B, 3, H, W]` batch, so each layer
-/// costs a single GEMM instead of `B` small ones.
-const EVAL_BATCH: usize = 16;
-
-/// Evaluate: predicted label (argmax) per sample, scored in
-/// pool-parallel batches; pairs of unequal shapes are a
-/// [`TensorError::ShapeMismatch`].
-pub fn try_predict_labels(
-    net: &NormXCorrNet,
-    samples: &[PairSample<'_>],
-) -> Result<Vec<usize>, TensorError> {
-    let results: Vec<Result<Vec<usize>, TensorError>> = samples
-        .par_chunks(EVAL_BATCH)
-        .map(|chunk| {
-            let a: Vec<&Tensor> = chunk.iter().map(|p| p.a).collect();
-            let b: Vec<&Tensor> = chunk.iter().map(|p| p.b).collect();
-            let probs =
-                net.predict_similar(&Tensor::stack_batch(&a)?, &Tensor::stack_batch(&b)?)?;
-            Ok(probs.into_iter().map(|p| usize::from(p > 0.5)).collect::<Vec<_>>())
-        })
-        .collect();
-    let mut out = Vec::with_capacity(samples.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,15 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_labels_shape() {
-        let net = tiny_net();
-        let pairs = separable_pairs(6, 24, 20, 13);
-        let labels = try_predict_labels(&net, &borrowed(&pairs)).unwrap();
-        assert_eq!(labels.len(), 6);
-        assert!(labels.iter().all(|&l| l == 0 || l == 1));
-    }
-
-    #[test]
     fn mixed_pair_shapes_are_a_typed_error() {
         // A 24×20 pair, then a taller one, or one with the same element
         // count under transposed sides that must not be silently reshaped.
@@ -354,14 +298,6 @@ mod tests {
             let mut pairs = separable_pairs(1, 24, 20, 17);
             pairs.extend(separable_pairs(1, h, w, 19));
             let samples = borrowed(&pairs);
-            let net = tiny_net();
-            assert!(
-                matches!(
-                    try_predict_labels(&net, &samples),
-                    Err(TensorError::ShapeMismatch { .. })
-                ),
-                "predict on a [1, 3, {h}, {w}] pair"
-            );
             let mut net = tiny_net();
             let cfg = TrainConfig { max_epochs: 1, batch_size: 8, ..Default::default() };
             assert!(
@@ -389,11 +325,12 @@ mod tests {
         let pairs = separable_pairs(6, 24, 20, 21);
         let mut samples = borrowed(&pairs);
         samples[3].label = 2;
-        let want = Some(TensorError::InvalidLabel { label: 2, classes: 2 });
-        assert_eq!(sample_pass(&tiny_net(), &samples[3], 1).err(), want);
         let mut net = tiny_net();
         let cfg = TrainConfig { max_epochs: 1, batch_size: 4, ..Default::default() };
-        assert_eq!(try_train(&mut net, &samples, &cfg, |_| {}).err(), want);
+        assert_eq!(
+            try_train(&mut net, &samples, &cfg, |_| {}).err(),
+            Some(TensorError::InvalidLabel { label: 2, classes: 2 })
+        );
     }
 
     #[test]

@@ -256,7 +256,7 @@ impl NormXCorr {
     /// Forward: `(A, B)` of shape `[N, C, H, W]` → `[N, C·K, H, W]`.
     ///
     /// Both inputs are transposed into `N·C` lanes and centred once
-    /// ([`Self::build_panel`]); every `(displacement, position)` output
+    /// (`build_panel`); every `(displacement, position)` output
     /// is then a `j = 0..psz` fold of `acc += pa·pb` from zero in each
     /// lane, and `acc / (na·nb + ε)`. Bit-identical to the test-only
     /// `forward_naive` (pinned by the `*_matches_naive` tests). The

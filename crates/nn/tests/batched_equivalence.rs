@@ -2,15 +2,17 @@
 //!
 //! The batched trainer must be a pure performance transformation: its
 //! logits, per-row losses, and accumulated parameter gradients are
-//! pinned bit-for-bit against the retained per-sample oracle
-//! ([`taor_nn::sample_pass`] / `forward_ex`), including under dropout
+//! pinned bit-for-bit against the per-sample path
+//! ([`taor_testkit::oracle::sample_pass`] over `forward_ex` and
+//! `backward`), including under dropout
 //! and under NaN-quarantine inputs — and [`NetGrads::tree_sum`] is
 //! pinned to its fixed reduction shape so the training trajectory
 //! cannot depend on the worker-pool width.
 
 use proptest::prelude::*;
 use taor_nn::layers::{softmax_cross_entropy_rows, Dense};
-use taor_nn::{sample_pass, NetConfig, NetGrads, NormXCorrNet, PairSample, Tensor};
+use taor_nn::{NetConfig, NetGrads, NormXCorrNet, PairSample, Tensor};
+use taor_testkit::oracle::sample_pass;
 
 fn tiny_cfg(dropout: f32) -> NetConfig {
     NetConfig {

@@ -22,7 +22,7 @@ use taor_serve::{signal, RecognizerService, Server, ServerConfig, ServiceConfig}
 const USAGE: &str = "taor-serve: recognition-as-a-service over the taor pipelines
   --addr A               bind address (default 127.0.0.1:0)
   --workers N            recognition worker threads (default 2)
-  --queue-cap N          admission queue capacity (default 64)
+  --queue-cap N          admission queue capacity, at least 1 (default 64)
   --deadline-ms N        per-request deadline (default 2000)
   --degrade-margin-ms N  skip the expensive pipeline below this remaining budget (default 100)
   --read-budget-ms N     total budget for reading one request (default 2000)
@@ -58,7 +58,14 @@ fn run() -> Result<(), String> {
         match arg.as_str() {
             "--addr" => server_cfg.addr = parse("--addr", args.next())?,
             "--workers" => server_cfg.workers = parse("--workers", args.next())?,
-            "--queue-cap" => server_cfg.queue_cap = parse("--queue-cap", args.next())?,
+            "--queue-cap" => {
+                server_cfg.queue_cap = parse("--queue-cap", args.next())?;
+                if server_cfg.queue_cap == 0 {
+                    return Err("--queue-cap must be at least 1: a zero-capacity admission \
+                                queue sheds every request"
+                        .into());
+                }
+            }
             "--deadline-ms" => {
                 server_cfg.deadline = Duration::from_millis(parse("--deadline-ms", args.next())?)
             }

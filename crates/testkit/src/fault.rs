@@ -264,10 +264,13 @@ fn drive_pipelines(crops: &Dataset, catalog: &Dataset, diag: &Diagnostics) -> Ve
         let net = NormXCorrNet::new(cfg.clone()).map_err(|e| format!("constructor: {e}"))?;
         let reference_img =
             catalog.images.first().map(|i| &i.image).ok_or("catalog has no images")?;
-        let reference = image_to_tensor(reference_img, &cfg);
+        let reference = net
+            .tower_embed(&image_to_tensor(reference_img, &cfg))
+            .map_err(|e| format!("reference: tower failed: {e}"))?;
         for (i, labeled) in crops.images.iter().enumerate() {
             let t = image_to_tensor(&labeled.image, &cfg);
-            net.predict_similar(&t, &reference)
+            net.tower_embed(&t)
+                .and_then(|f| net.predict_similar_features(&f, &reference))
                 .map_err(|e| format!("crop #{i}: forward failed: {e}"))?;
         }
         match NormXCorrNet::new(NetConfig { height: 6, width: 6, ..cfg }) {

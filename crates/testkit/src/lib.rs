@@ -12,10 +12,17 @@
 //!   make image pairs under a known geometry (`tests/robustness.rs`,
 //!   `tests/detector_evaluation.rs`);
 //! * [`evaluation`] — detector repeatability and matching score under
-//!   that geometry (`tests/detector_evaluation.rs`).
+//!   that geometry (`tests/detector_evaluation.rs`);
+//! * [`oracle`] — the naive GEMM, Hamming 2-NN and per-sample training
+//!   loops that the fast kernels, the MIH index and the batched trainer
+//!   are pinned against bit for bit;
+//! * [`draw`] — ellipse and rotated-rectangle fills for the detector
+//!   tests' synthetic images.
 
 #![forbid(unsafe_code)]
 
+pub mod draw;
 pub mod evaluation;
 pub mod fault;
+pub mod oracle;
 pub mod warp;

@@ -6,6 +6,7 @@ use taor::features::{
     orb_detect_and_compute, sift_detect_and_compute, OrbParams, SiftParams, Similarity,
 };
 use taor::imgproc::prelude::*;
+use taor_testkit::draw::{fill_ellipse, fill_rot_rect};
 use taor_testkit::evaluation::{matching_score, repeatability};
 use taor_testkit::warp::{warp_affine, Affine};
 
@@ -13,10 +14,10 @@ use taor_testkit::warp::{warp_affine, Affine};
 fn test_card() -> GrayImage {
     use taor::imgproc::draw::{p2, Canvas};
     let mut c = Canvas::new(128, 128, [20, 20, 20]);
-    c.fill_rot_rect(46.0, 44.0, 42.0, 28.0, 0.35, [230, 230, 230]);
+    fill_rot_rect(&mut c, 46.0, 44.0, 42.0, 28.0, 0.35, [230, 230, 230]);
     c.fill_polygon(&[p2(80.0, 86.0), p2(114.0, 92.0), p2(86.0, 116.0)], [150, 150, 150]);
-    c.fill_ellipse(34.0, 94.0, 12.0, 8.0, [200, 200, 200]);
-    c.fill_rot_rect(94.0, 34.0, 18.0, 18.0, 0.8, [180, 180, 180]);
+    fill_ellipse(&mut c, 34.0, 94.0, 12.0, 8.0, [200, 200, 200]);
+    fill_rot_rect(&mut c, 94.0, 34.0, 18.0, 18.0, 0.8, [180, 180, 180]);
     rgb_to_gray(c.image())
 }
 

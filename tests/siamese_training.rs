@@ -47,9 +47,11 @@ fn model_roundtrips_through_json() -> Result<()> {
     for p in taor::data::training_pairs(&sns2, 20, 7) {
         let a = image_to_tensor(&p.a.image, &cfg.net);
         let b = image_to_tensor(&p.b.image, &cfg.net);
-        let p1 = net.predict_similar(&a, &b).unwrap();
-        let p2 = restored.predict_similar(&a, &b).unwrap();
-        assert_eq!(p1, p2);
+        let predict = |net: &NormXCorrNet| {
+            let (fa, fb) = (net.tower_embed(&a).unwrap(), net.tower_embed(&b).unwrap());
+            net.predict_similar_features(&fa, &fb).unwrap()
+        };
+        assert_eq!(predict(&net), predict(&restored));
     }
     Ok(())
 }
