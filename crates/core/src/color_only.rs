@@ -19,7 +19,7 @@ use taor_imgproc::histogram::{compare_hist, HistCompare};
 const SIM_FLOOR: f64 = 1e-6;
 
 /// Histogram-comparison scorer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColorScorer {
     pub metric: HistCompare,
 }

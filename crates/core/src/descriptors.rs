@@ -263,8 +263,7 @@ pub fn try_classify_descriptors_verified(
                 // Nothing geometrically consistent anywhere: deterministic
                 // pseudo-random fallback (as in `try_classify_descriptors_with`).
                 diag.record_degraded(1);
-                ObjectClass::from_index((qi * 7 + 3) % ObjectClass::COUNT)
-                    .unwrap_or(reference.classes[0])
+                fallback_class(qi)
             } else {
                 best_class
             }
@@ -272,29 +271,16 @@ pub fn try_classify_descriptors_verified(
         .collect())
 }
 
-/// Classify every query of `queries` against the `reference` index.
-///
-/// Decision rule (the paper's "ratio test … to select the best match
-/// among all reference 2D views at each iteration"): every reference
-/// descriptor is pooled with its owning class; each query keypoint finds
-/// its two nearest pooled neighbours, survives Lowe's ratio test or is
-/// dropped, and votes for the class owning its best match. The predicted
-/// label is the majority vote, ties broken by summed match distance. A
-/// query whose keypoints all fail the ratio test falls back to its single
-/// best unfiltered match; a query with no descriptors at all gets a
-/// deterministic pseudo-random label (the paper's effective behaviour on
-/// textureless crops).
+/// Classify every query of `queries` against the `reference` index:
+/// [`try_match_descriptors`] under `mode`, then
+/// [`DescriptorMatches::vote`] at `ratio` (the paper's "ratio test … to
+/// select the best match among all reference 2D views at each
+/// iteration").
 ///
 /// Kind mismatches and empty reference indices are typed errors;
 /// featureless queries and queries whose keypoints all fail the ratio
 /// test degrade per-item (counted in `diag`) instead of aborting the
 /// batch.
-///
-/// `mode` picks the gallery index: the pooled reference descriptors are
-/// searched brute-force (`Flat`, the paper's matcher) or, for binary
-/// kinds, through multi-index hashing (`Mih` — exact, so predictions are
-/// bit-identical to `Flat`; float kinds stay brute-force). The index is
-/// built once per call and amortised over every query image.
 pub fn try_classify_descriptors_with(
     queries: &DescriptorIndex,
     reference: &DescriptorIndex,
@@ -302,6 +288,37 @@ pub fn try_classify_descriptors_with(
     diag: &Diagnostics,
     mode: AnnIndexMode,
 ) -> Result<Vec<ObjectClass>> {
+    Ok(try_match_descriptors(queries, reference, mode)?.vote(ratio, diag))
+}
+
+/// Every query image's pooled 2-NN matches against one reference index,
+/// and the class owning each pooled reference row: what the ratio test
+/// filters. Each ratio votes on the same search, so Table 3's two
+/// columns and Table 9 search once per descriptor kind.
+#[derive(Debug)]
+pub struct DescriptorMatches {
+    owners: Vec<ObjectClass>,
+    per_query: Vec<Vec<RatioMatch>>,
+}
+
+/// The pooled 2-NN search: every reference descriptor is pooled with its
+/// owning class, and each query keypoint finds its two nearest pooled
+/// neighbours.
+///
+/// `mode` picks the gallery index: brute force (`Flat`, the paper's
+/// matcher) or, for binary kinds, multi-index hashing (`Mih` — exact, so
+/// the matches are bit-identical to `Flat`; float kinds stay brute
+/// force). The index is built once and amortised over every query image.
+///
+/// Kind mismatches and empty reference indices (no image, or no
+/// descriptor in any image) are typed errors. A matcher error on one
+/// query image leaves it with no matches, so the vote degrades it like a
+/// featureless query.
+pub fn try_match_descriptors(
+    queries: &DescriptorIndex,
+    reference: &DescriptorIndex,
+    mode: AnnIndexMode,
+) -> Result<DescriptorMatches> {
     if queries.kind != reference.kind {
         return Err(Error::KindMismatch {
             query: queries.kind.label(),
@@ -343,57 +360,74 @@ pub fn try_classify_descriptors_with(
         return Err(Error::EmptyReference("reference index has no descriptors"));
     }
     let pool = PoolIndex::build(pool, mode)?;
+    // Widths are uniform per kind by construction; a matcher error
+    // degrades its query to "featureless" rather than poisoning the
+    // whole batch.
+    let per_query = queries.descs.par_iter().map(|q| pool.knn(q)).collect();
+    Ok(DescriptorMatches { owners, per_query })
+}
 
-    Ok(queries
-        .descs
-        .par_iter()
-        .enumerate()
-        .map(|(qi, q)| {
-            // Widths are uniform per kind by construction; a matcher error
-            // degrades this query to "featureless" rather than poisoning
-            // the whole batch.
-            let matches = pool.knn(q);
-            let fallback = ObjectClass::from_index((qi * 7 + 3) % ObjectClass::COUNT)
-                .unwrap_or(reference.classes[0]);
-            if matches.is_empty() {
-                // Deterministic fallback for featureless queries.
-                diag.record_degraded(1);
-                return fallback;
-            }
-            diag.record_nan_scores(
-                matches.iter().filter(|m| m.best.distance.is_nan()).count() as u64
-            );
-            let mut votes = [0usize; ObjectClass::COUNT];
-            let mut dist_sum = [0.0f32; ObjectClass::COUNT];
-            for m in ratio_test_matches(&matches, ratio) {
-                let class = owners[m.train_idx];
-                votes[class.index()] += 1;
-                dist_sum[class.index()] += m.distance;
-            }
-            if votes.iter().all(|&v| v == 0) {
-                // No survivor: fall back to the best unfiltered match
-                // (a NaN distance never wins the argmin).
-                return matches
-                    .iter()
-                    .min_by(|a, b| nan_last_f32(a.best.distance, b.best.distance))
-                    .map(|best| owners[best.best.train_idx])
-                    .unwrap_or(fallback);
-            }
-            // Majority vote; ties broken by smaller mean distance.
-            let mut best_class = 0usize;
-            for c in 1..ObjectClass::COUNT {
-                let better = votes[c] > votes[best_class]
-                    || (votes[c] == votes[best_class]
-                        && votes[c] > 0
-                        && dist_sum[c] / (votes[c] as f32)
-                            < dist_sum[best_class] / (votes[best_class].max(1) as f32));
-                if better {
-                    best_class = c;
+impl DescriptorMatches {
+    /// Classify every query image: each keypoint whose match passes
+    /// Lowe's test at `ratio` votes for the class owning its best match,
+    /// and the majority wins, ties broken by the smaller mean match
+    /// distance. A query whose keypoints all fail the test falls back to
+    /// its single best unfiltered match; a query with no descriptors
+    /// gets a deterministic pseudo-random label (the paper's effective
+    /// behaviour on textureless crops), counted as degraded in `diag`,
+    /// which also counts each query's NaN best distances.
+    pub fn vote(&self, ratio: f32, diag: &Diagnostics) -> Vec<ObjectClass> {
+        self.per_query
+            .par_iter()
+            .enumerate()
+            .map(|(qi, matches)| {
+                let fallback = fallback_class(qi);
+                if matches.is_empty() {
+                    // Deterministic fallback for featureless queries.
+                    diag.record_degraded(1);
+                    return fallback;
                 }
-            }
-            ObjectClass::from_index(best_class).unwrap_or(fallback)
-        })
-        .collect())
+                diag.record_nan_scores(
+                    matches.iter().filter(|m| m.best.distance.is_nan()).count() as u64
+                );
+                let mut votes = [0usize; ObjectClass::COUNT];
+                let mut dist_sum = [0.0f32; ObjectClass::COUNT];
+                for m in ratio_test_matches(matches, ratio) {
+                    let class = self.owners[m.train_idx];
+                    votes[class.index()] += 1;
+                    dist_sum[class.index()] += m.distance;
+                }
+                if votes.iter().all(|&v| v == 0) {
+                    // No survivor: fall back to the best unfiltered match
+                    // (a NaN distance never wins the argmin).
+                    return matches
+                        .iter()
+                        .min_by(|a, b| nan_last_f32(a.best.distance, b.best.distance))
+                        .map(|best| self.owners[best.best.train_idx])
+                        .unwrap_or(fallback);
+                }
+                // Majority vote; ties broken by smaller mean distance.
+                let mut best_class = 0usize;
+                for c in 1..ObjectClass::COUNT {
+                    let better = votes[c] > votes[best_class]
+                        || (votes[c] == votes[best_class]
+                            && votes[c] > 0
+                            && dist_sum[c] / (votes[c] as f32)
+                                < dist_sum[best_class] / (votes[best_class].max(1) as f32));
+                    if better {
+                        best_class = c;
+                    }
+                }
+                ObjectClass::ALL[best_class]
+            })
+            .collect()
+    }
+}
+
+/// The deterministic pseudo-random label of query image `qi` when it has
+/// nothing to vote with.
+fn fallback_class(qi: usize) -> ObjectClass {
+    ObjectClass::ALL[(qi * 7 + 3) % ObjectClass::COUNT]
 }
 
 #[cfg(test)]
@@ -464,6 +498,31 @@ mod tests {
         let flat = try_classify_descriptors_with(&q, &r, 0.5, &diag, AnnIndexMode::Flat).unwrap();
         let mih = try_classify_descriptors_with(&q, &r, 0.5, &diag, AnnIndexMode::Mih).unwrap();
         assert_eq!(flat, mih, "MIH is exact: predictions must match flat exactly");
+    }
+
+    #[test]
+    fn one_search_votes_like_whole_calls() {
+        // Table 3's two ratios and Table 9 vote on one 2-NN search per
+        // kind: each vote must predict and count what a whole call at its
+        // ratio does, under either index.
+        let (sns1, sns2) = (shapenet_set1(2019), shapenet_set2(2019));
+        let mut degraded = 0;
+        for kind in DescriptorKind::ALL {
+            let (q, r) = (extract_index(&sns1, kind), extract_index(&sns2, kind));
+            for mode in AnnIndexMode::ALL {
+                let matches = try_match_descriptors(&q, &r, mode).unwrap();
+                for ratio in [0.5, 0.75] {
+                    let (voted, called) = (Diagnostics::new(), Diagnostics::new());
+                    let preds = matches.vote(ratio, &voted);
+                    let want = try_classify_descriptors_with(&q, &r, ratio, &called, mode).unwrap();
+                    let at = format!("{} {} at {ratio}", kind.label(), mode.label());
+                    assert_eq!(preds, want, "{at}");
+                    assert_eq!(voted.report(), called.report(), "{at}");
+                    degraded += voted.degraded();
+                }
+            }
+        }
+        assert!(degraded > 0, "SNS1 holds featureless views: the ledger is exercised");
     }
 
     #[test]

@@ -16,8 +16,9 @@
 use crate::color_only::ColorScorer;
 use crate::diag::Diagnostics;
 use crate::error::Result;
-use crate::pipeline::{sweep, MatchScorer, RefView};
+use crate::pipeline::{only_column, try_classify_columns, Column, MatchScorer, RefView};
 use crate::preprocess::Preprocessed;
+use crate::recognizer::Method;
 use crate::shape_only::ShapeScorer;
 use taor_data::ObjectClass;
 use taor_imgproc::histogram::HistCompare;
@@ -52,7 +53,7 @@ impl Aggregation {
 }
 
 /// Hybrid pipeline configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridConfig {
     pub shape: ShapeScorer,
     pub color: ColorScorer,
@@ -76,11 +77,18 @@ impl Default for HybridConfig {
 impl HybridConfig {
     /// θ = αS + βC for one (query, view) pair.
     pub(crate) fn theta(&self, q: &Preprocessed, v: &Preprocessed) -> f64 {
-        self.alpha * self.shape.score(q, v) + self.beta * self.color.score(q, v)
+        self.combine(self.shape.score(q, v), self.color.score(q, v))
+    }
+
+    /// θ from a pair's shape distance `s` and colour distance `c`: the one
+    /// spelling of αS + βC, so a sweep that already has both gets θ's bits.
+    pub(crate) fn combine(&self, s: f64, c: f64) -> f64 {
+        self.alpha * s + self.beta * c
     }
 }
 
-/// Classify queries with the hybrid pipeline under one aggregation rule.
+/// Classify queries with the hybrid pipeline under one aggregation rule:
+/// a one-column [`try_classify_columns`] sweep.
 ///
 /// An empty reference set is an
 /// [`Error::EmptyReference`](crate::Error::EmptyReference); NaN θ scores
@@ -95,30 +103,8 @@ pub fn try_classify_hybrid(
     agg: Aggregation,
     diag: &Diagnostics,
 ) -> Result<Vec<ObjectClass>> {
-    let rows = sweep(queries, views, |q, v| cfg.theta(q, v), [agg], diag)?;
-    Ok(rows.into_iter().map(|[class]| class).collect())
-}
-
-/// [`try_classify_hybrid`] under all three aggregations, in
-/// [`Aggregation::ALL`] order, from one θ sweep: each (query, view) θ is
-/// computed once and read by every aggregation.
-///
-/// Predictions and `diag` counts are exactly those of three single
-/// calls: each query's NaN θs are counted once per aggregation, and a
-/// degraded query once per aggregation that found no finite group.
-pub fn try_classify_hybrid_all(
-    queries: &[RefView],
-    views: &[RefView],
-    cfg: &HybridConfig,
-    diag: &Diagnostics,
-) -> Result<[Vec<ObjectClass>; 3]> {
-    let mut preds: [Vec<ObjectClass>; 3] = Default::default();
-    for row in sweep(queries, views, |q, v| cfg.theta(q, v), Aggregation::ALL, diag)? {
-        for (column, class) in preds.iter_mut().zip(row) {
-            column.push(class);
-        }
-    }
-    Ok(preds)
+    let column = Column { method: Method::Hybrid(*cfg), agg, diag };
+    try_classify_columns(queries, views, &[column]).map(only_column)
 }
 
 #[cfg(test)]
@@ -178,7 +164,10 @@ mod tests {
         let q = prepare_views(&shapenet_set2(5), Background::White);
         let r = prepare_views(&shapenet_set1(5), Background::White);
         let cfg = HybridConfig::default();
-        let all = try_classify_hybrid_all(&q, &r, &cfg, &Diagnostics::new()).unwrap();
+        let diag = Diagnostics::new();
+        let columns =
+            Aggregation::ALL.map(|agg| Column { method: Method::Hybrid(cfg), agg, diag: &diag });
+        let all = try_classify_columns(&q, &r, &columns).unwrap();
         for (agg, preds) in Aggregation::ALL.into_iter().zip(&all) {
             assert_eq!(preds, &classify(&q, &r, &cfg, agg), "{}", agg.label());
         }

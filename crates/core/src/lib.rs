@@ -69,17 +69,16 @@ pub mod prelude {
     pub use crate::color_only::ColorScorer;
     pub use crate::descriptors::{
         extract_index, try_classify_descriptors_verified, try_classify_descriptors_with,
-        AnnIndexMode, DescriptorIndex, DescriptorKind,
+        try_match_descriptors, AnnIndexMode, DescriptorIndex, DescriptorKind, DescriptorMatches,
     };
     pub use crate::diag::{Diagnostics, DiagnosticsReport};
     pub use crate::eval::{
         evaluate, evaluate_binary, random_baseline, BinaryEvaluation, ClassMetrics, Evaluation,
     };
-    pub use crate::hybrid::{
-        try_classify_hybrid, try_classify_hybrid_all, Aggregation, HybridConfig,
-    };
+    pub use crate::hybrid::{try_classify_hybrid, Aggregation, HybridConfig};
     pub use crate::pipeline::{
-        prepare_views, truth_of, try_classify_per_view, MatchScorer, RefView,
+        prepare_views, truth_of, try_classify_columns, try_classify_per_view, Column, MatchScorer,
+        RefView,
     };
     pub use crate::preprocess::{binarise, preprocess, Background, Preprocessed};
     pub use crate::recognizer::{Method, Recognition, Recognizer};

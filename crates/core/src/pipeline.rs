@@ -1,3 +1,4 @@
+// taor-lint: allow(panic::index) — sweep kernel: every slot index comes from the plan `try_classify_columns` builds, so it is below the number of rows each query scores, and θ reads only earlier rows.
 //! Shared machinery of the matching pipelines.
 //!
 //! The paper frames classification as: "a set of K Shapenet models, Mc,
@@ -10,12 +11,17 @@
 //! [`prepare_views`] preprocesses a dataset once; a [`MatchScorer`] turns
 //! a (query, view) pair into a *distance* (lower = more similar);
 //! [`try_classify_per_view`] predicts by argmin over every reference view.
-//! It and the hybrid pipeline share one argmin loop, `sweep`.
+//! It, the hybrid pipeline and [`try_classify_columns`], which predicts
+//! under many pipelines and aggregations at once, share one argmin loop,
+//! `sweep`.
 
+use crate::color_only::ColorScorer;
 use crate::diag::Diagnostics;
 use crate::error::{Error, Result};
-use crate::hybrid::Aggregation;
+use crate::hybrid::{Aggregation, HybridConfig};
 use crate::preprocess::{preprocess, Background, Preprocessed};
+use crate::recognizer::Method;
+use crate::shape_only::ShapeScorer;
 use rayon::prelude::*;
 use taor_data::{Dataset, ObjectClass};
 use taor_imgproc::cmp::nan_last_f64;
@@ -66,60 +72,161 @@ pub fn try_classify_per_view(
     scorer: &dyn MatchScorer,
     diag: &Diagnostics,
 ) -> Result<Vec<ObjectClass>> {
-    let rows = sweep(queries, views, |q, v| scorer.score(q, v), [Aggregation::WeightedSum], diag)?;
-    Ok(rows.into_iter().map(|[class]| class).collect())
+    let rows = |q: &Preprocessed| vec![views.iter().map(|v| scorer.score(q, &v.feat)).collect()];
+    sweep(queries, views, rows, &[(0, Aggregation::WeightedSum, diag)]).map(only_column)
 }
 
-/// The one argmin loop: per query, `score` against every view in order,
-/// then each of `aggs` picks its class from that one row of distances.
+/// One prediction column of [`try_classify_columns`]: the pipeline whose
+/// distance it reads, the aggregation that picks each query's class from
+/// that distance's row, and the ledger its NaNs and fallbacks go to.
+#[derive(Debug, Clone, Copy)]
+pub struct Column<'a> {
+    pub method: Method,
+    pub agg: Aggregation,
+    pub diag: &'a Diagnostics,
+}
+
+/// A distance a sweep scores once per (query, view) pair, into one row
+/// per query, however many columns read it. Equal slots are one slot: a
+/// NaN weight never equals itself, so its θ is scored once per column,
+/// and ±0.0 weights can differ only in the sign of a zero θ, which no
+/// comparison sees.
+#[derive(Clone, Copy, PartialEq)]
+enum Slot {
+    Shape(ShapeScorer),
+    Color(ColorScorer),
+    /// θ from the rows of two earlier slots, shape then colour.
+    Theta(HybridConfig, usize, usize),
+}
+
+/// Classify every query under each of `columns` in one sweep, returning
+/// one prediction vector per column, in order.
 ///
-/// Each query's NaN distances are counted in `diag` once per
-/// aggregation (they never win), and so is a query for which an
-/// aggregation found no finite distance; that query falls back to
-/// `views[0].class`. An empty `views` is an [`Error::EmptyReference`].
-pub(crate) fn sweep<const N: usize>(
+/// Each distinct distance the columns read is computed once per (query,
+/// view) pair. A hybrid column's θ is [`HybridConfig`]'s αS + βC over
+/// the pair's shape and colour distances, so the ten NYU-v-SNS1 rows of
+/// Table 2 cost seven distances and one θ per pair.
+/// Each column records in its own `diag` what a call for that column
+/// alone records ([`try_classify_per_view`] for a shape or colour column
+/// under ΘT, [`try_classify_hybrid`](crate::hybrid::try_classify_hybrid)
+/// for a hybrid one). An empty `views` is an [`Error::EmptyReference`].
+pub fn try_classify_columns(
     queries: &[RefView],
     views: &[RefView],
-    score: impl Fn(&Preprocessed, &Preprocessed) -> f64 + Sync,
-    aggs: [Aggregation; N],
-    diag: &Diagnostics,
-) -> Result<Vec<[ObjectClass; N]>> {
+    columns: &[Column<'_>],
+) -> Result<Vec<Vec<ObjectClass>>> {
+    let mut slots: Vec<Slot> = Vec::new();
+    let mut slot_of = |slot: Slot| match slots.iter().position(|s| *s == slot) {
+        Some(k) => k,
+        None => {
+            slots.push(slot);
+            slots.len() - 1
+        }
+    };
+    let reads: Vec<(usize, Aggregation, &Diagnostics)> = columns
+        .iter()
+        .map(|c| {
+            let slot = match c.method {
+                Method::Shape(s) => slot_of(Slot::Shape(s)),
+                Method::Color(s) => slot_of(Slot::Color(s)),
+                Method::Hybrid(h) => {
+                    let (shape, color) =
+                        (slot_of(Slot::Shape(h.shape)), slot_of(Slot::Color(h.color)));
+                    slot_of(Slot::Theta(h, shape, color))
+                }
+            };
+            (slot, c.agg, c.diag)
+        })
+        .collect();
+    // One slot at a time over every view: one tight loop per distance.
+    let rows = |q: &Preprocessed| {
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(slots.len());
+        for slot in &slots {
+            let row = match slot {
+                Slot::Shape(s) => views.iter().map(|v| s.score(q, &v.feat)).collect(),
+                Slot::Color(s) => views.iter().map(|v| s.score(q, &v.feat)).collect(),
+                Slot::Theta(h, shape, color) => {
+                    let pairs = rows[*shape].iter().zip(&rows[*color]);
+                    pairs.map(|(&s, &c)| h.combine(s, c)).collect()
+                }
+            };
+            rows.push(row);
+        }
+        rows
+    };
+    sweep(queries, views, rows, &reads)
+}
+
+/// The prediction vector of a one-column sweep.
+pub(crate) fn only_column(mut columns: Vec<Vec<ObjectClass>>) -> Vec<ObjectClass> {
+    columns.pop().unwrap_or_default()
+}
+
+/// The one argmin loop. Per query, `rows` scores every view, in order,
+/// into one row of distances per slot; then each column
+/// `(slot, agg, diag)` picks the query's class from its slot's row.
+/// Returns one prediction vector per column.
+///
+/// Each column counts its row's NaN distances in its `diag` (they never
+/// win), and so is a query for which its aggregation found no finite
+/// distance; that query falls back to `views[0].class`. An empty `views`
+/// is an [`Error::EmptyReference`].
+fn sweep(
+    queries: &[RefView],
+    views: &[RefView],
+    rows: impl Fn(&Preprocessed) -> Vec<Vec<f64>> + Sync,
+    columns: &[(usize, Aggregation, &Diagnostics)],
+) -> Result<Vec<Vec<ObjectClass>>> {
     if views.is_empty() {
         return Err(Error::EmptyReference("reference set is empty"));
     }
-    Ok(queries
+    let per_query: Vec<Vec<ObjectClass>> = queries
         .par_iter()
         .map(|q| {
-            let row: Vec<f64> = views.iter().map(|v| score(&q.feat, &v.feat)).collect();
-            let nan = row.iter().filter(|d| d.is_nan()).count() as u64;
-            aggs.map(|agg| {
-                diag.record_nan_scores(nan);
-                let (best, best_class) = match agg {
-                    Aggregation::WeightedSum => {
-                        let (mut best, mut best_class) = (f64::INFINITY, views[0].class);
-                        for (v, &d) in views.iter().zip(&row) {
-                            if d < best {
-                                best = d;
-                                best_class = v.class;
-                            }
-                        }
-                        (best, best_class)
-                    }
-                    Aggregation::MicroAverage => {
+            let rows = rows(&q.feat);
+            columns
+                .iter()
+                .map(|&(slot, agg, diag)| {
+                    let row = &rows[slot];
+                    diag.record_nan_scores(row.iter().filter(|d| d.is_nan()).count() as u64);
+                    let (best, best_class) = match agg {
+                        Aggregation::WeightedSum => argmin(views, row),
                         // Average per (class, model) group.
-                        argmin_grouped(views, &row, |v| (v.class.index(), v.model_id))
+                        Aggregation::MicroAverage => {
+                            argmin_grouped(views, row, |v| (v.class.index(), v.model_id))
+                        }
+                        Aggregation::MacroAverage => {
+                            argmin_grouped(views, row, |v| (v.class.index(), 0))
+                        }
+                    };
+                    if !best.is_finite() {
+                        diag.record_degraded(1);
                     }
-                    Aggregation::MacroAverage => {
-                        argmin_grouped(views, &row, |v| (v.class.index(), 0))
-                    }
-                };
-                if !best.is_finite() {
-                    diag.record_degraded(1);
-                }
-                best_class
-            })
+                    best_class
+                })
+                .collect()
         })
-        .collect())
+        .collect();
+    let mut preds = vec![Vec::with_capacity(queries.len()); columns.len()];
+    for row in per_query {
+        for (column, class) in preds.iter_mut().zip(row) {
+            column.push(class);
+        }
+    }
+    Ok(preds)
+}
+
+/// First-seen argmin over `row` with strict `<`, so a NaN never wins;
+/// `(∞, views[0].class)` when no distance is finite.
+fn argmin(views: &[RefView], row: &[f64]) -> (f64, ObjectClass) {
+    let (mut best, mut best_class) = (f64::INFINITY, views[0].class);
+    for (v, &d) in views.iter().zip(row) {
+        if d < best {
+            best = d;
+            best_class = v.class;
+        }
+    }
+    (best, best_class)
 }
 
 /// Argmin over group means; groups are keyed by `key(view)` and resolve

@@ -18,7 +18,8 @@ use taor_data::{Dataset, ObjectClass};
 use taor_imgproc::cmp::nan_last_f64;
 use taor_imgproc::image::RgbImage;
 
-/// Which matching pipeline the recognizer runs.
+/// A matching pipeline: what a [`Recognizer`] runs, and what a column of
+/// [`try_classify_columns`](crate::pipeline::try_classify_columns) scores.
 #[derive(Debug, Clone, Copy)]
 pub enum Method {
     /// Hu-moment shape matching (the paper's L3 variant by default).

@@ -11,7 +11,7 @@ use taor_imgproc::moments::{match_shapes, MatchShapesMode};
 
 /// Hu-moment shape scorer; the paper's L1/L2/L3 variants map to
 /// [`MatchShapesMode::I1`]/[`I2`](MatchShapesMode::I2)/[`I3`](MatchShapesMode::I3).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapeScorer {
     pub mode: MatchShapesMode,
 }

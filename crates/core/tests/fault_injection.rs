@@ -186,32 +186,64 @@ fn nan_scores_yield_a_ranking_instead_of_a_panic() {
 }
 
 // ---------------------------------------------------------------------
-// The fused hybrid sweep: one θ matrix for all three aggregations must
-// predict and count exactly what three single-aggregation calls do.
+// The one sweep: every shape, colour and hybrid column of one
+// `try_classify_columns` call must predict and count exactly what a
+// single call per column does, with θ formed from the sweep's own L3 and
+// Hellinger values.
 // ---------------------------------------------------------------------
+
+/// Table 2's ten columns under `cfg`, each family recording in its own
+/// ledger (shape, colour, hybrid), as `repro` scores them.
+fn table2_columns<'a>(cfg: &HybridConfig, ledgers: &'a [Diagnostics; 3]) -> Vec<Column<'a>> {
+    let per_view = |method, diag| Column { method, agg: Aggregation::WeightedSum, diag };
+    let mut columns: Vec<Column<'a>> = Vec::new();
+    columns.extend(ShapeScorer::ALL.map(|s| per_view(Method::Shape(s), &ledgers[0])));
+    columns.extend(ColorScorer::ALL.map(|s| per_view(Method::Color(s), &ledgers[1])));
+    columns.extend(Aggregation::ALL.map(|agg| Column {
+        method: Method::Hybrid(*cfg),
+        agg,
+        diag: &ledgers[2],
+    }));
+    columns
+}
 
 #[test]
 fn fused_hybrid_matches_three_single_calls_on_the_corpus() {
     let queries: Vec<RefView> = adversarial_corpus().iter().map(|c| query_of(&c.image)).collect();
-    // The default weights, and NaN weights that poison every θ.
+    // The default weights, and NaN weights that poison every θ but no
+    // shape or colour distance of the same sweep.
     let poisoned = HybridConfig { alpha: f64::NAN, ..HybridConfig::default() };
     for cfg in [HybridConfig::default(), poisoned] {
-        let fused_diag = Diagnostics::new();
-        let fused = try_classify_hybrid_all(&queries, ref_views(), &cfg, &fused_diag).unwrap();
-        let single_diag = Diagnostics::new();
-        for (agg, preds) in Aggregation::ALL.into_iter().zip(&fused) {
-            let single =
-                try_classify_hybrid(&queries, ref_views(), &cfg, agg, &single_diag).unwrap();
-            assert_eq!(preds, &single, "alpha {}: {}", cfg.alpha, agg.label());
+        let fused_diag: [Diagnostics; 3] = Default::default();
+        let fused = try_classify_columns(&queries, ref_views(), &table2_columns(&cfg, &fused_diag))
+            .unwrap();
+        let single_diag: [Diagnostics; 3] = Default::default();
+        let mut preds = fused.iter();
+        for s in ShapeScorer::ALL {
+            let single = try_classify_per_view(&queries, ref_views(), &s, &single_diag[0]).unwrap();
+            assert_eq!(preds.next(), Some(&single), "alpha {}: {}", cfg.alpha, s.name());
         }
-        assert_eq!(fused_diag.report(), single_diag.report(), "alpha {}", cfg.alpha);
+        for s in ColorScorer::ALL {
+            let single = try_classify_per_view(&queries, ref_views(), &s, &single_diag[1]).unwrap();
+            assert_eq!(preds.next(), Some(&single), "alpha {}: {}", cfg.alpha, s.name());
+        }
+        for agg in Aggregation::ALL {
+            let single =
+                try_classify_hybrid(&queries, ref_views(), &cfg, agg, &single_diag[2]).unwrap();
+            assert_eq!(preds.next(), Some(&single), "alpha {}: {}", cfg.alpha, agg.label());
+        }
+        assert_eq!(preds.next(), None);
+        for (fused, single) in fused_diag.iter().zip(&single_diag) {
+            assert_eq!(fused.report(), single.report(), "alpha {}", cfg.alpha);
+        }
     }
-    let diag = Diagnostics::new();
-    try_classify_hybrid_all(&queries, ref_views(), &poisoned, &diag).unwrap();
+    // Under the poisoned weights the hybrid ledger counts every θ.
+    let ledgers: [Diagnostics; 3] = Default::default();
+    try_classify_columns(&queries, ref_views(), &table2_columns(&poisoned, &ledgers)).unwrap();
     let views = ref_views().len() as u64;
     let n = queries.len() as u64;
-    assert_eq!(diag.nan_scores(), 3 * n * views, "every θ, once per aggregation");
-    assert_eq!(diag.degraded(), 3 * n, "every query, once per aggregation");
+    assert_eq!(ledgers[2].nan_scores(), 3 * n * views, "every θ, once per aggregation");
+    assert_eq!(ledgers[2].degraded(), 3 * n, "every query, once per aggregation");
 }
 
 // ---------------------------------------------------------------------
@@ -243,8 +275,9 @@ fn empty_catalogs_are_typed_errors() {
         ),
         Err(Error::EmptyReference(_))
     ));
+    let column = Column { method: Method::default(), agg: Aggregation::MacroAverage, diag: &diag };
     assert!(matches!(
-        try_classify_hybrid_all(&queries, &[], &HybridConfig::default(), &diag),
+        try_classify_columns(&queries, &[], &[column]),
         Err(Error::EmptyReference(_))
     ));
     let empty_idx = extract_index(&empty, DescriptorKind::Orb);

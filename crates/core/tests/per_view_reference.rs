@@ -8,10 +8,19 @@
 //! method alone: first-seen argmin over views in order with strict `<`,
 //! NaN scores counted and skipped, and a query with no finite score
 //! falling back to the first view's class as a degraded answer.
+//!
+//! The all-rows sweep that fills Table 2 (`try_classify_columns` over
+//! every scorer and every hybrid aggregation) is held to the same
+//! reference per scorer, and to one-aggregation `try_classify_hybrid`
+//! calls per aggregation, predictions and both ledger counts alike.
 
-use taor_core::pipeline::{prepare_views, try_classify_per_view, MatchScorer, RefView};
-use taor_core::preprocess::Background;
-use taor_core::{ColorScorer, Diagnostics, ShapeScorer};
+use taor_core::pipeline::{
+    prepare_views, try_classify_columns, try_classify_per_view, Column, MatchScorer, RefView,
+};
+use taor_core::preprocess::{Background, Preprocessed};
+use taor_core::{
+    try_classify_hybrid, Aggregation, ColorScorer, Diagnostics, HybridConfig, Method, ShapeScorer,
+};
 use taor_data::{nyu_set_subsampled, shapenet_set1, shapenet_set2, ObjectClass};
 
 const SEED: u64 = 2019;
@@ -69,6 +78,58 @@ fn assert_matches_reference(q: &[RefView], r: &[RefView]) {
     }
 }
 
+/// θ = αS + βC spelled out from the configuration's public scorers, so
+/// the sweep's θ (formed from the L3 and Hellinger values it already
+/// holds) has a reference outside the crate.
+struct ThetaReference(HybridConfig);
+
+impl MatchScorer for ThetaReference {
+    fn score(&self, q: &Preprocessed, v: &Preprocessed) -> f64 {
+        let h = &self.0;
+        h.alpha * h.shape.score(q, v) + h.beta * h.color.score(q, v)
+    }
+    fn name(&self) -> String {
+        "theta".into()
+    }
+}
+
+/// The all-rows sweep, one ledger per column: every shape and colour
+/// column against the plain argmin, every hybrid column against a
+/// one-aggregation call, and the ΘT column against the plain argmin of θ.
+fn assert_sweep_matches_references(q: &[RefView], r: &[RefView]) {
+    let hybrid = HybridConfig::default();
+    let mut methods: Vec<(Method, Aggregation)> = Vec::new();
+    methods.extend(ShapeScorer::ALL.map(|s| (Method::Shape(s), Aggregation::WeightedSum)));
+    methods.extend(ColorScorer::ALL.map(|s| (Method::Color(s), Aggregation::WeightedSum)));
+    methods.extend(Aggregation::ALL.map(|agg| (Method::Hybrid(hybrid), agg)));
+    let ledgers: Vec<Diagnostics> = methods.iter().map(|_| Diagnostics::new()).collect();
+    let columns: Vec<Column<'_>> = methods
+        .iter()
+        .zip(&ledgers)
+        .map(|(&(method, agg), diag)| Column { method, agg, diag })
+        .collect();
+    let swept = try_classify_columns(q, r, &columns).unwrap();
+    assert_eq!(swept.len(), 10);
+    let scorers = all_scorers();
+    for ((preds, diag), scorer) in swept.iter().zip(&ledgers).zip(&scorers) {
+        let (want, nan, degraded) = classify_reference(q, r, scorer.as_ref());
+        assert_eq!(preds, &want, "{}: swept predictions diverged", scorer.name());
+        assert_eq!(diag.nan_scores(), nan, "{}: swept NaN count", scorer.name());
+        assert_eq!(diag.degraded(), degraded, "{}: swept degraded count", scorer.name());
+    }
+    let (want, nan, degraded) = classify_reference(q, r, &ThetaReference(hybrid));
+    let (theta_t, diag) = (&swept[scorers.len()], &ledgers[scorers.len()]);
+    assert_eq!((theta_t, diag.nan_scores(), diag.degraded()), (&want, nan, degraded), "ΘT");
+    let hybrid_columns = swept.iter().zip(&ledgers).skip(scorers.len());
+    for ((preds, diag), agg) in hybrid_columns.zip(Aggregation::ALL) {
+        let single = Diagnostics::new();
+        let want = try_classify_hybrid(q, r, &hybrid, agg, &single).unwrap();
+        assert_eq!(preds, &want, "{}: swept predictions diverged", agg.label());
+        assert_eq!(diag.nan_scores(), single.nan_scores(), "{}: swept NaN count", agg.label());
+        assert_eq!(diag.degraded(), single.degraded(), "{}: swept degraded count", agg.label());
+    }
+}
+
 #[test]
 fn per_view_matches_plain_argmin_on_sns1_vs_sns2() {
     let q = prepare_views(&shapenet_set1(SEED), Background::White);
@@ -82,4 +143,18 @@ fn per_view_matches_plain_argmin_on_nyu_vs_sns1() {
     let r = prepare_views(&shapenet_set1(SEED), Background::White);
     assert_eq!(q.len(), 200);
     assert_matches_reference(&q, &r);
+}
+
+#[test]
+fn one_sweep_matches_the_references_on_sns1_vs_sns2() {
+    let q = prepare_views(&shapenet_set1(SEED), Background::White);
+    let r = prepare_views(&shapenet_set2(SEED), Background::White);
+    assert_sweep_matches_references(&q, &r);
+}
+
+#[test]
+fn one_sweep_matches_the_references_on_nyu_vs_sns1() {
+    let q = prepare_views(&nyu_set_subsampled(SEED, 20), Background::Black);
+    let r = prepare_views(&shapenet_set1(SEED), Background::White);
+    assert_sweep_matches_references(&q, &r);
 }

@@ -14,11 +14,14 @@ pub const HIST_BINS: usize = 32;
 
 /// Per-channel histogram of an RGB image: three channels × [`HIST_BINS`]
 /// bins, stored flat (channel-major) as *normalised* frequencies, with
-/// their sum, the per-histogram half of Correlation and Hellinger.
+/// their sum, the per-histogram half of Correlation and Hellinger, and
+/// which bins are nonzero (bit `i` for bin `i`), the bins Chi-square,
+/// Intersection and Hellinger fold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RgbHistogram {
     data: [f64; 3 * HIST_BINS],
     sum: f64,
+    nonzero: u128,
 }
 
 /// Histogram comparison method (OpenCV `HISTCMP_*`).
@@ -85,10 +88,26 @@ pub fn rgb_histogram(img: &RgbImage) -> RgbHistogram {
     }
     let total = (img.width() as f64) * (img.height() as f64);
     let data = counts.map(|n| n as f64 / total);
-    RgbHistogram { data, sum: data.iter().sum() }
+    let nonzero = counts.iter().rev().fold(0u128, |mask, &n| mask << 1 | u128::from(n > 0));
+    RgbHistogram { data, sum: data.iter().sum(), nonzero }
+}
+
+/// The set bits of `mask`, ascending.
+fn bins(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (i < 128).then_some(i)
+    })
 }
 
 /// Compare two histograms with the given method.
+///
+/// Chi-square folds the bins nonzero in `a`, and Intersection and
+/// Hellinger the bins nonzero in both, in ascending order from +0.0.
+/// Every other bin's term is +0.0, and adding +0.0 to a sum of
+/// non-negative terms changes no bit, so this is the dense 96-bin fold.
+/// Correlation stays dense: its empty bins contribute.
 ///
 /// ```
 /// use taor_imgproc::prelude::*;
@@ -123,13 +142,15 @@ pub fn compare_hist(a: &RgbHistogram, b: &RgbHistogram, method: HistCompare) -> 
             }
         }
         HistCompare::ChiSquare => {
-            ha.iter().zip(hb).filter(|(&x, _)| x > 0.0).map(|(&x, &y)| (x - y).powi(2) / x).sum()
+            bins(a.nonzero).fold(0.0, |acc, i| acc + (ha[i] - hb[i]).powi(2) / ha[i])
         }
-        HistCompare::Intersection => ha.iter().zip(hb).map(|(&x, &y)| x.min(y)).sum(),
+        HistCompare::Intersection => {
+            bins(a.nonzero & b.nonzero).fold(0.0, |acc, i| acc + ha[i].min(hb[i]))
+        }
         HistCompare::Hellinger => {
             // OpenCV HISTCMP_BHATTACHARYYA:
             // sqrt(1 - (1/sqrt(meanA*meanB*N^2)) * Σ sqrt(a_i b_i))
-            let bc: f64 = ha.iter().zip(hb).map(|(&x, &y)| (x * y).sqrt()).sum();
+            let bc = bins(a.nonzero & b.nonzero).fold(0.0, |acc, i| acc + (ha[i] * hb[i]).sqrt());
             let v = 1.0 - bc / (a.sum * b.sum).sqrt();
             v.max(0.0).sqrt()
         }

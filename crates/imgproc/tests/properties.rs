@@ -6,6 +6,7 @@ use taor_imgproc::draw::{p2, P2};
 use taor_imgproc::prelude::*;
 use taor_imgproc::resize::{resize_bilinear_f32, sample_bilinear};
 use taor_testkit::draw::fill_ellipse;
+use taor_testkit::oracle::compare_hist_dense;
 
 /// Arbitrary small grayscale image with at least one foreground pixel.
 fn arb_gray(max_side: u32) -> impl Strategy<Value = GrayImage> {
@@ -290,38 +291,21 @@ fn arb_crop(max_side: u32) -> impl Strategy<Value = RgbImage> {
     })
 }
 
-/// The previous `compare_hist`, kept as the oracle: it re-sums both
-/// histograms for every pair instead of reading their cached sums.
-fn compare_hist_oracle(ha: &[f64], hb: &[f64], method: HistCompare) -> f64 {
-    let (sum_a, sum_b): (f64, f64) = (ha.iter().sum(), hb.iter().sum());
-    let n = ha.len() as f64;
-    let pairs = || ha.iter().zip(hb).map(|(&x, &y)| (x, y));
-    match method {
-        HistCompare::Correlation => {
-            let (mean_a, mean_b) = (sum_a / n, sum_b / n);
-            let (mut num, mut da, mut db) = (0.0, 0.0, 0.0);
-            for (x, y) in pairs() {
-                num += (x - mean_a) * (y - mean_b);
-                da += (x - mean_a).powi(2);
-                db += (y - mean_b).powi(2);
-            }
-            let denom = (da * db).sqrt();
-            if denom < f64::MIN_POSITIVE {
-                1.0
-            } else {
-                num / denom
-            }
+/// Two images for the sparse folds: each side any [`arb_hist_image`]
+/// kind, or, a quarter of the time, two crops whose channel values lie
+/// in disjoint halves of the range, so no bin is nonzero on both sides.
+fn arb_hist_pair() -> impl Strategy<Value = (RgbImage, RgbImage)> {
+    (0u8..4, arb_hist_image(), arb_hist_image()).prop_map(|(kind, a, b)| {
+        if kind > 0 {
+            return (a, b);
         }
-        HistCompare::ChiSquare => {
-            pairs().filter(|&(x, _)| x > 0.0).map(|(x, y)| (x - y).powi(2) / x).sum()
-        }
-        HistCompare::Intersection => pairs().map(|(x, y)| x.min(y)).sum(),
-        HistCompare::Hellinger if sum_a < f64::MIN_POSITIVE || sum_b < f64::MIN_POSITIVE => 1.0,
-        HistCompare::Hellinger => {
-            let bc: f64 = pairs().map(|(x, y)| (x * y).sqrt()).sum();
-            (1.0 - bc / (sum_a * sum_b).sqrt()).max(0.0).sqrt()
-        }
-    }
+        let half = |img: &RgbImage, base: u8| {
+            let (w, h) = img.dimensions();
+            let data = img.as_raw().iter().map(|&v| base + v / 2).collect();
+            RgbImage::from_vec(w, h, data).unwrap()
+        };
+        (half(&a, 0), half(&b, 128))
+    })
 }
 
 /// An image for the histogram metrics: half the time an arbitrary crop,
@@ -562,11 +546,26 @@ proptest! {
         let (ha, hb) = (rgb_histogram(&a), rgb_histogram(&b));
         for m in HistCompare::ALL {
             let got = compare_hist(&ha, &hb, m);
-            let want = compare_hist_oracle(ha.as_slice(), hb.as_slice(), m);
+            let want = compare_hist_dense(ha.as_slice(), hb.as_slice(), m);
             prop_assert!(
                 got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
                 "{m:?}: {got} vs oracle {want}"
             );
+        }
+    }
+
+    #[test]
+    fn nonzero_bin_fold_matches_the_dense_fold((a, b) in arb_hist_pair()) {
+        // Chi-square over `a`'s nonzero bins, Intersection and Hellinger
+        // over the bins nonzero on both sides: the dense fold's bits, +0.0
+        // included when no bin is shared.
+        let (ha, hb) = (rgb_histogram(&a), rgb_histogram(&b));
+        for (x, y) in [(&ha, &hb), (&hb, &ha)] {
+            for m in [HistCompare::ChiSquare, HistCompare::Intersection, HistCompare::Hellinger] {
+                let got = compare_hist(x, y, m);
+                let want = compare_hist_dense(x.as_slice(), y.as_slice(), m);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}: {} vs dense {}", m, got, want);
+            }
         }
     }
 }

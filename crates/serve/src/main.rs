@@ -23,10 +23,10 @@ const USAGE: &str = "taor-serve: recognition-as-a-service over the taor pipeline
   --addr A               bind address (default 127.0.0.1:0)
   --workers N            recognition worker threads (default 2)
   --queue-cap N          admission queue capacity, at least 1 (default 64)
-  --deadline-ms N        per-request deadline (default 2000)
+  --deadline-ms N        per-request deadline, at least 1 (default 2000)
   --degrade-margin-ms N  skip the expensive pipeline below this remaining budget (default 100)
-  --read-budget-ms N     total budget for reading one request (default 2000)
-  --max-body BYTES       request body cap (default 2 MiB)
+  --read-budget-ms N     total budget for reading one request, at least 1 (default 2000)
+  --max-body BYTES       request body cap, at least 1 (default 2 MiB)
   --max-requests-per-conn N  requests served per connection before rotation (default 128)
   --idle-timeout-ms N    close kept-alive connections idle this long (default 5000)
   --seed N               gallery + network seed (default 2019)
@@ -49,6 +49,20 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, S
         .map_err(|_| format!("{flag}: unparseable value"))
 }
 
+/// [`parse`] for a flag whose zero would leave the server answering
+/// nothing useful; `zero` says what a 0 would do.
+fn parse_nonzero<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    value: Option<String>,
+    zero: &str,
+) -> Result<T, String> {
+    let v = parse(flag, value)?;
+    if v == T::default() {
+        return Err(format!("{flag} must be at least 1: {zero}"));
+    }
+    Ok(v)
+}
+
 fn run() -> Result<(), String> {
     let mut server_cfg = ServerConfig::default();
     let mut service_cfg = ServiceConfig::default();
@@ -59,25 +73,37 @@ fn run() -> Result<(), String> {
             "--addr" => server_cfg.addr = parse("--addr", args.next())?,
             "--workers" => server_cfg.workers = parse("--workers", args.next())?,
             "--queue-cap" => {
-                server_cfg.queue_cap = parse("--queue-cap", args.next())?;
-                if server_cfg.queue_cap == 0 {
-                    return Err("--queue-cap must be at least 1: a zero-capacity admission \
-                                queue sheds every request"
-                        .into());
-                }
+                server_cfg.queue_cap = parse_nonzero(
+                    "--queue-cap",
+                    args.next(),
+                    "a zero-capacity admission queue sheds every request",
+                )?
             }
             "--deadline-ms" => {
-                server_cfg.deadline = Duration::from_millis(parse("--deadline-ms", args.next())?)
+                server_cfg.deadline = Duration::from_millis(parse_nonzero(
+                    "--deadline-ms",
+                    args.next(),
+                    "a zero deadline answers every request 504",
+                )?)
             }
             "--degrade-margin-ms" => {
                 server_cfg.degrade_margin =
                     Duration::from_millis(parse("--degrade-margin-ms", args.next())?)
             }
             "--read-budget-ms" => {
-                server_cfg.read_budget =
-                    Duration::from_millis(parse("--read-budget-ms", args.next())?)
+                server_cfg.read_budget = Duration::from_millis(parse_nonzero(
+                    "--read-budget-ms",
+                    args.next(),
+                    "a zero read budget closes every connection unanswered",
+                )?)
             }
-            "--max-body" => server_cfg.limits.max_body = parse("--max-body", args.next())?,
+            "--max-body" => {
+                server_cfg.limits.max_body = parse_nonzero(
+                    "--max-body",
+                    args.next(),
+                    "a zero-byte body cap answers every crop 413",
+                )?
+            }
             "--max-requests-per-conn" => {
                 server_cfg.max_requests_per_conn =
                     parse::<usize>("--max-requests-per-conn", args.next())?.max(1)

@@ -1,12 +1,14 @@
 //! Naive reference loops that the fast shipping paths are pinned against
 //! bit for bit: the ikj product behind the GEMM tests (Miri included) and
 //! bench, the byte-wise Hamming 2-NN behind `knn_match_binary` and the MIH
-//! index, and the batch-1 training pass behind the batched trainer
-//! (`crates/nn/tests/batched_equivalence.rs`).
+//! index, the dense 96-bin histogram metrics behind `compare_hist`
+//! (`crates/imgproc/tests/properties.rs`), and the batch-1 training pass
+//! behind the batched trainer (`crates/nn/tests/batched_equivalence.rs`).
 
 use taor_features::error::FeatureError;
 use taor_features::keypoint::BinaryDescriptors;
 use taor_features::matcher::{DMatch, RatioMatch};
+use taor_imgproc::histogram::HistCompare;
 use taor_nn::layers::softmax_cross_entropy_rows;
 use taor_nn::train::PairSample;
 use taor_nn::{NetGrads, NormXCorrNet, TensorError};
@@ -69,6 +71,42 @@ pub fn knn_match_binary_naive(
         out.push(RatioMatch { best, second });
     }
     Ok(out)
+}
+
+/// OpenCV's `compareHist` over every bin of two flat histograms, as
+/// `Iterator::sum` folds them, each histogram's sum taken afresh per
+/// pair. The shipping `compare_hist` folds only nonzero bins and reads
+/// cached sums; it must give these bits.
+pub fn compare_hist_dense(ha: &[f64], hb: &[f64], method: HistCompare) -> f64 {
+    let (sum_a, sum_b): (f64, f64) = (ha.iter().sum(), hb.iter().sum());
+    let n = ha.len() as f64;
+    let pairs = || ha.iter().zip(hb).map(|(&x, &y)| (x, y));
+    match method {
+        HistCompare::Correlation => {
+            let (mean_a, mean_b) = (sum_a / n, sum_b / n);
+            let (mut num, mut da, mut db) = (0.0, 0.0, 0.0);
+            for (x, y) in pairs() {
+                num += (x - mean_a) * (y - mean_b);
+                da += (x - mean_a).powi(2);
+                db += (y - mean_b).powi(2);
+            }
+            let denom = (da * db).sqrt();
+            if denom < f64::MIN_POSITIVE {
+                1.0
+            } else {
+                num / denom
+            }
+        }
+        HistCompare::ChiSquare => {
+            pairs().filter(|&(x, _)| x > 0.0).map(|(x, y)| (x - y).powi(2) / x).sum()
+        }
+        HistCompare::Intersection => pairs().map(|(x, y)| x.min(y)).sum(),
+        HistCompare::Hellinger if sum_a < f64::MIN_POSITIVE || sum_b < f64::MIN_POSITIVE => 1.0,
+        HistCompare::Hellinger => {
+            let bc: f64 = pairs().map(|(x, y)| (x * y).sqrt()).sum();
+            (1.0 - bc / (sum_a * sum_b).sqrt()).max(0.0).sqrt()
+        }
+    }
 }
 
 /// One pair through a batch-1 forward (dropout seeded by `dropout_seed`)
